@@ -1,9 +1,18 @@
 """Histogram-based second-order boosted trees with a binary logistic objective.
 
-Features are quantized once into per-feature bins (midpoint thresholds);
-split search scans bin boundaries maximizing the regularized second-order
-gain and trees are grown depth-first. Leaf weights use the L1/L2 closed form
-and are stored unscaled; the shrinkage factor is applied at prediction time.
+Features are quantized once into per-feature bins (midpoint thresholds),
+stored in the smallest unsigned dtype that holds every bin index. Trees are
+grown depth-first. A node's histogram holds, for each candidate feature and
+bin, the node's gradient sum, hessian sum and row count in a padded
+(features x B) matrix, B being the widest bin count among the round's
+features. The root's histogram is built from its rows; at each split only the
+child with fewer rows is built and its sibling is parent minus child. Counts
+are integers and subtract exactly, so a boundary that leaves a child without
+rows is never chosen even when subtraction leaves rounding residue in its
+gradient sums. Split search scans every feature of a node in one pass over the
+matrix, maximizing the regularized second-order gain. Leaf weights use the
+L1/L2 closed form on sums over the leaf's rows and are stored unscaled; the
+shrinkage factor is applied at prediction time.
 """
 
 from __future__ import annotations
@@ -53,11 +62,32 @@ class BoostConfig:
 
 @dataclass
 class BinnedMatrix:
-    bins: np.ndarray  # (n, d) int32 bin indices
+    bins: np.ndarray  # (n, d) bin indices, smallest unsigned dtype holding max_bins - 1
     thresholds: list[np.ndarray]  # per feature, ascending bin upper edges
+    widths: np.ndarray = field(init=False, repr=False)  # per feature bin count
+
+    def __post_init__(self):
+        self.widths = np.array([len(t) + 1 for t in self.thresholds], dtype=np.intp)
 
     def n_bins(self, feature: int) -> int:
-        return len(self.thresholds[feature]) + 1
+        return int(self.widths[feature])
+
+
+@dataclass
+class NodeHistogram:
+    """Sums over one node's rows per (candidate feature, bin).
+
+    Matrix row i belongs to features[i] of the list the histogram was built
+    for; bins past a feature's own width are padding and stay zero.
+    """
+
+    grad: np.ndarray  # (k, B) float64 gradient sums
+    hess: np.ndarray  # (k, B) float64 hessian sums
+    count: np.ndarray  # (k, B) int64 row counts
+
+    def __sub__(self, other: "NodeHistogram") -> "NodeHistogram":
+        return NodeHistogram(self.grad - other.grad, self.hess - other.hess,
+                             self.count - other.count)
 
 
 @dataclass
@@ -71,7 +101,6 @@ class TreeNode:
     right: "TreeNode | None" = None
     weight: float = 0.0
     gain: float = 0.0
-    default_left: bool = True  # reserved; inputs are dense
 
     @property
     def is_leaf(self) -> bool:
@@ -111,8 +140,9 @@ def bin_features(X, max_bins: int) -> BinnedMatrix:
     if values.size and not np.isfinite(values).all():
         raise ValueError("cannot bin non-finite values")
     n, d = values.shape
-    bins = np.zeros((n, d), dtype=np.int32)
+    bins = np.zeros((n, d), dtype=np.min_scalar_type(max_bins - 1))
     thresholds: list[np.ndarray] = []
+    ranks = n * np.arange(1, max_bins) // max_bins
     for j in range(d):
         col = values[:, j]
         distinct = np.unique(col)
@@ -120,13 +150,8 @@ def bin_features(X, max_bins: int) -> BinnedMatrix:
             cuts = (distinct[:-1] + distinct[1:]) / 2.0
         else:
             ordered = np.sort(col)
-            candidates = []
-            for i in range(1, max_bins):
-                r = (n * i) // max_bins
-                lo, hi = ordered[r - 1], ordered[r]
-                if hi > lo:
-                    candidates.append(0.5 * (lo + hi))
-            cuts = np.unique(candidates)
+            lo, hi = ordered[ranks - 1], ordered[ranks]
+            cuts = np.unique((0.5 * (lo + hi))[hi > lo])
         thresholds.append(cuts)
         bins[:, j] = np.searchsorted(cuts, col, side="left")
     return BinnedMatrix(bins=bins, thresholds=thresholds)
@@ -143,63 +168,89 @@ def leaf_weight(G: float, H: float, reg_lambda: float, reg_alpha: float) -> floa
     return -num / (H + reg_lambda)
 
 
-def find_best_split(
+def build_histogram(
     rows: np.ndarray,
     binned: BinnedMatrix,
     g: np.ndarray,
     h: np.ndarray,
     features: np.ndarray,
+) -> NodeHistogram:
+    """Gradient, hessian and row-count histogram of `rows` over `features`.
+
+    One bincount per quantity, keyed by feature position * B + bin, where B is
+    the widest bin count among `features`.
+    """
+    features = np.asarray(features)
+    k = features.size
+    width = int(binned.widths[features].max()) if k else 1
+    keys = np.add(binned.bins[np.ix_(rows, features)], np.arange(k) * width,
+                  dtype=np.intp).ravel()
+    size = k * width
+    weights_g = np.repeat(g[rows], k)
+    weights_h = np.repeat(h[rows], k)
+    return NodeHistogram(
+        grad=np.bincount(keys, weights=weights_g, minlength=size).reshape(k, width),
+        hess=np.bincount(keys, weights=weights_h, minlength=size).reshape(k, width),
+        count=np.bincount(keys, minlength=size).reshape(k, width),
+    )
+
+
+def find_best_split(
+    hist: NodeHistogram,
+    binned: BinnedMatrix,
+    features: np.ndarray,
     config: BoostConfig,
 ) -> SplitDecision | None:
-    """Best (feature, bin boundary) by second-order gain, or None.
+    """Best (feature, bin boundary) of a node by second-order gain, or None.
 
-    Gain must exceed zero after subtracting gamma and both children must carry
-    hessian mass >= min_child_weight. Ties keep the lowest feature index, then
-    the lowest threshold (features and boundaries are scanned in that order);
-    gains within GAIN_TIE_REL of each other count as tied.
+    `hist` is the node's histogram over `features` (see build_histogram).
+    Gain must exceed zero after subtracting gamma, both children must hold at
+    least one row and carry hessian mass >= min_child_weight. Ties keep the
+    lowest feature index, then the lowest threshold (features and boundaries
+    are taken in that order); gains within GAIN_TIE_REL of each other count as
+    tied.
     """
-    if rows.size < 2:
-        return None
     features = np.asarray(features)
-    widths = np.array([binned.n_bins(f) for f in features])
-    if int(widths.sum()) == features.size:  # every candidate feature is constant
+    widths = binned.widths[features]
+    if features.size == 0 or widths.max() < 2 or hist.count[0].sum() < 2:
         return None
-    offsets = np.concatenate([[0], np.cumsum(widths[:-1])])
-    sub = binned.bins[np.ix_(rows, features)]
-    flat = (sub + offsets[None, :]).ravel()
-    total = int(widths.sum())
-    g_hist = np.bincount(flat, weights=np.repeat(g[rows], features.size), minlength=total)
-    h_hist = np.bincount(flat, weights=np.repeat(h[rows], features.size), minlength=total)
+    NL = np.cumsum(hist.count, axis=1)
+    GL = np.cumsum(hist.grad, axis=1)
+    HL = np.cumsum(hist.hess, axis=1)
+    N, G, H = NL[:, -1:], GL[:, -1:].copy(), HL[:, -1:].copy()
+    GR, HR = G - GL, H - HL
+    lam, mcw = config.reg_lambda, config.min_child_weight
+    boundary = np.arange(GL.shape[1]) < (widths - 1)[:, None]  # padding has no boundary
+    ok = boundary & (NL > 0) & (NL < N) & (HL >= mcw) & (HR >= mcw)
 
-    lam = config.reg_lambda
+    # 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)) - gamma, computed in
+    # place: a fresh (k, B) temporary costs more to allocate than to fill
+    with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+        HL += lam
+        HR += lam
+        gains = GL * GL
+        gains /= HL
+        GR *= GR
+        GR /= HR
+        gains += GR
+        gains -= G * G / (H + lam)
+    gains *= 0.5
+    gains -= config.gamma
+    np.putmask(gains, ~ok, -np.inf)
+
+    # per feature: the lowest boundary whose gain is tied with the feature's top
+    top = gains.max(axis=1)
+    window = GAIN_TIE_REL * np.maximum(1.0, np.abs(top))
+    first = np.argmax((gains >= (top - window)[:, None]) & (gains > 0.0), axis=1)
+    first_gain = gains[np.arange(features.size), first]
+
     best: SplitDecision | None = None
-    for pos, f in enumerate(features):
-        lo, hi = offsets[pos], offsets[pos] + widths[pos]
-        if hi - lo < 2:
-            continue
-        gf, hf = g_hist[lo:hi], h_hist[lo:hi]
-        G, H = gf.sum(), hf.sum()
-        GL = np.cumsum(gf)[:-1]
-        HL = np.cumsum(hf)[:-1]
-        GR, HR = G - GL, H - HL
-        gains = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam))
-        gains -= config.gamma
-        ok = (HL >= config.min_child_weight) & (HR >= config.min_child_weight)
-        gains = np.where(ok, gains, -np.inf)
-        top = float(gains.max())
-        if not top > 0.0:
-            continue
-        window = GAIN_TIE_REL * max(1.0, abs(top))
-        tied = (gains >= top - window) & (gains > 0.0)
-        b = int(np.argmax(tied))  # lowest tied threshold
-        gain = float(gains[b])
+    for pos in np.flatnonzero(top > 0.0).tolist():
+        gain = float(first_gain[pos])
         if best is None or gain > best.gain + GAIN_TIE_REL * max(1.0, abs(best.gain)):
-            best = SplitDecision(
-                feature=int(f),
-                bin_idx=b,
-                threshold=float(binned.thresholds[f][b]),
-                gain=gain,
-            )
+            f, b = int(features[pos]), int(first[pos])
+            best = SplitDecision(feature=f, bin_idx=b,
+                                 threshold=float(binned.thresholds[f][b]), gain=gain)
     return best
 
 
@@ -210,23 +261,44 @@ def _grow_tree(
     h: np.ndarray,
     features: np.ndarray,
     config: BoostConfig,
-    depth: int,
 ) -> TreeNode:
-    decision = None
-    if depth < config.max_depth and rows.size >= 2:
-        decision = find_best_split(rows, binned, g, h, features, config)
-    if decision is None:
-        G, H = float(g[rows].sum()), float(h[rows].sum())
-        return TreeNode(weight=leaf_weight(G, H, config.reg_lambda, config.reg_alpha))
-    mask = binned.bins[rows, decision.feature] <= decision.bin_idx
-    return TreeNode(
-        feature=decision.feature,
-        threshold=decision.threshold,
-        bin_idx=decision.bin_idx,
-        gain=decision.gain,
-        left=_grow_tree(rows[mask], binned, g, h, features, config, depth + 1),
-        right=_grow_tree(rows[~mask], binned, g, h, features, config, depth + 1),
-    )
+    """Grow one tree depth-first, left subtree before right.
+
+    Besides the node being split, the stack holds the histograms of pending
+    right siblings, at most one per level. Nodes at max_depth get none; the
+    root's is built when it is searched.
+    """
+    root = TreeNode()
+    stack = [(root, rows, None, 0)]
+    while stack:
+        node, rows, hist, depth = stack.pop()
+        decision = None
+        if depth < config.max_depth and rows.size >= 2:
+            if hist is None:
+                hist = build_histogram(rows, binned, g, h, features)
+            decision = find_best_split(hist, binned, features, config)
+        if decision is None:
+            G, H = float(g[rows].sum()), float(h[rows].sum())
+            node.weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
+            continue
+        mask = binned.bins[rows, decision.feature] <= decision.bin_idx
+        left, right = rows[mask], rows[~mask]
+        left_hist = right_hist = None
+        if depth + 1 < config.max_depth:
+            if left.size <= right.size:
+                left_hist = build_histogram(left, binned, g, h, features)
+                right_hist = hist - left_hist
+            else:
+                right_hist = build_histogram(right, binned, g, h, features)
+                left_hist = hist - right_hist
+        node.feature = decision.feature
+        node.threshold = decision.threshold
+        node.bin_idx = decision.bin_idx
+        node.gain = decision.gain
+        node.left, node.right = TreeNode(), TreeNode()
+        stack.append((node.right, right, right_hist, depth + 1))
+        stack.append((node.left, left, left_hist, depth + 1))
+    return root
 
 
 def _apply_tree_binned(root: TreeNode, bins: np.ndarray) -> np.ndarray:
@@ -259,6 +331,19 @@ def _apply_tree_values(root: TreeNode, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _round_sample(config: BoostConfig, t: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted rows and features of round t, drawn from a generator seeded by (seed, t)."""
+    rng = np.random.default_rng([config.seed, t])
+    rows = np.arange(n)
+    if config.subsample < 1.0:
+        rows = np.sort(rng.choice(n, size=max(1, int(config.subsample * n)), replace=False))
+    feats = np.arange(d)
+    if config.colsample_bytree < 1.0:
+        feats = np.sort(rng.choice(d, size=max(1, int(config.colsample_bytree * d)),
+                                   replace=False))
+    return rows, feats
+
+
 def train_boosting(
     X: FeatureMatrix,
     y: np.ndarray,
@@ -281,6 +366,8 @@ def train_boosting(
         raise ValueError("feature matrix and target lengths differ")
     if np.unique(y).size < 2:
         raise DataError("boosting requires both classes in the target")
+    if eval_every and eval_set is None:
+        raise ValueError("eval_every requires eval_set")
 
     binned = bin_features(X, config.max_bins)
     base_raw = float(np.log(config.base_score / (1.0 - config.base_score)))
@@ -291,22 +378,10 @@ def train_boosting(
 
     trees: list[TreeNode] = []
     history: list[tuple[int, float, float]] = []
-    all_rows = np.arange(n)
-    all_feats = np.arange(d)
     for t in range(config.n_estimators):
-        rng = np.random.default_rng([config.seed, t])
         g, h = logistic_grad_hess(raw, y)
-        if config.subsample < 1.0:
-            m = max(1, int(config.subsample * n))
-            rows = np.sort(rng.choice(n, size=m, replace=False))
-        else:
-            rows = all_rows
-        if config.colsample_bytree < 1.0:
-            k = max(1, int(config.colsample_bytree * d))
-            feats = np.sort(rng.choice(d, size=k, replace=False))
-        else:
-            feats = all_feats
-        root = _grow_tree(rows, binned, g, h, feats, config, depth=0)
+        rows, feats = _round_sample(config, t, n, d)
+        root = _grow_tree(rows, binned, g, h, feats, config)
         trees.append(root)
         raw += config.learning_rate * _apply_tree_binned(root, binned.bins)
         if eval_raw is not None:

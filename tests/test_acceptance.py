@@ -23,7 +23,13 @@ from attnboost.experiments import (
     run_feature_removal,
 )
 from attnboost.fusion import fit_variant, predict_matrix
-from attnboost.gbdt import BoostConfig, bin_features, find_best_split, train_boosting
+from attnboost.gbdt import (
+    BoostConfig,
+    bin_features,
+    build_histogram,
+    find_best_split,
+    train_boosting,
+)
 from attnboost.importance import collapse_attention_block, gain_importance
 from attnboost.metrics import ConfusionMatrix, auc, compute_metrics
 from attnboost.model_io import load_model, save_model
@@ -146,7 +152,8 @@ def test_criterion_03_split_finder_oracle():
         )
         feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
         rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        decision = find_best_split(rows, binned, g, h, feats, config)
+        hist = build_histogram(rows, binned, g, h, feats)
+        decision = find_best_split(hist, binned, feats, config)
         oracle = brute_force_split(rows, binned, g, h, feats, config)
         if oracle is None:
             none_results += 1

@@ -3,21 +3,26 @@
 import numpy as np
 import pytest
 
+from attnboost import gbdt
 from attnboost.attention import sigmoid
 from attnboost.errors import DataError
 from attnboost.gbdt import (
     BinnedMatrix,
     BoostConfig,
     Ensemble,
+    NodeHistogram,
     TreeNode,
     bin_features,
+    build_histogram,
     find_best_split,
     leaf_weight,
     logistic_grad_hess,
     predict_proba,
     predict_raw,
     train_boosting,
+    _apply_tree_binned,
     _apply_tree_values,
+    _round_sample,
 )
 from attnboost.metrics import auc
 from attnboost.tabular import FeatureMatrix
@@ -58,6 +63,22 @@ def brute_force_split(rows, binned: BinnedMatrix, g, h, features, config: BoostC
             if best is None or gain > best[2] + GAIN_TIE_REL * max(1.0, abs(best[2])):
                 best = (f, float(cuts[b]), gain)
     return best
+
+
+def _loop_cuts(col, max_bins):
+    """Cut points of one column with a Python loop over the quantile boundaries."""
+    distinct = np.unique(col)
+    if distinct.size <= max_bins:
+        return (distinct[:-1] + distinct[1:]) / 2.0
+    n = col.size
+    ordered = np.sort(col)
+    candidates = []
+    for i in range(1, max_bins):
+        r = (n * i) // max_bins
+        lo, hi = ordered[r - 1], ordered[r]
+        if hi > lo:
+            candidates.append(0.5 * (lo + hi))
+    return np.unique(candidates)
 
 
 def minimize_leaf_objective(G, H, reg_lambda, reg_alpha):
@@ -117,7 +138,32 @@ class TestBinFeatures:
         col = rng.normal(0, 3, 400)
         binned = bin_features(_fm(col.reshape(-1, 1)), max_bins=16)
         order = np.argsort(col)
-        assert (np.diff(binned.bins[order, 0]) >= 0).all()
+        assert (np.diff(binned.bins[order, 0].astype(np.int64)) >= 0).all()
+
+    @pytest.mark.parametrize("max_bins", [2, 16, 256])
+    def test_cuts_equal_the_per_boundary_loop(self, max_bins):
+        rng = np.random.default_rng(max_bins)
+        n = 1001
+        columns = [
+            rng.normal(0, 1, n),  # continuous
+            np.full(n, 3.25),  # constant
+            rng.integers(0, 7, n).astype(float),  # few distinct values, heavy ties
+            np.repeat(rng.normal(0, 1, 300), 4)[:n],  # 300 distinct values, each tied
+            np.where(rng.uniform(size=n) < 0.7, 0.0, rng.exponential(1.0, n)),  # one mass point
+        ]
+        binned = bin_features(_fm(np.column_stack(columns)), max_bins=max_bins)
+        for j, col in enumerate(columns):
+            expected = _loop_cuts(col, max_bins)
+            assert binned.thresholds[j].dtype == expected.dtype
+            assert binned.thresholds[j].tobytes() == expected.tobytes(), f"column {j}"
+
+    @pytest.mark.parametrize("max_bins,dtype", [(2, np.uint8), (256, np.uint8),
+                                                (257, np.uint16)])
+    def test_bins_use_smallest_unsigned_dtype(self, max_bins, dtype):
+        col = np.arange(300, dtype=float).reshape(-1, 1)
+        binned = bin_features(_fm(col), max_bins=max_bins)
+        assert binned.bins.dtype == dtype
+        assert int(binned.bins.max()) == binned.n_bins(0) - 1 == min(max_bins, 300) - 1
 
     def test_repeated_values_share_bins(self):
         col = np.repeat([1.0, 2.0, 3.0, 4.0], 100)
@@ -163,7 +209,9 @@ class TestFindBestSplit:
 
     def test_hand_computed_gain(self):
         binned, g, h, config = self._four_row_setup()
-        dec = find_best_split(np.arange(4), binned, g, h, np.array([0]), config)
+        feats = np.array([0])
+        hist = build_histogram(np.arange(4), binned, g, h, feats)
+        dec = find_best_split(hist, binned, feats, config)
         assert dec is not None
         assert dec.feature == 0
         assert dec.threshold == 2.5
@@ -174,11 +222,25 @@ class TestFindBestSplit:
 
     def test_gamma_blocks_marginal_split(self):
         binned, g, h, config = self._four_row_setup(gamma=0.7)
-        assert find_best_split(np.arange(4), binned, g, h, np.array([0]), config) is None
+        feats = np.array([0])
+        hist = build_histogram(np.arange(4), binned, g, h, feats)
+        assert find_best_split(hist, binned, feats, config) is None
 
     def test_min_child_weight_blocks_split(self):
         binned, g, h, config = self._four_row_setup(min_child_weight=1.0)
-        assert find_best_split(np.arange(4), binned, g, h, np.array([0]), config) is None
+        feats = np.array([0])
+        hist = build_histogram(np.arange(4), binned, g, h, feats)
+        assert find_best_split(hist, binned, feats, config) is None
+
+    def test_boundary_leaving_a_child_without_rows_is_never_chosen(self):
+        # A subtracted histogram can keep rounding residue in bins that hold no
+        # rows; here it would make the only boundary's gain positive.
+        binned = bin_features(_fm([[1.0], [2.0]]), 256)
+        hist = NodeHistogram(grad=np.array([[-1.0, 2.0**-30]]),
+                             hess=np.array([[0.75, 2.0**-40]]),
+                             count=np.array([[3, 0]]))
+        config = BoostConfig(gamma=0.0, min_child_weight=0.0, reg_lambda=1.0)
+        assert find_best_split(hist, binned, np.array([0]), config) is None
 
     def test_matches_brute_force_on_random_data(self):
         rng = np.random.default_rng(3)
@@ -196,7 +258,8 @@ class TestFindBestSplit:
             )
             feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
             rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-            dec = find_best_split(rows, binned, g, h, feats, config)
+            hist = build_histogram(rows, binned, g, h, feats)
+            dec = find_best_split(hist, binned, feats, config)
             oracle = brute_force_split(rows, binned, g, h, feats, config)
             if oracle is None:
                 assert dec is None, f"trial {trial}"
@@ -252,6 +315,15 @@ class TestTrainBoosting:
         X = _fm([[1.0], [2.0]])
         with pytest.raises(DataError):
             train_boosting(X, np.array([1, 1]), BoostConfig(n_estimators=1))
+
+    def test_eval_every_requires_eval_set(self, monkeypatch):
+        def grow(*args, **kwargs):
+            raise AssertionError("a tree was grown before the arguments were checked")
+
+        monkeypatch.setattr(gbdt, "_grow_tree", grow)
+        X = _fm([[1.0], [2.0], [3.0], [4.0]])
+        with pytest.raises(ValueError, match="eval_every requires eval_set"):
+            train_boosting(X, np.array([0, 1, 0, 1]), BoostConfig(n_estimators=3), eval_every=1)
 
     def test_eval_history_recorded(self):
         rng = np.random.default_rng(6)
@@ -314,6 +386,59 @@ class TestLossMonotonicity:
             assert cur <= prev + 1e-9
 
 
+class TestGrownTreesMatchBruteForce:
+    """Trees from train_boosting, whose non-root histograms are built or subtracted,
+    agree with exhaustive enumeration over each node's rows at every node."""
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.8])
+    def test_every_node_matches_oracle(self, min_child_weight, gamma):
+        rng = np.random.default_rng(int(10 * min_child_weight + 100 * gamma))
+        n, d = 150, 5
+        values = rng.normal(0, 1, (n, d))
+        values[:, 3] = np.round(values[:, 3])  # a few distinct values with many ties
+        y = ((values[:, 0] - values[:, 2] + rng.normal(0, 1, n)) > 0).astype(int)
+        X = _fm(values)
+        config = BoostConfig(n_estimators=8, max_depth=4, learning_rate=0.3,
+                             min_child_weight=min_child_weight, gamma=gamma,
+                             subsample=0.8, colsample_bytree=0.6, max_bins=16, reg_alpha=0.0)
+        model = train_boosting(X, y, config)
+        binned = bin_features(X, config.max_bins)
+        seen = {"deep": 0, "early_leaf": 0}
+
+        def check(node, rows, depth, g, h, feats):
+            oracle = brute_force_split(rows, binned, g, h, feats, config)
+            if node.is_leaf:
+                if depth < config.max_depth:
+                    assert oracle is None
+                    seen["early_leaf"] += 1
+                return
+            assert oracle is not None
+            assert (node.feature, node.threshold) == (oracle[0], oracle[1])
+            assert node.gain == pytest.approx(oracle[2], abs=1e-9)
+            seen["deep"] += depth > 0
+            mask = binned.bins[rows, node.feature] <= node.bin_idx
+            left, right = rows[mask], rows[~mask]
+            parent = build_histogram(rows, binned, g, h, feats)
+            derived = parent - build_histogram(left, binned, g, h, feats)
+            direct = build_histogram(right, binned, g, h, feats)
+            np.testing.assert_array_equal(derived.count, direct.count)
+            for got, want, total in ((derived.grad, direct.grad, parent.grad),
+                                     (derived.hess, direct.hess, parent.hess)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(total).sum()
+            check(node.left, left, depth + 1, g, h, feats)
+            check(node.right, right, depth + 1, g, h, feats)
+
+        raw = np.full(n, model.base_raw)
+        for t, tree in enumerate(model.trees):
+            g, h = logistic_grad_hess(raw, y)
+            rows, feats = _round_sample(config, t, n, d)
+            assert rows.size < n and feats.size < d
+            check(tree, rows, 0, g, h, feats)
+            raw += config.learning_rate * _apply_tree_binned(tree, binned.bins)
+        assert seen["deep"] > 0 and seen["early_leaf"] > 0, seen
+
+
 class TestSplitsRespectConstraints:
     def test_accepted_splits_have_positive_gain_and_hessian_mass(self):
         rng = np.random.default_rng(9)
@@ -336,8 +461,6 @@ class TestSplitsRespectConstraints:
             check(node.right, right, g, h)
 
         raw = np.full(200, model.base_raw)
-        from attnboost.gbdt import _apply_tree_binned
-
         for tree in model.trees:
             g, h = logistic_grad_hess(raw, y)
             check(tree, np.arange(200), g, h)
