@@ -12,7 +12,6 @@ import argparse
 import csv as csv_mod
 import datetime as dt
 import io
-import os
 import sys
 
 from . import fusion, importance as importance_mod
@@ -369,19 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_cap() -> None:
-    value = os.environ.get("ATTNBOOST_THREADS")
-    if value is None:
-        return
-    try:
-        cap = int(value)
-    except ValueError:
-        raise ConfigError(f"ATTNBOOST_THREADS must be an integer, got {value!r}") from None
-    if cap < 1:
-        raise ConfigError("ATTNBOOST_THREADS must be >= 1")
-    # execution is observably single-threaded, so any cap >= 1 is satisfied
-
-
 def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
@@ -389,7 +375,6 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _check_thread_cap()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,15 @@ gradient sums. Split search scans every feature of a node in one pass over the
 matrix, maximizing the regularized second-order gain. Leaf weights use the
 L1/L2 closed form on sums over the leaf's rows and are stored unscaled; the
 shrinkage factor is applied at prediction time.
+
+A tree is a record of parallel node arrays in pre-order (root first, a node's
+left subtree before its right), the layout the model file stores. An ensemble
+stacks its trees into one set of arrays once, with leaves linking to
+themselves, and one walk moves every (tree, row) pair down a level per step,
+comparing raw values with `threshold` when scoring and bin indices with
+`bin_idx` during training. Tree outputs are added to the raw score strictly in
+tree order, so scores do not depend on how many rows or trees are walked
+together.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ HESSIAN_FLOOR = 1e-16
 # lexicographic tie-break cannot be overridden by summation-order noise.
 GAIN_TIE_REL = 1e-10
 
+# Most (tree, row) pairs one walk step holds; bounds the walk's temporaries.
+_WALK_CELLS = 1 << 16
+
 
 @dataclass
 class BoostConfig:
@@ -48,6 +60,10 @@ class BoostConfig:
     base_score: float = 0.5
 
     def __post_init__(self):
+        if self.n_estimators < 0 or self.max_depth < 0:
+            raise ValueError("n_estimators and max_depth must be non-negative")
+        if self.min_child_weight < 0:
+            raise ValueError("min_child_weight must be non-negative")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < self.subsample <= 1.0 or not 0.0 < self.colsample_bytree <= 1.0:
@@ -90,30 +106,91 @@ class NodeHistogram:
                              self.count - other.count)
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature >= 0) or leaf (feature == -1, weight set)."""
+@dataclass(eq=False)
+class Tree:
+    """One tree as parallel arrays over its nodes in pre-order.
 
-    feature: int = -1
-    threshold: float = 0.0
-    bin_idx: int = -1
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    weight: float = 0.0
-    gain: float = 0.0
+    Node 0 is the root. An internal node has feature >= 0 and both children
+    after it; a leaf has feature, left and right all -1 and carries weight.
+    bin_idx is the split's bin boundary, -1 on leaves and on trees read from a
+    model file (which store thresholds only); threshold is its raw value.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    feature: np.ndarray  # (nodes,) intp
+    bin_idx: np.ndarray  # (nodes,) intp
+    threshold: np.ndarray  # (nodes,) float64
+    left: np.ndarray  # (nodes,) intp
+    right: np.ndarray  # (nodes,) intp
+    weight: np.ndarray  # (nodes,) float64, unscaled leaf weight (0 on internal nodes)
+    gain: np.ndarray  # (nodes,) float64, split gain (0 on leaves)
+
+
+@dataclass(eq=False)
+class Forest:
+    """Trees stacked into one set of node arrays for the vectorized walk.
+
+    Child links are global node indices and a leaf links to itself, so a walk
+    that takes a fixed number of steps leaves each (tree, row) pair on its
+    leaf. A leaf's feature is 0, so its comparison (whose outcome is ignored)
+    reads a real column.
+    """
+
+    roots: np.ndarray  # (trees,) global index of each tree's root
+    depth: np.ndarray  # (trees,) edges on each tree's longest root-to-leaf path
+    feature: np.ndarray
+    bin_idx: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def stack(cls, trees) -> "Forest":
+        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
+        roots = np.zeros(sizes.size, dtype=np.intp)
+        np.cumsum(sizes[:-1], out=roots[1:])
+
+        def cat(name: str, dtype) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in trees] or [np.empty(0, dtype)])
+
+        feature = cat("feature", np.intp)
+        leaf = feature < 0
+        here = np.arange(feature.size)
+        offset = np.repeat(roots, sizes)
+        left = np.where(leaf, here, cat("left", np.intp) + offset)
+        right = np.where(leaf, here, cat("right", np.intp) + offset)
+
+        node_depth = np.zeros(feature.size, dtype=np.intp)
+        level, steps = roots, 0
+        while True:
+            level = level[~leaf[level]]
+            if level.size == 0:
+                break
+            steps += 1
+            if steps > feature.size:
+                raise ValueError("tree child links form a cycle")
+            level = np.concatenate([left[level], right[level]])
+            node_depth[level] = steps
+        depth = np.maximum.reduceat(node_depth, roots) if trees else roots
+        return cls(roots=roots, depth=depth, feature=np.where(leaf, 0, feature),
+                   bin_idx=cat("bin_idx", np.intp), threshold=cat("threshold", np.float64),
+                   left=left, right=right, weight=cat("weight", np.float64))
 
 
 @dataclass
 class Ensemble:
-    trees: list[TreeNode]
+    """Boosted trees; `trees` is fixed at construction and stacked into `forest`."""
+
+    trees: tuple[Tree, ...]
     base_raw: float
     learning_rate: float
     feature_names: list[str]
     eval_history: list[tuple[int, float, float]] = field(default_factory=list, repr=False)
+    forest: Forest = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.trees = tuple(self.trees)
+        self.forest = Forest.stack(self.trees)
 
 
 @dataclass
@@ -261,17 +338,22 @@ def _grow_tree(
     h: np.ndarray,
     features: np.ndarray,
     config: BoostConfig,
-) -> TreeNode:
+) -> Tree:
     """Grow one tree depth-first, left subtree before right.
 
-    Besides the node being split, the stack holds the histograms of pending
-    right siblings, at most one per level. Nodes at max_depth get none; the
-    root's is built when it is searched.
+    A node is numbered when it is popped, which is pre-order, and its
+    parent's child link is set then. Besides the node being split, the stack
+    holds the histograms of pending right siblings, at most one per level.
+    Nodes at max_depth get none; the root's is built when it is searched.
     """
-    root = TreeNode()
-    stack = [(root, rows, None, 0)]
+    nodes: list[list] = []  # [feature, bin_idx, threshold, left, right, weight, gain]
+    LEFT, RIGHT = 3, 4  # positions of the child links in a node's row
+    stack = [(rows, None, 0, -1, -1)]
     while stack:
-        node, rows, hist, depth = stack.pop()
+        rows, hist, depth, parent, link = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][link] = node
         decision = None
         if depth < config.max_depth and rows.size >= 2:
             if hist is None:
@@ -279,8 +361,11 @@ def _grow_tree(
             decision = find_best_split(hist, binned, features, config)
         if decision is None:
             G, H = float(g[rows].sum()), float(h[rows].sum())
-            node.weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
+            weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
+            nodes.append([-1, -1, 0.0, -1, -1, weight, 0.0])
             continue
+        nodes.append([decision.feature, decision.bin_idx, decision.threshold, -1, -1, 0.0,
+                      decision.gain])
         mask = binned.bins[rows, decision.feature] <= decision.bin_idx
         left, right = rows[mask], rows[~mask]
         left_hist = right_hist = None
@@ -291,44 +376,61 @@ def _grow_tree(
             else:
                 right_hist = build_histogram(right, binned, g, h, features)
                 left_hist = hist - right_hist
-        node.feature = decision.feature
-        node.threshold = decision.threshold
-        node.bin_idx = decision.bin_idx
-        node.gain = decision.gain
-        node.left, node.right = TreeNode(), TreeNode()
-        stack.append((node.right, right, right_hist, depth + 1))
-        stack.append((node.left, left, left_hist, depth + 1))
-    return root
+        stack.append((right, right_hist, depth + 1, node, RIGHT))
+        stack.append((left, left_hist, depth + 1, node, LEFT))
+    feature, bin_idx, threshold, left_of, right_of, weight, gain = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.intp),
+        bin_idx=np.array(bin_idx, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left_of, dtype=np.intp),
+        right=np.array(right_of, dtype=np.intp),
+        weight=np.array(weight, dtype=np.float64),
+        gain=np.array(gain, dtype=np.float64),
+    )
 
 
-def _apply_tree_binned(root: TreeNode, bins: np.ndarray) -> np.ndarray:
-    out = np.empty(bins.shape[0], dtype=np.float64)
+def _walk(forest: Forest, values: np.ndarray, cuts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Leaf reached by each (tree, row) pair of trees lo..hi-1, shape (trees, rows).
 
-    def descend(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.weight
-            return
-        mask = bins[idx, node.feature] <= node.bin_idx
-        descend(node.left, idx[mask])
-        descend(node.right, idx[~mask])
+    Row r goes left at node i when values[r, feature[i]] <= cuts[i]; `cuts` is
+    the forest's threshold (raw values) or bin_idx (bin indices).
+    """
+    n, d = values.shape
+    node = np.repeat(forest.roots[lo:hi, None], n, axis=1)
+    steps = int(forest.depth[lo:hi].max()) if hi > lo else 0
+    if steps:
+        flat = np.ascontiguousarray(values).reshape(-1)
+        row_start = np.arange(0, n * d, d)
+        for _ in range(steps):
+            goes_left = flat[row_start + forest.feature[node]] <= cuts[node]
+            node = np.where(goes_left, forest.left[node], forest.right[node])
+    return node
 
-    descend(root, np.arange(bins.shape[0]))
-    return out
 
+def _add_trees(
+    forest: Forest,
+    values: np.ndarray,
+    cuts: np.ndarray,
+    raw: np.ndarray,
+    learning_rate: float,
+) -> np.ndarray:
+    """raw + lr*w_1 + lr*w_2 + ..., each tree's output added in tree order.
 
-def _apply_tree_values(root: TreeNode, values: np.ndarray) -> np.ndarray:
-    out = np.empty(values.shape[0], dtype=np.float64)
-
-    def descend(node: TreeNode, idx: np.ndarray) -> None:
-        if node.is_leaf:
-            out[idx] = node.weight
-            return
-        mask = values[idx, node.feature] <= node.threshold
-        descend(node.left, idx[mask])
-        descend(node.right, idx[~mask])
-
-    descend(root, np.arange(values.shape[0]))
-    return out
+    Trees are walked in blocks of at most _WALK_CELLS (tree, row) pairs, but at
+    least one tree; the running sum carries from block to block. np.add.accumulate adds strictly
+    in sequence, so the result does not depend on the block boundaries.
+    """
+    n_trees = forest.roots.size
+    per_block = max(1, _WALK_CELLS // max(1, values.shape[0]))
+    for lo in range(0, n_trees, per_block):
+        hi = min(lo + per_block, n_trees)
+        terms = np.empty((hi - lo + 1, values.shape[0]))
+        terms[0] = raw
+        np.multiply(learning_rate, forest.weight[_walk(forest, values, cuts, lo, hi)],
+                    out=terms[1:])
+        raw = np.add.accumulate(terms, axis=0)[-1]
+    return raw
 
 
 def _round_sample(config: BoostConfig, t: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -376,16 +478,18 @@ def train_boosting(
     if eval_set is not None:
         eval_raw = np.full(eval_set[0].n_rows, base_raw)
 
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     history: list[tuple[int, float, float]] = []
     for t in range(config.n_estimators):
         g, h = logistic_grad_hess(raw, y)
         rows, feats = _round_sample(config, t, n, d)
-        root = _grow_tree(rows, binned, g, h, feats, config)
-        trees.append(root)
-        raw += config.learning_rate * _apply_tree_binned(root, binned.bins)
+        tree = _grow_tree(rows, binned, g, h, feats, config)
+        trees.append(tree)
+        forest = Forest.stack([tree])
+        raw = _add_trees(forest, binned.bins, forest.bin_idx, raw, config.learning_rate)
         if eval_raw is not None:
-            eval_raw += config.learning_rate * _apply_tree_values(root, eval_set[0].values)
+            eval_raw = _add_trees(forest, eval_set[0].values, forest.threshold, eval_raw,
+                                  config.learning_rate)
         if eval_every and (t + 1) % eval_every == 0:
             from .metrics import auc
 
@@ -406,10 +510,9 @@ def predict_raw(model: Ensemble, X: FeatureMatrix) -> np.ndarray:
         raise ValueError(
             f"matrix width {X.d} does not match model width {len(model.feature_names)}"
         )
-    raw = np.full(X.n_rows, model.base_raw)
-    for root in model.trees:
-        raw += model.learning_rate * _apply_tree_values(root, X.values)
-    return raw
+    forest = model.forest
+    return _add_trees(forest, X.values, forest.threshold, np.full(X.n_rows, model.base_raw),
+                      model.learning_rate)
 
 
 def predict_proba(model: Ensemble, X: FeatureMatrix) -> np.ndarray:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gbdt import Ensemble, TreeNode
+import numpy as np
+
+from .gbdt import Ensemble
 
 ATTENTION_PREFIX = "attn_"
 ATTENTION_BLOCK = "attention_block"
@@ -30,32 +32,28 @@ class ImportanceTable:
     attention_block_share: float
 
 
-def _walk(node: TreeNode):
-    if node.is_leaf:
-        return
-    yield node
-    yield from _walk(node.left)
-    yield from _walk(node.right)
-
-
 def gain_importance(model: Ensemble) -> ImportanceTable:
-    """Sum realized split gains per feature over every tree."""
-    gains = {name: 0.0 for name in model.feature_names}
-    splits = {name: 0 for name in model.feature_names}
-    for root in model.trees:
-        for node in _walk(root):
-            name = model.feature_names[node.feature]
-            gains[name] += node.gain
-            splits[name] += 1
-    total = sum(gains.values())
+    """Sum realized split gains per feature over every tree.
+
+    Internal nodes are summed in tree order, then in pre-order within a tree;
+    bincount adds its weights in input order, so each total is that
+    sequential sum.
+    """
+    d = len(model.feature_names)
+    feature = np.concatenate([t.feature for t in model.trees] or [np.empty(0, np.intp)])
+    gain = np.concatenate([t.gain for t in model.trees] or [np.empty(0)])
+    internal = feature >= 0
+    gains = np.bincount(feature[internal], weights=gain[internal], minlength=d).tolist()
+    splits = np.bincount(feature[internal], minlength=d).tolist()
+    total = sum(gains)
     entries = [
         ImportanceEntry(
             feature=name,
-            gain=gains[name],
-            splits=splits[name],
-            share=gains[name] / total if total > 0 else 0.0,
+            gain=gains[i],
+            splits=splits[i],
+            share=gains[i] / total if total > 0 else 0.0,
         )
-        for name in model.feature_names
+        for i, name in enumerate(model.feature_names)
     ]
     entries.sort(key=lambda e: (-e.gain, e.feature))
     attention_share = sum(e.share for e in entries if e.feature.startswith(ATTENTION_PREFIX))

@@ -4,7 +4,9 @@ The file is JSON with four sections (meta, preprocessor, attention, ensemble).
 Float arrays are base64-encoded little-endian float64 bytes, so a save/load
 round trip reproduces bit-identical predictions on any platform. Each
 section's checksum is validated before anything is constructed; a bad file
-never yields a partially loaded model.
+never yields a partially loaded model. Trees are stored as the learner's own
+pre-order node arrays and checked for structure on load, and a section whose
+contents do not decode raises ModelFormatError like a damaged one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .attention import AttentionParams
 from .errors import ModelFormatError
 from .fusion import AttnBoostModel
-from .gbdt import Ensemble, TreeNode
+from .gbdt import Ensemble, Tree
 from .tabular import ColumnSchema, PreprocessorState
 
 FORMAT_NAME = "attnboost-model"
@@ -62,51 +64,45 @@ def _checksum(payload) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
-def _tree_payload(root: TreeNode) -> dict:
-    features, thresholds, lefts, rights, weights, gains = [], [], [], [], [], []
-
-    def visit(node: TreeNode) -> int:
-        idx = len(features)
-        features.append(node.feature)
-        thresholds.append(node.threshold)
-        lefts.append(-1)
-        rights.append(-1)
-        weights.append(node.weight)
-        gains.append(node.gain)
-        if not node.is_leaf:
-            lefts[idx] = visit(node.left)
-            rights[idx] = visit(node.right)
-        return idx
-
-    visit(root)
+def _tree_payload(tree: Tree) -> dict:
     return {
-        "feature": features,
-        "left": lefts,
-        "right": rights,
-        "threshold": _encode_f64(thresholds),
-        "weight": _encode_f64(weights),
-        "gain": _encode_f64(gains),
+        "feature": tree.feature.tolist(),
+        "left": tree.left.tolist(),
+        "right": tree.right.tolist(),
+        "threshold": _encode_f64(tree.threshold),
+        "weight": _encode_f64(tree.weight),
+        "gain": _encode_f64(tree.gain),
     }
 
 
-def _tree_from_payload(payload: dict) -> TreeNode:
-    thresholds = _decode_f64(payload["threshold"])
-    weights = _decode_f64(payload["weight"])
-    gains = _decode_f64(payload["gain"])
+def _tree_from_payload(payload: dict, t: int, n_features: int) -> Tree:
+    """Decode tree t's arrays and check that they form a tree over n_features columns.
 
-    def build(idx: int) -> TreeNode:
-        feature = payload["feature"][idx]
-        if feature < 0:
-            return TreeNode(weight=float(weights[idx]))
-        return TreeNode(
-            feature=feature,
-            threshold=float(thresholds[idx]),
-            gain=float(gains[idx]),
-            left=build(payload["left"][idx]),
-            right=build(payload["right"][idx]),
-        )
-
-    return build(0)
+    A leaf has feature, left and right all -1; an internal node splits on a
+    column of the model and both its children come after it, as in pre-order,
+    which rules out cycles.
+    """
+    feature, left, right = (np.array(payload[k], dtype=np.intp)
+                            for k in ("feature", "left", "right"))
+    threshold, weight, gain = (_decode_f64(payload[k]) for k in ("threshold", "weight", "gain"))
+    arrays = (feature, left, right, threshold, weight, gain)
+    if any(a.ndim != 1 or a.size != feature.size for a in arrays) or feature.size == 0:
+        raise ModelFormatError(
+            f"tree {t}: node arrays must be non-empty and of equal length, got lengths "
+            f"{[a.size for a in arrays]}")
+    node = np.arange(feature.size)
+    leaf = feature == -1
+    bad = np.where(leaf, (left != -1) | (right != -1),
+                   (feature < 0) | (feature >= n_features)
+                   | (left <= node) | (left >= node.size)
+                   | (right <= node) | (right >= node.size))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ModelFormatError(
+            f"tree {t} node {i}: feature {feature[i]}, children {left[i]}/{right[i]} "
+            f"do not form a tree over {n_features} features")
+    return Tree(feature=feature, bin_idx=np.full(feature.size, -1, dtype=np.intp),
+                threshold=threshold, left=left, right=right, weight=weight, gain=gain)
 
 
 def _preprocessor_payload(state: PreprocessorState | None):
@@ -231,13 +227,25 @@ def load_model(path: str) -> AttnBoostModel:
             raise ModelFormatError(f"{path}: checksum mismatch in section {name!r}")
         payloads[name] = payload
 
+    try:
+        return _model_from_payloads(payloads)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(
+            f"{path}: malformed section contents ({type(exc).__name__}: {exc})") from exc
+
+
+def _model_from_payloads(payloads: dict) -> AttnBoostModel:
     meta = payloads["meta"]
     ensemble_payload = payloads["ensemble"]
+    feature_names = list(ensemble_payload["feature_names"])
     ensemble = Ensemble(
-        trees=[_tree_from_payload(t) for t in ensemble_payload["trees"]],
+        trees=[_tree_from_payload(tree, t, len(feature_names))
+               for t, tree in enumerate(ensemble_payload["trees"])],
         base_raw=float(ensemble_payload["base_raw"]),
         learning_rate=float(ensemble_payload["learning_rate"]),
-        feature_names=list(ensemble_payload["feature_names"]),
+        feature_names=feature_names,
     )
     return AttnBoostModel(
         preprocessor=_preprocessor_from_payload(payloads["preprocessor"]),

@@ -160,11 +160,12 @@ class TestConfigHandling:
         assert _run("train", "--data", synth_csv, "--synthetic",
                     "--out", str(tmp_path / "m.bin")) == 2
 
-    def test_thread_cap_env_validated(self, synth_csv, tmp_path, monkeypatch):
-        monkeypatch.setenv("ATTNBOOST_THREADS", "zero")
-        assert _run("synth", "--rows", "10", "--out", str(tmp_path / "t.csv")) == 2
-        monkeypatch.setenv("ATTNBOOST_THREADS", "1")
-        assert _run("synth", "--rows", "10", "--out", str(tmp_path / "t.csv")) == 0
+    @pytest.mark.parametrize("flag,value", [("--boost.n_estimators", "-5"),
+                                            ("--boost.max_depth", "-1"),
+                                            ("--boost.min_child_weight", "-1.0")])
+    def test_negative_boost_setting_exits_2(self, tmp_path, synth_csv, flag, value):
+        assert _run("train", "--data", synth_csv, flag, value,
+                    "--out", str(tmp_path / "m.bin")) == 2
 
 
 class TestExitCodes:

@@ -11,7 +11,7 @@ from attnboost.gbdt import (
     BoostConfig,
     Ensemble,
     NodeHistogram,
-    TreeNode,
+    Tree,
     bin_features,
     build_histogram,
     find_best_split,
@@ -20,8 +20,7 @@ from attnboost.gbdt import (
     predict_proba,
     predict_raw,
     train_boosting,
-    _apply_tree_binned,
-    _apply_tree_values,
+    _add_trees,
     _round_sample,
 )
 from attnboost.metrics import auc
@@ -35,6 +34,55 @@ def _fm(values, names=None):
 
 
 GAIN_TIE_REL = 1e-10  # same tie window as the implementation under test
+
+
+def make_tree(feature, left, right, threshold=None, weight=None, bin_idx=None, gain=None):
+    """A Tree from per-node lists; unspecified float arrays are zero, bin_idx -1."""
+    n = len(feature)
+
+    def floats(v):
+        return np.zeros(n) if v is None else np.array(v, dtype=np.float64)
+
+    return Tree(feature=np.array(feature, dtype=np.intp),
+                bin_idx=np.full(n, -1, dtype=np.intp) if bin_idx is None
+                else np.array(bin_idx, dtype=np.intp),
+                threshold=floats(threshold), left=np.array(left, dtype=np.intp),
+                right=np.array(right, dtype=np.intp), weight=floats(weight), gain=floats(gain))
+
+
+def reference_tree_output(tree: Tree, values, cuts):
+    """Leaf weight each row reaches, by recursive descent over index sets from the root.
+
+    A row goes left at node i when values[row, feature[i]] <= cuts[i].
+    """
+    out = np.empty(values.shape[0])
+
+    def descend(i, idx):
+        f = tree.feature[i]
+        if f < 0:
+            out[idx] = tree.weight[i]
+            return
+        mask = values[idx, f] <= cuts[i]
+        descend(tree.left[i], idx[mask])
+        descend(tree.right[i], idx[~mask])
+
+    descend(0, np.arange(values.shape[0]))
+    return out
+
+
+def reference_raw(model: Ensemble, values, cut_name="threshold"):
+    """base + lr * (output of tree 1) + lr * (output of tree 2) + ..., one tree at a time."""
+    raw = np.full(values.shape[0], model.base_raw)
+    for tree in model.trees:
+        raw += model.learning_rate * reference_tree_output(tree, values,
+                                                           getattr(tree, cut_name))
+    return raw
+
+
+def tree_nodes(tree: Tree):
+    """(feature, threshold, weight, gain) of every node, in stored (pre-)order."""
+    return list(zip(tree.feature.tolist(), tree.threshold.tolist(), tree.weight.tolist(),
+                    tree.gain.tolist()))
 
 
 def brute_force_split(rows, binned: BinnedMatrix, g, h, features, config: BoostConfig):
@@ -96,6 +144,21 @@ def minimize_leaf_objective(G, H, reg_lambda, reg_alpha):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+class TestBoostConfig:
+    @pytest.mark.parametrize("kwargs", [{"n_estimators": -5}, {"max_depth": -1},
+                                        {"min_child_weight": -1.0}])
+    def test_negative_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            BoostConfig(**kwargs)
+
+    def test_zero_rounds_and_zero_depth_allowed(self):
+        X = _fm([[1.0], [2.0], [3.0], [4.0]])
+        y = np.array([0, 0, 1, 1])
+        assert train_boosting(X, y, BoostConfig(n_estimators=0)).trees == ()
+        model = train_boosting(X, y, BoostConfig(n_estimators=3, max_depth=0))
+        assert [t.feature.tolist() for t in model.trees] == [[-1]] * 3
 
 
 class TestLogisticGradHess:
@@ -277,8 +340,8 @@ class TestTrainBoosting:
                              min_child_weight=0.0, gamma=0.0)
         model = train_boosting(X, y, config)
         for tree in model.trees:
-            assert tree.is_leaf
-            assert tree.weight == 0.0
+            assert tree.feature.tolist() == [-1]
+            assert tree.weight[0] == 0.0
         np.testing.assert_array_equal(predict_proba(model, X), np.full(4, 0.5))
 
     def test_separating_feature_reaches_perfect_training_auc(self):
@@ -298,18 +361,8 @@ class TestTrainBoosting:
         a = train_boosting(X, y, config)
         b = train_boosting(X, y, config)
         np.testing.assert_array_equal(predict_raw(a, X), predict_raw(b, X))
-
-        def collect(node, out):
-            out.append((node.feature, node.threshold, node.weight, node.gain))
-            if not node.is_leaf:
-                collect(node.left, out)
-                collect(node.right, out)
-
         for ta, tb in zip(a.trees, b.trees):
-            na, nb = [], []
-            collect(ta, na)
-            collect(tb, nb)
-            assert na == nb
+            assert tree_nodes(ta) == tree_nodes(tb)
 
     def test_single_class_rejected(self):
         X = _fm([[1.0], [2.0]])
@@ -344,8 +397,9 @@ class TestPredict:
         np.testing.assert_array_equal(predict_proba(model, X), np.full(3, 0.5))
 
     def test_single_stump_hand_traced(self):
-        stump = TreeNode(feature=0, threshold=0.0, bin_idx=0,
-                         left=TreeNode(weight=-1.0), right=TreeNode(weight=1.0))
+        stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
+                          threshold=[0.0, 0.0, 0.0], weight=[0.0, -1.0, 1.0],
+                          bin_idx=[0, -1, -1])
         model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=0.1,
                          feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
@@ -362,10 +416,119 @@ class TestPredict:
             predict_raw(model, _fm([[1.0, 2.0]]))
 
 
+def random_tree(rng, cuts, max_depth):
+    """A random pre-order tree over cuts.shape[0] features, at most max_depth deep.
+
+    Each split takes a boundary b and threshold cuts[feature, b] from the grid.
+    """
+    feature, bin_idx, threshold, left, right, weight = [], [], [], [], [], []
+
+    def grow(depth):
+        i = len(feature)
+        for column, blank in ((feature, -1), (bin_idx, -1), (threshold, 0.0), (left, -1),
+                              (right, -1), (weight, 0.0)):
+            column.append(blank)
+        if depth < max_depth and rng.uniform() < 0.75:
+            f, b = int(rng.integers(cuts.shape[0])), int(rng.integers(cuts.shape[1]))
+            feature[i], bin_idx[i], threshold[i] = f, b, float(cuts[f, b])
+            left[i] = grow(depth + 1)
+            right[i] = grow(depth + 1)
+        else:
+            weight[i] = float(rng.normal())
+        return i
+
+    grow(0)
+    return make_tree(feature, left, right, threshold=threshold, weight=weight,
+                     bin_idx=bin_idx)
+
+
+class TestWalk:
+    """predict_raw and the binned walk training uses equal reference_raw bitwise."""
+
+    D, CUTS = 4, 5
+
+    def _case(self, seed, n_trees, n_rows, depths=(0, 7)):
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.normal(0, 1, (self.D, self.CUTS)), axis=1)
+        trees = [random_tree(rng, cuts, int(rng.integers(*depths))) for _ in range(n_trees)]
+        model = Ensemble(trees=trees, base_raw=float(rng.normal()), learning_rate=0.3,
+                         feature_names=[f"f{j}" for j in range(self.D)])
+        # half the values sit exactly on a threshold of their column
+        on_cut = cuts[np.arange(self.D), rng.integers(0, self.CUTS, (n_rows, self.D))]
+        values = np.where(rng.uniform(size=(n_rows, self.D)) < 0.5, on_cut,
+                          rng.normal(0, 1.5, (n_rows, self.D)))
+        bins = rng.integers(0, self.CUTS + 1, (n_rows, self.D)).astype(np.uint8)
+        return model, values, bins
+
+    def _assert_walks_match(self, model, values, bins):
+        scored = predict_raw(model, _fm(values, model.feature_names))
+        assert scored.tobytes() == reference_raw(model, values).tobytes()
+        forest = model.forest
+        binned = _add_trees(forest, bins, forest.bin_idx, np.full(bins.shape[0], model.base_raw),
+                            model.learning_rate)
+        assert binned.tobytes() == reference_raw(model, bins, "bin_idx").tobytes()
+        return scored
+
+    def test_empty_ensemble(self):
+        model, values, bins = self._case(0, n_trees=0, n_rows=7)
+        scored = self._assert_walks_match(model, values, bins)
+        assert (scored == model.base_raw).all()
+
+    def test_root_only_leaves(self):
+        model, values, bins = self._case(1, n_trees=9, n_rows=20, depths=(0, 1))
+        assert (model.forest.depth == 0).all()
+        self._assert_walks_match(model, values, bins)
+
+    def test_values_equal_to_a_threshold_go_left(self):
+        stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
+                          threshold=[0.5, 0.0, 0.0], weight=[0.0, -1.0, 1.0], bin_idx=[2, -1, -1])
+        model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=1.0, feature_names=["f0"])
+        values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
+        bins = np.array([[1], [2], [3]], dtype=np.uint8)
+        assert self._assert_walks_match(model, values, bins).tolist() == [-1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_random_trees_of_unequal_depth(self, seed):
+        model, values, bins = self._case(seed, n_trees=40, n_rows=150)
+        assert np.unique(model.forest.depth).size >= 3
+        self._assert_walks_match(model, values, bins)
+
+    def test_more_trees_than_one_block(self):
+        n_rows = 300
+        per_block = gbdt._WALK_CELLS // n_rows
+        model, values, bins = self._case(5, n_trees=2 * per_block + 5, n_rows=n_rows)
+        self._assert_walks_match(model, values, bins)
+
+    def test_row_alone_equals_its_batch_row(self):
+        model, values, _ = self._case(6, n_trees=3 * (gbdt._WALK_CELLS // 500), n_rows=500)
+        batch = predict_raw(model, _fm(values, model.feature_names))
+        for i in range(0, 500, 25):
+            alone = predict_raw(model, _fm(values[i:i + 1], model.feature_names))
+            assert alone.tobytes() == batch[i:i + 1].tobytes(), f"row {i}"
+
+    def test_grown_trees_are_pre_order(self):
+        rng = np.random.default_rng(7)
+        X = _fm(rng.normal(0, 1, (200, 3)))
+        y = (X.values[:, 0] + rng.normal(0, 1, 200) > 0).astype(int)
+        model = train_boosting(X, y, BoostConfig(n_estimators=5, max_depth=5,
+                                                 min_child_weight=0.0, gamma=0.0))
+
+        def subtree_end(tree, i):
+            """One past the last node of the subtree at i, by recursion."""
+            if tree.feature[i] < 0:
+                return i + 1
+            assert tree.left[i] == i + 1
+            assert tree.right[i] == subtree_end(tree, tree.left[i])
+            return subtree_end(tree, tree.right[i])
+
+        for tree in model.trees:
+            assert subtree_end(tree, 0) == tree.feature.size > 1
+
+
 def _total_bce(model, X, y, upto):
-    raw = np.full(X.n_rows, model.base_raw)
-    for tree in model.trees[:upto]:
-        raw += model.learning_rate * _apply_tree_values(tree, X.values)
+    prefix = Ensemble(trees=model.trees[:upto], base_raw=model.base_raw,
+                      learning_rate=model.learning_rate, feature_names=model.feature_names)
+    raw = predict_raw(prefix, X)
     p = np.clip(sigmoid(raw), 1e-12, 1 - 1e-12)
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
 
@@ -406,18 +569,18 @@ class TestGrownTreesMatchBruteForce:
         binned = bin_features(X, config.max_bins)
         seen = {"deep": 0, "early_leaf": 0}
 
-        def check(node, rows, depth, g, h, feats):
+        def check(tree, i, rows, depth, g, h, feats):
             oracle = brute_force_split(rows, binned, g, h, feats, config)
-            if node.is_leaf:
+            if tree.feature[i] < 0:
                 if depth < config.max_depth:
                     assert oracle is None
                     seen["early_leaf"] += 1
                 return
             assert oracle is not None
-            assert (node.feature, node.threshold) == (oracle[0], oracle[1])
-            assert node.gain == pytest.approx(oracle[2], abs=1e-9)
+            assert (tree.feature[i], tree.threshold[i]) == (oracle[0], oracle[1])
+            assert tree.gain[i] == pytest.approx(oracle[2], abs=1e-9)
             seen["deep"] += depth > 0
-            mask = binned.bins[rows, node.feature] <= node.bin_idx
+            mask = binned.bins[rows, tree.feature[i]] <= tree.bin_idx[i]
             left, right = rows[mask], rows[~mask]
             parent = build_histogram(rows, binned, g, h, feats)
             derived = parent - build_histogram(left, binned, g, h, feats)
@@ -426,16 +589,16 @@ class TestGrownTreesMatchBruteForce:
             for got, want, total in ((derived.grad, direct.grad, parent.grad),
                                      (derived.hess, direct.hess, parent.hess)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(total).sum()
-            check(node.left, left, depth + 1, g, h, feats)
-            check(node.right, right, depth + 1, g, h, feats)
+            check(tree, tree.left[i], left, depth + 1, g, h, feats)
+            check(tree, tree.right[i], right, depth + 1, g, h, feats)
 
         raw = np.full(n, model.base_raw)
         for t, tree in enumerate(model.trees):
             g, h = logistic_grad_hess(raw, y)
             rows, feats = _round_sample(config, t, n, d)
             assert rows.size < n and feats.size < d
-            check(tree, rows, 0, g, h, feats)
-            raw += config.learning_rate * _apply_tree_binned(tree, binned.bins)
+            check(tree, 0, rows, 0, g, h, feats)
+            raw += config.learning_rate * reference_tree_output(tree, binned.bins, tree.bin_idx)
         assert seen["deep"] > 0 and seen["early_leaf"] > 0, seen
 
 
@@ -449,19 +612,19 @@ class TestSplitsRespectConstraints:
         model = train_boosting(X, y, config)
         binned = bin_features(X, config.max_bins)
 
-        def check(node, rows, g, h):
-            if node.is_leaf:
+        def check(tree, i, rows, g, h):
+            if tree.feature[i] < 0:
                 return
-            assert node.gain > 0.0
-            mask = binned.bins[rows, node.feature] <= node.bin_idx
+            assert tree.gain[i] > 0.0
+            mask = binned.bins[rows, tree.feature[i]] <= tree.bin_idx[i]
             left, right = rows[mask], rows[~mask]
             assert h[left].sum() >= config.min_child_weight
             assert h[right].sum() >= config.min_child_weight
-            check(node.left, left, g, h)
-            check(node.right, right, g, h)
+            check(tree, tree.left[i], left, g, h)
+            check(tree, tree.right[i], right, g, h)
 
         raw = np.full(200, model.base_raw)
         for tree in model.trees:
             g, h = logistic_grad_hess(raw, y)
-            check(tree, np.arange(200), g, h)
-            raw += config.learning_rate * _apply_tree_binned(tree, binned.bins)
+            check(tree, 0, np.arange(200), g, h)
+            raw += config.learning_rate * reference_tree_output(tree, binned.bins, tree.bin_idx)

@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from attnboost.gbdt import BoostConfig, Ensemble, TreeNode, train_boosting
+from attnboost.gbdt import BoostConfig, Ensemble, train_boosting
 from attnboost.importance import (
     collapse_attention_block,
     gain_importance,
     rank_report,
 )
 from attnboost.tabular import FeatureMatrix
+from test_gbdt import make_tree
 
 
 def _stump(feature, gain, weight=0.5):
-    return TreeNode(feature=feature, threshold=0.0, bin_idx=0, gain=gain,
-                    left=TreeNode(weight=-weight), right=TreeNode(weight=weight))
+    return make_tree(feature=[feature, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
+                     weight=[0.0, -weight, weight], bin_idx=[0, -1, -1], gain=[gain, 0.0, 0.0])
 
 
 def _ensemble(trees, names):
@@ -45,14 +46,27 @@ class TestGainImportance:
         model = train_boosting(X, y, config)
         table = gain_importance(model)
 
-        def walk_sum(node):
-            if node.is_leaf:
+        def walk_sum(tree, i=0):
+            if tree.feature[i] < 0:
                 return 0.0
-            return node.gain + walk_sum(node.left) + walk_sum(node.right)
+            return tree.gain[i] + walk_sum(tree, tree.left[i]) + walk_sum(tree, tree.right[i])
 
         recorded = sum(walk_sum(t) for t in model.trees)
         assert sum(e.gain for e in table.entries) == pytest.approx(recorded, abs=1e-9)
         assert sum(e.share for e in table.entries) == pytest.approx(1.0, abs=1e-9)
+
+    def test_feature_totals_are_sequential_sums_in_tree_then_node_order(self):
+        rng = np.random.default_rng(3)
+        X = FeatureMatrix(values=rng.normal(0, 1, (200, 3)), feature_names=["a", "b", "c"])
+        y = (X.values[:, 0] - X.values[:, 1] + rng.normal(0, 1, 200) > 0).astype(int)
+        model = train_boosting(X, y, BoostConfig(n_estimators=12, max_depth=5,
+                                                 min_child_weight=0.2, gamma=0.0))
+        gains = {name: 0.0 for name in X.feature_names}
+        for tree in model.trees:
+            for f, gain in zip(tree.feature.tolist(), tree.gain.tolist()):
+                if f >= 0:
+                    gains[X.feature_names[f]] += gain
+        assert {e.feature: e.gain for e in gain_importance(model).entries} == gains
 
     def test_entries_sorted_descending(self):
         model = _ensemble([_stump(0, 1.0), _stump(1, 3.0), _stump(2, 2.0)], ["a", "b", "c"])

@@ -11,7 +11,8 @@ from attnboost.errors import ModelFormatError
 from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import fit_variant, predict_matrix
 from attnboost.gbdt import BoostConfig
-from attnboost.model_io import load_model, model_fingerprint, save_model
+from attnboost.cli import run_command
+from attnboost.model_io import _checksum, load_model, model_fingerprint, save_model
 from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_split
 
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
@@ -118,6 +119,64 @@ class TestDamagedFiles:
         open(path, "w").write('{"format": "something-else"}')
         with pytest.raises(ModelFormatError, match="not an attnboost"):
             load_model(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("feature", 9999, "tree 0 node 0"),  # split on a column the model does not have
+        ("left", 9999, "tree 0 node 0"),  # child past the last node
+        ("left", 0, "tree 0 node 0"),  # child pointing back at its parent: a cycle
+        ("right", -1, "tree 0 node 0"),  # internal node without a right child
+    ])
+    def test_bad_tree_arrays_with_valid_checksums_rejected(self, fitted, tmp_path, key,
+                                                           value, message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_tree(path, lambda tree: tree[key].__setitem__(0, value))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    def test_leaf_with_a_child_rejected(self, fitted, tmp_path):
+        path = self._saved(fitted, tmp_path)
+
+        def edit(tree):
+            leaf = tree["feature"].index(-1)
+            tree["left"][leaf] = leaf + 1
+        self._edit_tree(path, edit)
+        with pytest.raises(ModelFormatError, match="tree 0 node"):
+            load_model(path)
+
+    def test_unequal_array_lengths_rejected(self, fitted, tmp_path):
+        path = self._saved(fitted, tmp_path)
+        self._edit_tree(path, lambda tree: tree["right"].pop())
+        with pytest.raises(ModelFormatError, match="tree 0: node arrays"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section,key", [("meta", "variant"),
+                                             ("preprocessor", "numeric_stats"),
+                                             ("ensemble", "base_raw")])
+    def test_missing_key_with_valid_checksum_rejected(self, fitted, tmp_path, section, key):
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        stored = document["sections"][section]
+        del stored["payload"][key]
+        stored["checksum"] = _checksum(stored["payload"])
+        json.dump(document, open(path, "w"))
+        with pytest.raises(ModelFormatError, match=f"malformed section contents.*{key}"):
+            load_model(path)
+
+    @staticmethod
+    def _edit_tree(path, edit):
+        """Apply edit to tree 0's payload and store a checksum that matches the edit."""
+        document = json.load(open(path))
+        section = document["sections"]["ensemble"]
+        edit(section["payload"]["trees"][0])
+        section["checksum"] = _checksum(section["payload"])
+        json.dump(document, open(path, "w"))
+
+    @staticmethod
+    def _csv(tmp_path):
+        path = str(tmp_path / "rows.csv")
+        assert run_command(["synth", "--rows", "20", "--seed", "3", "--out", path]) == 0
+        return path
 
     def test_missing_file_rejected(self):
         with pytest.raises(ModelFormatError, match="cannot read"):
