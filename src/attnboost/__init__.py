@@ -1,6 +1,6 @@
 """AttnBoost: attention-augmented gradient boosting for tabular binary classification."""
 
-from .attention import AttentionParams, ForwardTrace, TrainConfig, augment, backward, bce_loss, forward, init_params
+from .attention import AttentionParams, TrainConfig, augment, init_params
 from .attention import train as train_attention
 from .errors import AttnBoostError, ConfigError, DataError, ModelFormatError
 from .fusion import AttnBoostModel, VARIANT_KINDS, apply_manual_weights, fit_attnboost, fit_variant, predict, predict_matrix

@@ -3,10 +3,19 @@
 Forward pass: h = ReLU(W1 x + b1), alpha = sigmoid(W_attn h + b_attn),
 h_tilde = alpha * h, y_hat = sigmoid(w2 . h_tilde + b2), trained with
 binary cross-entropy. Gradients are exact; the ReLU subgradient at 0 is 0.
+
+Training keeps the six parameters as views into one float64 vector and writes
+each mini-batch's mean gradient into a second vector with the same layout, so
+the optimizer updates everything in one pass over one vector. Every buffer a
+step needs is allocated once per fit and the forward and backward passes work
+in place. Each elementwise operation keeps the operands and order of the
+plain allocating formulation, so results are bitwise equal to it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +27,33 @@ AUGMENT_MODES = ("weighted-hidden", "attention-vector")
 OPTIMIZERS = ("plain-sgd", "adaptive-moments")
 
 
+def _sigmoid_into(x, out, den, mask):
+    """Write sigmoid(x) into `out` (which may be `x`), using `den` and `mask` as scratch.
+
+    With e = exp(-|x|) the result is 1 / (1 + e) for x >= 0 and e / (1 + e)
+    below 0: the two branches of the usual stable form, on the same operands,
+    without gathering either half.
+    """
+    np.greater_equal(x, 0.0, out=mask)
+    np.copysign(x, -1.0, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=den)
+    np.putmask(out, mask, 1.0)
+    np.divide(out, den, out=out)
+    return out
+
+
 def sigmoid(x):
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function; a float for 0-d input."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = _sigmoid_into(x, np.empty_like(x), np.empty_like(x), np.empty(x.shape, dtype=bool))
     return out if out.ndim else float(out)
+
+
+@functools.lru_cache(maxsize=16)
+def attention_names(k: int) -> tuple[str, ...]:
+    """Column names of a k-wide attention block."""
+    return tuple(f"attn_{i}" for i in range(k))
 
 
 @dataclass
@@ -54,25 +81,6 @@ class AttentionParams:
 
 
 @dataclass
-class ForwardTrace:
-    x: np.ndarray
-    h: np.ndarray
-    alpha: np.ndarray
-    h_tilde: np.ndarray
-    y_hat: float
-
-
-@dataclass
-class Gradients:
-    W1: np.ndarray
-    b1: np.ndarray
-    W_attn: np.ndarray
-    b_attn: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-
-@dataclass
 class TrainConfig:
     k: int = 128
     epochs: int = 30
@@ -85,6 +93,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("hidden width k must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 < self.prob_clamp < 0.5:
@@ -115,109 +127,135 @@ def init_params(d: int, k: int, seed: int) -> AttentionParams:
     )
 
 
-def forward(params: AttentionParams, x: np.ndarray) -> ForwardTrace:
-    """Run one input vector through the gated network, keeping intermediates."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d,):
-        raise ValueError(f"input has shape {x.shape}, expected ({params.d},)")
-    h = np.maximum(params.W1 @ x + params.b1, 0.0)
-    alpha = sigmoid(params.W_attn @ h + params.b_attn)
-    h_tilde = alpha * h
-    y_hat = float(sigmoid(params.w2 @ h_tilde + params.b2))
-    return ForwardTrace(x=x, h=h, alpha=alpha, h_tilde=h_tilde, y_hat=y_hat)
+def _views(flat: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
+    """W1, b1, W_attn, b_attn, w2 and b2 (shape (1,)) as views into a flat vector."""
+    views, start = [], 0
+    for shape in ((k, d), (k,), (k, k), (k,), (k,), (1,)):
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return tuple(views)
 
 
-def _forward_batch(params: AttentionParams, X: np.ndarray):
-    H = np.maximum(X @ params.W1.T + params.b1, 0.0)
-    A = sigmoid(H @ params.W_attn.T + params.b_attn)
-    Ht = A * H
-    y_hat = sigmoid(Ht @ params.w2 + params.b2)
-    return H, A, Ht, y_hat
+class _Trainer:
+    """One fit's flat parameter and gradient vectors, optimizer state and batch buffers.
 
-
-def bce_loss(y_hat: float, y: int, prob_clamp: float = 1e-12) -> float:
-    """Binary cross-entropy with the probability clamped away from 0 and 1."""
-    if not 0.0 <= y_hat <= 1.0:
-        raise ValueError(f"y_hat must be a probability, got {y_hat}")
-    p = min(max(y_hat, prob_clamp), 1.0 - prob_clamp)
-    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
-
-
-def backward(params: AttentionParams, trace: ForwardTrace, y: int) -> Gradients:
-    """Exact loss gradients for one sample, given its forward trace."""
-    dz_out = trace.y_hat - y
-    g_b2 = dz_out
-    g_w2 = dz_out * trace.h_tilde
-    d_ht = dz_out * params.w2
-    d_alpha = d_ht * trace.h
-    dz_attn = d_alpha * trace.alpha * (1.0 - trace.alpha)
-    g_W_attn = np.outer(dz_attn, trace.h)
-    g_b_attn = dz_attn
-    d_h = d_ht * trace.alpha + params.W_attn.T @ dz_attn
-    dz1 = d_h * (trace.h > 0.0)
-    return Gradients(
-        W1=np.outer(dz1, trace.x),
-        b1=dz1,
-        W_attn=g_W_attn,
-        b_attn=g_b_attn,
-        w2=g_w2,
-        b2=g_b2,
-    )
-
-
-def _backward_batch(params: AttentionParams, X, y, H, A, Ht, y_hat) -> Gradients:
-    """Mean-over-batch gradients, vectorized across rows."""
-    n = X.shape[0]
-    dz_out = (y_hat - y) / n
-    g_b2 = float(dz_out.sum())
-    g_w2 = Ht.T @ dz_out
-    d_ht = np.outer(dz_out, params.w2)
-    dz_attn = d_ht * H * A * (1.0 - A)
-    g_W_attn = dz_attn.T @ H
-    g_b_attn = dz_attn.sum(axis=0)
-    d_h = d_ht * A + dz_attn @ params.W_attn
-    dz1 = d_h * (H > 0.0)
-    return Gradients(
-        W1=dz1.T @ X,
-        b1=dz1.sum(axis=0),
-        W_attn=g_W_attn,
-        b_attn=g_b_attn,
-        w2=g_w2,
-        b2=g_b2,
-    )
-
-
-class _AdamState:
-    """Per-parameter first/second moment accumulators."""
+    Batch buffers hold `rows` rows; a shorter batch uses their leading rows.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params: AttentionParams):
+    def __init__(self, params: AttentionParams, rows: int, config: TrainConfig):
+        d, k = params.d, params.k
+        self.d, self.k = d, k
+        self.learning_rate = config.learning_rate
+        self.prob_clamp = config.prob_clamp
+        self.flat = np.concatenate([params.W1.ravel(), params.b1, params.W_attn.ravel(),
+                                    params.b_attn, params.w2, [params.b2]])
+        self.grad = np.empty_like(self.flat)
+        self.param_views = _views(self.flat, d, k)
+        self.grad_views = _views(self.grad, d, k)
+        self.update_buf = np.empty_like(self.flat)
         self.t = 0
-        self.m = {name: np.zeros_like(getattr(params, name)) for name in
-                  ("W1", "b1", "W_attn", "b_attn", "w2")}
-        self.v = {name: np.zeros_like(getattr(params, name)) for name in
-                  ("W1", "b1", "W_attn", "b_attn", "w2")}
-        self.m["b2"] = 0.0
-        self.v["b2"] = 0.0
+        if config.optimizer == "adaptive-moments":
+            self.m = np.zeros_like(self.flat)
+            self.v = np.zeros_like(self.flat)
+            self.denom = np.empty_like(self.flat)
+        else:
+            self.m = None
+        self.X = np.empty((rows, d))
+        self.H, self.Z, self.A, self.Ht, self.D, self.dZ = (np.empty((rows, k)) for _ in range(6))
+        self.mask = np.empty((rows, k), dtype=bool)
+        self.y, self.y_hat, self.dz_out, self.p, self.q = (np.empty(rows) for _ in range(5))
+        self.mask_out = np.empty(rows, dtype=bool)
 
-    def step(self, params: AttentionParams, grads: Gradients, lr: float) -> None:
-        self.t += 1
-        bc1 = 1.0 - self.BETA1 ** self.t
-        bc2 = 1.0 - self.BETA2 ** self.t
-        for name in ("W1", "b1", "W_attn", "b_attn", "w2", "b2"):
-            g = getattr(grads, name)
-            self.m[name] = self.BETA1 * self.m[name] + (1.0 - self.BETA1) * g
-            self.v[name] = self.BETA2 * self.v[name] + (1.0 - self.BETA2) * (g * g)
-            update = lr * (self.m[name] / bc1) / (np.sqrt(self.v[name] / bc2) + self.EPS)
-            setattr(params, name, getattr(params, name) - update)
+    def params(self) -> AttentionParams:
+        W1, b1, W_attn, b_attn, w2, b2 = self.param_views
+        return AttentionParams(W1=W1, b1=b1, W_attn=W_attn, b_attn=b_attn, w2=w2,
+                               b2=float(b2[0]), d=self.d, k=self.k)
 
+    def gradient(self, values: np.ndarray, y: np.ndarray, batch: np.ndarray) -> float:
+        """Write the mean-loss gradient of rows `batch` into `grad`; return their summed loss.
 
-def _sgd_step(params: AttentionParams, grads: Gradients, lr: float) -> None:
-    for name in ("W1", "b1", "W_attn", "b_attn", "w2", "b2"):
-        setattr(params, name, getattr(params, name) - lr * getattr(grads, name))
+        `y` holds float64 labels; `batch` holds valid row indices.
+        """
+        W1, b1, W_attn, b_attn, w2, b2 = self.param_views
+        gW1, gb1, gW_attn, gb_attn, gw2, gb2 = self.grad_views
+        m = batch.shape[0]
+        # mode="clip" lets take write straight into `out`; the indices are in range
+        X = np.take(values, batch, axis=0, out=self.X[:m], mode="clip")
+        yb = np.take(y, batch, out=self.y[:m], mode="clip")
+        H, Z, A, Ht, D, dZ = self.H[:m], self.Z[:m], self.A[:m], self.Ht[:m], self.D[:m], self.dZ[:m]
+        mask = self.mask[:m]
+        y_hat, dz_out, p, q = self.y_hat[:m], self.dz_out[:m], self.p[:m], self.q[:m]
+
+        np.matmul(X, W1.T, out=H)
+        H += b1
+        np.maximum(H, 0.0, out=H)
+        np.matmul(H, W_attn.T, out=Z)
+        Z += b_attn
+        _sigmoid_into(Z, A, Ht, mask)  # Ht and q serve as scratch until they are written
+        np.multiply(A, H, out=Ht)
+        np.matmul(Ht, w2, out=y_hat)
+        y_hat += b2
+        _sigmoid_into(y_hat, y_hat, q, self.mask_out[:m])
+
+        np.clip(y_hat, self.prob_clamp, 1.0 - self.prob_clamp, out=p)
+        np.subtract(1.0, p, out=q)
+        np.log(p, out=p)
+        p *= yb
+        np.log(q, out=q)
+        np.subtract(1.0, yb, out=dz_out)
+        q *= dz_out
+        p += q
+        loss = -float(p.sum())
+
+        np.subtract(y_hat, yb, out=dz_out)
+        dz_out /= m
+        gb2[0] = dz_out.sum()
+        np.matmul(Ht.T, dz_out, out=gw2)
+        np.multiply(dz_out[:, None], w2, out=D)
+        np.multiply(D, H, out=dZ)
+        dZ *= A
+        np.subtract(1.0, A, out=Z)  # Z is free once A holds the gate
+        dZ *= Z
+        np.matmul(dZ.T, H, out=gW_attn)
+        np.sum(dZ, axis=0, out=gb_attn)
+        D *= A
+        np.matmul(dZ, W_attn, out=Z)
+        D += Z
+        np.greater(H, 0.0, out=mask)
+        D *= mask
+        np.matmul(D.T, X, out=gW1)
+        np.sum(D, axis=0, out=gb1)
+        return loss
+
+    def update(self) -> None:
+        """One optimizer step over the whole flat parameter vector."""
+        g, step, lr = self.grad, self.update_buf, self.learning_rate
+        if self.m is None:
+            np.multiply(g, lr, out=step)
+        else:
+            self.t += 1
+            bc1 = 1.0 - self.BETA1 ** self.t
+            bc2 = 1.0 - self.BETA2 ** self.t
+            m, v, denom = self.m, self.v, self.denom
+            m *= self.BETA1
+            np.multiply(g, 1.0 - self.BETA1, out=step)
+            m += step
+            v *= self.BETA2
+            np.multiply(g, g, out=step)
+            step *= 1.0 - self.BETA2
+            v += step
+            np.divide(v, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.EPS
+            np.divide(m, bc1, out=step)
+            step *= lr
+            step /= denom
+        self.flat -= step
 
 
 def train(
@@ -237,28 +275,20 @@ def train(
     if not np.isin(y, (0, 1)).all():
         raise DataError("labels must be 0 or 1")
 
-    params = init_params(values.shape[1], config.k, config.seed)
     rng = np.random.default_rng(config.seed)
-    adam = _AdamState(params) if config.optimizer == "adaptive-moments" else None
-    clamp = config.prob_clamp
+    trainer = _Trainer(init_params(values.shape[1], config.k, config.seed),
+                       min(config.batch_size, n), config)
+    labels = y.astype(np.float64)
     history: list[float] = []
 
     for _ in range(config.epochs):
         perm = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            Xb, yb = values[batch], y[batch]
-            H, A, Ht, y_hat = _forward_batch(params, Xb)
-            p = np.clip(y_hat, clamp, 1.0 - clamp)
-            loss_sum += float(-(yb * np.log(p) + (1 - yb) * np.log(1.0 - p)).sum())
-            grads = _backward_batch(params, Xb, yb, H, A, Ht, y_hat)
-            if adam is not None:
-                adam.step(params, grads, config.learning_rate)
-            else:
-                _sgd_step(params, grads, config.learning_rate)
+            loss_sum += trainer.gradient(values, labels, perm[start : start + config.batch_size])
+            trainer.update()
         history.append(loss_sum / n)
-    return params, history
+    return trainer.params(), history
 
 
 def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hidden") -> FeatureMatrix:
@@ -267,7 +297,17 @@ def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hid
         raise ValueError(f"augment mode must be one of {AUGMENT_MODES}, got {mode!r}")
     if X.d != params.d:
         raise ValueError(f"matrix width {X.d} does not match network input width {params.d}")
-    _, A, Ht, _ = _forward_batch(params, X.values)
-    block = Ht if mode == "weighted-hidden" else A
-    names = list(X.feature_names) + [f"attn_{i}" for i in range(params.k)]
-    return FeatureMatrix(values=np.hstack([X.values, block]), feature_names=names)
+    values = X.values
+    H = values @ params.W1.T
+    H += params.b1
+    np.maximum(H, 0.0, out=H)
+    A = H @ params.W_attn.T
+    A += params.b_attn
+    _sigmoid_into(A, A, np.empty_like(A), np.empty(A.shape, dtype=bool))
+    out = np.empty((values.shape[0], params.d + params.k))
+    out[:, : params.d] = values
+    if mode == "weighted-hidden":
+        np.multiply(A, H, out=out[:, params.d :])
+    else:
+        out[:, params.d :] = A
+    return FeatureMatrix(values=out, feature_names=[*X.feature_names, *attention_names(params.k)])

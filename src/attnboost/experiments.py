@@ -104,7 +104,8 @@ def generate_synthetic(spec: SyntheticSpec) -> RawTable:
     rng = np.random.default_rng(spec.seed)
     n = spec.n_rows
     day_span = (DATE_RANGE[1] - DATE_RANGE[0]).days
-    dates = [DATE_RANGE[0] + dt.timedelta(days=int(o)) for o in rng.integers(0, day_span + 1, n)]
+    calendar = [DATE_RANGE[0] + dt.timedelta(days=o) for o in range(day_span + 1)]
+    dates = [calendar[o] for o in rng.integers(0, day_span + 1, n).tolist()]
     ship_idx = rng.integers(0, len(SHIP_MODES), n)
     seg_idx = rng.integers(0, len(SEGMENTS), n)
     region_idx = rng.integers(0, len(REGIONS), n)
@@ -131,20 +132,18 @@ def generate_synthetic(spec: SyntheticSpec) -> RawTable:
         logit += rng.normal(0.0, spec.noise_sd, n)
     labels = rng.uniform(size=n) < sigmoid(logit)
 
-    rows = []
-    for i in range(n):
-        rows.append([
-            dates[i],
-            SHIP_MODES[ship_idx[i]],
-            SEGMENTS[seg_idx[i]],
-            REGIONS[region_idx[i]],
-            "Yes" if labels[i] else "Not",
-            float(sales[i]),
-            int(quantity[i]),
-            float(discount[i]),
-            float(profit[i]),
-        ])
-    return RawTable(schema=synthetic_schema(), rows=rows)
+    columns = (
+        dates,
+        [SHIP_MODES[i] for i in ship_idx.tolist()],
+        [SEGMENTS[i] for i in seg_idx.tolist()],
+        [REGIONS[i] for i in region_idx.tolist()],
+        ["Yes" if flag else "Not" for flag in labels.tolist()],
+        sales.tolist(),
+        quantity.tolist(),
+        discount.tolist(),
+        profit.tolist(),
+    )
+    return RawTable(schema=synthetic_schema(), rows=[list(row) for row in zip(*columns)])
 
 
 def desk_scale_boost_config(seed: int = 42) -> gbdt.BoostConfig:

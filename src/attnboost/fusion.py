@@ -7,7 +7,7 @@ the widened matrix. Ablation variants swap or bypass the network stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,8 +65,8 @@ def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
     if model.variant == "random_attention":
         rng = np.random.default_rng(model.random_seed)
         block = rng.uniform(0.0, 1.0, size=(X.n_rows, model.random_k))
-        names = list(X.feature_names) + [f"attn_{i}" for i in range(model.random_k)]
-        return FeatureMatrix(values=np.hstack([X.values, block]), feature_names=names)
+        return FeatureMatrix(values=np.hstack([X.values, block]),
+                             feature_names=[*X.feature_names, *attn.attention_names(model.random_k)])
     if model.augment_mode == "none":
         return X
     return attn.augment(model.attention, X, model.augment_mode)
@@ -133,16 +133,7 @@ def fit_variant(
         model.attention = attn.init_params(X.d, attention_config.k, attention_config.seed)
         model.augment_mode = augment_mode
     elif kind == "shallow_attention":
-        shallow_cfg = attn.TrainConfig(
-            k=shallow_k,
-            epochs=attention_config.epochs,
-            batch_size=attention_config.batch_size,
-            learning_rate=attention_config.learning_rate,
-            seed=attention_config.seed,
-            optimizer=attention_config.optimizer,
-            prob_clamp=attention_config.prob_clamp,
-        )
-        model.attention, _ = attn.train(X, y, shallow_cfg)
+        model.attention, _ = attn.train(X, y, replace(attention_config, k=shallow_k))
         model.augment_mode = augment_mode
     # no_attention and equal_weight train on the raw matrix as-is
 

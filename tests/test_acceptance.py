@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from attnboost.attention import TrainConfig, backward, forward
+from attnboost.attention import TrainConfig
 from attnboost.cli import run_command
 from attnboost.errors import ModelFormatError
 from attnboost.experiments import (
@@ -39,7 +39,7 @@ from attnboost.tabular import (
     fit_preprocessor,
     stratified_split,
 )
-from test_attention import assert_grads_close, draw_checkable_case, finite_difference_grads
+from test_attention import assert_epoch_matches_finite_differences, draw_checkable_case
 from test_gbdt import _fm, _total_bce, brute_force_split
 from test_metrics import pairwise_auc
 from test_tabular import sakamoto_weekday
@@ -127,12 +127,13 @@ def test_criterion_02_gradient_oracle():
     rng = np.random.default_rng(202)
     for _ in range(20):
         d, k = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        params, x, y = draw_checkable_case(rng, d, k)
-        analytic = backward(params, forward(params, x), y)
-        numeric = finite_difference_grads(params, x, y, step=1e-5)
-        assert_grads_close(analytic, numeric, rel=1e-4, abs_floor=1e-7)
-    _report(2, True, "20 random networks match central finite differences "
-                     "(rel 1e-4, abs floor 1e-7)")
+        batch_size = int(rng.integers(2, 5))
+        n = batch_size * int(rng.integers(1, 3)) + int(rng.integers(1, batch_size))
+        params, X, y = draw_checkable_case(rng, d, k, n)
+        assert_epoch_matches_finite_differences(params, X, y, batch_size, rel=1e-4, abs_floor=1e-7)
+    _report(2, True, "20 random networks: every mini-batch gradient of an epoch, as "
+                     "training computes it (batch sizes 2-4, short last batch), matches "
+                     "central finite differences of the batch mean loss (rel 1e-4, abs floor 1e-7)")
 
 
 def test_criterion_03_split_finder_oracle():

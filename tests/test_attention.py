@@ -3,21 +3,26 @@
 import numpy as np
 import pytest
 
-from attnboost.attention import (
-    AttentionParams,
-    TrainConfig,
-    augment,
+from attention_reference import (
+    PARAM_FIELDS,
     backward,
     bce_loss,
     forward,
+    reference_augment,
+    reference_sigmoid,
+    reference_train,
+)
+from attnboost.attention import (
+    AttentionParams,
+    TrainConfig,
+    _Trainer,
+    augment,
     init_params,
     sigmoid,
     train,
 )
 from attnboost.errors import DataError
 from attnboost.tabular import FeatureMatrix
-
-PARAM_FIELDS = ("W1", "b1", "W_attn", "b_attn", "w2", "b2")
 
 
 def _random_params(d, k, rng, scale=0.8) -> AttentionParams:
@@ -33,12 +38,22 @@ def _random_params(d, k, rng, scale=0.8) -> AttentionParams:
     )
 
 
-def _loss_at(params: AttentionParams, x, y, clamp=1e-12) -> float:
-    return bce_loss(forward(params, x).y_hat, y, clamp)
+def _zero_params(d, k) -> AttentionParams:
+    return AttentionParams(W1=np.zeros((k, d)), b1=np.zeros(k), W_attn=np.zeros((k, k)),
+                           b_attn=np.zeros(k), w2=np.zeros(k), b2=0.0, d=d, k=k)
 
 
-def draw_checkable_case(rng, d, k):
-    """Draw (params, x, y) where central differences are trustworthy.
+def _fm(values) -> FeatureMatrix:
+    values = np.asarray(values, dtype=float)
+    return FeatureMatrix(values=values, feature_names=[f"f{i}" for i in range(values.shape[1])])
+
+
+def _mean_loss_at(params: AttentionParams, X, y, clamp=1e-12) -> float:
+    return float(np.mean([bce_loss(forward(params, x).y_hat, yi, clamp) for x, yi in zip(X, y)]))
+
+
+def draw_checkable_case(rng, d, k, n):
+    """Draw (params, X, y) with n rows where central differences are trustworthy.
 
     Rejects draws with a first-layer pre-activation near the ReLU kink and
     draws whose output probability saturates: near p = 1 the loss goes
@@ -46,16 +61,16 @@ def draw_checkable_case(rng, d, k):
     """
     while True:
         params = _random_params(d, k, rng)
-        x = rng.normal(0, 1.5, d)
-        y = int(rng.integers(0, 2))
-        z1 = params.W1 @ x + params.b1
-        y_hat = forward(params, x).y_hat
-        if np.abs(z1).min() > 1e-3 and 1e-4 < y_hat < 1.0 - 1e-4:
-            return params, x, y
+        X = rng.normal(0, 1.5, (n, d))
+        y = rng.integers(0, 2, n)
+        z1 = X @ params.W1.T + params.b1
+        y_hat = np.array([forward(params, x).y_hat for x in X])
+        if np.abs(z1).min() > 1e-3 and ((y_hat > 1e-4) & (y_hat < 1.0 - 1e-4)).all():
+            return params, X, y
 
 
-def finite_difference_grads(params: AttentionParams, x, y, step=1e-5):
-    """Central differences of the loss with respect to every parameter entry."""
+def finite_difference_grads(params: AttentionParams, X, y, step=1e-5):
+    """Central differences of the batch's mean loss with respect to every parameter entry."""
     grads = {}
     for name in PARAM_FIELDS:
         value = getattr(params, name)
@@ -63,24 +78,93 @@ def finite_difference_grads(params: AttentionParams, x, y, step=1e-5):
             hi, lo = params.copy(), params.copy()
             setattr(hi, name, value + step)
             setattr(lo, name, value - step)
-            grads[name] = (_loss_at(hi, x, y) - _loss_at(lo, x, y)) / (2 * step)
+            grads[name] = (_mean_loss_at(hi, X, y) - _mean_loss_at(lo, X, y)) / (2 * step)
             continue
         out = np.zeros_like(value)
         for idx in np.ndindex(value.shape):
             hi, lo = params.copy(), params.copy()
             getattr(hi, name)[idx] += step
             getattr(lo, name)[idx] -= step
-            out[idx] = (_loss_at(hi, x, y) - _loss_at(lo, x, y)) / (2 * step)
+            out[idx] = (_mean_loss_at(hi, X, y) - _mean_loss_at(lo, X, y)) / (2 * step)
         grads[name] = out
     return grads
 
 
+def epoch_gradients(params: AttentionParams, X, y, batch_size, seed=0):
+    """(rows, gradient by name, summed loss) of each mini-batch of one shuffled epoch.
+
+    Computed as `train` computes them: one `_Trainer` whose buffers hold
+    `batch_size` rows, reused for every batch including a shorter last one.
+    """
+    n = X.shape[0]
+    trainer = _Trainer(params, min(batch_size, n), TrainConfig(k=params.k, batch_size=batch_size))
+    perm = np.random.default_rng(seed).permutation(n)
+    for start in range(0, n, batch_size):
+        batch = perm[start : start + batch_size]
+        loss = trainer.gradient(X, np.asarray(y, dtype=float), batch)
+        yield batch, {name: g.copy() for name, g in zip(PARAM_FIELDS, trainer.grad_views)}, loss
+
+
 def assert_grads_close(analytic, numeric, rel=1e-4, abs_floor=1e-7):
     for name in PARAM_FIELDS:
-        a = np.asarray(getattr(analytic, name), dtype=float)
+        a = np.asarray(analytic[name], dtype=float).reshape(np.shape(numeric[name]))
         n = np.asarray(numeric[name], dtype=float)
         tol = np.maximum(abs_floor, rel * np.abs(n))
         np.testing.assert_array_less(np.abs(a - n), tol + 1e-300, err_msg=name)
+
+
+def assert_epoch_matches_finite_differences(params, X, y, batch_size, rel=1e-4, abs_floor=1e-7):
+    """Every mini-batch gradient of an epoch equals central differences of its mean loss."""
+    for batch, analytic, _ in epoch_gradients(params, X, y, batch_size):
+        assert_grads_close(analytic, finite_difference_grads(params, X[batch], y[batch]),
+                           rel=rel, abs_floor=abs_floor)
+
+
+def batch_forward(params: AttentionParams, X):
+    """(alpha, h_tilde, y_hat) per row from the code `augment` and `train` run."""
+    X = np.asarray(X, dtype=float)
+    alpha = augment(params, _fm(X), "attention-vector").values[:, params.d:]
+    h_tilde = augment(params, _fm(X), "weighted-hidden").values[:, params.d:]
+    trainer = _Trainer(params, X.shape[0], TrainConfig(k=params.k))
+    trainer.gradient(X, np.zeros(X.shape[0]), np.arange(X.shape[0]))
+    return alpha, h_tilde, trainer.y_hat.copy()
+
+
+def bits(a):
+    return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).view(np.uint64)
+
+
+def assert_params_bitwise_equal(a: AttentionParams, b: AttentionParams):
+    for name in PARAM_FIELDS:
+        assert np.array_equal(bits(getattr(a, name)), bits(getattr(b, name))), name
+
+
+class TestSigmoid:
+    EDGES = [0.0, -0.0, np.inf, -np.inf, 709.0, -709.0, 745.0, -745.0, 1e-300, -1e-300, 36.7, -36.7]
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([self.EDGES, rng.normal(0, 30, 5001), rng.normal(0, 1e-3, 101)])
+        assert np.array_equal(bits(sigmoid(x)), bits(reference_sigmoid(x)))
+        m = x.reshape(-1, 2)[:2000]
+        assert np.array_equal(bits(sigmoid(m)), bits(reference_sigmoid(m)))
+
+    def test_nan_stays_nan(self):
+        out = sigmoid(np.array([np.nan, 1.0, np.nan]))
+        assert np.isnan(out[[0, 2]]).all() and out[1] == reference_sigmoid(1.0)
+
+    @pytest.mark.parametrize("value", EDGES + [np.nan, 2, -3])
+    def test_zero_d_input_returns_float(self, value):
+        for x in (value, np.float64(value), np.asarray(value)):
+            out = sigmoid(x)
+            assert type(out) is float
+            ref = reference_sigmoid(value)
+            assert (np.isnan(out) and np.isnan(ref)) or bits(out) == bits(ref)
+
+    def test_does_not_modify_input(self):
+        x = np.array([-2.0, 0.0, 3.0])
+        sigmoid(x)
+        assert x.tolist() == [-2.0, 0.0, 3.0]
 
 
 class TestInitParams:
@@ -114,14 +198,19 @@ class TestInitParams:
 
 
 class TestForward:
+    """The per-sample oracle, and the batch code checked against it."""
+
     def test_zero_params_give_half_everywhere(self):
-        p = AttentionParams(W1=np.zeros((3, 2)), b1=np.zeros(3), W_attn=np.zeros((3, 3)),
-                            b_attn=np.zeros(3), w2=np.zeros(3), b2=0.0, d=2, k=3)
+        p = _zero_params(2, 3)
         t = forward(p, np.array([4.0, -7.0]))
         assert np.array_equal(t.h, np.zeros(3))
         assert np.array_equal(t.alpha, np.full(3, 0.5))
         assert np.array_equal(t.h_tilde, np.zeros(3))
         assert t.y_hat == 0.5
+        alpha, h_tilde, y_hat = batch_forward(p, [[4.0, -7.0], [1.0, 2.0]])
+        assert np.array_equal(alpha, np.full((2, 3), 0.5))
+        assert not h_tilde.any()
+        assert np.array_equal(y_hat, [0.5, 0.5])
 
     def test_dead_relu_gives_sigmoid_of_output_bias(self):
         rng = np.random.default_rng(0)
@@ -132,6 +221,9 @@ class TestForward:
         t = forward(p, np.array([1.0, 2.0, 3.0]))
         assert np.array_equal(t.h, np.zeros(4))
         assert t.y_hat == pytest.approx(sigmoid(1.3))
+        _, h_tilde, y_hat = batch_forward(p, [[1.0, 2.0, 3.0]])
+        assert not h_tilde.any()
+        assert y_hat[0] == sigmoid(1.3)
 
     def test_hand_computed_trace(self):
         p = AttentionParams(W1=np.eye(2), b1=np.zeros(2), W_attn=np.zeros((2, 2)),
@@ -141,6 +233,10 @@ class TestForward:
         np.testing.assert_allclose(t.alpha, [0.5, 0.5])
         np.testing.assert_allclose(t.h_tilde, [0.5, 1.0])
         assert t.y_hat == pytest.approx(0.817574, abs=1e-6)
+        alpha, h_tilde, y_hat = batch_forward(p, [[1.0, 2.0]])
+        np.testing.assert_allclose(alpha, [[0.5, 0.5]])
+        np.testing.assert_allclose(h_tilde, [[0.5, 1.0]])
+        assert y_hat[0] == pytest.approx(0.817574, abs=1e-6)
 
     def test_dimension_mismatch(self):
         p = init_params(3, 2, seed=0)
@@ -151,11 +247,17 @@ class TestForward:
         rng = np.random.default_rng(21)
         for _ in range(50):
             p = _random_params(int(rng.integers(1, 7)), int(rng.integers(1, 7)), rng)
-            t = forward(p, rng.normal(0, 2, p.d))
-            assert (t.h >= 0).all()
-            assert ((t.alpha > 0) & (t.alpha < 1)).all()
-            np.testing.assert_array_equal(t.h_tilde, t.alpha * t.h)
-            assert 0 < t.y_hat < 1
+            X = rng.normal(0, 2, (int(rng.integers(1, 5)), p.d))
+            alpha, h_tilde, y_hat = batch_forward(p, X)
+            for i, x in enumerate(X):
+                t = forward(p, x)
+                assert (t.h >= 0).all()
+                assert ((t.alpha > 0) & (t.alpha < 1)).all()
+                np.testing.assert_array_equal(t.h_tilde, t.alpha * t.h)
+                assert 0 < t.y_hat < 1
+                np.testing.assert_allclose(alpha[i], t.alpha, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(h_tilde[i], t.h_tilde, rtol=1e-12, atol=1e-15)
+                assert y_hat[i] == pytest.approx(t.y_hat, rel=1e-12, abs=1e-15)
 
 
 class TestBceLoss:
@@ -184,42 +286,65 @@ class TestBceLoss:
         with pytest.raises(ValueError):
             bce_loss(1.2, 1)
 
+    def test_batch_loss_is_sum_of_per_sample_losses(self):
+        rng = np.random.default_rng(9)
+        for b2 in (0.0, 3.0, 40.0, -40.0):
+            p = _random_params(3, 4, rng)
+            p.b2 = b2
+            X, y = rng.normal(0, 1, (11, 3)), rng.integers(0, 2, 11)
+            for batch, _, loss in epoch_gradients(p, X, y, batch_size=4):
+                expected = sum(bce_loss(forward(p, X[i]).y_hat, y[i]) for i in batch)
+                assert loss == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 class TestBackward:
+    """The batch gradient `train` steps on, checked against the per-sample oracle."""
+
     def test_output_bias_gradient_is_residual(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             p = _random_params(4, 5, rng)
-            x = rng.normal(0, 1, 4)
-            y = int(rng.integers(0, 2))
-            t = forward(p, x)
-            g = backward(p, t, y)
-            assert g.b2 == t.y_hat - y
+            X, y = rng.normal(0, 1, (7, 4)), rng.integers(0, 2, 7)
+            for batch, g, _ in epoch_gradients(p, X, y, batch_size=3):
+                residuals = [forward(p, X[i]).y_hat - y[i] for i in batch]
+                assert g["b2"][0] == pytest.approx(np.mean(residuals), rel=1e-12, abs=1e-15)
+            (batch, g, _), = epoch_gradients(p, X[:1], y[:1], batch_size=1)
+            _, _, y_hat = batch_forward(p, X[:1])
+            assert g["b2"][0] == y_hat[0] - y[0]
 
     def test_zero_input_zero_biases_kills_first_layer_gradient(self):
         rng = np.random.default_rng(5)
         p = _random_params(3, 4, rng)
         p.b1 = np.zeros(4)
-        t = forward(p, np.zeros(3))
-        g = backward(p, t, 1)
-        assert not g.W1.any()
+        for _, g, _ in epoch_gradients(p, np.zeros((5, 3)), np.array([1, 0, 1, 1, 0]), batch_size=2):
+            assert not g["W1"].any()
+        assert not backward(p, forward(p, np.zeros(3)), 1).W1.any()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            p, x, y = draw_checkable_case(rng, 5, 7)
-            analytic = backward(p, forward(p, x), y)
-            numeric = finite_difference_grads(p, x, y)
-            assert_grads_close(analytic, numeric)
+            p, X, y = draw_checkable_case(rng, 5, 7, n=8)
+            assert_epoch_matches_finite_differences(p, X, y, batch_size=3)
 
     def test_matches_finite_differences_varied_sizes(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             d, k = int(rng.integers(1, 6)), int(rng.integers(1, 8))
-            p, x, y = draw_checkable_case(rng, d, k)
-            analytic = backward(p, forward(p, x), y)
-            numeric = finite_difference_grads(p, x, y)
-            assert_grads_close(analytic, numeric)
+            batch_size = int(rng.integers(2, 6))
+            n = batch_size * int(rng.integers(1, 3)) + int(rng.integers(1, batch_size))
+            p, X, y = draw_checkable_case(rng, d, k, n)
+            assert_epoch_matches_finite_differences(p, X, y, batch_size)
+
+    def test_batch_gradient_is_mean_of_per_sample_gradients(self):
+        rng = np.random.default_rng(8)
+        p = _random_params(4, 6, rng)
+        X, y = rng.normal(0, 1.5, (10, 4)), rng.integers(0, 2, 10)
+        for batch, g, _ in epoch_gradients(p, X, y, batch_size=4):
+            per_sample = [backward(p, forward(p, X[i]), y[i]) for i in batch]
+            for name in PARAM_FIELDS:
+                mean = np.mean([np.asarray(getattr(s, name)) for s in per_sample], axis=0)
+                np.testing.assert_allclose(g[name].reshape(np.shape(mean)), mean,
+                                           rtol=1e-10, atol=1e-14, err_msg=name)
 
 
 class TestTrain:
@@ -253,6 +378,22 @@ class TestTrain:
             assert np.array_equal(np.asarray(getattr(p1, name)),
                                   np.asarray(getattr(p2, name)))
 
+    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
+    @pytest.mark.parametrize("k", [1, 16])
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_bitwise_equal_to_reference(self, optimizer, k, epochs):
+        rng = np.random.default_rng(k)
+        X = _fm(rng.normal(0, 2, (103, 5)))
+        y = rng.integers(0, 2, 103)
+        for batch_size in (16, 1, 200):
+            cfg = TrainConfig(k=k, epochs=epochs, batch_size=batch_size, seed=4,
+                              optimizer=optimizer, learning_rate=0.02)
+            params, history = train(X, y, cfg)
+            ref_params, ref_history = reference_train(X, y, cfg)
+            assert np.array_equal(bits(history), bits(ref_history))
+            assert_params_bitwise_equal(params, ref_params)
+            assert type(params.b2) is float
+
     def test_separable_data_loss_decreases(self):
         X, y = self._toy(n=200, seed=1)
         cfg = TrainConfig(k=8, epochs=50, seed=0, learning_rate=5e-3)
@@ -276,6 +417,11 @@ class TestTrain:
         with pytest.raises(DataError):
             train(X, np.zeros(0, dtype=int), TrainConfig(k=2, epochs=1))
 
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1}])
+    def test_config_rejects_bad_settings(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TrainConfig(**kwargs)
+
 
 class TestAugment:
     def test_output_width(self):
@@ -288,17 +434,13 @@ class TestAugment:
             assert out.feature_names[19:] == [f"attn_{i}" for i in range(128)]
 
     def test_zero_params_attention_vector_is_half(self):
-        p = AttentionParams(W1=np.zeros((3, 2)), b1=np.zeros(3), W_attn=np.zeros((3, 3)),
-                            b_attn=np.zeros(3), w2=np.zeros(3), b2=0.0, d=2, k=3)
         X = FeatureMatrix(values=np.ones((5, 2)), feature_names=["a", "b"])
-        out = augment(p, X, "attention-vector")
+        out = augment(_zero_params(2, 3), X, "attention-vector")
         assert np.array_equal(out.values[:, 2:], np.full((5, 3), 0.5))
 
     def test_zero_params_weighted_hidden_is_zero(self):
-        p = AttentionParams(W1=np.zeros((3, 2)), b1=np.zeros(3), W_attn=np.zeros((3, 3)),
-                            b_attn=np.zeros(3), w2=np.zeros(3), b2=0.0, d=2, k=3)
         X = FeatureMatrix(values=np.ones((5, 2)), feature_names=["a", "b"])
-        out = augment(p, X, "weighted-hidden")
+        out = augment(_zero_params(2, 3), X, "weighted-hidden")
         assert not out.values[:, 2:].any()
 
     def test_width_mismatch(self):
@@ -312,6 +454,18 @@ class TestAugment:
         X = FeatureMatrix(values=np.ones((1, 2)), feature_names=["a", "b"])
         with pytest.raises(ValueError):
             augment(p, X, "softmax")
+
+    @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
+    def test_matches_reference_bitwise(self, mode):
+        rng = np.random.default_rng(17)
+        for k in (1, 16):
+            X = _fm(rng.normal(0, 2, (57, 7)))
+            for params in (_random_params(7, k, rng),
+                           train(X, rng.integers(0, 2, 57), TrainConfig(k=k, epochs=2, batch_size=8))[0]):
+                out, ref = augment(params, X, mode), reference_augment(params, X, mode)
+                assert np.array_equal(bits(out.values), bits(ref.values))
+                assert out.feature_names == ref.feature_names
+            assert augment(params, _fm(np.zeros((0, 7))), mode).values.shape == (0, 7 + k)
 
 
 class TestRescalingInvariance:

@@ -167,6 +167,14 @@ class TestConfigHandling:
         assert _run("train", "--data", synth_csv, flag, value,
                     "--out", str(tmp_path / "m.bin")) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--attention.batch_size", "0"),
+                                            ("--attention.batch_size", "-1"),
+                                            ("--attention.epochs", "-1")])
+    def test_bad_attention_setting_exits_2(self, tmp_path, synth_csv, flag, value, capsys):
+        assert _run("train", "--data", synth_csv, flag, value,
+                    "--out", str(tmp_path / "m.bin")) == 2
+        assert flag.split(".")[1] in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):

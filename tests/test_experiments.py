@@ -1,11 +1,18 @@
 """Tests for the synthetic generator, ablation harness, and baselines."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
+from attention_reference import reference_sigmoid
 from attnboost.attention import TrainConfig
 from attnboost.errors import DataError
 from attnboost.experiments import (
+    DATE_RANGE,
+    REGIONS,
+    SEGMENTS,
+    SHIP_MODES,
     LogisticConfig,
     SyntheticSpec,
     baseline_logistic,
@@ -28,6 +35,40 @@ from attnboost.tabular import (
 FAST_ATTN = TrainConfig(k=8, epochs=3, batch_size=64, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=25, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
+
+
+def _per_cell_synthetic_rows(spec):
+    """The generator's draws, with each row built cell by cell from numpy scalars."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_rows
+    day_span = (DATE_RANGE[1] - DATE_RANGE[0]).days
+    dates = [DATE_RANGE[0] + dt.timedelta(days=int(o)) for o in rng.integers(0, day_span + 1, n)]
+    ship_idx = rng.integers(0, len(SHIP_MODES), n)
+    seg_idx = rng.integers(0, len(SEGMENTS), n)
+    region_idx = rng.integers(0, len(REGIONS), n)
+    sales = rng.lognormal(4.0, 1.0, n)
+    quantity = rng.integers(1, 15, n)
+    discount = rng.uniform(0.0, 0.8, n)
+    profit = rng.normal(25.0, 50.0, n)
+    numeric = {"Sales": sales, "Quantity": quantity.astype(float),
+               "Discount": discount, "Profit": profit}
+    cat_idx = {"Ship Mode": ship_idx, "Segment": seg_idx, "Region": region_idx}
+    levels = {"Ship Mode": SHIP_MODES, "Segment": SEGMENTS, "Region": REGIONS}
+    logit = np.full(n, spec.intercept)
+    for name, coef in spec.coefficients.items():
+        if coef == 0.0:
+            continue
+        if name in numeric:
+            col = numeric[name]
+            logit += coef * (col - col.mean()) / max(float(col.std()), 1e-12)
+        else:
+            logit += coef * (-1.0 + 2.0 * cat_idx[name] / (len(levels[name]) - 1))
+    if spec.noise_sd > 0:
+        logit += rng.normal(0.0, spec.noise_sd, n)
+    labels = rng.uniform(size=n) < reference_sigmoid(logit)
+    return [[dates[i], SHIP_MODES[ship_idx[i]], SEGMENTS[seg_idx[i]], REGIONS[region_idx[i]],
+             "Yes" if labels[i] else "Not", float(sales[i]), int(quantity[i]),
+             float(discount[i]), float(profit[i])] for i in range(n)]
 
 
 class TestGenerateSynthetic:
@@ -54,6 +95,15 @@ class TestGenerateSynthetic:
         target = table.column_index("Returned")
         rate = np.mean([1 if row[target] != "Not" else 0 for row in table.rows])
         assert abs(rate - 0.5) <= 0.05
+
+    @pytest.mark.parametrize("seed", [11, 501])
+    def test_rows_match_per_cell_reference(self, seed):
+        spec = SyntheticSpec(n_rows=700, seed=seed, coefficients={"Discount": 2.0, "Region": 0.5})
+        rows = generate_synthetic(spec).rows
+        expected = _per_cell_synthetic_rows(spec)
+        assert rows == expected
+        assert [[type(cell) for cell in row] for row in rows] == \
+            [[type(cell) for cell in row] for row in expected]
 
     def test_unknown_coefficient_rejected(self):
         with pytest.raises(ValueError, match="unknown"):

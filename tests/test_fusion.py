@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnboost import gbdt
-from attnboost.attention import TrainConfig, init_params
+from attnboost.attention import TrainConfig, init_params, train
 from attnboost.errors import DataError
 from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, generate_synthetic
 from attnboost.fusion import (
@@ -113,6 +113,7 @@ class TestFitVariant:
         np.testing.assert_array_equal(pa, pb)
         assert a.random_k == 6
         assert len(a.ensemble.feature_names) == X.d + 6
+        assert list(a.ensemble.feature_names[X.d:]) == [f"attn_{i}" for i in range(6)]
 
     def test_frozen_attention_is_initialization(self):
         X, y = _toy_matrix()
@@ -128,6 +129,17 @@ class TestFitVariant:
         model = fit_variant("shallow_attention", X, y, TrainConfig(k=64, epochs=1),
                             _small_boost(), shallow_k=8)
         assert model.attention.k == 8
+
+    def test_shallow_attention_keeps_other_settings(self):
+        X, y = _toy_matrix()
+        acfg = TrainConfig(k=64, epochs=2, batch_size=7, learning_rate=0.01, seed=5,
+                           optimizer="plain-sgd", prob_clamp=1e-6)
+        model = fit_variant("shallow_attention", X, y, acfg, _small_boost(), shallow_k=8)
+        ref, _ = train(X, y, TrainConfig(k=8, epochs=2, batch_size=7, learning_rate=0.01,
+                                         seed=5, optimizer="plain-sgd", prob_clamp=1e-6))
+        for name in ATTN_FIELDS:
+            assert np.array_equal(np.asarray(getattr(model.attention, name)),
+                                  np.asarray(getattr(ref, name)))
         assert len(model.ensemble.feature_names) == X.d + 8
 
     def test_manual_weights_requires_map(self):
