@@ -18,26 +18,18 @@ from . import fusion, importance as importance_mod
 from .config import KEY_SPECS, RunConfig, parse_config_file, parse_value
 from .errors import AttnBoostError, ConfigError, DataError, ModelFormatError
 from .experiments import (
-    MANUAL_WEIGHT_FEATURES,
     REMOVAL_FEATURES,
     fingerprint_of,
     generate_synthetic,
+    load_source,
+    prepare,
     result_to_csv,
     run_ablation,
     run_feature_removal,
 )
 from .metrics import CSV_HEADER, evaluate_scores, format_reports, metrics_csv_row
 from .model_io import load_model, save_model, write_text_atomic
-from .tabular import (
-    RETAIL_IDENTIFIER_COLUMNS,
-    PreprocessorState,
-    RawTable,
-    apply_preprocessor,
-    fit_preprocessor,
-    load_csv,
-    retail_schema,
-    stratified_split,
-)
+from .tabular import RawTable, apply_preprocessor, load_csv
 
 
 def _format_cell(value) -> str:
@@ -118,76 +110,18 @@ def _merged_config(args) -> RunConfig:
     return RunConfig.merged(file_values, _cli_values(args))
 
 
-def _schema_for_csv(path: str):
-    """Retail-schema subset matching the file's header, in canonical order."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = next(csv_mod.reader(handle), None)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise DataError(f"{path}: file is empty, header row required")
-    known = {c.name: c for c in retail_schema()}
-    unknown = sorted(set(header) - set(known))
-    if unknown:
-        raise DataError(f"{path}: columns not in the retail schema: {unknown}")
-    present = set(header)
-    return [c for c in retail_schema() if c.name in present]
-
-
 def _resolve_table(args, cfg: RunConfig) -> RawTable:
     has_data = getattr(args, "data", None) is not None
     has_synth = getattr(args, "synthetic", None) is not None
     if has_data == has_synth:
         raise ConfigError("exactly one of --data or --synthetic is required")
-    if has_data:
-        return load_csv(args.data, _schema_for_csv(args.data))
-    return generate_synthetic(cfg.synthetic_spec())
-
-
-def _default_drop(table: RawTable, cfg: RunConfig) -> list[str]:
-    configured = cfg.drop_columns()
-    if configured is not None:
-        return configured
-    names = {c.name for c in table.schema}
-    return [c for c in RETAIL_IDENTIFIER_COLUMNS if c in names]
-
-
-def _manual_weights(cfg: RunConfig, state: PreprocessorState) -> dict[str, float]:
-    configured = cfg.manual_weights()
-    if configured is not None:
-        return configured
-    return {
-        name: fusion.DEFAULT_MANUAL_FACTOR
-        for name in MANUAL_WEIGHT_FEATURES
-        if name in state.feature_names
-    }
-
-
-def _load_for_model(path: str, state: PreprocessorState) -> RawTable:
-    """Load a CSV against the fit-time schema; the target column may be absent."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = next(csv_mod.reader(handle), None)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if header is None:
-        raise DataError(f"{path}: file is empty, header row required")
-    if state.target_name in header:
-        schema = state.schema
-    else:
-        schema = [c for c in state.schema if c.kind != "binary-target"]
-    return load_csv(path, schema)
+    return load_source(args.data if has_data else cfg.synthetic_spec())
 
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
     table = _resolve_table(args, cfg)
-    state = fit_preprocessor(table, _default_drop(table, cfg))
-    X, y = apply_preprocessor(state, table)
-    if y is None:
-        raise DataError("training data must include the target column")
-    split = stratified_split(X, y, cfg["split.fraction"], cfg["split.seed"])
+    state, split = prepare(table, cfg.drop_columns(), cfg["split.fraction"], cfg["split.seed"])
     variant = cfg["model.variant"]
     model = fusion.fit_variant(
         variant,
@@ -196,7 +130,7 @@ def cmd_train(args) -> int:
         cfg.attention_config(),
         cfg.boost_config(),
         augment_mode=cfg["model.augment_mode"],
-        manual_weights=_manual_weights(cfg, state),
+        manual_weights=fusion.manual_weight_map(cfg.manual_weights(), state.feature_names),
         shallow_k=cfg["model.shallow_k"],
         preprocessor=state,
     )
@@ -223,7 +157,7 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     if model.preprocessor is None:
         raise ModelFormatError("model file has no preprocessor section")
-    table = _load_for_model(args.data, model.preprocessor)
+    table = load_csv(args.data, model.preprocessor.schema)
     proba, labels = fusion.predict(model, table)
     lines = ["row_index,probability,label"]
     lines.extend(f"{i},{repr(float(p))},{int(l)}" for i, (p, l) in enumerate(zip(proba, labels)))
@@ -239,7 +173,7 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     if model.preprocessor is None:
         raise ModelFormatError("model file has no preprocessor section")
-    table = _load_for_model(args.data, model.preprocessor)
+    table = load_csv(args.data, model.preprocessor.schema)
     X, y = apply_preprocessor(model.preprocessor, table)
     if y is None:
         raise DataError("evaluation data must include the target column")

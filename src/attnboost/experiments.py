@@ -31,7 +31,9 @@ from .tabular import (
     RETAIL_IDENTIFIER_COLUMNS,
     ColumnSchema,
     FeatureMatrix,
+    PreprocessorState,
     RawTable,
+    SplitResult,
     apply_preprocessor,
     fit_preprocessor,
     load_csv,
@@ -44,7 +46,6 @@ SEGMENTS = ["Consumer", "Corporate", "Home Office"]
 REGIONS = ["Central", "East", "South", "West"]
 DATE_RANGE = (dt.date(2015, 1, 1), dt.date(2018, 12, 31))
 
-MANUAL_WEIGHT_FEATURES = ["Discount", "Sales", "Profit", "Ship Mode", "Region"]
 REMOVAL_FEATURES = ["Discount", "Sales", "Profit"]
 
 DEFAULT_COEFFICIENTS = {"Discount": 3.0, "Sales": 1.0, "Profit": -1.0, "Region": 0.75}
@@ -208,26 +209,29 @@ def result_from_csv(text: str) -> ExperimentResult:
     return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds)
 
 
-def _resolve_table(source, schema=None) -> RawTable:
+def load_source(source) -> RawTable:
+    """The table of a data source: a CSV path (retail schema), a SyntheticSpec or a RawTable."""
     if isinstance(source, RawTable):
         return source
     if isinstance(source, SyntheticSpec):
         return generate_synthetic(source)
     if isinstance(source, str):
-        return load_csv(source, schema or retail_schema())
+        return load_csv(source, retail_schema())
     raise TypeError(f"unsupported data source {type(source).__name__}")
 
 
-def _prepare(table: RawTable, drop, split_fraction, split_seed):
+def prepare(table: RawTable, drop: list[str] | None, split_fraction: float,
+            split_seed: int) -> tuple[PreprocessorState, SplitResult]:
+    """Fit the preprocessor, apply it and split: the one data path of every run.
+
+    `drop=None` drops the retail identifier columns the table has.
+    """
     if drop is None:
         names = {c.name for c in table.schema}
         drop = [c for c in RETAIL_IDENTIFIER_COLUMNS if c in names]
     state = fit_preprocessor(table, drop)
     X, y = apply_preprocessor(state, table)
-    if y is None:
-        raise DataError("experiment data must include the target column")
-    split = stratified_split(X, y, split_fraction, split_seed)
-    return state, split
+    return state, stratified_split(X, y, split_fraction, split_seed)
 
 
 def run_ablation(
@@ -240,19 +244,12 @@ def run_ablation(
     manual_weights: dict[str, float] | None = None,
     shallow_k: int = fusion.DEFAULT_SHALLOW_K,
     augment_mode: str = "weighted-hidden",
-    schema: list[ColumnSchema] | None = None,
 ) -> ExperimentResult:
     """Train and evaluate all seven variants on one shared stratified split."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
-    table = _resolve_table(source, schema)
-    state, split = _prepare(table, drop, split_fraction, split_seed)
-    if manual_weights is None:
-        manual_weights = {
-            name: fusion.DEFAULT_MANUAL_FACTOR
-            for name in MANUAL_WEIGHT_FEATURES
-            if name in state.feature_names
-        }
+    state, split = prepare(load_source(source), drop, split_fraction, split_seed)
+    manual_weights = fusion.manual_weight_map(manual_weights, state.feature_names)
 
     rows = []
     for kind in fusion.VARIANT_KINDS:
@@ -298,21 +295,20 @@ def run_feature_removal(
     split_seed: int = 42,
     drop: list[str] | None = None,
     augment_mode: str = "weighted-hidden",
-    schema: list[ColumnSchema] | None = None,
 ) -> ExperimentResult:
     """Retrain the full pipeline once per removed feature, plus an intact run."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
-    table = _resolve_table(source, schema)
+    table = load_source(source)
     schema_names = {c.name for c in table.schema}
     unknown = sorted(set(features) - schema_names)
     if unknown:
         raise DataError(f"cannot remove unknown features: {unknown}")
 
     def fit_and_eval(tbl: RawTable) -> tuple[MetricsReport, np.ndarray]:
-        state, split = _prepare(tbl, drop, split_fraction, split_seed)
-        model = fusion.fit_attnboost(
-            split.X_train, split.y_train, attention_config, boost_config,
+        state, split = prepare(tbl, drop, split_fraction, split_seed)
+        model = fusion.fit_variant(
+            "full", split.X_train, split.y_train, attention_config, boost_config,
             augment_mode=augment_mode, preprocessor=state,
         )
         proba, _ = fusion.predict_matrix(model, split.X_test)

@@ -2,11 +2,14 @@
 
 The full pipeline trains the gated network on the training split, freezes it,
 appends its features to the input matrix, then trains the tree ensemble on
-the widened matrix. Ablation variants swap or bypass the network stage.
+the widened matrix. Ablation variants swap or bypass the network stage;
+`random_attention` appends uniforms drawn from each row's own values, so a
+row's score never depends on the rows scored with it.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,6 +31,9 @@ VARIANT_KINDS = (
 
 DEFAULT_MANUAL_FACTOR = 2.0
 DEFAULT_SHALLOW_K = 16
+
+# the features the manual_weights variant scales when no weights are given
+MANUAL_WEIGHT_FEATURES = ["Discount", "Sales", "Profit", "Ship Mode", "Region"]
 
 
 @dataclass
@@ -58,41 +64,45 @@ def apply_manual_weights(X: FeatureMatrix, weights: dict[str, float]) -> Feature
     return FeatureMatrix(values=values, feature_names=list(X.feature_names))
 
 
+def manual_weight_map(weights: dict[str, float] | None,
+                      feature_names: list[str]) -> dict[str, float]:
+    """The given weights, or DEFAULT_MANUAL_FACTOR on each MANUAL_WEIGHT_FEATURES column present."""
+    if weights is not None:
+        return weights
+    return {name: DEFAULT_MANUAL_FACTOR for name in MANUAL_WEIGHT_FEATURES
+            if name in feature_names}
+
+
+def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k uniforms in [0, 1) per row, a pure function of (seed, the row's float64 bytes).
+
+    A blake2b of each row keyed by the seed gives a 64-bit key, and SplitMix64
+    over (key, column) counters spreads it into the row's k draws, so a row's
+    block does not depend on the rows scored with it.
+    """
+    rows = np.ascontiguousarray(values, dtype=np.float64)
+    key = str(seed).encode()
+    digests = b"".join(hashlib.blake2b(row.tobytes(), digest_size=8, key=key).digest()
+                       for row in rows)
+    z = np.frombuffer(digests, dtype="<u8").astype(np.uint64)[:, None]
+    z = z + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-53
+
+
 def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
     """The matrix the ensemble actually sees for this model's variant."""
     if model.manual_weights:
         X = apply_manual_weights(X, model.manual_weights)
     if model.variant == "random_attention":
-        rng = np.random.default_rng(model.random_seed)
-        block = rng.uniform(0.0, 1.0, size=(X.n_rows, model.random_k))
+        block = _random_block(X.values, model.random_k, model.random_seed)
         return FeatureMatrix(values=np.hstack([X.values, block]),
                              feature_names=[*X.feature_names, *attn.attention_names(model.random_k)])
     if model.augment_mode == "none":
         return X
     return attn.augment(model.attention, X, model.augment_mode)
-
-
-def fit_attnboost(
-    X: FeatureMatrix,
-    y: np.ndarray,
-    attention_config: attn.TrainConfig,
-    boost_config: gbdt.BoostConfig,
-    augment_mode: str = "weighted-hidden",
-    preprocessor: PreprocessorState | None = None,
-) -> AttnBoostModel:
-    """Train the network on the given split, freeze it, and boost on the widened matrix."""
-    params, _ = attn.train(X, y, attention_config)
-    model = AttnBoostModel(
-        preprocessor=preprocessor,
-        attention=params,
-        augment_mode=augment_mode,
-        ensemble=None,
-        variant="full",
-        attention_seed=attention_config.seed,
-        boost_seed=boost_config.seed,
-    )
-    model.ensemble = gbdt.train_boosting(_model_inputs(model, X), y, boost_config)
-    return model
 
 
 def fit_variant(
@@ -106,12 +116,13 @@ def fit_variant(
     shallow_k: int = DEFAULT_SHALLOW_K,
     preprocessor: PreprocessorState | None = None,
 ) -> AttnBoostModel:
-    """Fit one ablation condition; see VARIANT_KINDS for the closed set."""
+    """Fit one ablation condition; see VARIANT_KINDS for the closed set.
+
+    `full` is AttnBoost itself: train the network on the given split, freeze
+    it, and boost on the widened matrix.
+    """
     if kind not in VARIANT_KINDS:
         raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANT_KINDS}")
-
-    if kind == "full":
-        return fit_attnboost(X, y, attention_config, boost_config, augment_mode, preprocessor)
 
     model = AttnBoostModel(
         preprocessor=preprocessor,
@@ -122,7 +133,9 @@ def fit_variant(
         attention_seed=attention_config.seed,
         boost_seed=boost_config.seed,
     )
-    if kind == "manual_weights":
+    if kind == "full":
+        model.attention, _ = attn.train(X, y, attention_config)
+    elif kind == "manual_weights":
         if manual_weights is None:
             raise ValueError("variant manual_weights requires a weight map")
         model.manual_weights = dict(manual_weights)
@@ -131,11 +144,11 @@ def fit_variant(
         model.random_seed = attention_config.seed
     elif kind == "frozen_attention":
         model.attention = attn.init_params(X.d, attention_config.k, attention_config.seed)
-        model.augment_mode = augment_mode
     elif kind == "shallow_attention":
         model.attention, _ = attn.train(X, y, replace(attention_config, k=shallow_k))
-        model.augment_mode = augment_mode
     # no_attention and equal_weight train on the raw matrix as-is
+    if model.attention is not None:
+        model.augment_mode = augment_mode
 
     model.ensemble = gbdt.train_boosting(_model_inputs(model, X), y, boost_config)
     return model

@@ -185,7 +185,6 @@ class Ensemble:
     base_raw: float
     learning_rate: float
     feature_names: list[str]
-    eval_history: list[tuple[int, float, float]] = field(default_factory=list, repr=False)
     forest: Forest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -450,15 +449,11 @@ def train_boosting(
     X: FeatureMatrix,
     y: np.ndarray,
     config: BoostConfig,
-    eval_set: tuple[FeatureMatrix, np.ndarray] | None = None,
-    eval_every: int = 0,
 ) -> Ensemble:
     """Fit the boosted ensemble; fully deterministic given config.seed.
 
     Row and feature subsampling for round t draw from a generator seeded by
     (seed, t), so each round's sample is independent of execution history.
-    When eval_set and eval_every are given, (round, train AUC, eval AUC) rows
-    are recorded in the returned ensemble's eval_history; nothing acts on them.
     """
     y = np.asarray(y)
     n, d = X.values.shape
@@ -468,18 +463,12 @@ def train_boosting(
         raise ValueError("feature matrix and target lengths differ")
     if np.unique(y).size < 2:
         raise DataError("boosting requires both classes in the target")
-    if eval_every and eval_set is None:
-        raise ValueError("eval_every requires eval_set")
 
     binned = bin_features(X, config.max_bins)
     base_raw = float(np.log(config.base_score / (1.0 - config.base_score)))
     raw = np.full(n, base_raw)
-    eval_raw = None
-    if eval_set is not None:
-        eval_raw = np.full(eval_set[0].n_rows, base_raw)
 
     trees: list[Tree] = []
-    history: list[tuple[int, float, float]] = []
     for t in range(config.n_estimators):
         g, h = logistic_grad_hess(raw, y)
         rows, feats = _round_sample(config, t, n, d)
@@ -487,20 +476,12 @@ def train_boosting(
         trees.append(tree)
         forest = Forest.stack([tree])
         raw = _add_trees(forest, binned.bins, forest.bin_idx, raw, config.learning_rate)
-        if eval_raw is not None:
-            eval_raw = _add_trees(forest, eval_set[0].values, forest.threshold, eval_raw,
-                                  config.learning_rate)
-        if eval_every and (t + 1) % eval_every == 0:
-            from .metrics import auc
-
-            history.append((t + 1, auc(sigmoid(raw), y), auc(sigmoid(eval_raw), eval_set[1])))
 
     return Ensemble(
         trees=trees,
         base_raw=base_raw,
         learning_rate=config.learning_rate,
         feature_names=list(X.feature_names),
-        eval_history=history,
     )
 
 

@@ -259,10 +259,3 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
         random_k=int(meta["random_k"]),
         random_seed=int(meta["random_seed"]),
     )
-
-
-def model_fingerprint(path: str) -> str:
-    """The creation fingerprint stored in a model file's meta section."""
-    with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    return document["sections"]["meta"]["payload"].get("fingerprint", "")

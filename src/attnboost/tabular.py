@@ -1,5 +1,9 @@
 """CSV ingestion and the fit/apply preprocessing pipeline for retail tables.
 
+`load_csv` is the one reader of CSV headers. A header names a subset of a
+schema's columns, each once, and the loaded table keeps them in schema order,
+so one file gives one table whichever command reads it.
+
 Categorical columns are label-encoded in lexicographic order, numeric columns
 are z-scored with the population standard deviation, and date columns are
 expanded into raw integer (year, month, weekday) triples. Targets are binary:
@@ -188,10 +192,13 @@ def _parse_cell(text: str, col: ColumnSchema, row_idx: int):
 
 
 def load_csv(path: str, schema: list[ColumnSchema]) -> RawTable:
-    """Read a UTF-8 comma-separated file into typed rows in schema order.
+    """Read a UTF-8 comma-separated file into typed rows.
 
-    The header must contain exactly the schema's column names, in any order.
-    A target column is optional here; fitting requires one.
+    The header names any subset of the schema's columns, in any order, each
+    once; the table keeps the named columns in schema order. A header name
+    outside the schema or repeated is an error that names it. A target column
+    is optional here; fitting requires one, and applying a fitted
+    preprocessor requires every fit-time feature column.
     """
     _validate_schema(schema, require_target=False)
     try:
@@ -204,15 +211,14 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> RawTable:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty, header row required") from None
-        expected = [c.name for c in schema]
-        if sorted(header) != sorted(expected):
-            missing = sorted(set(expected) - set(header))
-            extra = sorted(set(header) - set(expected))
-            raise DataError(
-                f"{path}: header does not match schema"
-                f" (missing {missing}, unexpected {extra})"
-            )
-        positions = [header.index(name) for name in expected]
+        known = {c.name for c in schema}
+        for i, name in enumerate(header):
+            if name not in known:
+                raise DataError(f"{path}: header column {name!r} is not in the schema")
+            if name in header[:i]:
+                raise DataError(f"{path}: header column {name!r} appears twice")
+        kept = [c for c in schema if c.name in header]
+        positions = [header.index(c.name) for c in kept]
         rows = []
         for row_idx, raw in enumerate(reader, start=1):
             if len(raw) != len(header):
@@ -220,9 +226,9 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> RawTable:
                     f"{path}: row {row_idx} has {len(raw)} cells, expected {len(header)}"
                 )
             rows.append(
-                [_parse_cell(raw[pos], col, row_idx) for pos, col in zip(positions, schema)]
+                [_parse_cell(raw[pos], col, row_idx) for pos, col in zip(positions, kept)]
             )
-    return RawTable(schema=list(schema), rows=rows)
+    return RawTable(schema=kept, rows=rows)
 
 
 def _validate_schema(schema: list[ColumnSchema], require_target: bool = True) -> None:
@@ -308,10 +314,12 @@ def apply_preprocessor(
     table_names = [c.name for c in table.schema]
     has_target = state.target_name in table_names
     expected = [c for c in state.schema if has_target or c.name != state.target_name]
-    if [(c.name, c.kind) for c in table.schema] != [(c.name, c.kind) for c in expected]:
-        got = [(c.name, c.kind) for c in table.schema]
-        want = [(c.name, c.kind) for c in expected]
-        raise DataError(f"table schema does not match fit-time schema: got {got}, expected {want}")
+    got = [(c.name, c.kind) for c in table.schema]
+    want = [(c.name, c.kind) for c in expected]
+    if got != want:
+        missing = [c.name for c in expected if c.name not in table_names]
+        raise DataError(f"table schema does not match fit-time schema (missing {missing}):"
+                        f" got {got}, expected {want}")
 
     n = table.row_count
     columns: list[np.ndarray] = []

@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import csv
 
 import pytest
 
+from attnboost import cli
 from attnboost.cli import run_command
+from attnboost.tabular import load_csv, retail_schema
 
 FAST_TRAIN = [
     "--boost.n_estimators", "12", "--boost.max_depth", "3",
@@ -104,6 +107,44 @@ class TestTrainEvaluatePredict:
         from attnboost.model_io import load_model
 
         assert load_model(model).variant == "no_attention"
+
+
+def _copy_columns(src, dest, columns):
+    """Write the named columns of CSV `src` to `dest`; a name src lacks gets "x" cells."""
+    with open(src, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    with open(dest, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row.get(name, "x") for name in columns] for row in rows)
+    return dest
+
+
+class TestCsvColumns:
+    def test_train_rejects_column_outside_retail_schema(self, tmp_path, synth_csv, capsys):
+        names = open(synth_csv).readline().strip().split(",")
+        data = _copy_columns(synth_csv, str(tmp_path / "extra.csv"), [*names, "Colour"])
+        assert _run("train", "--data", data, *FAST_TRAIN,
+                    "--out", str(tmp_path / "m.bin")) == 1
+        assert "'Colour'" in capsys.readouterr().err
+
+    def test_predict_names_missing_fit_time_column(self, tmp_path, trained, capsys):
+        model, _, test_csv = trained
+        names = open(test_csv).readline().strip().split(",")
+        data = _copy_columns(test_csv, str(tmp_path / "short.csv"),
+                             [n for n in names if n != "Sales"])
+        assert _run("predict", "--model", model, "--data", data) == 1
+        assert "missing ['Sales']" in capsys.readouterr().err
+
+    def test_subset_header_loads_as_the_library_loads_it(self, tmp_path, synth_csv):
+        data = _copy_columns(synth_csv, str(tmp_path / "subset.csv"),
+                             ["Profit", "Returned", "Region", "Sales", "Order Date"])
+        args = cli.build_parser().parse_args(["train", "--data", data])
+        through_cli = cli._resolve_table(args, cli._merged_config(args))
+        direct = load_csv(data, retail_schema())
+        assert [c.name for c in direct.schema] == ["Order Date", "Region", "Returned",
+                                                   "Sales", "Profit"]
+        assert through_cli == direct
 
 
 class TestImportanceCommand:

@@ -10,8 +10,8 @@ from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, genera
 from attnboost.fusion import (
     VARIANT_KINDS,
     AttnBoostModel,
+    _model_inputs,
     apply_manual_weights,
-    fit_attnboost,
     fit_variant,
     predict,
     predict_matrix,
@@ -51,15 +51,15 @@ class TestFitAttnBoost:
     def test_ensemble_width_is_d_plus_k(self):
         X, y = _toy_matrix()
         acfg = TrainConfig(k=5, epochs=2, seed=0)
-        model = fit_attnboost(X, y, acfg, _small_boost())
+        model = fit_variant("full", X, y, acfg, _small_boost())
         assert len(model.ensemble.feature_names) == X.d + 5
         assert model.ensemble.feature_names[X.d:] == [f"attn_{i}" for i in range(5)]
 
     def test_planted_data_reaches_f1(self, planted_split):
         state, split, _ = planted_split
         acfg = TrainConfig(k=32, epochs=10, seed=0)
-        model = fit_attnboost(split.X_train, split.y_train, acfg,
-                              desk_scale_boost_config(), preprocessor=state)
+        model = fit_variant("full", split.X_train, split.y_train, acfg,
+                            desk_scale_boost_config(), preprocessor=state)
         proba, labels = predict_matrix(model, split.X_test)
         from attnboost.metrics import evaluate_scores
 
@@ -73,7 +73,7 @@ class TestFitAttnBoost:
     def test_predict_round_trips_width(self):
         X, y = _toy_matrix()
         acfg = TrainConfig(k=4, epochs=1, seed=0)
-        model = fit_attnboost(X, y, acfg, _small_boost())
+        model = fit_variant("full", X, y, acfg, _small_boost())
         proba, labels = predict_matrix(model, X)
         assert proba.shape == (X.n_rows,)
         assert set(np.unique(labels)) <= {0, 1}
@@ -171,7 +171,7 @@ class TestApplyManualWeights:
 
     def test_reference_weighted_feature_set(self):
         # the five features given elevated manual weights in the weighted condition
-        from attnboost.experiments import MANUAL_WEIGHT_FEATURES
+        from attnboost.fusion import MANUAL_WEIGHT_FEATURES
 
         assert MANUAL_WEIGHT_FEATURES == ["Discount", "Sales", "Profit",
                                           "Ship Mode", "Region"]
@@ -228,6 +228,42 @@ class TestPredict:
                             _small_boost())
         with pytest.raises(ValueError, match="preprocessor"):
             predict(model, None)
+
+
+class TestBatchInvariance:
+    """A row's score is a function of the row alone, whatever it is scored with."""
+
+    @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_row_alone_equals_row_in_batch(self, planted_split, kind, mode):
+        state, split, _ = planted_split
+        model = fit_variant(kind, split.X_train, split.y_train, TrainConfig(k=8, epochs=2),
+                            _small_boost(), augment_mode=mode,
+                            manual_weights={"Discount": 2.0, "Region": 3.0},
+                            shallow_k=4, preprocessor=state)
+        X = split.X_test
+        rng = np.random.default_rng(sum(map(ord, kind + mode)))
+        for _ in range(5):
+            batch = rng.choice(X.n_rows, size=int(rng.integers(2, 60)), replace=True)
+            together, _ = predict_matrix(model, FeatureMatrix(X.values[batch], X.feature_names))
+            for pos, row in enumerate(batch.tolist()):
+                alone, _ = predict_matrix(model, FeatureMatrix(X.values[row:row + 1],
+                                                               X.feature_names))
+                assert alone.tobytes() == together[pos:pos + 1].tobytes(), (pos, row)
+
+    def test_random_block_follows_row_content(self):
+        X, y = _toy_matrix()
+        model = fit_variant("random_attention", X, y, TrainConfig(k=5, epochs=1),
+                            _small_boost())
+        block = _model_inputs(model, X).values[:, X.d:]
+        assert block.shape == (X.n_rows, 5)
+        assert ((block >= 0.0) & (block < 1.0)).all()
+        assert np.unique(block[:, 0]).size == X.n_rows  # distinct rows, distinct draws
+        swapped = FeatureMatrix(X.values[::-1], X.feature_names)
+        np.testing.assert_array_equal(_model_inputs(model, swapped).values[:, X.d:],
+                                      block[::-1])
+        model.random_seed += 1
+        assert not np.array_equal(_model_inputs(model, X).values[:, X.d:], block)
 
 
 class TestRescalingBins:

@@ -369,26 +369,6 @@ class TestTrainBoosting:
         with pytest.raises(DataError):
             train_boosting(X, np.array([1, 1]), BoostConfig(n_estimators=1))
 
-    def test_eval_every_requires_eval_set(self, monkeypatch):
-        def grow(*args, **kwargs):
-            raise AssertionError("a tree was grown before the arguments were checked")
-
-        monkeypatch.setattr(gbdt, "_grow_tree", grow)
-        X = _fm([[1.0], [2.0], [3.0], [4.0]])
-        with pytest.raises(ValueError, match="eval_every requires eval_set"):
-            train_boosting(X, np.array([0, 1, 0, 1]), BoostConfig(n_estimators=3), eval_every=1)
-
-    def test_eval_history_recorded(self):
-        rng = np.random.default_rng(6)
-        X = _fm(rng.normal(0, 1, (60, 2)))
-        y = (X.values[:, 0] > 0).astype(int)
-        config = BoostConfig(n_estimators=10, min_child_weight=0.0, gamma=0.0)
-        model = train_boosting(X, y, config, eval_set=(X, y), eval_every=5)
-        assert [r for r, _, _ in model.eval_history] == [5, 10]
-        for _, train_auc, eval_auc in model.eval_history:
-            assert 0.0 <= train_auc <= 1.0
-            assert 0.0 <= eval_auc <= 1.0
-
 
 class TestPredict:
     def test_empty_ensemble_is_base_score(self):

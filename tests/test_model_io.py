@@ -12,7 +12,7 @@ from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import fit_variant, predict_matrix
 from attnboost.gbdt import BoostConfig
 from attnboost.cli import run_command
-from attnboost.model_io import _checksum, load_model, model_fingerprint, save_model
+from attnboost.model_io import _checksum, load_model, save_model
 from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_split
 
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
@@ -54,7 +54,8 @@ class TestRoundTrip:
         assert loaded.variant == "manual_weights"
         assert loaded.manual_weights == {"Discount": 2.0}
         assert loaded.boost_seed == 42
-        assert model_fingerprint(path) == "f00"
+        meta = json.load(open(path))["sections"]["meta"]["payload"]
+        assert meta["fingerprint"] == "f00"
 
     def test_save_is_deterministic(self, fitted, tmp_path):
         models, _ = fitted

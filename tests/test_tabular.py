@@ -92,6 +92,20 @@ class TestLoadCsv:
         table = load_csv(_write(tmp_path, "B,Y,A\nx,Not,1.5\n"), schema)
         assert table.rows[0] == [1.5, "x", "Not"]
 
+    def test_subset_header_keeps_schema_order(self, tmp_path):
+        table = load_csv(_write(tmp_path, "Profit,Region,Returned\n1.5,West,Not\n"),
+                         retail_schema())
+        assert [c.name for c in table.schema] == ["Region", "Returned", "Profit"]
+        assert table.rows == [["West", "Not", 1.5]]
+
+    def test_column_outside_schema_is_named(self, tmp_path):
+        with pytest.raises(DataError, match="'Colour' is not in the schema"):
+            load_csv(_write(tmp_path, "Region,Colour\nWest,red\n"), retail_schema())
+
+    def test_duplicated_header_name_is_named(self, tmp_path):
+        with pytest.raises(DataError, match="'Region' appears twice"):
+            load_csv(_write(tmp_path, "Region,Sales,Region\nWest,1.0,East\n"), retail_schema())
+
 
 def _toy_table():
     schema = [
