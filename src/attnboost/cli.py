@@ -130,7 +130,6 @@ def cmd_train(args) -> int:
         cfg.attention_config(),
         cfg.boost_config(),
         augment_mode=cfg["model.augment_mode"],
-        manual_weights=fusion.manual_weight_map(cfg.manual_weights(), state.feature_names),
         shallow_k=cfg["model.shallow_k"],
         preprocessor=state,
     )
@@ -207,7 +206,6 @@ def cmd_ablate(args) -> int:
         split_fraction=cfg["split.fraction"],
         split_seed=cfg["split.seed"],
         drop=cfg.drop_columns(),
-        manual_weights=cfg.manual_weights(),
         shallow_k=cfg["model.shallow_k"],
         augment_mode=cfg["model.augment_mode"],
     )
@@ -279,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv-out", help="ranking CSV path")
     p.set_defaults(func=cmd_importance)
 
-    p = sub.add_parser("ablate", help="train and evaluate all seven variants")
+    p = sub.add_parser(
+        "ablate", help="train and evaluate the five ablation variants",
+        description=f"Fit each ablation variant ({', '.join(fusion.VARIANT_KINDS)}) on one "
+                    "shared stratified split and write its test metrics.")
     _add_source_flags(p)
     _add_config_flags(p)
     p.add_argument("--out", default="results.csv")

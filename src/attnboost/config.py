@@ -7,47 +7,40 @@ which overrides the defaults below. Unknown keys are rejected outright.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .attention import TrainConfig
+from .attention import AUGMENT_MODES, TrainConfig
 from .errors import ConfigError
 from .experiments import DEFAULT_COEFFICIENTS, SyntheticSpec
+from .fusion import DEFAULT_SHALLOW_K, VARIANT_KINDS
 from .gbdt import BoostConfig
 
-# key -> (type, default). Defaults mirror the reference training setup; the
+
+def _section_specs(prefix: str, cls) -> dict[str, tuple[type, object]]:
+    """One key per field of a config dataclass, typed and defaulted by the field's default."""
+    return {f"{prefix}.{f.name}": (type(f.default), f.default) for f in fields(cls)}
+
+
+# key -> (type, default). The attention.* and boost.* keys are the fields of
+# TrainConfig and BoostConfig, which hold the reference training setup; the
 # experiment harness overrides boosting to desk scale explicitly.
 KEY_SPECS: dict[str, tuple[type, object]] = {
     "split.fraction": (float, 0.8),
     "split.seed": (int, 42),
     "preprocess.drop": (str, ""),
-    "attention.k": (int, 128),
-    "attention.epochs": (int, 30),
-    "attention.batch_size": (int, 64),
-    "attention.learning_rate": (float, 1e-3),
-    "attention.seed": (int, 0),
-    "attention.optimizer": (str, "adaptive-moments"),
-    "attention.prob_clamp": (float, 1e-12),
-    "boost.n_estimators": (int, 3000),
-    "boost.learning_rate": (float, 0.1),
-    "boost.max_depth": (int, 10),
-    "boost.min_child_weight": (float, 10.0),
-    "boost.gamma": (float, 0.8),
-    "boost.subsample": (float, 0.8),
-    "boost.colsample_bytree": (float, 0.8),
-    "boost.reg_alpha": (float, 0.1),
-    "boost.reg_lambda": (float, 1.0),
-    "boost.max_bins": (int, 256),
-    "boost.seed": (int, 42),
-    "boost.base_score": (float, 0.5),
+    **_section_specs("attention", TrainConfig),
+    **_section_specs("boost", BoostConfig),
     "model.variant": (str, "full"),
     "model.augment_mode": (str, "weighted-hidden"),
-    "model.shallow_k": (int, 16),
-    "model.manual_weights": (str, ""),
+    "model.shallow_k": (int, DEFAULT_SHALLOW_K),
     "synth.rows": (int, 2000),
     "synth.seed": (int, 42),
     "synth.noise_sd": (float, 0.25),
     "synth.intercept": (float, 0.0),
 }
+
+# keys whose value must be one of a closed set, checked before any data is read
+_CHOICES = {"model.variant": VARIANT_KINDS, "model.augment_mode": AUGMENT_MODES}
 
 _COEF_PREFIX = "synth.coef."
 
@@ -85,22 +78,6 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def parse_manual_weights(text: str) -> dict[str, float]:
-    """Parse "Name:factor,Name:factor" into a weight map."""
-    weights: dict[str, float] = {}
-    if not text.strip():
-        return weights
-    for part in text.split(","):
-        if ":" not in part:
-            raise ConfigError(f"manual weight {part!r} must look like Name:factor")
-        name, factor = part.rsplit(":", 1)
-        try:
-            weights[name.strip()] = float(factor)
-        except ValueError as exc:
-            raise ConfigError(f"manual weight factor {factor!r} is not a number") from exc
-    return weights
-
-
 @dataclass
 class RunConfig:
     """Merged settings for one CLI invocation."""
@@ -117,45 +94,25 @@ class RunConfig:
                 if key not in KEY_SPECS and not key.startswith(_COEF_PREFIX):
                     raise ConfigError(f"unknown key {key!r}")
                 values[key] = value
+        for key, allowed in _CHOICES.items():
+            if values[key] not in allowed:
+                raise ConfigError(f"key {key!r}: {values[key]!r} is not one of {allowed}")
         return cls(values=values)
 
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def attention_config(self) -> TrainConfig:
-        v = self.values
+    def _section(self, prefix: str, cls):
         try:
-            return TrainConfig(
-                k=v["attention.k"],
-                epochs=v["attention.epochs"],
-                batch_size=v["attention.batch_size"],
-                learning_rate=v["attention.learning_rate"],
-                seed=v["attention.seed"],
-                optimizer=v["attention.optimizer"],
-                prob_clamp=v["attention.prob_clamp"],
-            )
+            return cls(**{f.name: self.values[f"{prefix}.{f.name}"] for f in fields(cls)})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    def attention_config(self) -> TrainConfig:
+        return self._section("attention", TrainConfig)
+
     def boost_config(self) -> BoostConfig:
-        v = self.values
-        try:
-            return BoostConfig(
-                n_estimators=v["boost.n_estimators"],
-                learning_rate=v["boost.learning_rate"],
-                max_depth=v["boost.max_depth"],
-                min_child_weight=v["boost.min_child_weight"],
-                gamma=v["boost.gamma"],
-                subsample=v["boost.subsample"],
-                colsample_bytree=v["boost.colsample_bytree"],
-                reg_alpha=v["boost.reg_alpha"],
-                reg_lambda=v["boost.reg_lambda"],
-                max_bins=v["boost.max_bins"],
-                seed=v["boost.seed"],
-                base_score=v["boost.base_score"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._section("boost", BoostConfig)
 
     def synthetic_spec(self) -> SyntheticSpec:
         v = self.values
@@ -180,11 +137,6 @@ class RunConfig:
         if not text:
             return None
         return [part.strip() for part in text.split(",") if part.strip()]
-
-    def manual_weights(self) -> dict[str, float] | None:
-        text = str(self.values["model.manual_weights"])
-        weights = parse_manual_weights(text)
-        return weights or None
 
     def fingerprint_parts(self) -> dict:
         return {key: self.values[key] for key in sorted(self.values)}

@@ -241,15 +241,13 @@ def run_ablation(
     split_fraction: float = 0.8,
     split_seed: int = 42,
     drop: list[str] | None = None,
-    manual_weights: dict[str, float] | None = None,
     shallow_k: int = fusion.DEFAULT_SHALLOW_K,
     augment_mode: str = "weighted-hidden",
 ) -> ExperimentResult:
-    """Train and evaluate all seven variants on one shared stratified split."""
+    """Train and evaluate every fusion.VARIANT_KINDS entry on one shared stratified split."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
     state, split = prepare(load_source(source), drop, split_fraction, split_seed)
-    manual_weights = fusion.manual_weight_map(manual_weights, state.feature_names)
 
     rows = []
     for kind in fusion.VARIANT_KINDS:
@@ -260,7 +258,6 @@ def run_ablation(
             attention_config,
             boost_config,
             augment_mode=augment_mode,
-            manual_weights=manual_weights,
             shallow_k=shallow_k,
             preprocessor=state,
         )
@@ -272,7 +269,6 @@ def run_ablation(
         "attention": asdict(attention_config),
         "boost": asdict(boost_config),
         "split": {"fraction": split_fraction, "seed": split_seed},
-        "manual_weights": manual_weights,
         "shallow_k": shallow_k,
         "augment_mode": augment_mode,
         "drop": sorted(state.dropped_columns),

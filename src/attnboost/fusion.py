@@ -2,38 +2,34 @@
 
 The full pipeline trains the gated network on the training split, freezes it,
 appends its features to the input matrix, then trains the tree ensemble on
-the widened matrix. Ablation variants swap or bypass the network stage;
-`random_attention` appends uniforms drawn from each row's own values, so a
-row's score never depends on the rows scored with it.
+the widened matrix. The other four ablation variants swap or bypass the
+network stage: `no_attention` boosts on the input matrix alone,
+`frozen_attention` widens it with the untrained network, `shallow_attention`
+with a network of width `shallow_k`, and `random_attention` with uniforms drawn
+from each row's own values, so a row's score never depends on the rows scored
+with it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import attention as attn
 from . import gbdt
-from .errors import DataError
 from .tabular import FeatureMatrix, PreprocessorState, RawTable, apply_preprocessor
 
 VARIANT_KINDS = (
     "full",
     "no_attention",
-    "manual_weights",
     "random_attention",
     "frozen_attention",
     "shallow_attention",
-    "equal_weight",
 )
 
-DEFAULT_MANUAL_FACTOR = 2.0
 DEFAULT_SHALLOW_K = 16
-
-# the features the manual_weights variant scales when no weights are given
-MANUAL_WEIGHT_FEATURES = ["Discount", "Sales", "Profit", "Ship Mode", "Region"]
 
 
 @dataclass
@@ -45,32 +41,8 @@ class AttnBoostModel:
     variant: str
     attention_seed: int
     boost_seed: int
-    manual_weights: dict[str, float] = field(default_factory=dict)
     random_k: int = 0
     random_seed: int = 0
-
-
-def apply_manual_weights(X: FeatureMatrix, weights: dict[str, float]) -> FeatureMatrix:
-    """Multiply the named columns by their positive factors; others untouched."""
-    unknown = sorted(set(weights) - set(X.feature_names))
-    if unknown:
-        raise DataError(f"manual weights name unknown features: {unknown}")
-    bad = {name: f for name, f in weights.items() if f <= 0}
-    if bad:
-        raise DataError(f"manual weight factors must be positive: {bad}")
-    values = X.values.copy()
-    for name, factor in weights.items():
-        values[:, X.feature_names.index(name)] *= factor
-    return FeatureMatrix(values=values, feature_names=list(X.feature_names))
-
-
-def manual_weight_map(weights: dict[str, float] | None,
-                      feature_names: list[str]) -> dict[str, float]:
-    """The given weights, or DEFAULT_MANUAL_FACTOR on each MANUAL_WEIGHT_FEATURES column present."""
-    if weights is not None:
-        return weights
-    return {name: DEFAULT_MANUAL_FACTOR for name in MANUAL_WEIGHT_FEATURES
-            if name in feature_names}
 
 
 def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -94,8 +66,6 @@ def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
     """The matrix the ensemble actually sees for this model's variant."""
-    if model.manual_weights:
-        X = apply_manual_weights(X, model.manual_weights)
     if model.variant == "random_attention":
         block = _random_block(X.values, model.random_k, model.random_seed)
         return FeatureMatrix(values=np.hstack([X.values, block]),
@@ -112,7 +82,6 @@ def fit_variant(
     attention_config: attn.TrainConfig,
     boost_config: gbdt.BoostConfig,
     augment_mode: str = "weighted-hidden",
-    manual_weights: dict[str, float] | None = None,
     shallow_k: int = DEFAULT_SHALLOW_K,
     preprocessor: PreprocessorState | None = None,
 ) -> AttnBoostModel:
@@ -123,6 +92,9 @@ def fit_variant(
     """
     if kind not in VARIANT_KINDS:
         raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANT_KINDS}")
+    if augment_mode not in attn.AUGMENT_MODES:
+        raise ValueError(f"unknown augment mode {augment_mode!r}; "
+                         f"expected one of {attn.AUGMENT_MODES}")
 
     model = AttnBoostModel(
         preprocessor=preprocessor,
@@ -135,10 +107,6 @@ def fit_variant(
     )
     if kind == "full":
         model.attention, _ = attn.train(X, y, attention_config)
-    elif kind == "manual_weights":
-        if manual_weights is None:
-            raise ValueError("variant manual_weights requires a weight map")
-        model.manual_weights = dict(manual_weights)
     elif kind == "random_attention":
         model.random_k = attention_config.k
         model.random_seed = attention_config.seed
@@ -146,7 +114,7 @@ def fit_variant(
         model.attention = attn.init_params(X.d, attention_config.k, attention_config.seed)
     elif kind == "shallow_attention":
         model.attention, _ = attn.train(X, y, replace(attention_config, k=shallow_k))
-    # no_attention and equal_weight train on the raw matrix as-is
+    # no_attention trains on the raw matrix as-is
     if model.attention is not None:
         model.augment_mode = augment_mode
 

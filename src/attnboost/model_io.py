@@ -5,8 +5,9 @@ Float arrays are base64-encoded little-endian float64 bytes, so a save/load
 round trip reproduces bit-identical predictions on any platform. Each
 section's checksum is validated before anything is constructed; a bad file
 never yields a partially loaded model. Trees are stored as the learner's own
-pre-order node arrays and checked for structure on load, and a section whose
-contents do not decode raises ModelFormatError like a damaged one.
+pre-order node arrays and checked for structure on load, the meta section must
+name a known variant and augment mode, and a section whose contents do not
+decode raises ModelFormatError like a damaged one.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import tempfile
 
 import numpy as np
 
-from .attention import AttentionParams
+from .attention import AUGMENT_MODES, AttentionParams
 from .errors import ModelFormatError
-from .fusion import AttnBoostModel
+from .fusion import VARIANT_KINDS, AttnBoostModel
 from .gbdt import Ensemble, Tree
 from .tabular import ColumnSchema, PreprocessorState
 
@@ -175,7 +176,6 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
             "augment_mode": model.augment_mode,
             "attention_seed": model.attention_seed,
             "boost_seed": model.boost_seed,
-            "manual_weights": model.manual_weights,
             "random_k": model.random_k,
             "random_seed": model.random_seed,
             "fingerprint": fingerprint,
@@ -238,6 +238,9 @@ def load_model(path: str) -> AttnBoostModel:
 
 def _model_from_payloads(payloads: dict) -> AttnBoostModel:
     meta = payloads["meta"]
+    for key, allowed in (("variant", VARIANT_KINDS), ("augment_mode", (*AUGMENT_MODES, "none"))):
+        if meta[key] not in allowed:
+            raise ModelFormatError(f"unknown {key} {meta[key]!r}; expected one of {allowed}")
     ensemble_payload = payloads["ensemble"]
     feature_names = list(ensemble_payload["feature_names"])
     ensemble = Ensemble(
@@ -255,7 +258,6 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
         variant=meta["variant"],
         attention_seed=int(meta["attention_seed"]),
         boost_seed=int(meta["boost_seed"]),
-        manual_weights=dict(meta["manual_weights"] or {}),
         random_k=int(meta["random_k"]),
         random_seed=int(meta["random_seed"]),
     )

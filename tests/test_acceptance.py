@@ -233,7 +233,8 @@ def test_criterion_07_ablation_direction(desk_scale_ablation):
     cond_random = abs(f1["no_attention"] - f1["random_attention"]) <= 0.05
     ok = cond_full and cond_random
     _report(7, ok, f"full={f1['full']:.4f} no_attention={f1['no_attention']:.4f} "
-                   f"random={f1['random_attention']:.4f}")
+                   f"random={f1['random_attention']:.4f} frozen={f1['frozen_attention']:.4f} "
+                   f"shallow={f1['shallow_attention']:.4f}")
     assert cond_full, f1
     assert cond_random, f1
 

@@ -5,7 +5,12 @@ import csv
 import pytest
 
 from attnboost import cli
+from attnboost.attention import TrainConfig
 from attnboost.cli import run_command
+from attnboost.config import RunConfig
+from attnboost.experiments import SyntheticSpec
+from attnboost.fusion import DEFAULT_SHALLOW_K
+from attnboost.gbdt import BoostConfig
 from attnboost.tabular import load_csv, retail_schema
 
 FAST_TRAIN = [
@@ -161,13 +166,13 @@ class TestImportanceCommand:
 
 
 class TestAblateAndRemoveFeatures:
-    def test_ablate_writes_seven_rows(self, tmp_path):
+    def test_ablate_writes_five_rows(self, tmp_path):
         out = str(tmp_path / "results.csv")
         code = _run("ablate", "--synthetic", "--synth.rows", "400",
                     *FAST_TRAIN, "--out", out)
         assert code == 0
         lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
-        assert len(lines) == 8  # header + 7 conditions
+        assert len(lines) == 6  # header + 5 conditions
         assert any(l.startswith("# fingerprint=") for l in open(out).read().splitlines())
 
     def test_remove_features_rows(self, tmp_path):
@@ -215,6 +220,26 @@ class TestConfigHandling:
         assert _run("train", "--data", synth_csv, flag, value,
                     "--out", str(tmp_path / "m.bin")) == 2
         assert flag.split(".")[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        ["--model.variant", "bogus"],
+        ["--model.augment_mode", "bogus"],
+        ["--model.variant", "no_attention", "--model.augment_mode", "bogus"],
+        ["--model.variant", "random_attention", "--model.augment_mode", "bogus"],
+    ])
+    def test_bad_choice_exits_2_before_data_is_read(self, tmp_path, extra, capsys):
+        # the data file does not exist, so reading it would exit 1
+        assert _run("train", "--data", str(tmp_path / "absent.csv"), *extra,
+                    "--out", str(tmp_path / "m.bin")) == 2
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and extra[-2][2:] in err
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = RunConfig.merged({}, {})
+        assert cfg.attention_config() == TrainConfig()
+        assert cfg.boost_config() == BoostConfig()
+        assert cfg.synthetic_spec() == SyntheticSpec()
+        assert cfg["model.shallow_k"] == DEFAULT_SHALLOW_K
 
 
 class TestExitCodes:

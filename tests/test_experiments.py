@@ -132,10 +132,10 @@ def ablation_result():
 
 
 class TestRunAblation:
-    def test_exactly_seven_conditions(self, ablation_result):
+    def test_exactly_five_conditions(self, ablation_result):
         names = [name for name, _ in ablation_result.rows]
-        assert names == ["full", "no_attention", "manual_weights", "random_attention",
-                         "frozen_attention", "shallow_attention", "equal_weight"]
+        assert names == ["full", "no_attention", "random_attention", "frozen_attention",
+                         "shallow_attention"]
 
     def test_all_conditions_share_one_split(self, ablation_result):
         table = generate_synthetic(SyntheticSpec(n_rows=1200, seed=42))

@@ -5,13 +5,11 @@ import pytest
 
 from attnboost import gbdt
 from attnboost.attention import TrainConfig, init_params, train
-from attnboost.errors import DataError
 from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, generate_synthetic
 from attnboost.fusion import (
     VARIANT_KINDS,
     AttnBoostModel,
     _model_inputs,
-    apply_manual_weights,
     fit_variant,
     predict,
     predict_matrix,
@@ -96,13 +94,6 @@ class TestFitVariant:
         np.testing.assert_array_equal(gbdt.predict_raw(model.ensemble, X),
                                       gbdt.predict_raw(direct, X))
 
-    def test_equal_weight_matches_no_attention(self):
-        X, y = _toy_matrix()
-        a = fit_variant("equal_weight", X, y, TrainConfig(k=4, epochs=1), _small_boost())
-        b = fit_variant("no_attention", X, y, TrainConfig(k=4, epochs=1), _small_boost())
-        np.testing.assert_array_equal(gbdt.predict_raw(a.ensemble, X),
-                                      gbdt.predict_raw(b.ensemble, X))
-
     def test_random_attention_columns_deterministic(self):
         X, y = _toy_matrix()
         acfg = TrainConfig(k=6, epochs=1, seed=11)
@@ -142,57 +133,32 @@ class TestFitVariant:
                                   np.asarray(getattr(ref, name)))
         assert len(model.ensemble.feature_names) == X.d + 8
 
-    def test_manual_weights_requires_map(self):
-        X, y = _toy_matrix()
-        with pytest.raises(ValueError, match="weight map"):
-            fit_variant("manual_weights", X, y, TrainConfig(k=2, epochs=1), _small_boost())
-
     def test_unknown_kind_rejected(self):
         X, y = _toy_matrix()
         with pytest.raises(ValueError, match="unknown variant"):
             fit_variant("mystery", X, y, TrainConfig(k=2, epochs=1), _small_boost())
 
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_unknown_augment_mode_rejected(self, kind):
+        X, y = _toy_matrix()
+        with pytest.raises(ValueError, match="'bogus'"):
+            fit_variant(kind, X, y, TrainConfig(k=2, epochs=1), _small_boost(),
+                        augment_mode="bogus")
+
     def test_variant_enumeration_complete(self):
-        assert VARIANT_KINDS == ("full", "no_attention", "manual_weights",
-                                 "random_attention", "frozen_attention",
-                                 "shallow_attention", "equal_weight")
+        assert VARIANT_KINDS == ("full", "no_attention", "random_attention",
+                                 "frozen_attention", "shallow_attention")
 
-
-class TestApplyManualWeights:
-    def _matrix(self):
-        values = np.arange(12, dtype=float).reshape(4, 3)
-        return FeatureMatrix(values=values, feature_names=["Discount", "Sales", "Profit"])
-
-    def test_doubles_named_column_only(self):
-        X = self._matrix()
-        out = apply_manual_weights(X, {"Discount": 2.0})
-        np.testing.assert_array_equal(out.values[:, 0], X.values[:, 0] * 2.0)
-        np.testing.assert_array_equal(out.values[:, 1:], X.values[:, 1:])
-
-    def test_reference_weighted_feature_set(self):
-        # the five features given elevated manual weights in the weighted condition
-        from attnboost.fusion import MANUAL_WEIGHT_FEATURES
-
-        assert MANUAL_WEIGHT_FEATURES == ["Discount", "Sales", "Profit",
-                                          "Ship Mode", "Region"]
-
-    def test_empty_map_is_identity(self):
-        X = self._matrix()
-        out = apply_manual_weights(X, {})
-        np.testing.assert_array_equal(out.values, X.values)
-
-    def test_all_ones_is_identity(self):
-        X = self._matrix()
-        out = apply_manual_weights(X, {n: 1.0 for n in X.feature_names})
-        np.testing.assert_array_equal(out.values, X.values)
-
-    def test_unknown_feature_rejected(self):
-        with pytest.raises(DataError, match="unknown"):
-            apply_manual_weights(self._matrix(), {"Quantity": 2.0})
-
-    def test_non_positive_factor_rejected(self):
-        with pytest.raises(DataError, match="positive"):
-            apply_manual_weights(self._matrix(), {"Sales": -1.0})
+    def test_no_two_variants_alias(self, planted_split):
+        # a variant whose test probabilities equal another's bit for bit refits it
+        state, split, _ = planted_split
+        seen = {}
+        for kind in VARIANT_KINDS:
+            model = fit_variant(kind, split.X_train, split.y_train, TrainConfig(k=8, epochs=2),
+                                _small_boost(), shallow_k=4, preprocessor=state)
+            proba, _ = predict_matrix(model, split.X_test)
+            assert proba.tobytes() not in seen, (kind, seen.get(proba.tobytes()))
+            seen[proba.tobytes()] = kind
 
 
 class TestPredict:
@@ -238,9 +204,7 @@ class TestBatchInvariance:
     def test_row_alone_equals_row_in_batch(self, planted_split, kind, mode):
         state, split, _ = planted_split
         model = fit_variant(kind, split.X_train, split.y_train, TrainConfig(k=8, epochs=2),
-                            _small_boost(), augment_mode=mode,
-                            manual_weights={"Discount": 2.0, "Region": 3.0},
-                            shallow_k=4, preprocessor=state)
+                            _small_boost(), augment_mode=mode, shallow_k=4, preprocessor=state)
         X = split.X_test
         rng = np.random.default_rng(sum(map(ord, kind + mode)))
         for _ in range(5):
@@ -267,6 +231,8 @@ class TestBatchInvariance:
 
 
 class TestRescalingBins:
+    """Positive column scaling leaves quantile bins, and so every tree, unchanged."""
+
     def test_positive_column_rescale_keeps_bin_indices(self):
         rng = np.random.default_rng(17)
         values = rng.normal(0, 2, (300, 4))

@@ -28,15 +28,14 @@ def fitted():
     split = stratified_split(X, y, 0.8, 42)
     models = {
         kind: fit_variant(kind, split.X_train, split.y_train, FAST_ATTN, FAST_BOOST,
-                          manual_weights={"Discount": 2.0}, preprocessor=state)
-        for kind in ("full", "no_attention", "manual_weights", "random_attention")
+                          preprocessor=state)
+        for kind in ("full", "no_attention", "random_attention")
     }
     return models, split.X_test
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", ["full", "no_attention", "manual_weights",
-                                      "random_attention"])
+    @pytest.mark.parametrize("kind", ["full", "no_attention", "random_attention"])
     def test_probabilities_bit_identical(self, fitted, tmp_path, kind):
         models, X_test = fitted
         path = str(tmp_path / f"{kind}.model")
@@ -49,10 +48,10 @@ class TestRoundTrip:
     def test_metadata_preserved(self, fitted, tmp_path):
         models, _ = fitted
         path = str(tmp_path / "meta.model")
-        save_model(models["manual_weights"], path, fingerprint="f00")
+        save_model(models["random_attention"], path, fingerprint="f00")
         loaded = load_model(path)
-        assert loaded.variant == "manual_weights"
-        assert loaded.manual_weights == {"Discount": 2.0}
+        assert loaded.variant == "random_attention"
+        assert (loaded.random_k, loaded.random_seed) == (FAST_ATTN.k, FAST_ATTN.seed)
         assert loaded.boost_seed == 42
         meta = json.load(open(path))["sections"]["meta"]["payload"]
         assert meta["fingerprint"] == "f00"
@@ -164,14 +163,32 @@ class TestDamagedFiles:
         with pytest.raises(ModelFormatError, match=f"malformed section contents.*{key}"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit,message", [
+        # a file of the removed manual_weights variant: thresholds cut on scaled columns
+        ({"variant": "manual_weights", "manual_weights": {"Discount": 2.0}}, "'manual_weights'"),
+        ({"variant": "equal_weight"}, "'equal_weight'"),
+        ({"augment_mode": "bogus"}, "'bogus'"),
+    ])
+    def test_unknown_meta_value_with_valid_checksum_rejected(self, fitted, tmp_path, edit,
+                                                             message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "meta", lambda meta: meta.update(edit))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
     @staticmethod
-    def _edit_tree(path, edit):
-        """Apply edit to tree 0's payload and store a checksum that matches the edit."""
+    def _edit_payload(path, name, edit):
+        """Apply edit to a section's payload and store a checksum that matches the edit."""
         document = json.load(open(path))
-        section = document["sections"]["ensemble"]
-        edit(section["payload"]["trees"][0])
+        section = document["sections"][name]
+        edit(section["payload"])
         section["checksum"] = _checksum(section["payload"])
         json.dump(document, open(path, "w"))
+
+    @classmethod
+    def _edit_tree(cls, path, edit):
+        cls._edit_payload(path, "ensemble", lambda payload: edit(payload["trees"][0]))
 
     @staticmethod
     def _csv(tmp_path):
