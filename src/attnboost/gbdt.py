@@ -5,7 +5,11 @@ stored in the smallest unsigned dtype that holds every bin index. Trees are
 grown depth-first. A node's histogram holds, for each candidate feature and
 bin, the node's gradient sum, hessian sum and row count in a padded
 (features x B) matrix, B being the widest bin count among the round's
-features. The root's histogram is built from its rows; at each split only the
+features. A column with one bin (constant on the training rows, such as a
+dead attention unit) has no boundary, so it is dropped from each round's
+sampled features and never enters a histogram or a split scan; the sample is
+drawn before the drop, so the trees are those grown over the full sample.
+The root's histogram is built from its rows; at each split only the
 child with fewer rows is built and its sibling is parent minus child. Counts
 are integers and subtract exactly, so a boundary that leaves a child without
 rows is never chosen even when subtraction leaves rounding residue in its
@@ -287,8 +291,7 @@ def find_best_split(
     tied.
     """
     features = np.asarray(features)
-    widths = binned.widths[features]
-    if features.size == 0 or widths.max() < 2 or hist.count[0].sum() < 2:
+    if features.size == 0 or binned.widths[features].max() < 2 or hist.count[0].sum() < 2:
         return None
     NL = np.cumsum(hist.count, axis=1)
     GL = np.cumsum(hist.grad, axis=1)
@@ -296,8 +299,8 @@ def find_best_split(
     N, G, H = NL[:, -1:], GL[:, -1:].copy(), HL[:, -1:].copy()
     GR, HR = G - GL, H - HL
     lam, mcw = config.reg_lambda, config.min_child_weight
-    boundary = np.arange(GL.shape[1]) < (widths - 1)[:, None]  # padding has no boundary
-    ok = boundary & (NL > 0) & (NL < N) & (HL >= mcw) & (HR >= mcw)
+    # counts are exact, so NL == N from a feature's last bin through its padding
+    ok = (NL > 0) & (NL < N) & (HL >= mcw) & (HR >= mcw)
 
     # 0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - G^2/(H+lam)) - gamma, computed in
     # place: a fresh (k, B) temporary costs more to allocate than to fill
@@ -472,6 +475,7 @@ def train_boosting(
     for t in range(config.n_estimators):
         g, h = logistic_grad_hess(raw, y)
         rows, feats = _round_sample(config, t, n, d)
+        feats = feats[binned.widths[feats] >= 2]  # a one-bin column has no boundary
         tree = _grow_tree(rows, binned, g, h, feats, config)
         trees.append(tree)
         forest = Forest.stack([tree])

@@ -6,8 +6,10 @@ round trip reproduces bit-identical predictions on any platform. Each
 section's checksum is validated before anything is constructed; a bad file
 never yields a partially loaded model. Trees are stored as the learner's own
 pre-order node arrays and checked for structure on load, the meta section must
-name a known variant and augment mode, and a section whose contents do not
-decode raises ModelFormatError like a damaged one.
+name a known variant and augment mode that agree with the attention section,
+the ensemble's width must be the input width plus the variant's block, and a
+section whose contents do not decode raises ModelFormatError like a damaged
+one.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .tabular import ColumnSchema, PreprocessorState
 FORMAT_NAME = "attnboost-model"
 FORMAT_VERSION = 1
 _SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
+_NETWORK_FREE_VARIANTS = ("no_attention", "random_attention")  # fitted without a network
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -250,7 +253,7 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
         learning_rate=float(ensemble_payload["learning_rate"]),
         feature_names=feature_names,
     )
-    return AttnBoostModel(
+    model = AttnBoostModel(
         preprocessor=_preprocessor_from_payload(payloads["preprocessor"]),
         attention=_attention_from_payload(payloads["attention"]),
         augment_mode=meta["augment_mode"],
@@ -261,3 +264,39 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
         random_k=int(meta["random_k"]),
         random_seed=int(meta["random_seed"]),
     )
+    _check_sections_agree(model)
+    return model
+
+
+def _check_sections_agree(model: AttnBoostModel) -> None:
+    """Meta, attention and ensemble must describe one model, as fit_variant builds it.
+
+    A network variant has an attention section and an augment mode; no_attention
+    and random_attention have neither, and random_attention draws random_k >= 1
+    columns. The ensemble reads the input columns followed by the block.
+    """
+    variant, mode, params = model.variant, model.augment_mode, model.attention
+    wants_network = variant not in _NETWORK_FREE_VARIANTS
+    if (mode != "none") != wants_network or (params is not None) != wants_network:
+        raise ModelFormatError(
+            f"variant {variant!r} with augment_mode {mode!r} does not match an attention "
+            f"section that is {'absent' if params is None else 'present'}")
+    if variant == "random_attention" and model.random_k < 1:
+        raise ModelFormatError(f"random_attention needs random_k >= 1, got {model.random_k}")
+    block = model.random_k if variant == "random_attention" else 0
+    inputs = {}  # input width, by the section that records it
+    if params is not None:
+        k, d = params.k, params.d
+        block, inputs["attention input"] = k, d
+        for name, shape in (("W1", (k, d)), ("b1", (k,)), ("W_attn", (k, k)),
+                            ("b_attn", (k,)), ("w2", (k,))):
+            if getattr(params, name).shape != shape:
+                raise ModelFormatError(f"attention {name} has shape "
+                                       f"{getattr(params, name).shape}, expected {shape}")
+    if model.preprocessor is not None:
+        inputs["preprocessor"] = len(model.preprocessor.feature_names)
+    width = len(model.ensemble.feature_names)
+    for source, columns in inputs.items():
+        if columns + block != width:
+            raise ModelFormatError(f"ensemble has {width} columns but the {source} width "
+                                   f"{columns} plus the {block}-column block is {columns + block}")

@@ -331,6 +331,54 @@ class TestFindBestSplit:
                 assert (dec.feature, dec.threshold) == (oracle[0], oracle[1]), f"trial {trial}"
                 assert dec.gain == pytest.approx(oracle[2], abs=1e-9)
 
+    def test_zero_count_padding_is_never_chosen(self):
+        # A narrow feature beside a 256-bin one pads its histogram row to 256
+        # bins. Mass placed in its padding, where no row lies, would make a
+        # padding boundary the only positive gain; the row counts alone keep it
+        # out, since NL == N from a feature's last bin on.
+        binned = bin_features(_fm(np.column_stack([np.tile([0.0, 1.0], 128),
+                                                   np.arange(256.0)])), 256)
+        assert binned.widths.tolist() == [2, 256]
+        grad, hess = np.zeros((2, 256)), np.zeros((2, 256))
+        count = np.zeros((2, 256), dtype=np.int64)
+        # two rows; each feature's real boundaries split G = 1 into 0.5 | 0.5,
+        # which has negative gain
+        grad[0, [0, 1, 5]], hess[0, [0, 1]], count[0, [0, 1]] = [0.5, 1.5, -1.0], 0.25, 1
+        grad[1, [0, -1]], hess[1, [0, -1]], count[1, [0, -1]] = 0.5, 0.25, 1
+        hist = NodeHistogram(grad=grad, hess=hess, count=count)
+        config = BoostConfig(gamma=0.0, min_child_weight=0.0, reg_lambda=1.0)
+        assert find_best_split(hist, binned, np.array([0, 1]), config) is None
+
+    def test_narrow_feature_beside_wide_one_matches_brute_force(self):
+        # Subtracted histograms of random nodes over a 3-bin and a 256-bin
+        # feature: every decision is the oracle's, at a real boundary.
+        rng = np.random.default_rng(11)
+        n = 600
+        narrow = rng.integers(0, 3, n).astype(float)
+        X = _fm(np.column_stack([rng.normal(0, 1, n), narrow]))
+        binned = bin_features(X, 256)
+        assert binned.widths.tolist() == [256, 3]
+        feats = np.array([0, 1])
+        seen = set()
+        for trial in range(60):
+            g = rng.normal(0, 1, n) + (narrow - 1.0) * rng.uniform(0, 3)
+            h = rng.uniform(0.05, 1.0, n)
+            parent = np.sort(rng.choice(n, size=int(rng.integers(20, n)), replace=False))
+            inside = rng.uniform(size=parent.size) < rng.uniform(0.2, 0.8)
+            child, sibling = parent[inside], parent[~inside]
+            hist = (build_histogram(parent, binned, g, h, feats)
+                    - build_histogram(child, binned, g, h, feats))
+            config = BoostConfig(gamma=float(rng.choice([0.0, 0.5])),
+                                 min_child_weight=float(rng.choice([0.0, 1.0])))
+            dec = find_best_split(hist, binned, feats, config)
+            oracle = brute_force_split(sibling, binned, g, h, feats, config)
+            assert (dec is None) == (oracle is None), f"trial {trial}"
+            if dec is not None:
+                assert dec.bin_idx < binned.widths[dec.feature] - 1
+                assert (dec.feature, dec.threshold) == oracle[:2], f"trial {trial}"
+                seen.add(dec.feature)
+        assert seen == {0, 1}
+
 
 class TestTrainBoosting:
     def test_constant_feature_keeps_predictions_half(self):
@@ -580,6 +628,83 @@ class TestGrownTreesMatchBruteForce:
             check(tree, 0, rows, 0, g, h, feats)
             raw += config.learning_rate * reference_tree_output(tree, binned.bins, tree.bin_idx)
         assert seen["deep"] > 0 and seen["early_leaf"] > 0, seen
+
+
+class TestOneBinColumns:
+    """train_boosting grows trees over the round's sampled columns that have at
+    least two bins; a one-bin column has no boundary, so the trees equal those
+    grown over the unfiltered sample, array for array and bit for bit."""
+
+    @staticmethod
+    def _spy_features(monkeypatch):
+        """Record the features every build_histogram and find_best_split call gets."""
+        seen = []
+        for name, position in (("build_histogram", 4), ("find_best_split", 2)):
+            def spy(*args, _real=getattr(gbdt, name), _position=position):
+                seen.append(np.asarray(args[_position]).copy())
+                return _real(*args)
+            monkeypatch.setattr(gbdt, name, spy)
+        return seen
+
+    def test_trees_equal_the_unfiltered_growth_and_skip_one_bin_columns(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        n, d = 120, 8
+        values = rng.normal(0, 1, (n, d))
+        constant = [0, 3, 5, 7]  # the first and the last column among them
+        values[:, constant] = [2.0, -1.0, 0.0, 7.5]
+        values[:, 6] = np.round(values[:, 6])
+        y = ((values[:, 1] + values[:, 4] + rng.normal(0, 1, n)) > 0).astype(int)
+        X = _fm(values)
+        config = BoostConfig(n_estimators=24, max_depth=4, learning_rate=0.3,
+                             min_child_weight=0.5, gamma=0.0, subsample=0.8,
+                             colsample_bytree=0.25, max_bins=32)
+        binned = bin_features(X, config.max_bins)
+        assert np.flatnonzero(binned.widths == 1).tolist() == constant
+
+        with monkeypatch.context() as patch:
+            seen = self._spy_features(patch)
+            model = train_boosting(X, y, config)
+        assert seen and all((binned.widths[f] >= 2).all() for f in seen)
+
+        raw = np.full(n, model.base_raw)
+        only_constant = splits = 0
+        for t, tree in enumerate(model.trees):
+            g, h = logistic_grad_hess(raw, y)
+            rows, feats = _round_sample(config, t, n, d)
+            expected = gbdt._grow_tree(rows, binned, g, h, feats, config)
+            for name in ("feature", "bin_idx", "threshold", "left", "right", "weight", "gain"):
+                got, want = getattr(tree, name), getattr(expected, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, name)
+            only_constant += bool(np.isin(feats, constant).all())
+            splits += int((tree.feature >= 0).sum())
+            forest = gbdt.Forest.stack([tree])
+            raw = _add_trees(forest, binned.bins, forest.bin_idx, raw, config.learning_rate)
+        assert only_constant > 0 and splits > 0, (only_constant, splits)
+        np.testing.assert_array_equal(predict_raw(model, X), raw)
+
+    def test_all_constant_matrix_grows_single_leaves(self):
+        n = 50
+        X = _fm(np.tile([3.0, -2.0, 0.0], (n, 1)))
+        y = (np.arange(n) % 5 == 0).astype(int)  # 10 positives, 40 negatives
+        config = BoostConfig(n_estimators=6, learning_rate=0.5, subsample=0.6,
+                             min_child_weight=0.0, gamma=0.0, reg_alpha=0.1, reg_lambda=1.0)
+        model = train_boosting(X, y, config)
+
+        # every row has the same raw score, so a round's leaf sums are counts times p
+        raw = model.base_raw
+        for t, tree in enumerate(model.trees):
+            assert tree.feature.tolist() == [-1] and tree.gain.tolist() == [0.0]
+            rows, _ = _round_sample(config, t, n, X.d)
+            positives = int(y[rows].sum())
+            p = 1.0 / (1.0 + np.exp(-raw))
+            G = rows.size * p - positives
+            H = rows.size * p * (1.0 - p)
+            w = -np.sign(G) * max(abs(G) - config.reg_alpha, 0.0) / (H + config.reg_lambda)
+            assert tree.weight[0] == pytest.approx(w, rel=1e-12, abs=1e-15)
+            raw += config.learning_rate * tree.weight[0]
+        assert abs(model.trees[0].weight[0]) > 0.1
+        scores = predict_raw(model, X)
+        np.testing.assert_array_equal(scores, np.full(n, raw))
 
 
 class TestSplitsRespectConstraints:

@@ -65,10 +65,10 @@ class TestRoundTrip:
 
 
 class TestDamagedFiles:
-    def _saved(self, fitted, tmp_path, name="m.model"):
+    def _saved(self, fitted, tmp_path, name="m.model", kind="full"):
         models, _ = fitted
         path = str(tmp_path / name)
-        save_model(models["full"], path)
+        save_model(models[kind], path)
         return path
 
     def test_flipped_byte_in_ensemble_section_names_it(self, fitted, tmp_path):
@@ -175,6 +175,50 @@ class TestDamagedFiles:
         self._edit_payload(path, "meta", lambda meta: meta.update(edit))
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("kind,edit,message", [
+        # a network-free file told to widen its rows with a network it does not have
+        ("no_attention", {"augment_mode": "weighted-hidden"}, "section that is absent"),
+        ("no_attention", {"variant": "full", "augment_mode": "weighted-hidden"},
+         "section that is absent"),
+        ("full", {"augment_mode": "none"}, "section that is present"),
+        ("full", {"variant": "no_attention"}, "section that is present"),
+        ("full", {"variant": "random_attention", "augment_mode": "none"},
+         "section that is present"),
+        ("random_attention", {"random_k": 0}, "random_k >= 1"),
+    ])
+    def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
+                                                              kind, edit, message):
+        path = self._saved(fitted, tmp_path, kind=kind)
+        self._edit_payload(path, "meta", lambda meta: meta.update(edit))
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind,section,edit,message", [
+        ("random_attention", "meta", lambda meta: meta.update(random_k=meta["random_k"] - 1),
+         r"preprocessor width \d+ plus the 5-column block"),
+        ("random_attention", "meta", lambda meta: meta.update(random_k=meta["random_k"] + 1),
+         r"preprocessor width \d+ plus the 7-column block"),
+        ("full", "ensemble", lambda ens: ens["feature_names"].append("attn_6"),
+         r"attention input width \d+ plus the 6-column block"),
+        ("full", "preprocessor", lambda pre: pre["feature_names"].pop(),
+         r"preprocessor width \d+ plus the 6-column block"),
+        ("full", "attention", lambda att: att.update(k=7), r"W1 has shape \(6, \d+\), expected"),
+    ])
+    def test_block_width_mismatch_rejected(self, fitted, tmp_path, kind, section, edit,
+                                           message):
+        path = self._saved(fitted, tmp_path, kind=kind)
+        self._edit_payload(path, section, edit)
+        with pytest.raises(ModelFormatError, match=message) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @staticmethod
