@@ -19,13 +19,16 @@ L1/L2 closed form on sums over the leaf's rows and are stored unscaled; the
 shrinkage factor is applied at prediction time.
 
 A tree is a record of parallel node arrays in pre-order (root first, a node's
-left subtree before its right), the layout the model file stores. An ensemble
-stacks its trees into one set of arrays once, with leaves linking to
-themselves, and one walk moves every (tree, row) pair down a level per step,
-comparing raw values with `threshold` when scoring and bin indices with
-`bin_idx` during training. Tree outputs are added to the raw score strictly in
-tree order, so scores do not depend on how many rows or trees are walked
-together.
+left subtree before its right), the layout the model file stores. A split
+keeps only its raw `threshold`, the cut at its bin boundary b: bins come from
+`searchsorted(cuts, value, side="left")`, so bin <= b exactly when
+value <= cuts[b], and a trained tree and one read from a file are the same
+record. An ensemble stacks its trees into one set of arrays once, with leaves
+linking to themselves, and one walk moves every (tree, row) pair down a level
+per step, comparing raw values with `threshold`; training's per-round update
+and scoring make the same call. Tree outputs are added to the raw score
+strictly in tree order, so scores do not depend on how many rows or trees are
+walked together.
 """
 
 from __future__ import annotations
@@ -89,9 +92,6 @@ class BinnedMatrix:
     def __post_init__(self):
         self.widths = np.array([len(t) + 1 for t in self.thresholds], dtype=np.intp)
 
-    def n_bins(self, feature: int) -> int:
-        return int(self.widths[feature])
-
 
 @dataclass
 class NodeHistogram:
@@ -116,12 +116,10 @@ class Tree:
 
     Node 0 is the root. An internal node has feature >= 0 and both children
     after it; a leaf has feature, left and right all -1 and carries weight.
-    bin_idx is the split's bin boundary, -1 on leaves and on trees read from a
-    model file (which store thresholds only); threshold is its raw value.
+    A row goes left at an internal node when its value is <= threshold.
     """
 
     feature: np.ndarray  # (nodes,) intp
-    bin_idx: np.ndarray  # (nodes,) intp
     threshold: np.ndarray  # (nodes,) float64
     left: np.ndarray  # (nodes,) intp
     right: np.ndarray  # (nodes,) intp
@@ -142,7 +140,6 @@ class Forest:
     roots: np.ndarray  # (trees,) global index of each tree's root
     depth: np.ndarray  # (trees,) edges on each tree's longest root-to-leaf path
     feature: np.ndarray
-    bin_idx: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
@@ -177,8 +174,8 @@ class Forest:
             node_depth[level] = steps
         depth = np.maximum.reduceat(node_depth, roots) if trees else roots
         return cls(roots=roots, depth=depth, feature=np.where(leaf, 0, feature),
-                   bin_idx=cat("bin_idx", np.intp), threshold=cat("threshold", np.float64),
-                   left=left, right=right, weight=cat("weight", np.float64))
+                   threshold=cat("threshold", np.float64), left=left, right=right,
+                   weight=cat("weight", np.float64))
 
 
 @dataclass
@@ -348,8 +345,8 @@ def _grow_tree(
     holds the histograms of pending right siblings, at most one per level.
     Nodes at max_depth get none; the root's is built when it is searched.
     """
-    nodes: list[list] = []  # [feature, bin_idx, threshold, left, right, weight, gain]
-    LEFT, RIGHT = 3, 4  # positions of the child links in a node's row
+    nodes: list[list] = []  # [feature, threshold, left, right, weight, gain]
+    LEFT, RIGHT = 2, 3  # positions of the child links in a node's row
     stack = [(rows, None, 0, -1, -1)]
     while stack:
         rows, hist, depth, parent, link = stack.pop()
@@ -364,10 +361,9 @@ def _grow_tree(
         if decision is None:
             G, H = float(g[rows].sum()), float(h[rows].sum())
             weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
-            nodes.append([-1, -1, 0.0, -1, -1, weight, 0.0])
+            nodes.append([-1, 0.0, -1, -1, weight, 0.0])
             continue
-        nodes.append([decision.feature, decision.bin_idx, decision.threshold, -1, -1, 0.0,
-                      decision.gain])
+        nodes.append([decision.feature, decision.threshold, -1, -1, 0.0, decision.gain])
         mask = binned.bins[rows, decision.feature] <= decision.bin_idx
         left, right = rows[mask], rows[~mask]
         left_hist = right_hist = None
@@ -380,10 +376,9 @@ def _grow_tree(
                 left_hist = hist - right_hist
         stack.append((right, right_hist, depth + 1, node, RIGHT))
         stack.append((left, left_hist, depth + 1, node, LEFT))
-    feature, bin_idx, threshold, left_of, right_of, weight, gain = zip(*nodes)
+    feature, threshold, left_of, right_of, weight, gain = zip(*nodes)
     return Tree(
         feature=np.array(feature, dtype=np.intp),
-        bin_idx=np.array(bin_idx, dtype=np.intp),
         threshold=np.array(threshold, dtype=np.float64),
         left=np.array(left_of, dtype=np.intp),
         right=np.array(right_of, dtype=np.intp),
@@ -392,11 +387,10 @@ def _grow_tree(
     )
 
 
-def _walk(forest: Forest, values: np.ndarray, cuts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+def _walk(forest: Forest, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Leaf reached by each (tree, row) pair of trees lo..hi-1, shape (trees, rows).
 
-    Row r goes left at node i when values[r, feature[i]] <= cuts[i]; `cuts` is
-    the forest's threshold (raw values) or bin_idx (bin indices).
+    Row r goes left at node i when values[r, feature[i]] <= threshold[i].
     """
     n, d = values.shape
     node = np.repeat(forest.roots[lo:hi, None], n, axis=1)
@@ -405,7 +399,7 @@ def _walk(forest: Forest, values: np.ndarray, cuts: np.ndarray, lo: int, hi: int
         flat = np.ascontiguousarray(values).reshape(-1)
         row_start = np.arange(0, n * d, d)
         for _ in range(steps):
-            goes_left = flat[row_start + forest.feature[node]] <= cuts[node]
+            goes_left = flat[row_start + forest.feature[node]] <= forest.threshold[node]
             node = np.where(goes_left, forest.left[node], forest.right[node])
     return node
 
@@ -413,7 +407,6 @@ def _walk(forest: Forest, values: np.ndarray, cuts: np.ndarray, lo: int, hi: int
 def _add_trees(
     forest: Forest,
     values: np.ndarray,
-    cuts: np.ndarray,
     raw: np.ndarray,
     learning_rate: float,
 ) -> np.ndarray:
@@ -429,7 +422,7 @@ def _add_trees(
         hi = min(lo + per_block, n_trees)
         terms = np.empty((hi - lo + 1, values.shape[0]))
         terms[0] = raw
-        np.multiply(learning_rate, forest.weight[_walk(forest, values, cuts, lo, hi)],
+        np.multiply(learning_rate, forest.weight[_walk(forest, values, lo, hi)],
                     out=terms[1:])
         raw = np.add.accumulate(terms, axis=0)[-1]
     return raw
@@ -478,8 +471,7 @@ def train_boosting(
         feats = feats[binned.widths[feats] >= 2]  # a one-bin column has no boundary
         tree = _grow_tree(rows, binned, g, h, feats, config)
         trees.append(tree)
-        forest = Forest.stack([tree])
-        raw = _add_trees(forest, binned.bins, forest.bin_idx, raw, config.learning_rate)
+        raw = _add_trees(Forest.stack([tree]), X.values, raw, config.learning_rate)
 
     return Ensemble(
         trees=trees,
@@ -495,8 +487,7 @@ def predict_raw(model: Ensemble, X: FeatureMatrix) -> np.ndarray:
         raise ValueError(
             f"matrix width {X.d} does not match model width {len(model.feature_names)}"
         )
-    forest = model.forest
-    return _add_trees(forest, X.values, forest.threshold, np.full(X.n_rows, model.base_raw),
+    return _add_trees(model.forest, X.values, np.full(X.n_rows, model.base_raw),
                       model.learning_rate)
 
 

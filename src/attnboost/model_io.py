@@ -5,11 +5,13 @@ Float arrays are base64-encoded little-endian float64 bytes, so a save/load
 round trip reproduces bit-identical predictions on any platform. Each
 section's checksum is validated before anything is constructed; a bad file
 never yields a partially loaded model. Trees are stored as the learner's own
-pre-order node arrays and checked for structure on load, the meta section must
-name a known variant and augment mode that agree with the attention section,
-the ensemble's width must be the input width plus the variant's block, and a
-section whose contents do not decode raises ModelFormatError like a damaged
-one.
+pre-order node arrays and checked for structure on load. The preprocessor
+section holds only what applying it reads; sections are read by key, so a key
+an older file still carries (`date_plan`, `unseen_codes`) is ignored. The meta
+section must name a known variant and augment mode that agree with the
+attention section, the ensemble's width must be the input width plus the
+variant's block, and a section whose contents do not decode raises
+ModelFormatError like a damaged one.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def _tree_from_payload(payload: dict, t: int, n_features: int) -> Tree:
         raise ModelFormatError(
             f"tree {t} node {i}: feature {feature[i]}, children {left[i]}/{right[i]} "
             f"do not form a tree over {n_features} features")
-    return Tree(feature=feature, bin_idx=np.full(feature.size, -1, dtype=np.intp),
-                threshold=threshold, left=left, right=right, weight=weight, gain=gain)
+    return Tree(feature=feature, threshold=threshold, left=left, right=right, weight=weight,
+                gain=gain)
 
 
 def _preprocessor_payload(state: PreprocessorState | None):
@@ -115,9 +117,7 @@ def _preprocessor_payload(state: PreprocessorState | None):
     return {
         "schema": [[c.name, c.kind, c.nullable] for c in state.schema],
         "category_maps": state.category_maps,
-        "unseen_codes": state.unseen_codes,
         "numeric_stats": {k: list(v) for k, v in state.numeric_stats.items()},
-        "date_plan": state.date_plan,
         "dropped_columns": state.dropped_columns,
         "feature_names": state.feature_names,
         "target_name": state.target_name,
@@ -131,9 +131,7 @@ def _preprocessor_from_payload(payload) -> PreprocessorState | None:
     return PreprocessorState(
         schema=[ColumnSchema(n, k, bool(nl)) for n, k, nl in payload["schema"]],
         category_maps={c: dict(m) for c, m in payload["category_maps"].items()},
-        unseen_codes=dict(payload["unseen_codes"]),
         numeric_stats={k: (v[0], v[1]) for k, v in payload["numeric_stats"].items()},
-        date_plan={k: list(v) for k, v in payload["date_plan"].items()},
         dropped_columns=list(payload["dropped_columns"]),
         feature_names=list(payload["feature_names"]),
         target_name=payload["target_name"],

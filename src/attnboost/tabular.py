@@ -4,10 +4,13 @@
 schema's columns, each once, and the loaded table keeps them in schema order,
 so one file gives one table whichever command reads it.
 
-Categorical columns are label-encoded in lexicographic order, numeric columns
-are z-scored with the population standard deviation, and date columns are
-expanded into raw integer (year, month, weekday) triples. Targets are binary:
-the literal value "Not" maps to 0 and the single other observed value to 1.
+Categorical columns are label-encoded in lexicographic order, and a value not
+seen at fit time gets the next code, the size of the column's map. Numeric
+columns are z-scored with the population standard deviation; fitting rejects
+a column whose mean or deviation overflows. Date columns are expanded into
+raw integer (year, month, weekday) triples. Targets are binary: the literal
+value "Not" maps to 0 and the single other observed value to 1. The fitted
+state holds only what applying it reads.
 """
 
 from __future__ import annotations
@@ -98,10 +101,8 @@ class PreprocessorState:
     """Everything learned at fit time, sufficient to transform new tables."""
 
     schema: list[ColumnSchema]
-    category_maps: dict[str, dict[str, int]]
-    unseen_codes: dict[str, int]
+    category_maps: dict[str, dict[str, int]]  # a value outside a map gets code len(map)
     numeric_stats: dict[str, tuple[float, float]]
-    date_plan: dict[str, list[str]]
     dropped_columns: list[str]
     feature_names: list[str]
     target_name: str
@@ -174,9 +175,13 @@ def _parse_cell(text: str, col: ColumnSchema, row_idx: int):
         raise DataError(f"{where}: empty cell in non-nullable column")
     if col.kind == "integer":
         try:
-            return int(text)
+            value = int(text)
+            float(value)  # preprocessing standardizes it as a float
         except ValueError as exc:
             raise DataError(f"{where}: {text!r} is not an integer") from exc
+        except OverflowError as exc:
+            raise DataError(f"{where}: {text!r} is too large for a float") from exc
+        return value
     if col.kind == "float":
         try:
             value = float(text)
@@ -253,9 +258,7 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
 
     dropped = set(drop)
     category_maps: dict[str, dict[str, int]] = {}
-    unseen_codes: dict[str, int] = {}
     numeric_stats: dict[str, tuple[float, float]] = {}
-    date_plan: dict[str, list[str]] = {}
     feature_names: list[str] = []
     target_values: set[str] = set()
 
@@ -269,19 +272,20 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
         if col.kind in ("category", "string"):
             seen = sorted({NULL_CATEGORY if v is None else str(v) for v in cells})
             category_maps[col.name] = {value: code for code, value in enumerate(seen)}
-            unseen_codes[col.name] = len(seen)
             feature_names.append(col.name)
         elif col.kind in ("integer", "float"):
             values = np.array([float(v) for v in cells if v is not None], dtype=np.float64)
             if values.size == 0:
                 raise DataError(f"numeric column {col.name!r} has no non-null values")
-            std = float(values.std())
-            numeric_stats[col.name] = (float(values.mean()), max(std, EPSILON_STD))
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                mean, std = float(values.mean()), float(values.std())
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise DataError(f"numeric column {col.name!r}: mean {mean} or standard "
+                                f"deviation {std} is not finite; its values are too large")
+            numeric_stats[col.name] = (mean, max(std, EPSILON_STD))
             feature_names.append(col.name)
         elif col.kind == "date":
-            derived = [f"{col.name}_year", f"{col.name}_month", f"{col.name}_weekday"]
-            date_plan[col.name] = derived
-            feature_names.extend(derived)
+            feature_names.extend(f"{col.name}_{part}" for part in ("year", "month", "weekday"))
 
     positives = target_values - {TARGET_NEGATIVE}
     if len(positives) > 1:
@@ -292,9 +296,7 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
     return PreprocessorState(
         schema=list(table.schema),
         category_maps=category_maps,
-        unseen_codes=unseen_codes,
         numeric_stats=numeric_stats,
-        date_plan=date_plan,
         dropped_columns=list(drop),
         feature_names=feature_names,
         target_name=target_col.name,
@@ -309,6 +311,8 @@ def apply_preprocessor(
 
     The table's schema must match the fit-time schema; the target column may
     be absent (prediction on unlabeled rows), in which case the target is None.
+    Errors name the row, counting data rows from 1 as load_csv does, and the
+    column.
     """
     fit_cols = {c.name: c for c in state.schema}
     table_names = [c.name for c in table.schema]
@@ -330,19 +334,19 @@ def apply_preprocessor(
         cells = [row[j] for row in table.rows]
         if col.kind == "binary-target":
             for i, v in enumerate(cells):
-                label = _encode_target(state, v, i)
-                target[i] = label
+                target[i] = _encode_target(state, v, i + 1, col.name)
             continue
         if col.name in dropped:
             continue
         if col.kind in ("category", "string"):
             cmap = state.category_maps[col.name]
-            unseen = state.unseen_codes[col.name]
+            unseen = len(cmap)
             out = np.empty(n, dtype=np.float64)
             for i, v in enumerate(cells):
                 key = NULL_CATEGORY if v is None else str(v)
                 if v is None and not fit_cols[col.name].nullable:
-                    raise DataError(f"row {i}: null in non-nullable column {col.name!r}")
+                    raise DataError(f"row {i + 1}, column {col.name!r}: null in "
+                                    "non-nullable column")
                 out[i] = cmap.get(key, unseen)
             columns.append(out)
         elif col.kind in ("integer", "float"):
@@ -350,7 +354,7 @@ def apply_preprocessor(
             out = np.empty(n, dtype=np.float64)
             for i, v in enumerate(cells):
                 if v is None:
-                    raise DataError(f"row {i}: null in numeric column {col.name!r}")
+                    raise DataError(f"row {i + 1}, column {col.name!r}: null in numeric column")
                 out[i] = (float(v) - mean) / std
             columns.append(out)
         elif col.kind == "date":
@@ -359,26 +363,29 @@ def apply_preprocessor(
             weekdays = np.empty(n, dtype=np.float64)
             for i, v in enumerate(cells):
                 if v is None:
-                    raise DataError(f"row {i}: null in date column {col.name!r}")
+                    raise DataError(f"row {i + 1}, column {col.name!r}: null in date column")
                 years[i], months[i], weekdays[i] = decompose_date(v)
             columns.extend([years, months, weekdays])
 
     values = np.column_stack(columns) if columns else np.zeros((n, 0))
     if values.size and not np.isfinite(values).all():
-        raise DataError("transformed matrix contains non-finite values")
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"row {i + 1}, feature {state.feature_names[j]!r}: transformed value "
+                        f"{values[i, j]} is not finite")
     return FeatureMatrix(values=values, feature_names=list(state.feature_names)), target
 
 
-def _encode_target(state: PreprocessorState, value, row_idx: int) -> int:
+def _encode_target(state: PreprocessorState, value, row: int, column: str) -> int:
     if value is None:
-        raise DataError(f"row {row_idx}: null target value")
+        raise DataError(f"row {row}, column {column!r}: null target value")
     text = str(value)
     if text == TARGET_NEGATIVE:
         return 0
     if state.target_positive is not None and text == state.target_positive:
         return 1
     vocab = [TARGET_NEGATIVE] + ([state.target_positive] if state.target_positive else [])
-    raise DataError(f"row {row_idx}: target value {text!r} outside vocabulary {vocab}")
+    raise DataError(f"row {row}, column {column!r}: target value {text!r} outside "
+                    f"vocabulary {vocab}")
 
 
 @dataclass

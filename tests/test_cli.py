@@ -152,6 +152,54 @@ class TestCsvColumns:
         assert through_cli == direct
 
 
+def _set_cells(src, dest, column, value, rows):
+    """Copy CSV `src` to `dest` with `column` set to `value` on the given data rows (0-based)."""
+    with open(src, newline="") as handle:
+        lines = list(csv.reader(handle))
+    j = lines[0].index(column)
+    for i in rows:
+        lines[i + 1][j] = value
+    with open(dest, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(lines)
+    return dest
+
+
+class TestBadCells:
+    """A bad cell exits 1 with a message naming its row, counted from 1, and column."""
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_integer_too_large_for_a_float(self, tmp_path, trained, synth_csv, command,
+                                           capsys):
+        model, _, test_csv = trained
+        source = synth_csv if command == "train" else test_csv
+        data = _set_cells(source, str(tmp_path / "big.csv"), "Quantity", "9" * 400, [0])
+        argv = (["train", "--data", data, *FAST_TRAIN, "--out", str(tmp_path / "m.bin")]
+                if command == "train" else ["predict", "--model", model, "--data", data])
+        assert _run(*argv) == 1
+        assert "row 1, column 'Quantity'" in capsys.readouterr().err
+
+    def test_predict_names_first_row_of_a_bad_target(self, tmp_path, trained, capsys):
+        model, _, test_csv = trained
+        data = _set_cells(test_csv, str(tmp_path / "maybe.csv"), "Returned", "Maybe", [0])
+        assert _run("predict", "--model", model, "--data", data) == 1
+        assert "row 1, column 'Returned': target value 'Maybe'" in capsys.readouterr().err
+
+    def test_train_names_a_numeric_column_whose_mean_overflows(self, tmp_path, synth_csv,
+                                                               capsys):
+        data = _set_cells(synth_csv, str(tmp_path / "huge.csv"), "Sales", "1.7e308", [0, 1])
+        assert _run("train", "--data", data, *FAST_TRAIN,
+                    "--out", str(tmp_path / "m.bin")) == 1
+        assert "numeric column 'Sales'" in capsys.readouterr().err
+
+    def test_predict_names_a_value_that_standardizes_to_infinity(self, tmp_path, trained,
+                                                                 capsys):
+        model, _, test_csv = trained
+        # Discount's deviation is below 1, so (v - mean) / std overflows
+        data = _set_cells(test_csv, str(tmp_path / "huge.csv"), "Discount", "1.7e308", [2])
+        assert _run("predict", "--model", model, "--data", data) == 1
+        assert "row 3, feature 'Discount'" in capsys.readouterr().err
+
+
 class TestImportanceCommand:
     def test_report_and_csv(self, tmp_path, trained, capsys):
         model, _, _ = trained

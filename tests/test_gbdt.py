@@ -36,24 +36,22 @@ def _fm(values, names=None):
 GAIN_TIE_REL = 1e-10  # same tie window as the implementation under test
 
 
-def make_tree(feature, left, right, threshold=None, weight=None, bin_idx=None, gain=None):
-    """A Tree from per-node lists; unspecified float arrays are zero, bin_idx -1."""
+def make_tree(feature, left, right, threshold=None, weight=None, gain=None):
+    """A Tree from per-node lists; unspecified float arrays are zero."""
     n = len(feature)
 
     def floats(v):
         return np.zeros(n) if v is None else np.array(v, dtype=np.float64)
 
     return Tree(feature=np.array(feature, dtype=np.intp),
-                bin_idx=np.full(n, -1, dtype=np.intp) if bin_idx is None
-                else np.array(bin_idx, dtype=np.intp),
                 threshold=floats(threshold), left=np.array(left, dtype=np.intp),
                 right=np.array(right, dtype=np.intp), weight=floats(weight), gain=floats(gain))
 
 
-def reference_tree_output(tree: Tree, values, cuts):
+def reference_tree_output(tree: Tree, values):
     """Leaf weight each row reaches, by recursive descent over index sets from the root.
 
-    A row goes left at node i when values[row, feature[i]] <= cuts[i].
+    A row goes left at node i when values[row, feature[i]] <= threshold[i].
     """
     out = np.empty(values.shape[0])
 
@@ -62,7 +60,7 @@ def reference_tree_output(tree: Tree, values, cuts):
         if f < 0:
             out[idx] = tree.weight[i]
             return
-        mask = values[idx, f] <= cuts[i]
+        mask = values[idx, f] <= tree.threshold[i]
         descend(tree.left[i], idx[mask])
         descend(tree.right[i], idx[~mask])
 
@@ -70,12 +68,11 @@ def reference_tree_output(tree: Tree, values, cuts):
     return out
 
 
-def reference_raw(model: Ensemble, values, cut_name="threshold"):
+def reference_raw(model: Ensemble, values):
     """base + lr * (output of tree 1) + lr * (output of tree 2) + ..., one tree at a time."""
     raw = np.full(values.shape[0], model.base_raw)
     for tree in model.trees:
-        raw += model.learning_rate * reference_tree_output(tree, values,
-                                                           getattr(tree, cut_name))
+        raw += model.learning_rate * reference_tree_output(tree, values)
     return raw
 
 
@@ -187,7 +184,7 @@ class TestBinFeatures:
     def test_constant_feature_single_bin(self):
         binned = bin_features(_fm([[7.0], [7.0], [7.0]]), max_bins=256)
         assert binned.thresholds[0].size == 0
-        assert binned.n_bins(0) == 1
+        assert binned.widths.tolist() == [1]
 
     def test_quantile_bins_balanced(self):
         rng = np.random.default_rng(0)
@@ -226,12 +223,42 @@ class TestBinFeatures:
         col = np.arange(300, dtype=float).reshape(-1, 1)
         binned = bin_features(_fm(col), max_bins=max_bins)
         assert binned.bins.dtype == dtype
-        assert int(binned.bins.max()) == binned.n_bins(0) - 1 == min(max_bins, 300) - 1
+        assert int(binned.bins.max()) == binned.widths[0] - 1 == min(max_bins, 300) - 1
+
+    @pytest.mark.parametrize("max_bins", [4, 16, 256])
+    def test_bin_at_most_b_exactly_when_value_at_most_its_cut(self, max_bins):
+        # Trees keep only a split's threshold, so walking raw values must send
+        # every training row where its bin went: bins[:, j] <= b iff
+        # values[:, j] <= thresholds[j][b], for every boundary b.
+        rng = np.random.default_rng(max_bins)
+        n = 1200
+
+        def adjacent_floats(start, count):
+            return start + np.arange(count) * np.spacing(start)
+
+        columns = [
+            rng.normal(0, 1, n),  # more distinct values than max_bins: quantile cuts
+            rng.integers(0, 3, n).astype(float),  # fewer: midpoints of distinct values
+            rng.choice(adjacent_floats(1.0, 4), n),  # cuts 1, 1+2e, 1+2e (e = spacing)
+            rng.choice(adjacent_floats(3.0, 700), n),  # quantile cuts between neighbours
+            np.round(rng.exponential(2.0, n), 1),  # ties at many values
+        ]
+        values = np.column_stack(columns)
+        binned = bin_features(_fm(values), max_bins=max_bins)
+        duplicate_cuts = 0
+        for j in range(values.shape[1]):
+            cuts = binned.thresholds[j]
+            duplicate_cuts += int((np.diff(cuts) == 0).sum())
+            for b, cut in enumerate(cuts):
+                np.testing.assert_array_equal(binned.bins[:, j] <= b, values[:, j] <= cut,
+                                              err_msg=f"column {j}, boundary {b}")
+        # midpoints of adjacent floats round onto one of them, so some repeat
+        assert duplicate_cuts > 0
 
     def test_repeated_values_share_bins(self):
         col = np.repeat([1.0, 2.0, 3.0, 4.0], 100)
         binned = bin_features(_fm(col.reshape(-1, 1)), max_bins=2)
-        assert binned.n_bins(0) <= 2
+        assert binned.widths[0] <= 2
         same = binned.bins[col == 2.0, 0]
         assert (same == same[0]).all()
 
@@ -426,8 +453,7 @@ class TestPredict:
 
     def test_single_stump_hand_traced(self):
         stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
-                          threshold=[0.0, 0.0, 0.0], weight=[0.0, -1.0, 1.0],
-                          bin_idx=[0, -1, -1])
+                          threshold=[0.0, 0.0, 0.0], weight=[0.0, -1.0, 1.0])
         model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=0.1,
                          feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
@@ -447,18 +473,18 @@ class TestPredict:
 def random_tree(rng, cuts, max_depth):
     """A random pre-order tree over cuts.shape[0] features, at most max_depth deep.
 
-    Each split takes a boundary b and threshold cuts[feature, b] from the grid.
+    Each split takes a threshold cuts[feature, b] from the grid.
     """
-    feature, bin_idx, threshold, left, right, weight = [], [], [], [], [], []
+    feature, threshold, left, right, weight = [], [], [], [], []
 
     def grow(depth):
         i = len(feature)
-        for column, blank in ((feature, -1), (bin_idx, -1), (threshold, 0.0), (left, -1),
-                              (right, -1), (weight, 0.0)):
+        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
+                              (weight, 0.0)):
             column.append(blank)
         if depth < max_depth and rng.uniform() < 0.75:
             f, b = int(rng.integers(cuts.shape[0])), int(rng.integers(cuts.shape[1]))
-            feature[i], bin_idx[i], threshold[i] = f, b, float(cuts[f, b])
+            feature[i], threshold[i] = f, float(cuts[f, b])
             left[i] = grow(depth + 1)
             right[i] = grow(depth + 1)
         else:
@@ -466,12 +492,12 @@ def random_tree(rng, cuts, max_depth):
         return i
 
     grow(0)
-    return make_tree(feature, left, right, threshold=threshold, weight=weight,
-                     bin_idx=bin_idx)
+    return make_tree(feature, left, right, threshold=threshold, weight=weight)
 
 
 class TestWalk:
-    """predict_raw and the binned walk training uses equal reference_raw bitwise."""
+    """predict_raw, whose walk training's per-round update also runs, equals
+    reference_raw bitwise."""
 
     D, CUTS = 4, 5
 
@@ -485,50 +511,44 @@ class TestWalk:
         on_cut = cuts[np.arange(self.D), rng.integers(0, self.CUTS, (n_rows, self.D))]
         values = np.where(rng.uniform(size=(n_rows, self.D)) < 0.5, on_cut,
                           rng.normal(0, 1.5, (n_rows, self.D)))
-        bins = rng.integers(0, self.CUTS + 1, (n_rows, self.D)).astype(np.uint8)
-        return model, values, bins
+        return model, values
 
-    def _assert_walks_match(self, model, values, bins):
+    def _assert_walk_matches(self, model, values):
         scored = predict_raw(model, _fm(values, model.feature_names))
         assert scored.tobytes() == reference_raw(model, values).tobytes()
-        forest = model.forest
-        binned = _add_trees(forest, bins, forest.bin_idx, np.full(bins.shape[0], model.base_raw),
-                            model.learning_rate)
-        assert binned.tobytes() == reference_raw(model, bins, "bin_idx").tobytes()
         return scored
 
     def test_empty_ensemble(self):
-        model, values, bins = self._case(0, n_trees=0, n_rows=7)
-        scored = self._assert_walks_match(model, values, bins)
+        model, values = self._case(0, n_trees=0, n_rows=7)
+        scored = self._assert_walk_matches(model, values)
         assert (scored == model.base_raw).all()
 
     def test_root_only_leaves(self):
-        model, values, bins = self._case(1, n_trees=9, n_rows=20, depths=(0, 1))
+        model, values = self._case(1, n_trees=9, n_rows=20, depths=(0, 1))
         assert (model.forest.depth == 0).all()
-        self._assert_walks_match(model, values, bins)
+        self._assert_walk_matches(model, values)
 
     def test_values_equal_to_a_threshold_go_left(self):
         stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
-                          threshold=[0.5, 0.0, 0.0], weight=[0.0, -1.0, 1.0], bin_idx=[2, -1, -1])
+                          threshold=[0.5, 0.0, 0.0], weight=[0.0, -1.0, 1.0])
         model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=1.0, feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
-        bins = np.array([[1], [2], [3]], dtype=np.uint8)
-        assert self._assert_walks_match(model, values, bins).tolist() == [-1.0, -1.0, 1.0]
+        assert self._assert_walk_matches(model, values).tolist() == [-1.0, -1.0, 1.0]
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_random_trees_of_unequal_depth(self, seed):
-        model, values, bins = self._case(seed, n_trees=40, n_rows=150)
+        model, values = self._case(seed, n_trees=40, n_rows=150)
         assert np.unique(model.forest.depth).size >= 3
-        self._assert_walks_match(model, values, bins)
+        self._assert_walk_matches(model, values)
 
     def test_more_trees_than_one_block(self):
         n_rows = 300
         per_block = gbdt._WALK_CELLS // n_rows
-        model, values, bins = self._case(5, n_trees=2 * per_block + 5, n_rows=n_rows)
-        self._assert_walks_match(model, values, bins)
+        model, values = self._case(5, n_trees=2 * per_block + 5, n_rows=n_rows)
+        self._assert_walk_matches(model, values)
 
     def test_row_alone_equals_its_batch_row(self):
-        model, values, _ = self._case(6, n_trees=3 * (gbdt._WALK_CELLS // 500), n_rows=500)
+        model, values = self._case(6, n_trees=3 * (gbdt._WALK_CELLS // 500), n_rows=500)
         batch = predict_raw(model, _fm(values, model.feature_names))
         for i in range(0, 500, 25):
             alone = predict_raw(model, _fm(values[i:i + 1], model.feature_names))
@@ -608,7 +628,7 @@ class TestGrownTreesMatchBruteForce:
             assert (tree.feature[i], tree.threshold[i]) == (oracle[0], oracle[1])
             assert tree.gain[i] == pytest.approx(oracle[2], abs=1e-9)
             seen["deep"] += depth > 0
-            mask = binned.bins[rows, tree.feature[i]] <= tree.bin_idx[i]
+            mask = values[rows, tree.feature[i]] <= tree.threshold[i]
             left, right = rows[mask], rows[~mask]
             parent = build_histogram(rows, binned, g, h, feats)
             derived = parent - build_histogram(left, binned, g, h, feats)
@@ -626,7 +646,7 @@ class TestGrownTreesMatchBruteForce:
             rows, feats = _round_sample(config, t, n, d)
             assert rows.size < n and feats.size < d
             check(tree, 0, rows, 0, g, h, feats)
-            raw += config.learning_rate * reference_tree_output(tree, binned.bins, tree.bin_idx)
+            raw += config.learning_rate * reference_tree_output(tree, values)
         assert seen["deep"] > 0 and seen["early_leaf"] > 0, seen
 
 
@@ -672,13 +692,12 @@ class TestOneBinColumns:
             g, h = logistic_grad_hess(raw, y)
             rows, feats = _round_sample(config, t, n, d)
             expected = gbdt._grow_tree(rows, binned, g, h, feats, config)
-            for name in ("feature", "bin_idx", "threshold", "left", "right", "weight", "gain"):
+            for name in ("feature", "threshold", "left", "right", "weight", "gain"):
                 got, want = getattr(tree, name), getattr(expected, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, name)
             only_constant += bool(np.isin(feats, constant).all())
             splits += int((tree.feature >= 0).sum())
-            forest = gbdt.Forest.stack([tree])
-            raw = _add_trees(forest, binned.bins, forest.bin_idx, raw, config.learning_rate)
+            raw = _add_trees(gbdt.Forest.stack([tree]), values, raw, config.learning_rate)
         assert only_constant > 0 and splits > 0, (only_constant, splits)
         np.testing.assert_array_equal(predict_raw(model, X), raw)
 
@@ -715,13 +734,12 @@ class TestSplitsRespectConstraints:
         config = BoostConfig(n_estimators=10, max_depth=4, min_child_weight=0.3,
                              gamma=0.05, subsample=1.0, colsample_bytree=1.0)
         model = train_boosting(X, y, config)
-        binned = bin_features(X, config.max_bins)
 
         def check(tree, i, rows, g, h):
             if tree.feature[i] < 0:
                 return
             assert tree.gain[i] > 0.0
-            mask = binned.bins[rows, tree.feature[i]] <= tree.bin_idx[i]
+            mask = X.values[rows, tree.feature[i]] <= tree.threshold[i]
             left, right = rows[mask], rows[~mask]
             assert h[left].sum() >= config.min_child_weight
             assert h[right].sum() >= config.min_child_weight
@@ -732,4 +750,4 @@ class TestSplitsRespectConstraints:
         for tree in model.trees:
             g, h = logistic_grad_hess(raw, y)
             check(tree, 0, np.arange(200), g, h)
-            raw += config.learning_rate * reference_tree_output(tree, binned.bins, tree.bin_idx)
+            raw += config.learning_rate * reference_tree_output(tree, X.values)

@@ -15,7 +15,7 @@ from test_gbdt import make_tree
 
 def _stump(feature, gain, weight=0.5):
     return make_tree(feature=[feature, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
-                     weight=[0.0, -weight, weight], bin_idx=[0, -1, -1], gain=[gain, 0.0, 0.0])
+                     weight=[0.0, -weight, weight], gain=[gain, 0.0, 0.0])
 
 
 def _ensemble(trees, names):

@@ -9,7 +9,7 @@ import pytest
 from attnboost.attention import TrainConfig
 from attnboost.errors import ModelFormatError
 from attnboost.experiments import SyntheticSpec, generate_synthetic
-from attnboost.fusion import fit_variant, predict_matrix
+from attnboost.fusion import fit_variant, predict, predict_matrix
 from attnboost.gbdt import BoostConfig
 from attnboost.cli import run_command
 from attnboost.model_io import _checksum, load_model, save_model
@@ -62,6 +62,35 @@ class TestRoundTrip:
         save_model(models["full"], a, fingerprint="x")
         save_model(models["full"], b, fingerprint="x")
         assert open(a, "rb").read() == open(b, "rb").read()
+
+
+    def test_file_with_keys_older_writers_stored_loads_and_scores_alike(self, fitted,
+                                                                         tmp_path):
+        # Older files also stored date_plan, which nothing read, and
+        # unseen_codes, which always equalled the size of each category map.
+        # Sections are read by key, so such a file loads and scores as the new
+        # file does, unseen categories included.
+        model = fitted[0]["full"]
+        state = model.preprocessor
+        new, old = str(tmp_path / "new.model"), str(tmp_path / "old.model")
+        save_model(model, new)
+        save_model(model, old)
+
+        def add_old_keys(payload):
+            payload["unseen_codes"] = {c: len(m) for c, m in state.category_maps.items()}
+            payload["date_plan"] = {c.name: [f"{c.name}_{part}"
+                                             for part in ("year", "month", "weekday")]
+                                    for c in state.schema if c.kind == "date"}
+        TestDamagedFiles._edit_payload(old, "preprocessor", add_old_keys)
+        new_payload = json.load(open(new))["sections"]["preprocessor"]["payload"]
+        assert not {"date_plan", "unseen_codes"} & set(new_payload)
+
+        table = generate_synthetic(SyntheticSpec(n_rows=40, seed=5))
+        table.rows[0][table.column_index("Region")] = "Atlantis"
+        from_new, from_old = load_model(new), load_model(old)
+        assert from_old.preprocessor == from_new.preprocessor == state
+        for got, want in zip(predict(from_old, table), predict(from_new, table)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDamagedFiles:

@@ -83,6 +83,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"row 1.*Sales"):
             load_csv(_write(tmp_path, RETAIL_HEADER + "\n" + bad + "\n"), retail_schema())
 
+    def test_integer_too_large_for_a_float_names_row_and_column(self, tmp_path):
+        bad = SAMPLE_ROW.replace(",58.48,8,", ",58.48," + "9" * 400 + ",")
+        text = RETAIL_HEADER + "\n" + SAMPLE_ROW + "\n" + bad + "\n"
+        with pytest.raises(DataError, match=r"row 2, column 'Quantity': .* too large"):
+            load_csv(_write(tmp_path, text), retail_schema())
+
     def test_header_in_any_order(self, tmp_path):
         schema = [
             ColumnSchema("A", "float"),
@@ -126,7 +132,6 @@ class TestFitPreprocessor:
     def test_lexicographic_category_codes(self):
         state = fit_preprocessor(_toy_table(), [])
         assert state.category_maps["Region"] == {"East": 0, "West": 1}
-        assert state.unseen_codes["Region"] == 2
 
     def test_numeric_population_stats(self):
         state = fit_preprocessor(_toy_table(), [])
@@ -145,6 +150,15 @@ class TestFitPreprocessor:
     def test_drop_target_rejected(self):
         with pytest.raises(DataError, match="target"):
             fit_preprocessor(_toy_table(), ["Label"])
+
+    @pytest.mark.parametrize("values", [[1.7e308, 1.7e308, 0.0],  # the mean overflows
+                                        [1e200, -1e200, 0.0]])  # the deviation does
+    def test_numeric_column_with_non_finite_stats_is_named(self, values):
+        table = _toy_table()
+        for row, value in zip(table.rows, values):
+            row[1] = value
+        with pytest.raises(DataError, match="numeric column 'Value'.* not finite"):
+            fit_preprocessor(table, [])
 
     def test_unknown_drop_rejected(self):
         with pytest.raises(DataError, match="unknown"):
@@ -165,7 +179,7 @@ class TestApplyPreprocessor:
         other.rows[0][0] = "Central-NEW"
         X, _ = apply_preprocessor(state, other)
         region = X.values[:, X.feature_names.index("Region")]
-        assert region[0] == state.unseen_codes["Region"]
+        assert region[0] == len(state.category_maps["Region"]) == 2
 
     def test_retail_width_is_19(self, tmp_path):
         # 23 columns - 7 identifiers - 1 target - 2 raw dates + 6 derived = 19
@@ -195,6 +209,28 @@ class TestApplyPreprocessor:
         other = _toy_table()
         other.rows[2][3] = "Maybe"
         with pytest.raises(DataError, match="vocabulary"):
+            apply_preprocessor(state, other)
+
+    @pytest.mark.parametrize("cell,message", [
+        ((0, 3, "Maybe"), r"row 1, column 'Label': target value 'Maybe' outside vocabulary"),
+        ((1, 3, None), r"row 2, column 'Label': null target"),
+        ((2, 1, None), r"row 3, column 'Value': null in numeric column"),
+        ((0, 2, None), r"row 1, column 'When': null in date column"),
+        ((1, 0, None), r"row 2, column 'Region': null in non-nullable column"),
+    ])
+    def test_errors_name_row_from_one_and_column(self, cell, message):
+        state = fit_preprocessor(_toy_table(), [])
+        other = _toy_table()
+        i, j, value = cell
+        other.rows[i][j] = value
+        with pytest.raises(DataError, match=message):
+            apply_preprocessor(state, other)
+
+    def test_non_finite_transformed_value_names_row_and_feature(self):
+        state = fit_preprocessor(_toy_table(), [])
+        other = _toy_table()
+        other.rows[1][1] = -1.7e308  # finite, but (v - mean) / std is not
+        with pytest.raises(DataError, match=r"row 2, feature 'Value': .* not finite"):
             apply_preprocessor(state, other)
 
     def test_schema_mismatch_rejected(self):
