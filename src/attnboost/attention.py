@@ -9,7 +9,18 @@ each mini-batch's mean gradient into a second vector with the same layout, so
 the optimizer updates everything in one pass over one vector. Every buffer a
 step needs is allocated once per fit and the forward and backward passes work
 in place. Each elementwise operation keeps the operands and order of the
-plain allocating formulation, so results are bitwise equal to it.
+plain allocating formulation, so results are bitwise equal to it on the
+network that is trained.
+
+That network holds only the live units: those whose initial pre-activation is
+positive on at least one training row. A unit that is dead on every row has
+h = 0 in every batch, so every gradient entry of its W1 row, b1, w2, b_attn
+and W_attn row and column is a sum of zeros, Adam and SGD step it by exactly
+0, it stays dead, and each term it adds to a live unit's sum is an exact
+zero. Training without it is therefore exact in arithmetic; dead units are
+returned bitwise at initialisation, and live parameters may differ from a fit
+over all units in the last bits only, because the matrix products sum the
+remaining terms in another order.
 """
 
 from __future__ import annotations
@@ -263,6 +274,8 @@ def train(
 ) -> tuple[AttentionParams, list[float]]:
     """Mini-batch training with seeded per-epoch shuffling.
 
+    Only the live units are trained (see the module docstring); the returned
+    parameters keep all `config.k` units, the dead ones at initialisation.
     Returns the trained parameters and the mean per-sample loss of each epoch.
     """
     values = X.values
@@ -276,8 +289,9 @@ def train(
         raise DataError("labels must be 0 or 1")
 
     rng = np.random.default_rng(config.seed)
-    trainer = _Trainer(init_params(values.shape[1], config.k, config.seed),
-                       min(config.batch_size, n), config)
+    params = init_params(values.shape[1], config.k, config.seed)
+    live = _live_units(params, values, config.batch_size)
+    trainer = _Trainer(_sub_network(params, live), min(config.batch_size, n), config)
     labels = y.astype(np.float64)
     history: list[float] = []
 
@@ -288,7 +302,37 @@ def train(
             loss_sum += trainer.gradient(values, labels, perm[start : start + config.batch_size])
             trainer.update()
         history.append(loss_sum / n)
-    return trainer.params(), history
+
+    trained = trainer.params()
+    params.W1[live] = trained.W1
+    params.b1[live] = trained.b1
+    params.W_attn[np.ix_(live, live)] = trained.W_attn
+    params.b_attn[live] = trained.b_attn
+    params.w2[live] = trained.w2
+    params.b2 = trained.b2
+    return params, history
+
+
+def _live_units(params: AttentionParams, values: np.ndarray, rows: int) -> np.ndarray:
+    """Indices of the hidden units whose pre-activation is positive on some row.
+
+    Takes `rows` rows at a time, so the check holds no more of H than a
+    training batch does.
+    """
+    live = np.zeros(params.k, dtype=bool)
+    for start in range(0, values.shape[0], rows):
+        H = values[start : start + rows] @ params.W1.T
+        H += params.b1
+        live |= (H > 0.0).any(axis=0)
+    return np.flatnonzero(live)
+
+
+def _sub_network(params: AttentionParams, units: np.ndarray) -> AttentionParams:
+    """The network restricted to the given hidden units (copies, in their order)."""
+    return AttentionParams(W1=params.W1[units], b1=params.b1[units],
+                           W_attn=params.W_attn[np.ix_(units, units)],
+                           b_attn=params.b_attn[units], w2=params.w2[units],
+                           b2=params.b2, d=params.d, k=units.size)
 
 
 def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hidden") -> FeatureMatrix:

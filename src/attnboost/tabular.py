@@ -167,6 +167,20 @@ def _parse_date(text: str, where: str) -> dt.date:
         raise DataError(f"{where}: {text!r} is not a valid calendar date") from exc
 
 
+def _float_error(value, row: int, column: str, exc: Exception) -> DataError:
+    """The error for a numeric cell of a table built in code that `float` rejects."""
+    if isinstance(exc, OverflowError):
+        return DataError(f"row {row}, column {column!r}: integer value is too large for a float")
+    return DataError(f"row {row}, column {column!r}: {value!r} is not a number")
+
+
+def _cell_float(value, row: int, column: str) -> float:
+    try:
+        return float(value)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise _float_error(value, row, column, exc) from exc
+
+
 def _parse_cell(text: str, col: ColumnSchema, row_idx: int):
     where = f"row {row_idx}, column {col.name!r}"
     if text == "":
@@ -274,7 +288,8 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
             category_maps[col.name] = {value: code for code, value in enumerate(seen)}
             feature_names.append(col.name)
         elif col.kind in ("integer", "float"):
-            values = np.array([float(v) for v in cells if v is not None], dtype=np.float64)
+            values = np.array([_cell_float(v, i + 1, col.name)
+                               for i, v in enumerate(cells) if v is not None], dtype=np.float64)
             if values.size == 0:
                 raise DataError(f"numeric column {col.name!r} has no non-null values")
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -355,7 +370,10 @@ def apply_preprocessor(
             for i, v in enumerate(cells):
                 if v is None:
                     raise DataError(f"row {i + 1}, column {col.name!r}: null in numeric column")
-                out[i] = (float(v) - mean) / std
+                try:
+                    out[i] = (float(v) - mean) / std
+                except (OverflowError, TypeError, ValueError) as exc:
+                    raise _float_error(v, i + 1, col.name, exc) from exc
             columns.append(out)
         elif col.kind == "date":
             years = np.empty(n, dtype=np.float64)
@@ -364,6 +382,8 @@ def apply_preprocessor(
             for i, v in enumerate(cells):
                 if v is None:
                     raise DataError(f"row {i + 1}, column {col.name!r}: null in date column")
+                if not isinstance(v, dt.date):
+                    v = _parse_date(str(v), f"row {i + 1}, column {col.name!r}")
                 years[i], months[i], weekdays[i] = decompose_date(v)
             columns.extend([years, months, weekdays])
 

@@ -139,12 +139,19 @@ def _sgd_step(params: AttentionParams, grads: Gradients, lr: float) -> None:
         setattr(params, name, getattr(params, name) - lr * getattr(grads, name))
 
 
-def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig):
-    """The allocating mini-batch loop: same shuffles, same batches, same updates."""
+def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
+                    params: AttentionParams | None = None):
+    """The allocating mini-batch loop: same shuffles, same batches, same updates.
+
+    Trains every unit of `params` (a copy), or of `init_params` when not given.
+    """
     values = X.values
     y = np.asarray(y)
     n = values.shape[0]
-    params = init_params(values.shape[1], config.k, config.seed)
+    if params is None:
+        params = init_params(values.shape[1], config.k, config.seed)
+    else:
+        params = params.copy()
     rng = np.random.default_rng(config.seed)
     adam = _AdamState(params) if config.optimizer == "adaptive-moments" else None
     clamp = config.prob_clamp

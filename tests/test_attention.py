@@ -394,6 +394,12 @@ class TestTrain:
             assert_params_bitwise_equal(params, ref_params)
             assert type(params.b2) is float
 
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_reference_data_has_no_dead_unit(self, k):
+        # the data of test_bitwise_equal_to_reference, so that test covers a fit of every unit
+        X = np.random.default_rng(k).normal(0, 2, (103, 5))
+        assert live_units(init_params(5, k, seed=4), X).size == k
+
     def test_separable_data_loss_decreases(self):
         X, y = self._toy(n=200, seed=1)
         cfg = TrainConfig(k=8, epochs=50, seed=0, learning_rate=5e-3)
@@ -421,6 +427,101 @@ class TestTrain:
     def test_config_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
+
+
+def live_units(params: AttentionParams, X) -> np.ndarray:
+    """Units whose pre-activation is positive on at least one row of X."""
+    return np.flatnonzero(((np.asarray(X) @ params.W1.T + params.b1) > 0.0).any(axis=0))
+
+
+def restrict(params: AttentionParams, units) -> AttentionParams:
+    return AttentionParams(W1=params.W1[units], b1=params.b1[units],
+                           W_attn=params.W_attn[np.ix_(units, units)],
+                           b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2,
+                           d=params.d, k=len(units))
+
+
+def scatter(params: AttentionParams, sub: AttentionParams, units) -> AttentionParams:
+    """A copy of `params` with the entries of `units` taken from `sub`."""
+    out = params.copy()
+    out.W1[units], out.b1[units], out.b_attn[units], out.w2[units] = (
+        sub.W1, sub.b1, sub.b_attn, sub.w2)
+    out.W_attn[np.ix_(units, units)] = sub.W_attn
+    out.b2 = sub.b2
+    return out
+
+
+def assert_units_at_init(params: AttentionParams, init: AttentionParams, units):
+    """Every parameter entry that belongs to `units` is bitwise at its initial value."""
+    for name in ("W1", "b1", "b_attn", "w2"):
+        assert np.array_equal(bits(getattr(params, name)[units]), bits(getattr(init, name)[units]))
+    assert np.array_equal(bits(params.W_attn[units]), bits(init.W_attn[units]))
+    assert np.array_equal(bits(params.W_attn[:, units]), bits(init.W_attn[:, units]))
+
+
+class TestLiveUnits:
+    """`train` fits only the units that are live at initialisation."""
+
+    def _year_like(self, n=150, seed=5):
+        # the last column sits near 2016 as the raw order year does, so every unit
+        # whose year weight is negative starts dead on every row
+        rng = np.random.default_rng(seed)
+        X = rng.normal(0, 1, (n, 5))
+        X[:, -1] = rng.integers(2014, 2019, n)
+        # the last row, with year 0 and tiny values, is the only one where some
+        # units are live, each with a pre-activation far below 1
+        X[-1] = np.append(rng.normal(0, 0.01, 4), 0.0)
+        y = (X[:, 0] + 0.5 * rng.normal(0, 1, n) > 0).astype(int)
+        return _fm(X), y
+
+    def _config(self, optimizer, k=16):
+        return TrainConfig(k=k, epochs=3, batch_size=16, seed=4, optimizer=optimizer,
+                           learning_rate=0.02)
+
+    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
+    def test_bitwise_equal_to_reference_on_live_sub_network(self, optimizer):
+        X, y = self._year_like()
+        cfg = self._config(optimizer)
+        init = init_params(X.d, cfg.k, cfg.seed)
+        live = live_units(init, X.values)
+        assert 0 < live.size < cfg.k
+        params, history = train(X, y, cfg)
+        ref_sub, ref_history = reference_train(X, y, cfg, params=restrict(init, live))
+        assert np.array_equal(bits(history), bits(ref_history))
+        assert_params_bitwise_equal(params, scatter(init, ref_sub, live))
+        assert params.k == cfg.k and type(params.b2) is float
+
+    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
+    def test_full_reference_leaves_dead_units_at_init(self, optimizer):
+        X, y = self._year_like()
+        cfg = self._config(optimizer)
+        init = init_params(X.d, cfg.k, cfg.seed)
+        live = live_units(init, X.values)
+        dead = np.setdiff1d(np.arange(cfg.k), live)
+        ref, ref_history = reference_train(X, y, cfg)
+        # a unit dead on every row gets zero gradients and zero optimizer steps
+        assert_units_at_init(ref, init, dead)
+        params, history = train(X, y, cfg)
+        assert_units_at_init(params, init, dead)
+        # live units differ from the pruned fit only by the order of the products' sums
+        for name in PARAM_FIELDS:
+            np.testing.assert_allclose(getattr(params, name), getattr(ref, name),
+                                       rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(history, ref_history, rtol=1e-12)
+
+    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
+    def test_no_live_unit_trains_output_bias_only(self, optimizer):
+        X = _fm(np.zeros((40, 3)))
+        y = (np.arange(40) % 3 == 0).astype(int)
+        cfg = self._config(optimizer, k=8)
+        init = init_params(3, 8, cfg.seed)
+        assert live_units(init, X.values).size == 0
+        params, history = train(X, y, cfg)
+        ref, ref_history = reference_train(X, y, cfg)
+        assert np.array_equal(bits(history), bits(ref_history))
+        assert_params_bitwise_equal(params, ref)
+        assert_units_at_init(params, init, np.arange(8))
+        assert params.b2 < 0.0  # a third of the labels are 1
 
 
 class TestAugment:

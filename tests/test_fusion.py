@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from attnboost import gbdt
+from attention_reference import reference_train
+from attnboost import attention, gbdt
 from attnboost.attention import TrainConfig, init_params, train
 from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, generate_synthetic
 from attnboost.fusion import (
@@ -67,6 +68,22 @@ class TestFitAttnBoost:
         train_proba, _ = predict_matrix(model, split.X_train)
         train_report = evaluate_scores(train_proba, split.y_train)
         assert train_report.f1 >= 0.95
+
+    def test_live_unit_training_keeps_test_probabilities(self, planted_split, monkeypatch):
+        """The network trained on its live units only gives the trees what a fit of
+        every unit gives them: test probabilities are bitwise equal."""
+        _, split, _ = planted_split
+        acfg = TrainConfig(k=128, epochs=3, seed=0)
+        boost = BoostConfig(n_estimators=12, max_depth=6, min_child_weight=1.0, gamma=0.0)
+        init = init_params(split.X_train.d, 128, seed=0)
+        pre = split.X_train.values @ init.W1.T + init.b1
+        assert 0 < (pre > 0.0).any(axis=0).sum() < 128  # the raw year leaves units dead
+        model = fit_variant("full", split.X_train, split.y_train, acfg, boost)
+        monkeypatch.setattr(attention, "train", reference_train)  # trains every unit
+        every_unit = fit_variant("full", split.X_train, split.y_train, acfg, boost)
+        proba, _ = predict_matrix(model, split.X_test)
+        expected, _ = predict_matrix(every_unit, split.X_test)
+        assert proba.tobytes() == expected.tobytes()
 
     def test_predict_round_trips_width(self):
         X, y = _toy_matrix()

@@ -164,6 +164,14 @@ class TestFitPreprocessor:
         with pytest.raises(DataError, match="unknown"):
             fit_preprocessor(_toy_table(), ["Nope"])
 
+    def test_integer_too_large_for_a_float_names_row_and_column(self):
+        table = _toy_table()
+        table.rows[0][1] = None  # a skipped null still counts as a row
+        table.rows[1][1] = 10**400
+        with pytest.raises(DataError, match=r"row 2, column 'Value': integer value is too "
+                                            r"large for a float"):
+            fit_preprocessor(table, [])
+
 
 class TestApplyPreprocessor:
     def test_z_score_value(self):
@@ -217,6 +225,9 @@ class TestApplyPreprocessor:
         ((2, 1, None), r"row 3, column 'Value': null in numeric column"),
         ((0, 2, None), r"row 1, column 'When': null in date column"),
         ((1, 0, None), r"row 2, column 'Region': null in non-nullable column"),
+        ((1, 1, 10**400), r"row 2, column 'Value': integer value is too large for a float"),
+        ((0, 1, "abc"), r"row 1, column 'Value': 'abc' is not a number"),
+        ((2, 2, "2017-13-01"), r"row 3, column 'When': '2017-13-01' is not a valid calendar"),
     ])
     def test_errors_name_row_from_one_and_column(self, cell, message):
         state = fit_preprocessor(_toy_table(), [])
