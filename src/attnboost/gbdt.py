@@ -2,21 +2,31 @@
 
 Features are quantized once into per-feature bins (midpoint thresholds),
 stored in the smallest unsigned dtype that holds every bin index. Trees are
-grown depth-first. A node's histogram holds, for each candidate feature and
-bin, the node's gradient sum, hessian sum and row count in a padded
-(features x B) matrix, B being the widest bin count among the round's
-features. A column with one bin (constant on the training rows, such as a
-dead attention unit) has no boundary, so it is dropped from each round's
-sampled features and never enters a histogram or a split scan; the sample is
-drawn before the drop, so the trees are those grown over the full sample.
-The root's histogram is built from its rows; at each split only the
-child with fewer rows is built and its sibling is parent minus child. Counts
-are integers and subtract exactly, so a boundary that leaves a child without
-rows is never chosen even when subtraction leaves rounding residue in its
-gradient sums. Split search scans every feature of a node in one pass over the
-matrix, maximizing the regularized second-order gain. Leaf weights use the
-L1/L2 closed form on sums over the leaf's rows and are stored unscaled; the
-shrinkage factor is applied at prediction time.
+grown depth-first. A node's histogram holds, for each candidate feature, the
+node's gradient sums, hessian sums and row counts. A column with one bin
+(constant on the training rows, such as a dead attention unit) has no
+boundary, so it is dropped from each round's sampled features and never
+enters a histogram or a split scan; the sample is drawn before the drop, so
+the trees are those grown over the full sample.
+
+A histogram has one of two layouts. The dense one is a padded (features x B)
+matrix with a column per bin, B being the widest bin count among the round's
+features. The compact one, for a node of at most B/2 rows, is a (features x
+rows) matrix: a feature's column j is the node's j-th row in bin order, each
+bin's sums sit at the column of its last row and the other columns hold
+exact zeros, so a small node's scan walks its rows rather than B bins. The
+root's histogram is built from its rows. At a split where a child has more
+than B/2 rows, the child with fewer rows gets a dense build and its sibling
+is parent minus child; a child of at most B/2 rows builds its own compact
+histogram. Counts are integers and subtract exactly, so a boundary that
+leaves a child without rows is never chosen even when subtraction leaves
+rounding residue in its gradient sums. Split search scans every feature of a
+node in one pass over the matrix, maximizing the regularized second-order
+gain. Both layouts add each bin's rows in the same order, and a column that
+closes no bin repeats the gain of the last one that does, so they give
+bitwise equal decisions and gains. Leaf weights use the L1/L2 closed form on
+sums over the leaf's rows and are stored unscaled; the shrinkage factor is
+applied at prediction time.
 
 A tree is a record of parallel node arrays in pre-order (root first, a node's
 left subtree before its right), the layout the model file stores. A split
@@ -95,17 +105,24 @@ class BinnedMatrix:
 
 @dataclass
 class NodeHistogram:
-    """Sums over one node's rows per (candidate feature, bin).
+    """Sums over one node's rows per (candidate feature, column).
 
     Matrix row i belongs to features[i] of the list the histogram was built
-    for; bins past a feature's own width are padding and stay zero.
+    for. In the dense layout (`bins` is None) column j is bin j; columns past
+    a feature's own width are padding and stay zero. In the compact layout
+    column j is the j-th of the node's rows in bin order, `bins[i, j]` is that
+    row's bin, and each bin's sums sit at the column of its last row, with
+    exact zeros in the others.
     """
 
-    grad: np.ndarray  # (k, B) float64 gradient sums
-    hess: np.ndarray  # (k, B) float64 hessian sums
-    count: np.ndarray  # (k, B) int64 row counts
+    grad: np.ndarray  # (k, B) or (k, rows) float64 gradient sums
+    hess: np.ndarray  # (k, B) or (k, rows) float64 hessian sums
+    count: np.ndarray  # (k, B) or (k, rows) int64 row counts
+    bins: np.ndarray | None = None  # (k, rows) bin of each column; None when dense
 
     def __sub__(self, other: "NodeHistogram") -> "NodeHistogram":
+        if self.bins is not None or other.bins is not None:
+            raise ValueError("only dense histograms subtract: a compact column is not a bin")
         return NodeHistogram(self.grad - other.grad, self.hess - other.hess,
                              self.count - other.count)
 
@@ -251,24 +268,45 @@ def build_histogram(
     g: np.ndarray,
     h: np.ndarray,
     features: np.ndarray,
+    compact: bool = False,
 ) -> NodeHistogram:
     """Gradient, hessian and row-count histogram of `rows` over `features`.
 
     One bincount per quantity, keyed by feature position * B + bin, where B is
-    the widest bin count among `features`.
+    the widest bin count among `features`. A compact histogram sorts each
+    feature's keys and renames every key to the column of its last occurrence
+    in that order. Either way bincount adds a bin's rows in the order of
+    `rows`, so the two layouts hold bitwise equal sums.
     """
     features = np.asarray(features)
     k = features.size
     width = int(binned.widths[features].max()) if k else 1
-    keys = np.add(binned.bins[np.ix_(rows, features)], np.arange(k) * width,
-                  dtype=np.intp).ravel()
-    size = k * width
+    offsets = np.arange(0, k * width, width)
+    # rows first, then columns, widened in place: several times faster than
+    # bins[np.ix_(rows, features)] and than a casting np.add
+    keys = binned.bins[rows][:, features].astype(np.intp)  # (rows, k)
+    keys += offsets
+    bins = None
+    if compact:
+        ordered = np.sort(keys.T, axis=1)  # (k, rows): each feature's keys by bin
+        flat = ordered.ravel()
+        last = np.ones(flat.size, dtype=bool)  # the last column of each bin
+        np.not_equal(flat[1:], flat[:-1], out=last[:-1])
+        last = np.flatnonzero(last)
+        column = np.empty(k * width, dtype=np.intp)  # key -> its bin's last column
+        column[flat[last]] = last
+        keys = column[keys]
+        bins = ordered - offsets[:, None]
+    keys = keys.ravel()
+    shape = (k, width if bins is None else rows.size)
+    size = shape[0] * shape[1]
     weights_g = np.repeat(g[rows], k)
     weights_h = np.repeat(h[rows], k)
     return NodeHistogram(
-        grad=np.bincount(keys, weights=weights_g, minlength=size).reshape(k, width),
-        hess=np.bincount(keys, weights=weights_h, minlength=size).reshape(k, width),
-        count=np.bincount(keys, minlength=size).reshape(k, width),
+        grad=np.bincount(keys, weights=weights_g, minlength=size).reshape(shape),
+        hess=np.bincount(keys, weights=weights_h, minlength=size).reshape(shape),
+        count=np.bincount(keys, minlength=size).reshape(shape),
+        bins=bins,
     )
 
 
@@ -280,12 +318,14 @@ def find_best_split(
 ) -> SplitDecision | None:
     """Best (feature, bin boundary) of a node by second-order gain, or None.
 
-    `hist` is the node's histogram over `features` (see build_histogram).
-    Gain must exceed zero after subtracting gamma, both children must hold at
-    least one row and carry hessian mass >= min_child_weight. Ties keep the
-    lowest feature index, then the lowest threshold (features and boundaries
-    are taken in that order); gains within GAIN_TIE_REL of each other count as
-    tied.
+    `hist` is the node's histogram over `features` (see build_histogram), in
+    either layout. Gain must exceed zero after subtracting gamma, both
+    children must hold at least one row and carry hessian mass >=
+    min_child_weight. Ties keep the lowest feature index, then the lowest
+    threshold (features and boundaries are taken in that order); gains within
+    GAIN_TIE_REL of each other count as tied. A column that closes no bin
+    repeats the partition, and so the gain, of the last column before it that
+    does, so the lowest tied column always closes a bin.
     """
     features = np.asarray(features)
     if features.size == 0 or binned.widths[features].max() < 2 or hist.count[0].sum() < 2:
@@ -318,16 +358,21 @@ def find_best_split(
     top = gains.max(axis=1)
     window = GAIN_TIE_REL * np.maximum(1.0, np.abs(top))
     first = np.argmax((gains >= (top - window)[:, None]) & (gains > 0.0), axis=1)
-    first_gain = gains[np.arange(features.size), first]
+    first_gain = gains[np.arange(features.size), first].tolist()
 
-    best: SplitDecision | None = None
-    for pos in np.flatnonzero(top > 0.0).tolist():
-        gain = float(first_gain[pos])
-        if best is None or gain > best.gain + GAIN_TIE_REL * max(1.0, abs(best.gain)):
-            f, b = int(features[pos]), int(first[pos])
-            best = SplitDecision(feature=f, bin_idx=b,
-                                 threshold=float(binned.thresholds[f][b]), gain=gain)
-    return best
+    # features in order; a later one wins only by more than the tie window. A
+    # feature without a positive gain has first_gain <= 0, so it never wins.
+    best, bar = -1, 0.0
+    for pos, gain in enumerate(first_gain):
+        if gain > bar:
+            best, bar = pos, gain + GAIN_TIE_REL * max(1.0, gain)
+    if best < 0:
+        return None
+    f, b = int(features[best]), int(first[best])
+    if hist.bins is not None:
+        b = int(hist.bins[best, b])
+    return SplitDecision(feature=f, bin_idx=b, threshold=float(binned.thresholds[f][b]),
+                         gain=first_gain[best])
 
 
 def _grow_tree(
@@ -343,8 +388,13 @@ def _grow_tree(
     A node is numbered when it is popped, which is pre-order, and its
     parent's child link is set then. Besides the node being split, the stack
     holds the histograms of pending right siblings, at most one per level.
-    Nodes at max_depth get none; the root's is built when it is searched.
+    Nodes at max_depth get none. A node of at most B/2 rows (B the dense
+    histogram's width) is small: its compact histogram, which has fewer
+    columns, is built from its rows when it is searched. A larger node is
+    searched from a dense histogram: the root's is built, and at a split the
+    smaller child's is built and the larger one's is parent minus it.
     """
+    small = int(binned.widths[features].max()) // 2 if features.size else 0
     nodes: list[list] = []  # [feature, threshold, left, right, weight, gain]
     LEFT, RIGHT = 2, 3  # positions of the child links in a node's row
     stack = [(rows, None, 0, -1, -1)]
@@ -356,7 +406,8 @@ def _grow_tree(
         decision = None
         if depth < config.max_depth and rows.size >= 2:
             if hist is None:
-                hist = build_histogram(rows, binned, g, h, features)
+                hist = build_histogram(rows, binned, g, h, features,
+                                       compact=rows.size <= small)
             decision = find_best_split(hist, binned, features, config)
         if decision is None:
             G, H = float(g[rows].sum()), float(h[rows].sum())
@@ -367,13 +418,18 @@ def _grow_tree(
         mask = binned.bins[rows, decision.feature] <= decision.bin_idx
         left, right = rows[mask], rows[~mask]
         left_hist = right_hist = None
-        if depth + 1 < config.max_depth:
+        if depth + 1 < config.max_depth and max(left.size, right.size) > small:
             if left.size <= right.size:
                 left_hist = build_histogram(left, binned, g, h, features)
                 right_hist = hist - left_hist
             else:
                 right_hist = build_histogram(right, binned, g, h, features)
                 left_hist = hist - right_hist
+            # a small child is searched from its own compact histogram instead
+            if left.size <= small:
+                left_hist = None
+            if right.size <= small:
+                right_hist = None
         stack.append((right, right_hist, depth + 1, node, RIGHT))
         stack.append((left, left_hist, depth + 1, node, LEFT))
     feature, threshold, left_of, right_of, weight, gain = zip(*nodes)

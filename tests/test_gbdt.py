@@ -1,5 +1,7 @@
 """Tests for binning, split search, leaf weights, and boosting training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -407,6 +409,134 @@ class TestFindBestSplit:
         assert seen == {0, 1}
 
 
+class TestCompactHistogram:
+    """A compact histogram, whose columns are the node's rows in bin order,
+    gives the dense histogram's split decision and gain bit for bit."""
+
+    @staticmethod
+    def _binned(rng, n=300):
+        wide = rng.normal(0, 1, n)
+        columns = [
+            wide,  # 256 bins
+            2.0 * wide + 1.0,  # the same bins, so its gains tie column 0's exactly
+            rng.integers(0, 2, n).astype(float),  # 2, 3 and 5 distinct values
+            rng.integers(0, 3, n).astype(float),
+            rng.integers(0, 5, n).astype(float),
+            np.arange(n) // 50 * 1.0,  # constant on 50-row blocks
+            np.round(rng.exponential(1.0, n), 1),  # ties at many values
+        ]
+        binned = bin_features(_fm(np.column_stack(columns)), 256)
+        assert binned.widths.tolist()[:6] == [256, 256, 2, 3, 5, n // 50]
+        assert (binned.bins[:, 0] == binned.bins[:, 1]).all()
+        return binned
+
+    @staticmethod
+    def _node(rng, n):
+        """Sorted rows of a random node: 2-150 rows, a third of them inside one 50-row block."""
+        size = int(rng.choice([2, 3, int(rng.integers(4, 20)), int(rng.integers(20, 151))]))
+        if rng.uniform() < 1 / 3:
+            start = 50 * int(rng.integers(n // 50))
+            return np.sort(rng.choice(np.arange(start, start + 50), size=min(size, 50),
+                                      replace=False))
+        return np.sort(rng.choice(n, size=size, replace=False))
+
+    def test_decisions_and_gains_equal_the_dense_scan_and_the_oracle(self):
+        rng = np.random.default_rng(41)
+        n = 300
+        binned = self._binned(rng, n)
+        d = binned.widths.size
+        seen = {"split": 0, "none": 0, "tie": 0, "one_row_child": 0, "constant": 0,
+                "gamma_blocked": 0, "narrow": 0, "mcw_edge": 0}
+        for trial in range(150):
+            rows = self._node(rng, n)
+            feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            g = rng.normal(0, 1, n)
+            quarter = rng.uniform() < 0.5  # hessians of 0.25, so sums hit min_child_weight exactly
+            h = np.full(n, 0.25) if quarter else rng.uniform(0.01, 1.0, n)
+            config = BoostConfig(
+                gamma=float(rng.choice([0.0, 0.1, 0.8])),
+                min_child_weight=float(rng.choice([0.0, 0.25, 0.5, 1.0] if quarter
+                                                  else [0.0, 0.5, 2.0])),
+                reg_lambda=float(rng.choice([0.5, 1.0, 2.0])),
+            )
+            dense = build_histogram(rows, binned, g, h, feats)
+            compact = build_histogram(rows, binned, g, h, feats, compact=True)
+            assert dense.bins is None and compact.bins.shape == (feats.size, rows.size)
+            got = find_best_split(compact, binned, feats, config)
+            want = find_best_split(dense, binned, feats, config)
+            oracle = brute_force_split(rows, binned, g, h, feats, config)
+            if want is None:
+                assert got is None and oracle is None, f"trial {trial}"
+                seen["none"] += 1
+                continue
+            fields = ("feature", "bin_idx", "threshold", "gain")
+            assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], \
+                f"trial {trial}"
+            assert (got.feature, got.threshold) == oracle[:2], f"trial {trial}"
+            assert got.gain == pytest.approx(oracle[2], abs=1e-9)
+            seen["split"] += 1
+            seen["tie"] += got.feature == 0 and 1 in feats
+            seen["narrow"] += got.feature in (2, 3, 4)
+            seen["constant"] += any(np.unique(binned.bins[rows, f]).size == 1 for f in feats)
+            left = binned.bins[rows, got.feature] <= got.bin_idx
+            seen["one_row_child"] += int(min(left.sum(), (~left).sum()) == 1)
+            seen["mcw_edge"] += quarter and config.min_child_weight > 0 and bool(
+                min(h[rows[left]].sum(), h[rows[~left]].sum()) == config.min_child_weight)
+
+            # a gamma at the tie bar of the best gain before gamma blocks every
+            # boundary: no other gain beat that bar, or it would have won
+            ungated = find_best_split(dense, binned, feats, replace(config, gamma=0.0)).gain
+            blocked = replace(config, gamma=ungated + GAIN_TIE_REL * max(1.0, ungated))
+            assert find_best_split(compact, binned, feats, blocked) is None, f"trial {trial}"
+            assert find_best_split(dense, binned, feats, blocked) is None, f"trial {trial}"
+            seen["gamma_blocked"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_two_row_nodes(self):
+        binned = bin_features(_fm([[0.0, 5.0], [1.0, 5.0], [2.0, 6.0]]), 256)
+        g, h = np.array([-1.0, 1.0, 1.0]), np.full(3, 0.5)
+        config = BoostConfig(gamma=0.0, min_child_weight=0.0, reg_lambda=1.0)
+        feats = np.array([0, 1])
+        for rows, split_on in (([0, 1], 0), ([1, 2], None), ([0, 2], 0)):
+            rows = np.array(rows)
+            got = find_best_split(build_histogram(rows, binned, g, h, feats, compact=True),
+                                  binned, feats, config)
+            want = find_best_split(build_histogram(rows, binned, g, h, feats),
+                                   binned, feats, config)
+            assert got == want
+            assert (got and got.feature) == split_on, rows
+
+    def test_each_bin_sits_at_its_last_row(self):
+        rng = np.random.default_rng(43)
+        binned = self._binned(rng)
+        g, h = rng.normal(0, 1, 300), rng.uniform(0.01, 1.0, 300)
+        feats = np.array([0, 2, 4, 5, 6])
+        rows = np.sort(rng.choice(300, size=90, replace=False))
+        dense = build_histogram(rows, binned, g, h, feats)
+        compact = build_histogram(rows, binned, g, h, feats, compact=True)
+        assert compact.grad.shape == compact.count.shape == (feats.size, rows.size)
+        for i, f in enumerate(feats):
+            np.testing.assert_array_equal(compact.bins[i], np.sort(binned.bins[rows, f]))
+            last = np.flatnonzero(np.append(np.diff(compact.bins[i]) != 0, True))
+            occupied = compact.bins[i, last]
+            for name in ("grad", "hess", "count"):
+                got, want = getattr(compact, name)[i], getattr(dense, name)[i]
+                assert got[last].tobytes() == want[occupied].tobytes(), (f, name)
+                assert (np.delete(got, last) == 0).all() and (np.delete(want, occupied) == 0).all()
+
+    def test_subtraction_needs_two_dense_histograms(self):
+        rng = np.random.default_rng(44)
+        binned = self._binned(rng)
+        g, h = rng.normal(0, 1, 300), rng.uniform(0.01, 1.0, 300)
+        feats, rows = np.arange(4), np.arange(0, 300, 7)
+        dense = build_histogram(rows, binned, g, h, feats)
+        compact = build_histogram(rows, binned, g, h, feats, compact=True)
+        for a, b in ((dense, compact), (compact, dense), (compact, compact)):
+            with pytest.raises(ValueError, match="dense"):
+                a - b
+        assert not (dense - dense).count.any()
+
+
 class TestTrainBoosting:
     def test_constant_feature_keeps_predictions_half(self):
         X = _fm([[1.0]] * 4)
@@ -599,25 +729,49 @@ class TestLossMonotonicity:
 
 class TestGrownTreesMatchBruteForce:
     """Trees from train_boosting, whose non-root histograms are built or subtracted,
-    agree with exhaustive enumeration over each node's rows at every node."""
+    agree with exhaustive enumeration over each node's rows at every node. Every
+    search is seen, in order: a node of at most B/2 rows is searched from a
+    compact histogram, a larger one from a dense histogram, and both occur."""
 
     @pytest.mark.parametrize("min_child_weight", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("gamma", [0.0, 0.8])
-    def test_every_node_matches_oracle(self, min_child_weight, gamma):
-        rng = np.random.default_rng(int(10 * min_child_weight + 100 * gamma))
-        n, d = 150, 5
+    def test_every_node_matches_oracle(self, min_child_weight, gamma, monkeypatch):
+        self._check_growth(150, 16, min_child_weight, gamma, monkeypatch)
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.8])
+    def test_every_node_matches_oracle_on_more_rows(self, min_child_weight, gamma, monkeypatch):
+        self._check_growth(400, 32, min_child_weight, gamma, monkeypatch)
+
+    @staticmethod
+    def _check_growth(n, max_bins, min_child_weight, gamma, monkeypatch):
+        rng = np.random.default_rng(int(10 * min_child_weight + 100 * gamma) + n - 150)
+        d = 5
         values = rng.normal(0, 1, (n, d))
         values[:, 3] = np.round(values[:, 3])  # a few distinct values with many ties
         y = ((values[:, 0] - values[:, 2] + rng.normal(0, 1, n)) > 0).astype(int)
         X = _fm(values)
         config = BoostConfig(n_estimators=8, max_depth=4, learning_rate=0.3,
                              min_child_weight=min_child_weight, gamma=gamma,
-                             subsample=0.8, colsample_bytree=0.6, max_bins=16, reg_alpha=0.0)
-        model = train_boosting(X, y, config)
+                             subsample=0.8, colsample_bytree=0.6, max_bins=max_bins,
+                             reg_alpha=0.0)
+        searched = []  # (compact layout, rows) of every search, in the order made
+
+        def spy(hist, *args, _real=gbdt.find_best_split):
+            searched.append((hist.bins is not None, int(hist.count[0].sum())))
+            return _real(hist, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gbdt, "find_best_split", spy)
+            model = train_boosting(X, y, config)
         binned = bin_features(X, config.max_bins)
         seen = {"deep": 0, "early_leaf": 0}
+        expected = []  # the same, from each searched node's rows, in pre-order
 
         def check(tree, i, rows, depth, g, h, feats):
+            if depth < config.max_depth and rows.size >= 2:
+                small = int(binned.widths[feats].max()) // 2
+                expected.append((rows.size <= small, rows.size))
             oracle = brute_force_split(rows, binned, g, h, feats, config)
             if tree.feature[i] < 0:
                 if depth < config.max_depth:
@@ -648,6 +802,8 @@ class TestGrownTreesMatchBruteForce:
             check(tree, 0, rows, 0, g, h, feats)
             raw += config.learning_rate * reference_tree_output(tree, values)
         assert seen["deep"] > 0 and seen["early_leaf"] > 0, seen
+        assert searched == expected
+        assert {compact for compact, _ in searched} == {False, True}
 
 
 class TestOneBinColumns:
@@ -657,14 +813,30 @@ class TestOneBinColumns:
 
     @staticmethod
     def _spy_features(monkeypatch):
-        """Record the features every build_histogram and find_best_split call gets."""
+        """Record (name, features, compact) of every build_histogram and
+        find_best_split call; compact is the layout built or searched."""
         seen = []
         for name, position in (("build_histogram", 4), ("find_best_split", 2)):
-            def spy(*args, _real=getattr(gbdt, name), _position=position):
-                seen.append(np.asarray(args[_position]).copy())
-                return _real(*args)
+            def spy(*args, _real=getattr(gbdt, name), _name=name, _position=position, **kwargs):
+                compact = (kwargs.get("compact", False) if _name == "build_histogram"
+                           else args[0].bins is not None)
+                seen.append((_name, np.asarray(args[_position]).copy(), compact))
+                return _real(*args, **kwargs)
             monkeypatch.setattr(gbdt, name, spy)
         return seen
+
+    @staticmethod
+    def _searched_nodes(tree, rows, values, max_depth, depth=0, i=0):
+        """Number of nodes growth searched: those above max_depth with two rows or more."""
+        searched = int(depth < max_depth and rows.size >= 2)
+        if tree.feature[i] < 0:
+            return searched
+        mask = values[rows, tree.feature[i]] <= tree.threshold[i]
+        return (searched
+                + TestOneBinColumns._searched_nodes(tree, rows[mask], values, max_depth,
+                                                    depth + 1, tree.left[i])
+                + TestOneBinColumns._searched_nodes(tree, rows[~mask], values, max_depth,
+                                                    depth + 1, tree.right[i]))
 
     def test_trees_equal_the_unfiltered_growth_and_skip_one_bin_columns(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -684,7 +856,16 @@ class TestOneBinColumns:
         with monkeypatch.context() as patch:
             seen = self._spy_features(patch)
             model = train_boosting(X, y, config)
-        assert seen and all((binned.widths[f] >= 2).all() for f in seen)
+        assert seen and all((binned.widths[f] >= 2).all() for _, f, _ in seen)
+        # both layouts are built and searched, and the spy sees every search
+        assert {(name, compact) for name, _, compact in seen} == {
+            (name, compact) for name in ("build_histogram", "find_best_split")
+            for compact in (False, True)}
+        searches = sum(name == "find_best_split" for name, _, _ in seen)
+        assert searches == sum(
+            self._searched_nodes(tree, _round_sample(config, t, n, d)[0], values,
+                                 config.max_depth)
+            for t, tree in enumerate(model.trees))
 
         raw = np.full(n, model.base_raw)
         only_constant = splits = 0
