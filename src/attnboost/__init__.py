@@ -11,8 +11,6 @@ from .model_io import load_model, save_model
 from .experiments import (
     ExperimentResult,
     SyntheticSpec,
-    baseline_logistic,
-    baseline_stump,
     generate_synthetic,
     run_ablation,
     run_feature_removal,

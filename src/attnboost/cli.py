@@ -196,6 +196,13 @@ def cmd_importance(args) -> int:
     return 0
 
 
+def _write_result(result, out: str) -> int:
+    write_text_atomic(out, result_to_csv(result))
+    print(format_reports(result.rows))
+    print(f"results written to {out}")
+    return 0
+
+
 def cmd_ablate(args) -> int:
     cfg = _merged_config(args)
     table = _resolve_table(args, cfg)
@@ -209,10 +216,7 @@ def cmd_ablate(args) -> int:
         shallow_k=cfg["model.shallow_k"],
         augment_mode=cfg["model.augment_mode"],
     )
-    write_text_atomic(args.out, result_to_csv(result))
-    print(format_reports(result.rows))
-    print(f"results written to {args.out}")
-    return 0
+    return _write_result(result, args.out)
 
 
 def cmd_remove_features(args) -> int:
@@ -229,10 +233,7 @@ def cmd_remove_features(args) -> int:
         drop=cfg.drop_columns(),
         augment_mode=cfg["model.augment_mode"],
     )
-    write_text_atomic(args.out, result_to_csv(result))
-    print(format_reports(result.rows))
-    print(f"results written to {args.out}")
-    return 0
+    return _write_result(result, args.out)
 
 
 def cmd_synth(args) -> int:

@@ -1,17 +1,17 @@
-"""Desk-scale experiment harness: planted synthetic data, ablations, baselines.
+"""Desk-scale experiment harness: planted synthetic data, the ablation and feature removal.
 
 The generator plants a known label rule (logit linear in standardized feature
 values plus Gaussian noise) over a retail-shaped table, so ablation tests can
-assert which features must matter. All runs embed a config fingerprint and
-their seeds, and every condition inside a run shares one stratified split.
+assert which features must matter. Both experiments fit and score each
+condition through one helper and record their run through another: every
+result embeds a config fingerprint and its seeds, and every condition of an
+ablation shares one stratified split.
 """
 
 from __future__ import annotations
 
-import csv as csv_mod
 import datetime as dt
 import hashlib
-import io
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -22,7 +22,6 @@ from .attention import TrainConfig, sigmoid
 from .errors import DataError
 from .metrics import (
     CSV_HEADER,
-    ConfusionMatrix,
     MetricsReport,
     evaluate_scores,
     metrics_csv_row,
@@ -30,7 +29,6 @@ from .metrics import (
 from .tabular import (
     RETAIL_IDENTIFIER_COLUMNS,
     ColumnSchema,
-    FeatureMatrix,
     PreprocessorState,
     RawTable,
     SplitResult,
@@ -183,32 +181,6 @@ def result_to_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def result_from_csv(text: str) -> ExperimentResult:
-    """Parse a result CSV back into rows (metric values as printed)."""
-    fingerprint = ""
-    seeds: dict[str, int] = {}
-    data_lines = []
-    for line in text.splitlines():
-        if line.startswith("# fingerprint="):
-            fingerprint = line.split("=", 1)[1]
-        elif line.startswith("# seed."):
-            key, value = line[len("# seed."):].split("=", 1)
-            seeds[key] = int(value)
-        elif line and not line.startswith("#"):
-            data_lines.append(line)
-    if not data_lines or data_lines[0] != CSV_HEADER:
-        raise DataError("result CSV is missing its header row")
-    rows = []
-    for record in csv_mod.reader(io.StringIO("\n".join(data_lines[1:]))):
-        name, p, r, acc, f1, auc_v, tp, tn, fp, fn = record
-        rows.append((name, MetricsReport(
-            precision=float(p), recall=float(r), accuracy=float(acc),
-            f1=float(f1), auc=float(auc_v),
-            counts=ConfusionMatrix(tp=int(tp), tn=int(tn), fp=int(fp), fn=int(fn)),
-        )))
-    return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds)
-
-
 def load_source(source) -> RawTable:
     """The table of a data source: a CSV path (retail schema), a SyntheticSpec or a RawTable."""
     if isinstance(source, RawTable):
@@ -234,6 +206,45 @@ def prepare(table: RawTable, drop: list[str] | None, split_fraction: float,
     return state, stratified_split(X, y, split_fraction, split_seed)
 
 
+def _evaluate_variant(kind: str, state: PreprocessorState, split: SplitResult,
+                      attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
+                      augment_mode: str, shallow_k: int) -> MetricsReport:
+    """Fit one variant on a prepared split and score its test rows."""
+    model = fusion.fit_variant(
+        kind,
+        split.X_train,
+        split.y_train,
+        attention_config,
+        boost_config,
+        augment_mode=augment_mode,
+        shallow_k=shallow_k,
+        preprocessor=state,
+    )
+    proba, _ = fusion.predict_matrix(model, split.X_test)
+    return evaluate_scores(proba, split.y_test)
+
+
+def _record(rows: list[tuple[str, MetricsReport]], test_indices: np.ndarray,
+            attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
+            split_fraction: float, split_seed: int, augment_mode: str,
+            **parts) -> ExperimentResult:
+    """The result of a run: its rows, seeds and the fingerprint of its settings plus `parts`."""
+    fingerprint = fingerprint_of({
+        "attention": asdict(attention_config),
+        "boost": asdict(boost_config),
+        "split": {"fraction": split_fraction, "seed": split_seed},
+        "augment_mode": augment_mode,
+        **parts,
+    })
+    seeds = {
+        "attention": attention_config.seed,
+        "boost": boost_config.seed,
+        "split": split_seed,
+    }
+    return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds,
+                            test_indices=test_indices)
+
+
 def run_ablation(
     source,
     attention_config: TrainConfig | None = None,
@@ -248,38 +259,12 @@ def run_ablation(
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
     state, split = prepare(load_source(source), drop, split_fraction, split_seed)
-
-    rows = []
-    for kind in fusion.VARIANT_KINDS:
-        model = fusion.fit_variant(
-            kind,
-            split.X_train,
-            split.y_train,
-            attention_config,
-            boost_config,
-            augment_mode=augment_mode,
-            shallow_k=shallow_k,
-            preprocessor=state,
-        )
-        proba, _ = fusion.predict_matrix(model, split.X_test)
-        rows.append((kind, evaluate_scores(proba, split.y_test)))
-
-    fingerprint = fingerprint_of({
-        "experiment": "ablation",
-        "attention": asdict(attention_config),
-        "boost": asdict(boost_config),
-        "split": {"fraction": split_fraction, "seed": split_seed},
-        "shallow_k": shallow_k,
-        "augment_mode": augment_mode,
-        "drop": sorted(state.dropped_columns),
-    })
-    seeds = {
-        "attention": attention_config.seed,
-        "boost": boost_config.seed,
-        "split": split_seed,
-    }
-    return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds,
-                            test_indices=split.test_indices)
+    rows = [(kind, _evaluate_variant(kind, state, split, attention_config, boost_config,
+                                     augment_mode, shallow_k))
+            for kind in fusion.VARIANT_KINDS]
+    return _record(rows, split.test_indices, attention_config, boost_config, split_fraction,
+                   split_seed, augment_mode, experiment="ablation", shallow_k=shallow_k,
+                   drop=sorted(state.dropped_columns))
 
 
 def run_feature_removal(
@@ -296,104 +281,22 @@ def run_feature_removal(
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
     table = load_source(source)
-    schema_names = {c.name for c in table.schema}
-    unknown = sorted(set(features) - schema_names)
+    unknown = sorted(set(features) - {c.name for c in table.schema})
     if unknown:
         raise DataError(f"cannot remove unknown features: {unknown}")
-
-    def fit_and_eval(tbl: RawTable) -> tuple[MetricsReport, np.ndarray]:
-        state, split = prepare(tbl, drop, split_fraction, split_seed)
-        model = fusion.fit_variant(
-            "full", split.X_train, split.y_train, attention_config, boost_config,
-            augment_mode=augment_mode, preprocessor=state,
-        )
-        proba, _ = fusion.predict_matrix(model, split.X_test)
-        return evaluate_scores(proba, split.y_test), split.test_indices
+    for name in features:
+        if table.schema[table.column_index(name)].kind == "binary-target":
+            raise DataError(f"cannot remove the target column {name!r}")
+        if features.count(name) > 1:
+            raise DataError(f"feature {name!r} is named more than once")
 
     rows = []
-    for name in features:
-        report, _ = fit_and_eval(table.drop_column(name))
-        rows.append((f"{name} Removed", report))
-    full_report, test_idx = fit_and_eval(table)
-    rows.append(("None (Full Model)", full_report))
-
-    fingerprint = fingerprint_of({
-        "experiment": "feature_removal",
-        "features": list(features),
-        "attention": asdict(attention_config),
-        "boost": asdict(boost_config),
-        "split": {"fraction": split_fraction, "seed": split_seed},
-        "augment_mode": augment_mode,
-    })
-    seeds = {
-        "attention": attention_config.seed,
-        "boost": boost_config.seed,
-        "split": split_seed,
-    }
-    return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds,
-                            test_indices=test_idx)
-
-
-@dataclass
-class LogisticConfig:
-    learning_rate: float = 0.1
-    iterations: int = 500
-    reg_lambda: float = 1e-3
-    seed: int = 0
-
-
-def baseline_logistic(
-    X_train: FeatureMatrix,
-    y_train: np.ndarray,
-    X_test: FeatureMatrix,
-    y_test: np.ndarray,
-    config: LogisticConfig | None = None,
-) -> MetricsReport:
-    """L2-regularized logistic regression by full-batch gradient descent.
-
-    Inputs are re-standardized internally (date-derived columns arrive as raw
-    integers), weights start at zero, and the fit is deterministic.
-    """
-    config = config or LogisticConfig()
-    y_train = np.asarray(y_train)
-    if np.unique(y_train).size < 2:
-        raise DataError("logistic baseline requires both classes in the target")
-    mean = X_train.values.mean(axis=0)
-    std = np.maximum(X_train.values.std(axis=0), 1e-12)
-    Xtr = (X_train.values - mean) / std
-    Xte = (X_test.values - mean) / std
-    n, d = Xtr.shape
-    w = np.zeros(d)
-    b = 0.0
-    for _ in range(config.iterations):
-        p = sigmoid(Xtr @ w + b)
-        err = p - y_train
-        w -= config.learning_rate * (Xtr.T @ err / n + config.reg_lambda * w)
-        b -= config.learning_rate * float(err.mean())
-    scores = sigmoid(Xte @ w + b)
-    return evaluate_scores(scores, np.asarray(y_test))
-
-
-def baseline_stump(
-    X_train: FeatureMatrix,
-    y_train: np.ndarray,
-    X_test: FeatureMatrix,
-    y_test: np.ndarray,
-    max_depth: int = 3,
-    seed: int = 42,
-) -> MetricsReport:
-    """One unshrunk tree grown with the boosting split machinery."""
-    config = gbdt.BoostConfig(
-        n_estimators=1,
-        learning_rate=1.0,
-        max_depth=max_depth,
-        min_child_weight=0.0,
-        gamma=0.0,
-        subsample=1.0,
-        colsample_bytree=1.0,
-        reg_alpha=0.0,
-        seed=seed,
-    )
-    model = gbdt.train_boosting(X_train, np.asarray(y_train), config)
-    scores = gbdt.predict_proba(model, X_test)
-    return evaluate_scores(scores, np.asarray(y_test))
+    for name in [*features, None]:  # the intact table last: its split is the one recorded
+        state, split = prepare(table if name is None else table.drop_column(name), drop,
+                               split_fraction, split_seed)
+        report = _evaluate_variant("full", state, split, attention_config, boost_config,
+                                   augment_mode, fusion.DEFAULT_SHALLOW_K)
+        rows.append(("None (Full Model)" if name is None else f"{name} Removed", report))
+    return _record(rows, split.test_indices, attention_config, boost_config, split_fraction,
+                   split_seed, augment_mode, experiment="feature_removal",
+                   features=list(features))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .gbdt import Ensemble
 
 ATTENTION_PREFIX = "attn_"
@@ -29,7 +30,6 @@ class ImportanceEntry:
 @dataclass
 class ImportanceTable:
     entries: list[ImportanceEntry]
-    attention_block_share: float
 
 
 def gain_importance(model: Ensemble) -> ImportanceTable:
@@ -56,8 +56,7 @@ def gain_importance(model: Ensemble) -> ImportanceTable:
         for i, name in enumerate(model.feature_names)
     ]
     entries.sort(key=lambda e: (-e.gain, e.feature))
-    attention_share = sum(e.share for e in entries if e.feature.startswith(ATTENTION_PREFIX))
-    return ImportanceTable(entries=entries, attention_block_share=attention_share)
+    return ImportanceTable(entries=entries)
 
 
 def collapse_attention_block(table: ImportanceTable) -> ImportanceTable:
@@ -74,13 +73,15 @@ def collapse_attention_block(table: ImportanceTable) -> ImportanceTable:
     )
     entries = kept + [merged]
     entries.sort(key=lambda e: (-e.gain, e.feature))
-    return ImportanceTable(entries=entries, attention_block_share=merged.share)
+    return ImportanceTable(entries=entries)
 
 
 def rank_report(table: ImportanceTable, top_n: int | None = None) -> tuple[str, str]:
     """(aligned text, CSV) rankings, descending gain with alphabetical ties."""
     ranked = sorted(table.entries, key=lambda e: (-e.gain, e.feature))
     if top_n is not None:
+        if top_n < 1:
+            raise ConfigError(f"top must be at least 1, got {top_n}")
         ranked = ranked[:top_n]
     csv_lines = ["rank,feature,gain,share,splits"]
     for rank, e in enumerate(ranked, start=1):

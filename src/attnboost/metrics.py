@@ -1,21 +1,18 @@
 """Confusion-matrix metrics and rank-based AUC for binary classifiers.
 
-Zero-denominator cells yield 0.0 plus an explicit flag instead of NaN. AUC is
-the Mann-Whitney statistic: the probability that a random positive outscores a
-random negative, with ties credited one half.
+Zero-denominator cells yield 0.0 instead of NaN; the report's counts show
+which cells those are. AUC is the Mann-Whitney statistic: the probability
+that a random positive outscores a random negative, with ties credited one
+half, and 0.5 when only one class is present.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-FLAG_PRECISION = "precision-zero-denominator"
-FLAG_RECALL = "recall-zero-denominator"
-FLAG_AUC = "auc-single-class"
 
 CSV_HEADER = "condition,precision,recall,accuracy,f1,auc,tp,tn,fp,fn"
 
@@ -40,7 +37,6 @@ class MetricsReport:
     f1: float
     auc: float
     counts: ConfusionMatrix
-    degenerate_flags: set[str] = field(default_factory=set)
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
@@ -102,38 +98,21 @@ def compute_metrics(
     cm: ConfusionMatrix, scores: np.ndarray, y_true: np.ndarray
 ) -> MetricsReport:
     """Precision/recall/accuracy/F1 from counts plus AUC from the scores."""
-    flags: set[str] = set()
-    if cm.tp + cm.fp > 0:
-        precision = cm.tp / (cm.tp + cm.fp)
-    else:
-        precision = 0.0
-        flags.add(FLAG_PRECISION)
-    if cm.tp + cm.fn > 0:
-        recall = cm.tp / (cm.tp + cm.fn)
-    else:
-        recall = 0.0
-        flags.add(FLAG_RECALL)
-    accuracy = (cm.tp + cm.tn) / cm.total if cm.total else 0.0
-    y_true = np.asarray(y_true)
-    if np.unique(y_true).size < 2:
-        flags.add(FLAG_AUC)
-        auc_value = 0.5
-    else:
-        auc_value = auc(scores, y_true)
+    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
+    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
     return MetricsReport(
         precision=precision,
         recall=recall,
-        accuracy=accuracy,
+        accuracy=(cm.tp + cm.tn) / cm.total if cm.total else 0.0,
         f1=f1_score(precision, recall),
-        auc=auc_value,
+        auc=auc(scores, y_true),
         counts=cm,
-        degenerate_flags=flags,
     )
 
 
-def evaluate_scores(scores: np.ndarray, y_true: np.ndarray, threshold: float = 0.5) -> MetricsReport:
-    """Full report for probability scores thresholded at >= threshold."""
-    y_pred = (np.asarray(scores) >= threshold).astype(np.int64)
+def evaluate_scores(scores: np.ndarray, y_true: np.ndarray) -> MetricsReport:
+    """Full report for probability scores, a row predicted positive at >= 0.5."""
+    y_pred = (np.asarray(scores) >= 0.5).astype(np.int64)
     return compute_metrics(confusion_matrix(y_true, y_pred), scores, y_true)
 
 

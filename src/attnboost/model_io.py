@@ -219,10 +219,14 @@ def load_model(path: str) -> AttnBoostModel:
             f"{path}: unsupported model format version {version!r}, expected {FORMAT_VERSION}"
         )
     stored = document.get("sections", {})
+    if not isinstance(stored, dict):
+        raise ModelFormatError(f"{path}: sections must be a JSON object")
     payloads = {}
     for name in _SECTIONS:
         if name not in stored:
             raise ModelFormatError(f"{path}: missing section {name!r}")
+        if not isinstance(stored[name], dict):
+            raise ModelFormatError(f"{path}: section {name!r} must be a JSON object")
         payload = stored[name].get("payload")
         if _checksum(payload) != stored[name].get("checksum"):
             raise ModelFormatError(f"{path}: checksum mismatch in section {name!r}")

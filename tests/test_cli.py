@@ -212,6 +212,20 @@ class TestImportanceCommand:
         assert lines[0] == "rank,feature,gain,share,splits"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_exits_2(self, trained, top, capsys):
+        model, _, _ = trained
+        assert _run("importance", "--model", model, "--top", top) == 2
+        captured = capsys.readouterr()
+        assert "top must be at least 1" in captured.err
+        assert captured.out == ""
+
+    def test_malformed_sections_exit_1(self, tmp_path, capsys):
+        model = tmp_path / "bad.model"
+        model.write_text('{"format":"attnboost-model","version":1,"sections":{"meta":[1,2]}}')
+        assert _run("importance", "--model", str(model)) == 1
+        assert "section 'meta' must be a JSON object" in capsys.readouterr().err
+
 
 class TestAblateAndRemoveFeatures:
     def test_ablate_writes_five_rows(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Tests for the synthetic generator, ablation harness, and baselines."""
+"""Tests for the synthetic generator, the ablation and the feature removal."""
 
 import datetime as dt
 
@@ -13,12 +13,8 @@ from attnboost.experiments import (
     REGIONS,
     SEGMENTS,
     SHIP_MODES,
-    LogisticConfig,
     SyntheticSpec,
-    baseline_logistic,
-    baseline_stump,
     generate_synthetic,
-    result_from_csv,
     result_to_csv,
     run_ablation,
     run_feature_removal,
@@ -26,7 +22,6 @@ from attnboost.experiments import (
 from attnboost.gbdt import BoostConfig
 from attnboost.metrics import auc
 from attnboost.tabular import (
-    FeatureMatrix,
     apply_preprocessor,
     fit_preprocessor,
     stratified_split,
@@ -156,15 +151,13 @@ class TestRunAblation:
             assert a.precision == b.precision
             assert a.auc == b.auc
 
-    def test_csv_round_trip(self, ablation_result):
-        text = result_to_csv(ablation_result)
-        parsed = result_from_csv(text)
-        assert result_to_csv(parsed) == text
-        assert parsed.fingerprint == ablation_result.fingerprint
-        assert parsed.seeds == ablation_result.seeds
-
     def test_seeds_recorded(self, ablation_result):
         assert ablation_result.seeds == {"attention": 0, "boost": 42, "split": 42}
+
+    def test_fingerprint_is_pinned(self, ablation_result):
+        # a changed, added or dropped fingerprint key changes every CSV's header
+        assert ablation_result.fingerprint == \
+            "0bc214a0558e15d397f688fff8843b4b3c534242ead22c9d1d53c5cc3e833926"
 
 
 class TestRandomAttentionImportance:
@@ -189,16 +182,31 @@ class TestRandomAttentionImportance:
         assert shares["Discount"] > max(random_shares)
 
 
+@pytest.fixture(scope="module")
+def removal_result():
+    return run_feature_removal(
+        ["Discount", "Quantity"],
+        SyntheticSpec(n_rows=600, seed=7),
+        attention_config=FAST_ATTN,
+        boost_config=FAST_BOOST,
+    )
+
+
 class TestRunFeatureRemoval:
-    def test_rows_and_full_model_baseline(self):
-        result = run_feature_removal(
-            ["Discount", "Quantity"],
-            SyntheticSpec(n_rows=600, seed=7),
-            attention_config=FAST_ATTN,
-            boost_config=FAST_BOOST,
-        )
-        names = [name for name, _ in result.rows]
+    def test_rows_and_full_model_baseline(self, removal_result):
+        names = [name for name, _ in removal_result.rows]
         assert names == ["Discount Removed", "Quantity Removed", "None (Full Model)"]
+
+    def test_fingerprint_and_seeds_are_pinned(self, removal_result):
+        assert removal_result.fingerprint == \
+            "0557afc3a33b2da03d7d38855ac2a7141914db5613eadf89ebd818b12f58aadc"
+        assert removal_result.seeds == {"attention": 0, "boost": 42, "split": 42}
+
+    def test_full_model_row_uses_the_intact_split(self, removal_result):
+        table = generate_synthetic(SyntheticSpec(n_rows=600, seed=7))
+        X, y = apply_preprocessor(fit_preprocessor(table, []), table)
+        split = stratified_split(X, y, 0.8, 42)
+        np.testing.assert_array_equal(removal_result.test_indices, split.test_indices)
 
     def test_default_removal_features(self):
         from attnboost.experiments import REMOVAL_FEATURES
@@ -210,70 +218,16 @@ class TestRunFeatureRemoval:
             run_feature_removal(["Nope"], SyntheticSpec(n_rows=100, seed=1),
                                 attention_config=FAST_ATTN, boost_config=FAST_BOOST)
 
-
-def _separable(n=300, seed=0):
-    rng = np.random.default_rng(seed)
-    half = n // 2
-    values = np.vstack([
-        rng.normal([-2.0, 1.0], 0.4, (half, 2)),
-        rng.normal([2.0, -1.0], 0.4, (n - half, 2)),
+    @pytest.mark.parametrize("features, message", [
+        (["Returned"], "cannot remove the target column 'Returned'"),
+        (["Sales", "Discount", "Sales"], "feature 'Sales' is named more than once"),
     ])
-    y = np.array([0] * half + [1] * (n - half))
-    X = FeatureMatrix(values=values, feature_names=["a", "b"])
-    split = stratified_split(X, y, 0.8, seed=1)
-    return split
+    def test_target_or_repeated_feature_rejected_before_any_fit(self, features, message,
+                                                                monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the feature list was checked")
 
-
-class TestBaselineLogistic:
-    def test_separable_data_high_accuracy(self):
-        split = _separable()
-        report = baseline_logistic(split.X_train, split.y_train,
-                                   split.X_test, split.y_test)
-        assert report.accuracy >= 0.99
-
-    def test_deterministic(self):
-        split = _separable(seed=3)
-        a = baseline_logistic(split.X_train, split.y_train, split.X_test, split.y_test)
-        b = baseline_logistic(split.X_train, split.y_train, split.X_test, split.y_test)
-        assert a.precision == b.precision
-        assert a.auc == b.auc
-
-    def test_zero_iterations_predicts_half(self):
-        split = _separable(seed=4)
-        report = baseline_logistic(split.X_train, split.y_train,
-                                   split.X_test, split.y_test,
-                                   LogisticConfig(iterations=0))
-        # all scores exactly 0.5 -> every row predicted positive at >= 0.5
-        assert report.counts.tp + report.counts.fp == split.y_test.shape[0]
-        assert report.auc == 0.5
-
-    def test_single_class_rejected(self):
-        split = _separable(seed=5)
-        with pytest.raises(DataError):
-            baseline_logistic(split.X_train, np.zeros_like(split.y_train),
-                              split.X_test, split.y_test)
-
-
-class TestBaselineStump:
-    def test_perfect_feature_training_accuracy(self):
-        rng = np.random.default_rng(6)
-        values = np.concatenate([rng.uniform(0, 1, 40), rng.uniform(2, 3, 40)])
-        y = np.array([0] * 40 + [1] * 40)
-        X = FeatureMatrix(values=values.reshape(-1, 1), feature_names=["f"])
-        report = baseline_stump(X, y, X, y)
-        assert report.accuracy == 1.0
-
-    def test_constant_features_predict_majority(self):
-        X = FeatureMatrix(values=np.ones((50, 2)), feature_names=["a", "b"])
-        y = np.array([1] * 30 + [0] * 20)
-        report = baseline_stump(X, y, X, y)
-        assert report.accuracy == pytest.approx(0.6)
-        assert report.counts.tp == 30 and report.counts.fp == 20
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(8)
-        X = FeatureMatrix(values=rng.normal(0, 1, (60, 2)), feature_names=["a", "b"])
-        y = (X.values[:, 0] > 0).astype(int)
-        a = baseline_stump(X, y, X, y)
-        b = baseline_stump(X, y, X, y)
-        assert a.f1 == b.f1 and a.auc == b.auc
+        monkeypatch.setattr("attnboost.fusion.fit_variant", no_fit)
+        with pytest.raises(DataError, match=message):
+            run_feature_removal(features, SyntheticSpec(n_rows=100, seed=1),
+                                attention_config=FAST_ATTN, boost_config=FAST_BOOST)

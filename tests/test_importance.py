@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from attnboost.errors import ConfigError
 from attnboost.gbdt import BoostConfig, Ensemble, train_boosting
 from attnboost.importance import (
     collapse_attention_block,
@@ -32,9 +33,10 @@ class TestGainImportance:
         assert all(by_name[f"f{i}"].share == 0.0 for i in (0, 1, 2, 4))
 
     def test_empty_ensemble_all_zero(self):
-        table = gain_importance(_ensemble([], ["a", "b"]))
+        table = gain_importance(_ensemble([], ["a", "attn_0"]))
         assert all(e.share == 0.0 for e in table.entries)
-        assert table.attention_block_share == 0.0
+        by_name = {e.feature: e for e in collapse_attention_block(table).entries}
+        assert by_name["attention_block"].share == 0.0
 
     def test_total_gain_matches_recorded_split_gains(self):
         rng = np.random.default_rng(0)
@@ -84,7 +86,7 @@ class TestCollapseAttentionBlock:
         assert "attn_0" not in by_name and "attn_5" not in by_name
         assert by_name["attention_block"].share == pytest.approx(0.3)
         assert by_name["attention_block"].splits == 2
-        assert table.attention_block_share == pytest.approx(0.3)
+        assert by_name["attention_block"].gain == pytest.approx(0.3)
 
     def test_identity_without_attn_rows(self):
         model = _ensemble([_stump(0, 0.7)], ["x", "y"])
@@ -113,6 +115,12 @@ class TestRankReport:
         lines = csv_text.splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "high"
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_rejected(self, top_n):
+        model = _ensemble([_stump(0, 1.0), _stump(1, 5.0)], ["low", "high"])
+        with pytest.raises(ConfigError, match="at least 1"):
+            rank_report(gain_importance(model), top_n=top_n)
 
     def test_planted_feature_ranks_first(self):
         rng = np.random.default_rng(7)

@@ -5,8 +5,6 @@ import pytest
 
 from attnboost.errors import DataError
 from attnboost.metrics import (
-    FLAG_AUC,
-    FLAG_PRECISION,
     ConfusionMatrix,
     auc,
     compute_metrics,
@@ -80,13 +78,13 @@ class TestComputeMetrics:
         scores, y = self._scores([1, 1, 0, 0, 0, 0])
         report = compute_metrics(cm, scores, y)
         assert report.precision == 0.0
-        assert FLAG_PRECISION in report.degenerate_flags
+        assert report.counts.tp + report.counts.fp == 0
 
     def test_single_class_auc_flagged(self):
         cm = ConfusionMatrix(tp=2, tn=0, fp=0, fn=0)
         report = compute_metrics(cm, np.array([0.9, 0.8]), np.array([1, 1]))
         assert report.auc == 0.5
-        assert FLAG_AUC in report.degenerate_flags
+        assert report.counts.tn + report.counts.fp == 0
 
     def test_f1_identity_when_not_degenerate(self):
         rng = np.random.default_rng(0)
@@ -96,7 +94,8 @@ class TestComputeMetrics:
             if y.min() == y.max():
                 continue
             report = evaluate_scores(scores, y)
-            if report.degenerate_flags:
+            cm = report.counts
+            if cm.tp + cm.fp == 0 or cm.tp + cm.fn == 0:
                 continue
             expected = 2 * report.precision * report.recall / (report.precision + report.recall)
             assert abs(report.f1 - expected) < 1e-12

@@ -149,6 +149,18 @@ class TestDamagedFiles:
         with pytest.raises(ModelFormatError, match="not an attnboost"):
             load_model(path)
 
+    @pytest.mark.parametrize("sections, message", [
+        ('["meta","preprocessor","attention","ensemble"]', "sections must be a JSON object"),
+        ('{"meta":[1,2],"preprocessor":{},"attention":{},"ensemble":{}}',
+         "section 'meta' must be a JSON object"),
+    ])
+    def test_sections_that_are_not_objects_rejected(self, tmp_path, sections, message):
+        path = str(tmp_path / "m.model")
+        open(path, "w").write(
+            f'{{"format":"attnboost-model","version":1,"sections":{sections}}}')
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
     @pytest.mark.parametrize("key,value,message", [
         ("feature", 9999, "tree 0 node 0"),  # split on a column the model does not have
         ("left", 9999, "tree 0 node 0"),  # child past the last node
