@@ -4,8 +4,8 @@ The generator plants a known label rule (logit linear in standardized feature
 values plus Gaussian noise) over a retail-shaped table, so ablation tests can
 assert which features must matter. Both experiments fit and score each
 condition through one helper and record their run through another: every
-result embeds a config fingerprint and its seeds, and every condition of an
-ablation shares one stratified split.
+result embeds its seeds and a fingerprint of its settings and its recorded
+split's data, and every condition of an ablation shares one stratified split.
 """
 
 from __future__ import annotations
@@ -224,16 +224,30 @@ def _evaluate_variant(kind: str, state: PreprocessorState, split: SplitResult,
     return evaluate_scores(proba, split.y_test)
 
 
-def _record(rows: list[tuple[str, MetricsReport]], test_indices: np.ndarray,
+def _split_digest(split: SplitResult) -> str:
+    """SHA-256 over a split's train and test matrices and labels, with their shapes."""
+    digest = hashlib.sha256()
+    for part in (split.X_train.values, split.y_train, split.X_test.values, split.y_test):
+        digest.update(f"{part.dtype.str}{part.shape}".encode())
+        digest.update(np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def _record(rows: list[tuple[str, MetricsReport]], split: SplitResult,
             attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
             split_fraction: float, split_seed: int, augment_mode: str,
             **parts) -> ExperimentResult:
-    """The result of a run: its rows, seeds and the fingerprint of its settings plus `parts`."""
+    """The result of a run: its rows, seeds and the fingerprint of its settings plus `parts`.
+
+    The fingerprint also hashes the recorded split's data, so two runs on
+    different tables never share one.
+    """
     fingerprint = fingerprint_of({
         "attention": asdict(attention_config),
         "boost": asdict(boost_config),
         "split": {"fraction": split_fraction, "seed": split_seed},
         "augment_mode": augment_mode,
+        "data": _split_digest(split),
         **parts,
     })
     seeds = {
@@ -242,7 +256,7 @@ def _record(rows: list[tuple[str, MetricsReport]], test_indices: np.ndarray,
         "split": split_seed,
     }
     return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds,
-                            test_indices=test_indices)
+                            test_indices=split.test_indices)
 
 
 def run_ablation(
@@ -262,7 +276,7 @@ def run_ablation(
     rows = [(kind, _evaluate_variant(kind, state, split, attention_config, boost_config,
                                      augment_mode, shallow_k))
             for kind in fusion.VARIANT_KINDS]
-    return _record(rows, split.test_indices, attention_config, boost_config, split_fraction,
+    return _record(rows, split, attention_config, boost_config, split_fraction,
                    split_seed, augment_mode, experiment="ablation", shallow_k=shallow_k,
                    drop=sorted(state.dropped_columns))
 
@@ -297,6 +311,6 @@ def run_feature_removal(
         report = _evaluate_variant("full", state, split, attention_config, boost_config,
                                    augment_mode, fusion.DEFAULT_SHALLOW_K)
         rows.append(("None (Full Model)" if name is None else f"{name} Removed", report))
-    return _record(rows, split.test_indices, attention_config, boost_config, split_fraction,
+    return _record(rows, split, attention_config, boost_config, split_fraction,
                    split_seed, augment_mode, experiment="feature_removal",
-                   features=list(features))
+                   features=list(features), drop=sorted(state.dropped_columns))

@@ -34,11 +34,12 @@ keeps only its raw `threshold`, the cut at its bin boundary b: bins come from
 `searchsorted(cuts, value, side="left")`, so bin <= b exactly when
 value <= cuts[b], and a trained tree and one read from a file are the same
 record. An ensemble stacks its trees into one set of arrays once, with leaves
-linking to themselves, and one walk moves every (tree, row) pair down a level
-per step, comparing raw values with `threshold`; training's per-round update
-and scoring make the same call. Tree outputs are added to the raw score
-strictly in tree order, so scores do not depend on how many rows or trees are
-walked together.
+linking to themselves and each node's two children packed side by side, and
+one walk moves every (tree, row) pair down a level per step: it compares raw
+values with `threshold` and takes the child with one gather indexed by the
+node and the comparison. Training's per-round update and scoring make the
+same call. Tree outputs are added to the raw score strictly in tree order, so
+scores do not depend on how many rows or trees are walked together.
 """
 
 from __future__ import annotations
@@ -146,21 +147,24 @@ class Tree:
 
 @dataclass(eq=False)
 class Forest:
-    """Trees stacked into one set of node arrays for the vectorized walk.
+    """Trees stacked into one set of arrays for the vectorized walk.
 
-    Child links are global node indices and a leaf links to itself, so a walk
-    that takes a fixed number of steps leaves each (tree, row) pair on its
-    leaf. A leaf's feature is 0, so its comparison (whose outcome is ignored)
-    reads a real column.
+    Node i of the stack owns two slots, 2i and 2i + 1, and the walk moves
+    through slots. `feature`, `threshold` and `weight` hold node i's entry at
+    both of its slots. `children[2i + s]` is the slot of the child a row
+    takes when `s = value <= threshold` (1 left, 0 right), so one gather
+    picks the next node. A leaf's children are its own slot, so a walk that
+    takes a fixed number of steps leaves each (tree, row) pair on its leaf. A
+    leaf's feature is 0, so its comparison (whose outcome is ignored) reads a
+    real column.
     """
 
-    roots: np.ndarray  # (trees,) global index of each tree's root
+    roots: np.ndarray  # (trees,) slot of each tree's root
     depth: np.ndarray  # (trees,) edges on each tree's longest root-to-leaf path
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    weight: np.ndarray
+    feature: np.ndarray  # (2 * nodes,)
+    threshold: np.ndarray  # (2 * nodes,)
+    children: np.ndarray  # (2 * nodes,)
+    weight: np.ndarray  # (2 * nodes,)
 
     @classmethod
     def stack(cls, trees) -> "Forest":
@@ -190,9 +194,11 @@ class Forest:
             level = np.concatenate([left[level], right[level]])
             node_depth[level] = steps
         depth = np.maximum.reduceat(node_depth, roots) if trees else roots
-        return cls(roots=roots, depth=depth, feature=np.where(leaf, 0, feature),
-                   threshold=cat("threshold", np.float64), left=left, right=right,
-                   weight=cat("weight", np.float64))
+        return cls(roots=2 * roots, depth=depth,
+                   feature=np.repeat(np.where(leaf, 0, feature), 2),
+                   threshold=np.repeat(cat("threshold", np.float64), 2),
+                   children=2 * np.stack([right, left], axis=1).reshape(-1),
+                   weight=np.repeat(cat("weight", np.float64), 2))
 
 
 @dataclass
@@ -239,11 +245,12 @@ def bin_features(X, max_bins: int) -> BinnedMatrix:
     ranks = n * np.arange(1, max_bins) // max_bins
     for j in range(d):
         col = values[:, j]
-        distinct = np.unique(col)
-        if distinct.size <= max_bins:
+        ordered = np.sort(col)
+        new_value = ordered[1:] != ordered[:-1]
+        if np.count_nonzero(new_value) < max_bins:  # at most max_bins distinct values
+            distinct = np.concatenate((ordered[:1], ordered[1:][new_value]))
             cuts = (distinct[:-1] + distinct[1:]) / 2.0
         else:
-            ordered = np.sort(col)
             lo, hi = ordered[ranks - 1], ordered[ranks]
             cuts = np.unique((0.5 * (lo + hi))[hi > lo])
         thresholds.append(cuts)
@@ -444,42 +451,48 @@ def _grow_tree(
 
 
 def _walk(forest: Forest, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Leaf reached by each (tree, row) pair of trees lo..hi-1, shape (trees, rows).
+    """Slot of the leaf reached by each (tree, row) pair of trees lo..hi-1, shape (trees, rows).
 
-    Row r goes left at node i when values[r, feature[i]] <= threshold[i].
+    Row r goes left at a node when values[r, feature] <= threshold.
     """
     n, d = values.shape
-    node = np.repeat(forest.roots[lo:hi, None], n, axis=1)
+    slot = np.repeat(forest.roots[lo:hi, None], n, axis=1)
     steps = int(forest.depth[lo:hi].max()) if hi > lo else 0
     if steps:
-        flat = np.ascontiguousarray(values).reshape(-1)
+        flat = values.reshape(-1)  # a copy in row order if values is not C-contiguous
         row_start = np.arange(0, n * d, d)
         for _ in range(steps):
-            goes_left = flat[row_start + forest.feature[node]] <= forest.threshold[node]
-            node = np.where(goes_left, forest.left[node], forest.right[node])
-    return node
+            at = forest.feature[slot]
+            if n > 1:  # a lone row starts at 0, and on tiny arrays the add costs a full gather
+                at += row_start
+            goes_left = flat[at] <= forest.threshold[slot]
+            # an int + bool add takes numpy's slower mixed-type path; int + int does not
+            slot = forest.children[slot + goes_left.astype(np.intp)]
+    return slot
 
 
 def _add_trees(
     forest: Forest,
     values: np.ndarray,
-    raw: np.ndarray,
+    raw,
     learning_rate: float,
 ) -> np.ndarray:
     """raw + lr*w_1 + lr*w_2 + ..., each tree's output added in tree order.
 
-    Trees are walked in blocks of at most _WALK_CELLS (tree, row) pairs, but at
-    least one tree; the running sum carries from block to block. np.add.accumulate adds strictly
-    in sequence, so the result does not depend on the block boundaries.
+    `raw` is one score per row, or one score for every row. Trees are walked
+    in blocks of at most _WALK_CELLS (tree, row) pairs, but at least one tree;
+    the running sum carries from block to block. np.add.accumulate adds
+    strictly in sequence, so the result does not depend on the block
+    boundaries.
     """
     n_trees = forest.roots.size
+    if n_trees == 0:
+        return np.full(values.shape[0], raw)
     per_block = max(1, _WALK_CELLS // max(1, values.shape[0]))
     for lo in range(0, n_trees, per_block):
         hi = min(lo + per_block, n_trees)
-        terms = np.empty((hi - lo + 1, values.shape[0]))
-        terms[0] = raw
-        np.multiply(learning_rate, forest.weight[_walk(forest, values, lo, hi)],
-                    out=terms[1:])
+        terms = learning_rate * forest.weight[_walk(forest, values, lo, hi)]
+        terms[0] += raw  # lr*w_lo + raw is raw + lr*w_lo exactly: the sequence's first sum
         raw = np.add.accumulate(terms, axis=0)[-1]
     return raw
 
@@ -543,8 +556,7 @@ def predict_raw(model: Ensemble, X: FeatureMatrix) -> np.ndarray:
         raise ValueError(
             f"matrix width {X.d} does not match model width {len(model.feature_names)}"
         )
-    return _add_trees(model.forest, X.values, np.full(X.n_rows, model.base_raw),
-                      model.learning_rate)
+    return _add_trees(model.forest, X.values, model.base_raw, model.learning_rate)
 
 
 def predict_proba(model: Ensemble, X: FeatureMatrix) -> np.ndarray:

@@ -66,8 +66,7 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     boundaries = np.flatnonzero(np.diff(ordered) != 0)
     starts = np.concatenate([[0], boundaries + 1])
     ends = np.concatenate([boundaries + 1, [values.size]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
 
 

@@ -10,7 +10,9 @@ columns are z-scored with the population standard deviation; fitting rejects
 a column whose mean or deviation overflows. Date columns are expanded into
 raw integer (year, month, weekday) triples. Targets are binary: the literal
 value "Not" maps to 0 and the single other observed value to 1. The fitted
-state holds only what applying it reads.
+state holds only what applying it reads. Both read the rows once into columns,
+and apply encodes a column at a time into one (rows x features) matrix; a bad
+cell raises the error a cell-by-cell pass would, first by column, then by row.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import datetime as dt
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -55,6 +58,10 @@ class RawTable:
     @property
     def row_count(self) -> int:
         return len(self.rows)
+
+    def columns(self) -> list[tuple]:
+        """The cells one column at a time, in schema order, read in one pass."""
+        return list(zip(*self.rows)) or [()] * len(self.schema)
 
     def column_index(self, name: str) -> int:
         for i, col in enumerate(self.schema):
@@ -151,14 +158,17 @@ RETAIL_IDENTIFIER_COLUMNS = [
 
 def decompose_date(value) -> tuple[int, int, int]:
     """Split a date into (year, month, weekday) with Monday=0 .. Sunday=6."""
-    if isinstance(value, dt.date):
-        d = value
-    else:
-        d = _parse_date(str(value), where="date value")
+    d = _parse_date(value, where="date value")
     return d.year, d.month, d.weekday()
 
 
-def _parse_date(text: str, where: str) -> dt.date:
+def _parse_date(value, where: str) -> dt.date:
+    """A date cell as a date: a date as it is, text as YYYY-MM-DD; a null raises."""
+    if isinstance(value, dt.date):
+        return value
+    if value is None:
+        raise DataError(f"{where}: null in date column")
+    text = str(value)
     if not _ISO_DATE_RE.match(text):
         raise DataError(f"{where}: {text!r} is not a YYYY-MM-DD date")
     try:
@@ -167,18 +177,27 @@ def _parse_date(text: str, where: str) -> dt.date:
         raise DataError(f"{where}: {text!r} is not a valid calendar date") from exc
 
 
-def _float_error(value, row: int, column: str, exc: Exception) -> DataError:
-    """The error for a numeric cell of a table built in code that `float` rejects."""
-    if isinstance(exc, OverflowError):
-        return DataError(f"row {row}, column {column!r}: integer value is too large for a float")
-    return DataError(f"row {row}, column {column!r}: {value!r} is not a number")
-
-
-def _cell_float(value, row: int, column: str) -> float:
+def _standardized(cells, column: str, mean: float = 0.0, std: float = 1.0,
+                  nulls_allowed: bool = False) -> list[float]:
+    """(float(v) - mean) / std of each cell (each non-null one if `nulls_allowed`),
+    float(v) exactly with the defaults. The first cell that fails, a null
+    included unless allowed, raises an error naming its row."""
     try:
-        return float(value)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise _float_error(value, row, column, exc) from exc
+        return [(float(v) - mean) / std for v in cells if v is not None or not nulls_allowed]
+    except (OverflowError, TypeError, ValueError):
+        for row, v in enumerate(cells, start=1):
+            where = f"row {row}, column {column!r}"
+            if v is None:
+                if nulls_allowed:
+                    continue
+                raise DataError(f"{where}: null in numeric column") from None
+            try:
+                float(v)
+            except OverflowError as exc:
+                raise DataError(f"{where}: integer value is too large for a float") from exc
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{where}: {v!r} is not a number") from exc
+        raise
 
 
 def _parse_cell(text: str, col: ColumnSchema, row_idx: int):
@@ -276,10 +295,9 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
     feature_names: list[str] = []
     target_values: set[str] = set()
 
-    for j, col in enumerate(table.schema):
+    for col, cells in zip(table.schema, table.columns(), strict=True):
         if col.name in dropped:
             continue
-        cells = [row[j] for row in table.rows]
         if col.kind == "binary-target":
             target_values.update(str(v) for v in cells if v is not None)
             continue
@@ -288,8 +306,7 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
             category_maps[col.name] = {value: code for code, value in enumerate(seen)}
             feature_names.append(col.name)
         elif col.kind in ("integer", "float"):
-            values = np.array([_cell_float(v, i + 1, col.name)
-                               for i, v in enumerate(cells) if v is not None], dtype=np.float64)
+            values = np.array(_standardized(cells, col.name, nulls_allowed=True))
             if values.size == 0:
                 raise DataError(f"numeric column {col.name!r} has no non-null values")
             with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -329,65 +346,44 @@ def apply_preprocessor(
     Errors name the row, counting data rows from 1 as load_csv does, and the
     column.
     """
-    fit_cols = {c.name: c for c in state.schema}
-    table_names = [c.name for c in table.schema]
-    has_target = state.target_name in table_names
-    expected = [c for c in state.schema if has_target or c.name != state.target_name]
+    expected = state.schema  # the fit-time entry of each table column, in order
     got = [(c.name, c.kind) for c in table.schema]
-    want = [(c.name, c.kind) for c in expected]
-    if got != want:
-        missing = [c.name for c in expected if c.name not in table_names]
-        raise DataError(f"table schema does not match fit-time schema (missing {missing}):"
-                        f" got {got}, expected {want}")
+    if got != [(c.name, c.kind) for c in expected]:  # unlabeled rows, or a mismatch
+        expected = [c for c in state.schema if c.name != state.target_name or c.name in dict(got)]
+        want = [(c.name, c.kind) for c in expected]
+        if got != want:
+            missing = [name for name, _ in want if name not in {name for name, _ in got}]
+            raise DataError(f"table schema does not match fit-time schema (missing "
+                            f"{missing}): got {got}, expected {want}")
 
-    n = table.row_count
-    columns: list[np.ndarray] = []
-    target: np.ndarray | None = np.zeros(n, dtype=np.int64) if has_target else None
-    dropped = set(state.dropped_columns)
-
-    for j, col in enumerate(table.schema):
-        cells = [row[j] for row in table.rows]
+    encoded: list = []  # one sequence of numbers per feature, in feature order
+    target: np.ndarray | None = None
+    for col, cells in zip(expected, table.columns(), strict=True):
         if col.kind == "binary-target":
-            for i, v in enumerate(cells):
-                target[i] = _encode_target(state, v, i + 1, col.name)
+            target = _encode_targets(state, cells, col.name)
             continue
-        if col.name in dropped:
+        if col.name in state.dropped_columns:
             continue
         if col.kind in ("category", "string"):
+            if None in cells and not col.nullable:
+                raise DataError(f"row {cells.index(None) + 1}, column {col.name!r}: null in "
+                                "non-nullable column")
+            keys = [NULL_CATEGORY if v is None else v for v in cells] if None in cells else cells
             cmap = state.category_maps[col.name]
-            unseen = len(cmap)
-            out = np.empty(n, dtype=np.float64)
-            for i, v in enumerate(cells):
-                key = NULL_CATEGORY if v is None else str(v)
-                if v is None and not fit_cols[col.name].nullable:
-                    raise DataError(f"row {i + 1}, column {col.name!r}: null in "
-                                    "non-nullable column")
-                out[i] = cmap.get(key, unseen)
-            columns.append(out)
+            encoded.append(list(map(cmap.get, map(str, keys), repeat(len(cmap)))))
         elif col.kind in ("integer", "float"):
             mean, std = state.numeric_stats[col.name]
-            out = np.empty(n, dtype=np.float64)
-            for i, v in enumerate(cells):
-                if v is None:
-                    raise DataError(f"row {i + 1}, column {col.name!r}: null in numeric column")
-                try:
-                    out[i] = (float(v) - mean) / std
-                except (OverflowError, TypeError, ValueError) as exc:
-                    raise _float_error(v, i + 1, col.name, exc) from exc
-            columns.append(out)
+            encoded.append(_standardized(cells, col.name, mean, std))
         elif col.kind == "date":
-            years = np.empty(n, dtype=np.float64)
-            months = np.empty(n, dtype=np.float64)
-            weekdays = np.empty(n, dtype=np.float64)
-            for i, v in enumerate(cells):
-                if v is None:
-                    raise DataError(f"row {i + 1}, column {col.name!r}: null in date column")
-                if not isinstance(v, dt.date):
-                    v = _parse_date(str(v), f"row {i + 1}, column {col.name!r}")
-                years[i], months[i], weekdays[i] = decompose_date(v)
-            columns.extend([years, months, weekdays])
+            if not all(isinstance(v, dt.date) for v in cells):
+                cells = [_parse_date(v, f"row {i + 1}, column {col.name!r}")
+                         for i, v in enumerate(cells)]
+            encoded += ([d.year for d in cells], [d.month for d in cells],
+                        [d.weekday() for d in cells])
 
-    values = np.column_stack(columns) if columns else np.zeros((n, 0))
+    values = np.empty((table.row_count, len(encoded)))
+    if encoded:
+        values.T[...] = encoded
     if values.size and not np.isfinite(values).all():
         i, j = np.argwhere(~np.isfinite(values))[0]
         raise DataError(f"row {i + 1}, feature {state.feature_names[j]!r}: transformed value "
@@ -395,17 +391,18 @@ def apply_preprocessor(
     return FeatureMatrix(values=values, feature_names=list(state.feature_names)), target
 
 
-def _encode_target(state: PreprocessorState, value, row: int, column: str) -> int:
-    if value is None:
-        raise DataError(f"row {row}, column {column!r}: null target value")
-    text = str(value)
-    if text == TARGET_NEGATIVE:
-        return 0
-    if state.target_positive is not None and text == state.target_positive:
-        return 1
-    vocab = [TARGET_NEGATIVE] + ([state.target_positive] if state.target_positive else [])
-    raise DataError(f"row {row}, column {column!r}: target value {text!r} outside "
-                    f"vocabulary {vocab}")
+def _encode_targets(state: PreprocessorState, cells, column: str) -> np.ndarray:
+    """0/1 codes of a target column; the first null or unknown value raises."""
+    codes = {TARGET_NEGATIVE: 0, state.target_positive: 1}  # a None key matches no str
+    encoded = [None if v is None else codes.get(str(v)) for v in cells]
+    if None in encoded:
+        row = encoded.index(None) + 1
+        if cells[row - 1] is None:
+            raise DataError(f"row {row}, column {column!r}: null target value")
+        vocab = [TARGET_NEGATIVE] + ([state.target_positive] if state.target_positive else [])
+        raise DataError(f"row {row}, column {column!r}: target value {str(cells[row - 1])!r} "
+                        f"outside vocabulary {vocab}")
+    return np.array(encoded, dtype=np.int64)
 
 
 @dataclass
@@ -438,6 +435,9 @@ def stratified_split(
             raise DataError(f"class {cls} has fewer than 2 rows")
         shuffled = idx[rng.permutation(idx.size)]
         n_train = int(train_fraction * idx.size)
+        if n_train == 0:
+            raise DataError(f"class {cls} has {idx.size} rows, so a train fraction of "
+                            f"{train_fraction} puts none of them in training")
         train_parts.append(shuffled[:n_train])
         test_parts.append(shuffled[n_train:])
     train_idx = np.sort(np.concatenate(train_parts))

@@ -126,6 +126,13 @@ def _copy_columns(src, dest, columns):
 
 
 class TestCsvColumns:
+    def test_split_that_leaves_a_class_out_of_training_exits_1(self, tmp_path, capsys):
+        assert _run("train", "--synthetic", "--synth.rows", "12", "--split.fraction", "0.05",
+                    *FAST_TRAIN, "--out", str(tmp_path / "m.bin")) == 1
+        err = capsys.readouterr().err
+        assert "a train fraction of 0.05 puts none of them in training" in err
+        assert not (tmp_path / "m.bin").exists()
+
     def test_train_rejects_column_outside_retail_schema(self, tmp_path, synth_csv, capsys):
         names = open(synth_csv).readline().strip().split(",")
         data = _copy_columns(synth_csv, str(tmp_path / "extra.csv"), [*names, "Colour"])

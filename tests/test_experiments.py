@@ -157,7 +157,39 @@ class TestRunAblation:
     def test_fingerprint_is_pinned(self, ablation_result):
         # a changed, added or dropped fingerprint key changes every CSV's header
         assert ablation_result.fingerprint == \
-            "0bc214a0558e15d397f688fff8843b4b3c534242ead22c9d1d53c5cc3e833926"
+            "19b630329056529c51fdeab222a1065cac9a4d3abc38ba4231109d83b795f908"
+
+
+class TestFingerprintIdentifiesTheRun:
+    """Runs on different data, or with different dropped columns, never share a
+    fingerprint. Fitting is stubbed out: the fingerprint does not read the fits."""
+
+    @pytest.fixture(autouse=True)
+    def _no_fits(self, monkeypatch):
+        monkeypatch.setattr("attnboost.experiments._evaluate_variant", lambda *a, **k: None)
+
+    @staticmethod
+    def _ablation(rows, **kwargs):
+        return run_ablation(SyntheticSpec(n_rows=rows, seed=3), attention_config=FAST_ATTN,
+                            boost_config=FAST_BOOST, **kwargs).fingerprint
+
+    @staticmethod
+    def _removal(rows, **kwargs):
+        return run_feature_removal(["Discount"], SyntheticSpec(n_rows=rows, seed=3),
+                                   attention_config=FAST_ATTN, boost_config=FAST_BOOST,
+                                   **kwargs).fingerprint
+
+    def test_table_size_changes_both_fingerprints(self):
+        assert self._ablation(300) != self._ablation(600)
+        assert self._removal(300) != self._removal(600)
+
+    def test_same_table_gives_the_same_fingerprint(self):
+        assert self._ablation(300) == self._ablation(300)
+        assert self._removal(300) == self._removal(300)
+
+    def test_dropped_columns_change_the_removal_fingerprint(self):
+        assert self._removal(300) != self._removal(300, drop=["Region"])
+        assert self._ablation(300) != self._ablation(300, drop=["Region"])
 
 
 class TestRandomAttentionImportance:
@@ -199,7 +231,7 @@ class TestRunFeatureRemoval:
 
     def test_fingerprint_and_seeds_are_pinned(self, removal_result):
         assert removal_result.fingerprint == \
-            "0557afc3a33b2da03d7d38855ac2a7141914db5613eadf89ebd818b12f58aadc"
+            "e9c61592a4471630b8dfe8583d74ca836cc1791080344eec8851cbb0e25db7a8"
         assert removal_result.seeds == {"attention": 0, "boost": 42, "split": 42}
 
     def test_full_model_row_uses_the_intact_split(self, removal_result):

@@ -128,6 +128,27 @@ def _loop_cuts(col, max_bins):
     return np.unique(candidates)
 
 
+def reference_bin_features(values, max_bins):
+    """Binning that finds each column's distinct values with np.unique and, when
+    there are more than max_bins of them, sorts the column a second time."""
+    n, d = values.shape
+    bins = np.zeros((n, d), dtype=np.min_scalar_type(max_bins - 1))
+    thresholds = []
+    ranks = n * np.arange(1, max_bins) // max_bins
+    for j in range(d):
+        col = values[:, j]
+        distinct = np.unique(col)
+        if distinct.size <= max_bins:
+            cuts = (distinct[:-1] + distinct[1:]) / 2.0
+        else:
+            ordered = np.sort(col)
+            lo, hi = ordered[ranks - 1], ordered[ranks]
+            cuts = np.unique((0.5 * (lo + hi))[hi > lo])
+        thresholds.append(cuts)
+        bins[:, j] = np.searchsorted(cuts, col, side="left")
+    return bins, thresholds
+
+
 def minimize_leaf_objective(G, H, reg_lambda, reg_alpha):
     """Bisect the subgradient of the convex leaf objective
     G*w + (H+lam)*w^2/2 + alpha*|w| to find its minimizer."""
@@ -218,6 +239,33 @@ class TestBinFeatures:
             expected = _loop_cuts(col, max_bins)
             assert binned.thresholds[j].dtype == expected.dtype
             assert binned.thresholds[j].tobytes() == expected.tobytes(), f"column {j}"
+
+    @pytest.mark.parametrize("max_bins", [2, 3, 16, 256])
+    def test_bins_and_cuts_equal_the_two_sort_binning(self, max_bins):
+        rng = np.random.default_rng(40 + max_bins)
+        n = 900
+        signed_zeros = rng.choice([-0.0, 0.0], n)
+        columns = [
+            rng.normal(0, 1, n),  # all distinct
+            rng.integers(0, max_bins, n).astype(float),  # at most max_bins distinct
+            rng.integers(0, max_bins + 1, n).astype(float),  # one more than max_bins
+            np.repeat(rng.normal(0, 1, 300), 3),  # 300 distinct values, each tied
+            np.where(rng.uniform(size=n) < 0.5, signed_zeros, rng.normal(0, 1, n)),
+            np.where(rng.uniform(size=n) < 0.5, signed_zeros, rng.integers(-2, 3, n)),
+            signed_zeros,  # -0.0 and 0.0 are one value
+            np.full(n, 2.5),
+        ]
+        values = np.column_stack(columns)
+        binned = bin_features(_fm(values), max_bins=max_bins)
+        bins, thresholds = reference_bin_features(values, max_bins)
+        assert binned.bins.dtype == bins.dtype
+        assert binned.bins.tobytes() == bins.tobytes()
+        for j, cuts in enumerate(thresholds):
+            assert binned.thresholds[j].tobytes() == cuts.tobytes(), f"column {j}"
+
+    def test_zero_rows(self):
+        binned = bin_features(np.zeros((0, 2)), max_bins=4)
+        assert binned.bins.shape == (0, 2) and binned.widths.tolist() == [1, 1]
 
     @pytest.mark.parametrize("max_bins,dtype", [(2, np.uint8), (256, np.uint8),
                                                 (257, np.uint16)])
@@ -664,6 +712,30 @@ class TestWalk:
         model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=1.0, feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
         assert self._assert_walk_matches(model, values).tolist() == [-1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("walk_cells", [None, 1, 22, 33])
+    def test_nan_goes_right_and_infinities_compare_as_numbers(self, walk_cells, monkeypatch):
+        # value <= threshold is false for a NaN, so a NaN row goes right at every node
+        if walk_cells is not None:  # 11 rows: blocks of 1, 2 or 3 of the 4 trees
+            monkeypatch.setattr(gbdt, "_WALK_CELLS", walk_cells)
+        deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1], left=[1, 2, -1, -1, 5, -1, -1],
+                         right=[4, 3, -1, -1, 6, -1, -1],
+                         threshold=[0.5, -1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
+                         weight=[0.0, 0.0, -3.0, -1.0, 0.0, 1.0, 3.0])
+        stump = make_tree(feature=[1, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
+                          threshold=[np.inf, 0.0, 0.0], weight=[0.0, 0.25, -0.25])
+        leaf = make_tree(feature=[-1], left=[-1], right=[-1], weight=[0.5])
+        model = Ensemble(trees=[deep, leaf, stump, deep], base_raw=0.125, learning_rate=0.5,
+                         feature_names=["f0", "f1"])
+        nan, inf = np.nan, np.inf
+        values = np.array([[nan, nan], [nan, 0.0], [0.0, nan], [0.5, -1.0], [0.5, 2.0],
+                           [-inf, -inf], [inf, inf], [-inf, inf], [inf, -inf], [inf, nan],
+                           [np.nextafter(0.5, 1.0), 2.0]])
+        scored = self._assert_walk_matches(model, values)
+        # deep: NaN goes right twice (weight 3); stump: NaN goes right (-0.25)
+        assert scored[0] == 0.125 + 0.5 * 3.0 + 0.5 * 0.5 + 0.5 * -0.25 + 0.5 * 3.0
+        # inf <= inf: the stump sends an infinite value left
+        assert scored[6] == 0.125 + 0.5 * 3.0 + 0.5 * 0.5 + 0.5 * 0.25 + 0.5 * 3.0
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_random_trees_of_unequal_depth(self, seed):

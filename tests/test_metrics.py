@@ -13,6 +13,7 @@ from attnboost.metrics import (
     f1_score,
     format_reports,
     metrics_csv_row,
+    _midranks,
 )
 
 
@@ -28,6 +29,19 @@ def pairwise_auc(scores, y):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def reference_midranks(values):
+    """Mid-ranks by a Python loop over the tie groups of the stable sort order."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    ranks = np.empty(values.size, dtype=np.float64)
+    boundaries = np.flatnonzero(np.diff(ordered) != 0)
+    starts = np.concatenate([[0], boundaries + 1])
+    ends = np.concatenate([boundaries + 1, [values.size]])
+    for s, e in zip(starts, ends):
+        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    return ranks
 
 
 class TestConfusionMatrix:
@@ -166,6 +180,20 @@ class TestAuc:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             auc(np.array([]), np.array([]))
+
+
+class TestMidranks:
+    @pytest.mark.parametrize("values", [
+        np.array([0.3, 0.1, 0.9, 0.5]),  # no ties
+        np.full(7, 0.25),  # all tied
+        np.array([0.5]),
+        np.array([0.2, 0.7, 0.2, 0.2, 0.9, 0.7, 0.1, 0.9, 0.9, 0.9]),  # runs of 1-4
+        np.round(np.random.default_rng(4).uniform(size=5000), 2),  # long runs
+        np.random.default_rng(5).uniform(size=3001),
+    ])
+    def test_bitwise_equal_to_the_loop_over_tie_groups(self, values):
+        got = _midranks(values)
+        assert got.tobytes() == reference_midranks(values).tobytes()
 
 
 class TestReportFormats:

@@ -4,8 +4,10 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from tabular_reference import reference_apply
 
 from attnboost.errors import DataError
+from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.tabular import (
     RETAIL_IDENTIFIER_COLUMNS,
     ColumnSchema,
@@ -293,6 +295,132 @@ class TestApplyPreprocessor:
         assert all(cmap[decoded[c]] == c for c in codes)
 
 
+def _outcome(apply, state, table):
+    """What `apply` returns, as comparable bytes, or the type and message it raises."""
+    try:
+        X, y = apply(state, table)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return ("raised", type(exc), str(exc))
+    return (X.values.shape, X.values.dtype, X.values.tobytes(), X.feature_names,
+            None if y is None else (y.dtype, y.tobytes()))
+
+
+def assert_matches_reference(state, table):
+    got = _outcome(apply_preprocessor, state, table)
+    assert got == _outcome(reference_apply, state, table)
+    return got
+
+
+def _mixed_table():
+    """Every column kind, a nullable category, ISO-string and datetime dates, bool numerics."""
+    schema = [
+        ColumnSchema("Mode", "category", nullable=True),
+        ColumnSchema("Code", "string"),
+        ColumnSchema("Qty", "integer"),
+        ColumnSchema("When", "date"),
+        ColumnSchema("Label", "binary-target"),
+        ColumnSchema("Price", "float"),
+    ]
+    rows = [
+        ["Air", "c1", 3, dt.date(2016, 12, 31), "Not", 2.5],
+        [None, "c2", True, "2017-01-01", "Yes", 7],
+        ["Sea", "c3", False, dt.datetime(2015, 6, 30, 23, 59), "Not", -1.25],
+        ["Air", "c1", 12, "2020-02-29", "Yes", 0.0],
+        ["Rail", "c4", -4, dt.date(1999, 12, 31), "Not", 1e-3],
+    ]
+    return RawTable(schema=schema, rows=rows)
+
+
+class TestColumnwiseEncoderMatchesReference:
+    """apply_preprocessor against the per-cell encoder of tests/tabular_reference.py."""
+
+    @pytest.mark.parametrize("fit_seed, apply_seed", [(1, 1), (1, 2), (3, 4)])
+    def test_synthetic_tables_with_and_without_target(self, fit_seed, apply_seed):
+        state = fit_preprocessor(generate_synthetic(SyntheticSpec(n_rows=300, seed=fit_seed)), [])
+        table = generate_synthetic(SyntheticSpec(n_rows=250, seed=apply_seed))
+        for drop in ([], ["Region"]):
+            dropped_state = fit_preprocessor(
+                generate_synthetic(SyntheticSpec(n_rows=300, seed=fit_seed)), drop)
+            assert assert_matches_reference(dropped_state, table)[0] != "raised"
+        unlabeled = table.drop_column("Returned")
+        outcome = assert_matches_reference(state, unlabeled)
+        assert outcome[0] == (250, 10) and outcome[-1] is None
+
+    def test_hand_made_table_with_nulls_unseen_values_and_year_boundaries(self):
+        table = _mixed_table()
+        state = fit_preprocessor(table, [])
+        assert assert_matches_reference(state, table)[0] == (5, 7)
+        other = _mixed_table()
+        other.rows[0][0] = "Truck"  # unseen category
+        other.rows[2][1] = 17  # unseen, and not a str
+        other.rows[1][3] = "2018-12-31"
+        other.rows[3][3] = dt.date(2019, 1, 1)
+        other.rows[4][5] = np.float64(3.75)
+        outcome = assert_matches_reference(state, other)
+        assert outcome[0] == (5, 7)
+        matrix = np.frombuffer(outcome[2]).reshape(5, 7)
+        assert matrix[0, 0] == len(state.category_maps["Mode"])
+        assert matrix[1, 0] == state.category_maps["Mode"]["<NULL>"]
+
+    def test_zero_rows(self):
+        state = fit_preprocessor(_mixed_table(), [])
+        empty = RawTable(schema=_mixed_table().schema, rows=[])
+        outcome = assert_matches_reference(state, empty)
+        assert outcome[0] == (0, 7) and outcome[-1][1] == b""
+
+    def test_dropped_columns_and_the_result_is_c_ordered(self):
+        state = fit_preprocessor(_mixed_table(), ["Code", "When"])
+        assert assert_matches_reference(state, _mixed_table())[0] == (5, 3)
+        X, _ = apply_preprocessor(state, _mixed_table())
+        assert X.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("cells", [
+        [(1, 4, None)],  # null target
+        [(3, 4, "Maybe")],  # target outside the vocabulary
+        [(2, 1, None)],  # null in a non-nullable string column
+        [(0, 2, None)],  # null numeric
+        [(4, 5, "abc")],  # not a number
+        [(1, 2, 10**400)],  # too large for a float
+        [(2, 2, [1])],  # not a number at all
+        [(3, 3, None)],  # null date
+        [(0, 3, "2017-13-01")],  # not a calendar date
+        [(0, 3, "13/01/2017")],  # not YYYY-MM-DD
+        [(2, 5, float("nan"))],  # a transformed value that is not finite
+        [(4, 5, float("-inf"))],
+        [(1, 5, "inf")],  # float() reads it
+        [(3, 2, "abc"), (1, 2, None)],  # first bad row of a column wins
+        [(1, 2, 10**400), (3, 2, None)],
+        [(4, 1, None), (0, 2, None)],  # first bad column wins over an earlier row
+        [(4, 3, None), (0, 4, "Maybe")],
+        [(3, 4, None), (1, 4, "Maybe")],
+        [(2, 5, "x"), (4, 3, "2017-02-30")],
+    ])
+    def test_bad_cells_raise_the_same_first_error(self, cells):
+        state = fit_preprocessor(_mixed_table(), [])
+        other = _mixed_table()
+        for i, j, value in cells:
+            other.rows[i][j] = value
+        outcome = assert_matches_reference(state, other)
+        assert outcome[0] == "raised" and outcome[1] is DataError
+
+    def test_schema_mismatches_raise_the_same_error(self):
+        state = fit_preprocessor(_mixed_table(), [])
+        for table in (_mixed_table().drop_column("Qty"),
+                      RawTable(schema=list(reversed(_mixed_table().schema)), rows=[])):
+            outcome = assert_matches_reference(state, table)
+            assert outcome[0] == "raised" and "schema" in outcome[2]
+
+    def test_a_short_row_is_an_error_not_a_dropped_column(self):
+        # columns are read with zip(*rows), which stops at the shortest row
+        state = fit_preprocessor(_mixed_table(), [])
+        short = _mixed_table()
+        short.rows[3] = short.rows[3][:4]
+        with pytest.raises(ValueError, match="shorter"):
+            fit_preprocessor(short, [])
+        with pytest.raises(ValueError, match="shorter"):
+            apply_preprocessor(state, short)
+
+
 class TestDecomposeDate:
     def test_against_independent_calendar_oracle(self):
         rng = np.random.default_rng(5)
@@ -358,6 +486,12 @@ class TestStratifiedSplit:
                 expected = int(fraction * (y == cls).sum())
                 got = int((split.y_train == cls).sum())
                 assert abs(got - expected) <= 1
+
+    def test_a_class_with_no_training_row_is_rejected(self):
+        y = np.array([0] * 8 + [1] * 2)
+        with pytest.raises(DataError, match=r"class 1 has 2 rows, so a train fraction of "
+                                            r"0\.3 puts none of them in training"):
+            stratified_split(self._matrix(y), y, 0.3, seed=0)
 
     def test_single_class_rejected(self):
         y = np.ones(6, dtype=int)
