@@ -21,7 +21,6 @@ from .tabular import (
     PreprocessorState,
     RawTable,
     apply_preprocessor,
-    decompose_date,
     fit_preprocessor,
     load_csv,
     retail_schema,

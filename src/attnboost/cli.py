@@ -1,6 +1,10 @@
 """Command-line surface: train, predict, evaluate, importance, ablate,
 remove-features, and synth subcommands.
 
+A thin layer over the library: each setting is one config.KEY_SPECS key, set
+in the `--config` file or by its `--<key>` flag, and `train` fingerprints its
+model with experiments.run_fingerprint, as `ablate` and `remove-features` do.
+
 Exit codes: 0 success, 1 runtime or data error, 2 usage or configuration
 error. Output files are written atomically and contain no timestamps, so a
 fixed seed gives byte-identical outputs across runs.
@@ -15,21 +19,20 @@ import io
 import sys
 
 from . import fusion, importance as importance_mod
-from .config import KEY_SPECS, RunConfig, parse_config_file, parse_value
+from .config import KEY_SPECS, RunConfig, parse_config_file
 from .errors import AttnBoostError, ConfigError, DataError, ModelFormatError
 from .experiments import (
     REMOVAL_FEATURES,
-    fingerprint_of,
     generate_synthetic,
-    load_source,
     prepare,
     result_to_csv,
     run_ablation,
     run_feature_removal,
+    run_fingerprint,
 )
 from .metrics import CSV_HEADER, evaluate_scores, format_reports, metrics_csv_row
 from .model_io import load_model, save_model, write_text_atomic
-from .tabular import RawTable, apply_preprocessor, load_csv
+from .tabular import RawTable, apply_preprocessor, load_csv, retail_schema
 
 
 def _format_cell(value) -> str:
@@ -66,60 +69,37 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             help=f"(default {default!r})",
             metavar="V",
         )
-    parser.add_argument(
-        "--synth.coef",
-        dest="synth_coef",
-        action="append",
-        metavar="NAME=VALUE",
-        help="planted coefficient for a generated feature; repeatable",
-    )
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", help="input CSV with the retail column schema")
-    parser.add_argument(
-        "--synthetic",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="SPECFILE",
-        help="use generated data; optional config file of synth.* keys",
-    )
-
-
-def _cli_values(args) -> dict:
-    values = {}
-    for key in KEY_SPECS:
-        value = getattr(args, _dest(key), None)
-        if value is not None:
-            values[key] = value
-    for item in getattr(args, "synth_coef", None) or []:
-        name, sep, text = item.partition("=")
-        if not sep:
-            raise ConfigError(f"--synth.coef expects NAME=VALUE, got {item!r}")
-        key = f"synth.coef.{name.strip()}"
-        values[key] = parse_value(key, text.strip())
-    return values
+    parser.add_argument("--synthetic", action="store_true",
+                        help="use generated data, set by the synth.* keys")
 
 
 def _merged_config(args) -> RunConfig:
-    file_values = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    synthetic = getattr(args, "synthetic", None)
-    if synthetic:
-        file_values.update(parse_config_file(synthetic))
-    return RunConfig.merged(file_values, _cli_values(args))
+    file_values = parse_config_file(args.config) if args.config else {}
+    return RunConfig.merged(file_values, {key: getattr(args, _dest(key)) for key in KEY_SPECS})
 
 
 def _resolve_table(args, cfg: RunConfig) -> RawTable:
-    has_data = getattr(args, "data", None) is not None
-    has_synth = getattr(args, "synthetic", None) is not None
-    if has_data == has_synth:
+    if (args.data is not None) == args.synthetic:
         raise ConfigError("exactly one of --data or --synthetic is required")
-    return load_source(args.data if has_data else cfg.synthetic_spec())
+    if args.synthetic:
+        return generate_synthetic(cfg.synthetic_spec())
+    return load_csv(args.data, retail_schema())
+
+
+def _run_settings(cfg: RunConfig) -> dict:
+    """The settings that the experiment runners and run_fingerprint take, by parameter name."""
+    return {"attention_config": cfg.attention_config(), "boost_config": cfg.boost_config(),
+            "split_fraction": cfg["split.fraction"], "split_seed": cfg["split.seed"],
+            "augment_mode": cfg["model.augment_mode"]}
 
 
 def cmd_train(args) -> int:
     cfg = _merged_config(args)
+    settings = _run_settings(cfg)
     table = _resolve_table(args, cfg)
     state, split = prepare(table, cfg.drop_columns(), cfg["split.fraction"], cfg["split.seed"])
     variant = cfg["model.variant"]
@@ -127,8 +107,8 @@ def cmd_train(args) -> int:
         variant,
         split.X_train,
         split.y_train,
-        cfg.attention_config(),
-        cfg.boost_config(),
+        settings["attention_config"],
+        settings["boost_config"],
         augment_mode=cfg["model.augment_mode"],
         shallow_k=cfg["model.shallow_k"],
         preprocessor=state,
@@ -139,7 +119,10 @@ def cmd_train(args) -> int:
         ("train", evaluate_scores(train_proba, split.y_train)),
         ("test", evaluate_scores(test_proba, split.y_test)),
     ]
-    save_model(model, args.out, fingerprint=fingerprint_of(cfg.fingerprint_parts()))
+    fingerprint = run_fingerprint(split, experiment="train", variant=variant,
+                                  shallow_k=cfg["model.shallow_k"],
+                                  drop=sorted(state.dropped_columns), **settings)
+    save_model(model, args.out, fingerprint=fingerprint)
     print(f"variant: {variant}")
     print(format_reports(reports))
     print(f"model written to {args.out}")
@@ -205,34 +188,18 @@ def _write_result(result, out: str) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _merged_config(args)
-    table = _resolve_table(args, cfg)
-    result = run_ablation(
-        table,
-        attention_config=cfg.attention_config(),
-        boost_config=cfg.boost_config(),
-        split_fraction=cfg["split.fraction"],
-        split_seed=cfg["split.seed"],
-        drop=cfg.drop_columns(),
-        shallow_k=cfg["model.shallow_k"],
-        augment_mode=cfg["model.augment_mode"],
-    )
+    settings = _run_settings(cfg)
+    result = run_ablation(_resolve_table(args, cfg), drop=cfg.drop_columns(),
+                          shallow_k=cfg["model.shallow_k"], **settings)
     return _write_result(result, args.out)
 
 
 def cmd_remove_features(args) -> int:
     cfg = _merged_config(args)
-    table = _resolve_table(args, cfg)
+    settings = _run_settings(cfg)
     features = [f.strip() for f in args.features.split(",") if f.strip()]
-    result = run_feature_removal(
-        features,
-        table,
-        attention_config=cfg.attention_config(),
-        boost_config=cfg.boost_config(),
-        split_fraction=cfg["split.fraction"],
-        split_seed=cfg["split.seed"],
-        drop=cfg.drop_columns(),
-        augment_mode=cfg["model.augment_mode"],
-    )
+    result = run_feature_removal(features, _resolve_table(args, cfg),
+                                 drop=cfg.drop_columns(), **settings)
     return _write_result(result, args.out)
 
 
@@ -296,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a planted synthetic CSV")
     _add_config_flags(p)
-    p.add_argument("--rows", dest="synth_rows", type=int, default=None)
-    p.add_argument("--seed", dest="synth_seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 

@@ -1,8 +1,10 @@
 """Flat key-value configuration with dotted section prefixes.
 
-Every key can appear in a config file (`boost.n_estimators=200`) or as the
-mirrored CLI flag (`--boost.n_estimators 200`); CLI values override the file,
-which overrides the defaults below. Unknown keys are rejected outright.
+Every setting is one key of KEY_SPECS. It can appear in a config file
+(`boost.n_estimators=200`) or as the mirrored CLI flag
+(`--boost.n_estimators 200`); CLI values override the file, which overrides
+the defaults below. Unknown keys are rejected outright. `preprocess.drop` and
+`synth.coef` are comma-separated lists.
 """
 
 from __future__ import annotations
@@ -37,16 +39,16 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
     "synth.seed": (int, 42),
     "synth.noise_sd": (float, 0.25),
     "synth.intercept": (float, 0.0),
+    "synth.coef": (str, ",".join(f"{name}={value!r}"
+                                 for name, value in DEFAULT_COEFFICIENTS.items())),
 }
 
 # keys whose value must be one of a closed set, checked before any data is read
 _CHOICES = {"model.variant": VARIANT_KINDS, "model.augment_mode": AUGMENT_MODES}
 
-_COEF_PREFIX = "synth.coef."
-
 
 def parse_value(key: str, text: str):
-    kind = float if key.startswith(_COEF_PREFIX) else KEY_SPECS[key][0]
+    kind = KEY_SPECS[key][0]
     try:
         if kind is int:
             return int(text)
@@ -72,7 +74,7 @@ def parse_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, text = (part.strip() for part in stripped.split("=", 1))
-        if key not in KEY_SPECS and not key.startswith(_COEF_PREFIX):
+        if key not in KEY_SPECS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = parse_value(key, text)
     return values
@@ -91,12 +93,15 @@ class RunConfig:
             for key, value in source.items():
                 if value is None:
                     continue
-                if key not in KEY_SPECS and not key.startswith(_COEF_PREFIX):
+                if key not in KEY_SPECS:
                     raise ConfigError(f"unknown key {key!r}")
                 values[key] = value
         for key, allowed in _CHOICES.items():
             if values[key] not in allowed:
                 raise ConfigError(f"key {key!r}: {values[key]!r} is not one of {allowed}")
+        if values["model.shallow_k"] < 1:
+            raise ConfigError(f"key 'model.shallow_k' must be at least 1, got "
+                              f"{values['model.shallow_k']}")
         return cls(values=values)
 
     def __getitem__(self, key: str):
@@ -114,29 +119,31 @@ class RunConfig:
     def boost_config(self) -> BoostConfig:
         return self._section("boost", BoostConfig)
 
+    def _items(self, key: str) -> list[str]:
+        """The non-empty parts of a comma-separated key."""
+        return [part.strip() for part in str(self.values[key]).split(",") if part.strip()]
+
     def synthetic_spec(self) -> SyntheticSpec:
+        """The generator's spec; `synth.coef` is NAME=VALUE pairs, and empty plants no signal."""
         v = self.values
-        coefficients = {
-            key[len(_COEF_PREFIX):]: value
-            for key, value in v.items()
-            if key.startswith(_COEF_PREFIX)
-        }
+        try:
+            coefficients = {name.strip(): float(value) for name, value in
+                            (item.split("=") for item in self._items("synth.coef"))}
+        except ValueError as exc:
+            raise ConfigError(f"key 'synth.coef': expected NAME=VALUE pairs with numeric "
+                              f"values, got {v['synth.coef']!r}") from exc
         try:
             return SyntheticSpec(
                 n_rows=v["synth.rows"],
                 seed=v["synth.seed"],
                 noise_sd=v["synth.noise_sd"],
-                coefficients=coefficients or dict(DEFAULT_COEFFICIENTS),
+                coefficients=coefficients,
                 intercept=v["synth.intercept"],
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def drop_columns(self) -> list[str] | None:
-        text = str(self.values["preprocess.drop"]).strip()
-        if not text:
+        if not str(self.values["preprocess.drop"]).strip():
             return None
-        return [part.strip() for part in text.split(",") if part.strip()]
-
-    def fingerprint_parts(self) -> dict:
-        return {key: self.values[key] for key in sorted(self.values)}
+        return self._items("preprocess.drop")

@@ -2,10 +2,12 @@
 
 The generator plants a known label rule (logit linear in standardized feature
 values plus Gaussian noise) over a retail-shaped table, so ablation tests can
-assert which features must matter. Both experiments fit and score each
-condition through one helper and record their run through another: every
-result embeds its seeds and a fingerprint of its settings and its recorded
-split's data, and every condition of an ablation shares one stratified split.
+assert which features must matter. Both experiments take a table, fit and
+score each condition through one helper and record their run through another:
+every result embeds its seeds and a fingerprint of its settings and its
+recorded split's data (`run_fingerprint`, which `attnboost train` also
+writes into its model), and every condition of an ablation shares one
+stratified split.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .tabular import (
     SplitResult,
     apply_preprocessor,
     fit_preprocessor,
-    load_csv,
-    retail_schema,
     stratified_split,
 )
 
@@ -166,12 +166,6 @@ class ExperimentResult:
         raise KeyError(condition)
 
 
-def fingerprint_of(parts: dict) -> str:
-    """Stable hash of a nested dict of primitives."""
-    canonical = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def result_to_csv(result: ExperimentResult) -> str:
     lines = [f"# fingerprint={result.fingerprint}"]
     for key in sorted(result.seeds):
@@ -179,17 +173,6 @@ def result_to_csv(result: ExperimentResult) -> str:
     lines.append(CSV_HEADER)
     lines.extend(metrics_csv_row(name, r) for name, r in result.rows)
     return "\n".join(lines) + "\n"
-
-
-def load_source(source) -> RawTable:
-    """The table of a data source: a CSV path (retail schema), a SyntheticSpec or a RawTable."""
-    if isinstance(source, RawTable):
-        return source
-    if isinstance(source, SyntheticSpec):
-        return generate_synthetic(source)
-    if isinstance(source, str):
-        return load_csv(source, retail_schema())
-    raise TypeError(f"unsupported data source {type(source).__name__}")
 
 
 def prepare(table: RawTable, drop: list[str] | None, split_fraction: float,
@@ -233,23 +216,32 @@ def _split_digest(split: SplitResult) -> str:
     return digest.hexdigest()
 
 
-def _record(rows: list[tuple[str, MetricsReport]], split: SplitResult,
-            attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
-            split_fraction: float, split_seed: int, augment_mode: str,
-            **parts) -> ExperimentResult:
-    """The result of a run: its rows, seeds and the fingerprint of its settings plus `parts`.
+def run_fingerprint(split: SplitResult, attention_config: TrainConfig,
+                    boost_config: gbdt.BoostConfig, split_fraction: float, split_seed: int,
+                    augment_mode: str, **parts) -> str:
+    """SHA-256 of a run's settings plus `parts` and its split's data, as canonical JSON.
 
-    The fingerprint also hashes the recorded split's data, so two runs on
-    different tables never share one.
+    Hashing the split's data means runs on different tables never share one,
+    and a setting that shaped neither the data nor the fit leaves it unchanged.
     """
-    fingerprint = fingerprint_of({
+    canonical = json.dumps({
         "attention": asdict(attention_config),
         "boost": asdict(boost_config),
         "split": {"fraction": split_fraction, "seed": split_seed},
         "augment_mode": augment_mode,
         "data": _split_digest(split),
         **parts,
-    })
+    }, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _record(rows: list[tuple[str, MetricsReport]], split: SplitResult,
+            attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
+            split_fraction: float, split_seed: int, augment_mode: str,
+            **parts) -> ExperimentResult:
+    """The result of a run: its rows, seeds and run_fingerprint."""
+    fingerprint = run_fingerprint(split, attention_config, boost_config, split_fraction,
+                                  split_seed, augment_mode, **parts)
     seeds = {
         "attention": attention_config.seed,
         "boost": boost_config.seed,
@@ -260,7 +252,7 @@ def _record(rows: list[tuple[str, MetricsReport]], split: SplitResult,
 
 
 def run_ablation(
-    source,
+    table: RawTable,
     attention_config: TrainConfig | None = None,
     boost_config: gbdt.BoostConfig | None = None,
     split_fraction: float = 0.8,
@@ -272,7 +264,7 @@ def run_ablation(
     """Train and evaluate every fusion.VARIANT_KINDS entry on one shared stratified split."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
-    state, split = prepare(load_source(source), drop, split_fraction, split_seed)
+    state, split = prepare(table, drop, split_fraction, split_seed)
     rows = [(kind, _evaluate_variant(kind, state, split, attention_config, boost_config,
                                      augment_mode, shallow_k))
             for kind in fusion.VARIANT_KINDS]
@@ -283,7 +275,7 @@ def run_ablation(
 
 def run_feature_removal(
     features: list[str],
-    source,
+    table: RawTable,
     attention_config: TrainConfig | None = None,
     boost_config: gbdt.BoostConfig | None = None,
     split_fraction: float = 0.8,
@@ -294,7 +286,6 @@ def run_feature_removal(
     """Retrain the full pipeline once per removed feature, plus an intact run."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
-    table = load_source(source)
     unknown = sorted(set(features) - {c.name for c in table.schema})
     if unknown:
         raise DataError(f"cannot remove unknown features: {unknown}")

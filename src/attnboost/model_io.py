@@ -11,7 +11,9 @@ an older file still carries (`date_plan`, `unseen_codes`) is ignored. The meta
 section must name a known variant and augment mode that agree with the
 attention section, the ensemble's width must be the input width plus the
 variant's block, and a section whose contents do not decode raises
-ModelFormatError like a damaged one.
+ModelFormatError like a damaged one, as does a weight, threshold, gain,
+base score or attention parameter that is not finite, or a learning rate
+outside (0, 1].
 """
 
 from __future__ import annotations
@@ -107,6 +109,11 @@ def _tree_from_payload(payload: dict, t: int, n_features: int) -> Tree:
         raise ModelFormatError(
             f"tree {t} node {i}: feature {feature[i]}, children {left[i]}/{right[i]} "
             f"do not form a tree over {n_features} features")
+    for name, values in (("threshold", threshold), ("weight", weight), ("gain", gain)):
+        if not np.isfinite(values).all():
+            i = int(np.argmax(~np.isfinite(values)))
+            raise ModelFormatError(f"section 'ensemble' tree {t} node {i}: {name} {values[i]} "
+                                   "is not finite")
     return Tree(feature=feature, threshold=threshold, left=left, right=right, weight=weight,
                 gain=gain)
 
@@ -255,6 +262,11 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
         learning_rate=float(ensemble_payload["learning_rate"]),
         feature_names=feature_names,
     )
+    if not np.isfinite(ensemble.base_raw):
+        raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
+    if not 0.0 < ensemble.learning_rate <= 1.0:  # the range BoostConfig accepts
+        raise ModelFormatError(f"section 'ensemble': learning_rate {ensemble.learning_rate} "
+                               "is outside (0, 1]")
     model = AttnBoostModel(
         preprocessor=_preprocessor_from_payload(payloads["preprocessor"]),
         attention=_attention_from_payload(payloads["attention"]),
@@ -295,6 +307,10 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
             if getattr(params, name).shape != shape:
                 raise ModelFormatError(f"attention {name} has shape "
                                        f"{getattr(params, name).shape}, expected {shape}")
+        for name in ("W1", "b1", "W_attn", "b_attn", "w2", "b2"):
+            if not np.isfinite(getattr(params, name)).all():
+                raise ModelFormatError(f"section 'attention': {name} holds a value that is "
+                                       "not finite")
     if model.preprocessor is not None:
         inputs["preprocessor"] = len(model.preprocessor.feature_names)
     width = len(model.ensemble.feature_names)

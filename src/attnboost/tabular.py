@@ -8,11 +8,12 @@ Categorical columns are label-encoded in lexicographic order, and a value not
 seen at fit time gets the next code, the size of the column's map. Numeric
 columns are z-scored with the population standard deviation; fitting rejects
 a column whose mean or deviation overflows. Date columns are expanded into
-raw integer (year, month, weekday) triples. Targets are binary: the literal
-value "Not" maps to 0 and the single other observed value to 1. The fitted
-state holds only what applying it reads. Both read the rows once into columns,
-and apply encodes a column at a time into one (rows x features) matrix; a bad
-cell raises the error a cell-by-cell pass would, first by column, then by row.
+raw integer (year, month, weekday) triples, Monday=0. Targets are binary:
+the literal value "Not" maps to 0 and the single other observed value to 1.
+The fitted state holds only what applying it reads. Both read the rows once
+into columns, and apply encodes a column at a time into one (rows x features)
+matrix; a bad cell raises the error a cell-by-cell pass would, first by
+column, then by row.
 """
 
 from __future__ import annotations
@@ -154,12 +155,6 @@ RETAIL_IDENTIFIER_COLUMNS = [
     "Product Name",
     "Retail Sales People",
 ]
-
-
-def decompose_date(value) -> tuple[int, int, int]:
-    """Split a date into (year, month, weekday) with Monday=0 .. Sunday=6."""
-    d = _parse_date(value, where="date value")
-    return d.year, d.month, d.weekday()
 
 
 def _parse_date(value, where: str) -> dt.date:

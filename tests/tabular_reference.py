@@ -20,7 +20,6 @@ from attnboost.tabular import (
     PreprocessorState,
     RawTable,
     _parse_date,
-    decompose_date,
 )
 
 
@@ -99,7 +98,7 @@ def reference_apply(state: PreprocessorState, table: RawTable):
                     raise DataError(f"row {i + 1}, column {col.name!r}: null in date column")
                 if not isinstance(v, dt.date):
                     v = _parse_date(str(v), f"row {i + 1}, column {col.name!r}")
-                years[i], months[i], weekdays[i] = decompose_date(v)
+                years[i], months[i], weekdays[i] = v.year, v.month, v.weekday()
             columns.extend([years, months, weekdays])
 
     values = np.column_stack(columns) if columns else np.zeros((n, 0))

@@ -35,14 +35,13 @@ from attnboost.metrics import ConfusionMatrix, auc, compute_metrics
 from attnboost.model_io import load_model, save_model
 from attnboost.tabular import (
     apply_preprocessor,
-    decompose_date,
     fit_preprocessor,
     stratified_split,
 )
 from test_attention import assert_epoch_matches_finite_differences, draw_checkable_case
 from test_gbdt import _fm, _total_bce, brute_force_split
 from test_metrics import pairwise_auc
-from test_tabular import sakamoto_weekday
+from test_tabular import date_parts, sakamoto_weekday
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -221,7 +220,7 @@ def test_criterion_06_cli_determinism(tmp_path):
 @pytest.fixture(scope="module")
 def desk_scale_ablation():
     return run_ablation(
-        SyntheticSpec(n_rows=5000, seed=42),
+        generate_synthetic(SyntheticSpec(n_rows=5000, seed=42)),
         attention_config=TrainConfig(),
         boost_config=desk_scale_boost_config(),
     )
@@ -242,7 +241,7 @@ def test_criterion_07_ablation_direction(desk_scale_ablation):
 def test_criterion_08_feature_removal_direction():
     result = run_feature_removal(
         ["Discount", "Quantity"],
-        SyntheticSpec(n_rows=5000, seed=42),
+        generate_synthetic(SyntheticSpec(n_rows=5000, seed=42)),
         attention_config=TrainConfig(),
         boost_config=desk_scale_boost_config(),
     )
@@ -317,8 +316,8 @@ def test_criterion_11_preprocessing_oracle():
         worst_std = max(worst_std, abs(float(col.std()) - 1.0))
     z_ok = worst_mean < 1e-9 and worst_std < 1e-9
 
-    date_ok = decompose_date("2017-05-13") == (2017, 5, 5) == (
-        2017, 5, sakamoto_weekday(2017, 5, 13))
+    date_ok = date_parts(["2017-05-13"]) == [(2017, 5, 5)] == [
+        (2017, 5, sakamoto_weekday(2017, 5, 13))]
     ok = z_ok and date_ok
     _report(11, ok, f"max |mean|={worst_mean:.2e}, max |std-1|={worst_std:.2e}, "
                     f"calendar anchor ok={date_ok}")

@@ -1,16 +1,19 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import argparse
 import csv
+import json
 
 import pytest
 
 from attnboost import cli
 from attnboost.attention import TrainConfig
 from attnboost.cli import run_command
-from attnboost.config import RunConfig
-from attnboost.experiments import SyntheticSpec
+from attnboost.config import KEY_SPECS, RunConfig
+from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import DEFAULT_SHALLOW_K
 from attnboost.gbdt import BoostConfig
+from attnboost.model_io import load_model
 from attnboost.tabular import load_csv, retail_schema
 
 FAST_TRAIN = [
@@ -27,7 +30,7 @@ def _run(*argv):
 @pytest.fixture()
 def synth_csv(tmp_path):
     path = str(tmp_path / "data.csv")
-    assert _run("synth", "--rows", "300", "--seed", "7", "--out", path) == 0
+    assert _run("synth", "--synth.rows", "300", "--synth.seed", "7", "--out", path) == 0
     return path
 
 
@@ -45,16 +48,38 @@ def trained(tmp_path, synth_csv):
 class TestSynth:
     def test_row_count_and_header(self, tmp_path):
         path = str(tmp_path / "s.csv")
-        assert _run("synth", "--rows", "500", "--seed", "7", "--out", path) == 0
+        assert _run("synth", "--synth.rows", "500", "--synth.seed", "7", "--out", path) == 0
         lines = open(path).read().splitlines()
         assert len(lines) == 501
         assert lines[0].split(",")[0] == "Order Date"
 
     def test_deterministic_output(self, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert _run("synth", "--rows", "100", "--seed", "3", "--out", a) == 0
-        assert _run("synth", "--rows", "100", "--seed", "3", "--out", b) == 0
+        assert _run("synth", "--synth.rows", "100", "--synth.seed", "3", "--out", a) == 0
+        assert _run("synth", "--synth.rows", "100", "--synth.seed", "3", "--out", b) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("text, coefficients", [
+        ("Discount=2,Region=0.5", {"Discount": 2.0, "Region": 0.5}),
+        (" Profit = -1.5 ,, Sales=1e0", {"Profit": -1.5, "Sales": 1.0}),
+        ("", {}),  # plants no signal
+    ])
+    def test_coefficients_are_one_key(self, tmp_path, text, coefficients):
+        path = str(tmp_path / "s.csv")
+        assert _run("synth", "--synth.rows", "60", "--synth.seed", "4",
+                    "--synth.coef", text, "--out", path) == 0
+        spec = SyntheticSpec(n_rows=60, seed=4, coefficients=coefficients)
+        assert open(path).read() == cli.table_to_csv_text(generate_synthetic(spec))
+
+    @pytest.mark.parametrize("text, message", [
+        ("Discount", "expected NAME=VALUE pairs"),
+        ("Discount=high", "expected NAME=VALUE pairs"),
+        ("Postal Code=1", "unknown features"),
+    ])
+    def test_bad_coefficients_exit_2(self, tmp_path, text, message, capsys):
+        assert _run("synth", "--synth.coef", text, "--out", str(tmp_path / "s.csv")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestTrainEvaluatePredict:
@@ -109,8 +134,6 @@ class TestTrainEvaluatePredict:
         model = str(tmp_path / "na.bin")
         assert _run("train", "--data", synth_csv, *FAST_TRAIN,
                     "--model.variant", "no_attention", "--out", model) == 0
-        from attnboost.model_io import load_model
-
         assert load_model(model).variant == "no_attention"
 
 
@@ -263,6 +286,15 @@ class TestConfigHandling:
         model = str(tmp_path / "m.bin")
         assert _run("train", "--data", synth_csv, "--config", str(cfg),
                     "--split.seed", "9", "--out", model) == 0
+        assert len(load_model(model).ensemble.trees) == 12  # the file's boost.n_estimators
+        by_flags = {}
+        for seed in ("9", "5"):
+            by_flags[seed] = str(tmp_path / f"flags{seed}.bin")
+            assert _run("train", "--data", synth_csv, *FAST_TRAIN, "--split.seed", seed,
+                        "--out", by_flags[seed]) == 0
+        data = open(model, "rb").read()
+        assert data == open(by_flags["9"], "rb").read()
+        assert data != open(by_flags["5"], "rb").read()
 
     def test_unknown_config_key_exits_2(self, tmp_path, synth_csv):
         cfg = tmp_path / "bad.cfg"
@@ -295,13 +327,14 @@ class TestConfigHandling:
         ["--model.augment_mode", "bogus"],
         ["--model.variant", "no_attention", "--model.augment_mode", "bogus"],
         ["--model.variant", "random_attention", "--model.augment_mode", "bogus"],
+        ["--model.shallow_k", "0"],
     ])
     def test_bad_choice_exits_2_before_data_is_read(self, tmp_path, extra, capsys):
         # the data file does not exist, so reading it would exit 1
         assert _run("train", "--data", str(tmp_path / "absent.csv"), *extra,
                     "--out", str(tmp_path / "m.bin")) == 2
         err = capsys.readouterr().err
-        assert "'bogus'" in err and extra[-2][2:] in err
+        assert f"key {extra[-2][2:]!r}" in err and extra[-1] in err
 
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = RunConfig.merged({}, {})
@@ -309,6 +342,64 @@ class TestConfigHandling:
         assert cfg.boost_config() == BoostConfig()
         assert cfg.synthetic_spec() == SyntheticSpec()
         assert cfg["model.shallow_k"] == DEFAULT_SHALLOW_K
+
+
+# the options of each command that are not settings: what it reads, writes or shows
+NON_SETTING_OPTIONS = {
+    "train": {"--data", "--synthetic", "--out", "--metrics-out", "--test-out"},
+    "predict": {"--model", "--data", "--out"},
+    "evaluate": {"--model", "--data", "--out"},
+    "importance": {"--model", "--top", "--raw", "--csv-out"},
+    "ablate": {"--data", "--synthetic", "--out"},
+    "remove-features": {"--data", "--synthetic", "--features", "--out"},
+    "synth": {"--out"},
+}
+
+
+class TestOneKeyPerSetting:
+    def test_every_option_is_a_key_flag_or_a_listed_option(self):
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(commands) == set(NON_SETTING_OPTIONS)
+        settings = {"--config", *(f"--{key}" for key in KEY_SPECS)}
+        for name, parser in commands.items():
+            actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            assert all(len(a.option_strings) == 1 for a in actions), name
+            assert len({a.dest for a in actions}) == len(actions), name  # no two write one
+            flags = {a.option_strings[0] for a in actions}
+            assert NON_SETTING_OPTIONS[name] <= flags, name
+            assert flags - NON_SETTING_OPTIONS[name] in (set(), settings), name
+            assert {a.option_strings[0] for a in actions if a.nargs == 0} <= {"--synthetic",
+                                                                               "--raw"}, name
+
+
+class TestTrainFingerprint:
+    """`train` fingerprints its model with the recipe of ablate and remove-features:
+    the settings that shape the fit plus the split's data."""
+
+    @staticmethod
+    def _fingerprint(tmp_path, *argv):
+        model = str(tmp_path / "fp.bin")
+        assert _run("train", *argv, "--out", model) == 0
+        return json.load(open(model))["sections"]["meta"]["payload"]["fingerprint"]
+
+    def test_two_tables_give_two_fingerprints(self, tmp_path, synth_csv):
+        other = str(tmp_path / "other.csv")
+        assert _run("synth", "--synth.rows", "600", "--synth.seed", "7", "--out", other) == 0
+        assert (self._fingerprint(tmp_path, "--data", synth_csv, *FAST_TRAIN)
+                != self._fingerprint(tmp_path, "--data", other, *FAST_TRAIN))
+
+    def test_unused_synth_key_leaves_a_data_run_unchanged(self, tmp_path, synth_csv):
+        assert (self._fingerprint(tmp_path, "--data", synth_csv, *FAST_TRAIN)
+                == self._fingerprint(tmp_path, "--data", synth_csv, *FAST_TRAIN,
+                                     "--synth.rows", "5"))
+
+    def test_file_and_flags_give_the_same_fingerprint(self, tmp_path, synth_csv):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("".join(f"{flag[2:]}={value}\n"
+                               for flag, value in zip(FAST_TRAIN[::2], FAST_TRAIN[1::2])))
+        assert (self._fingerprint(tmp_path, "--data", synth_csv, "--config", str(cfg))
+                == self._fingerprint(tmp_path, "--data", synth_csv, *FAST_TRAIN))
 
 
 class TestExitCodes:

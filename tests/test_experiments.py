@@ -120,7 +120,7 @@ class TestGenerateSynthetic:
 @pytest.fixture(scope="module")
 def ablation_result():
     return run_ablation(
-        SyntheticSpec(n_rows=1200, seed=42),
+        generate_synthetic(SyntheticSpec(n_rows=1200, seed=42)),
         attention_config=FAST_ATTN,
         boost_config=FAST_BOOST,
     )
@@ -141,7 +141,7 @@ class TestRunAblation:
 
     def test_rerun_reproduces_metrics_bit_exactly(self, ablation_result):
         again = run_ablation(
-            SyntheticSpec(n_rows=1200, seed=42),
+            generate_synthetic(SyntheticSpec(n_rows=1200, seed=42)),
             attention_config=FAST_ATTN,
             boost_config=FAST_BOOST,
         )
@@ -170,12 +170,14 @@ class TestFingerprintIdentifiesTheRun:
 
     @staticmethod
     def _ablation(rows, **kwargs):
-        return run_ablation(SyntheticSpec(n_rows=rows, seed=3), attention_config=FAST_ATTN,
-                            boost_config=FAST_BOOST, **kwargs).fingerprint
+        return run_ablation(generate_synthetic(SyntheticSpec(n_rows=rows, seed=3)),
+                            attention_config=FAST_ATTN, boost_config=FAST_BOOST,
+                            **kwargs).fingerprint
 
     @staticmethod
     def _removal(rows, **kwargs):
-        return run_feature_removal(["Discount"], SyntheticSpec(n_rows=rows, seed=3),
+        return run_feature_removal(["Discount"],
+                                   generate_synthetic(SyntheticSpec(n_rows=rows, seed=3)),
                                    attention_config=FAST_ATTN, boost_config=FAST_BOOST,
                                    **kwargs).fingerprint
 
@@ -218,7 +220,7 @@ class TestRandomAttentionImportance:
 def removal_result():
     return run_feature_removal(
         ["Discount", "Quantity"],
-        SyntheticSpec(n_rows=600, seed=7),
+        generate_synthetic(SyntheticSpec(n_rows=600, seed=7)),
         attention_config=FAST_ATTN,
         boost_config=FAST_BOOST,
     )
@@ -247,7 +249,7 @@ class TestRunFeatureRemoval:
 
     def test_unknown_feature_rejected(self):
         with pytest.raises(DataError, match="unknown"):
-            run_feature_removal(["Nope"], SyntheticSpec(n_rows=100, seed=1),
+            run_feature_removal(["Nope"], generate_synthetic(SyntheticSpec(n_rows=100, seed=1)),
                                 attention_config=FAST_ATTN, boost_config=FAST_BOOST)
 
     @pytest.mark.parametrize("features, message", [
@@ -261,5 +263,5 @@ class TestRunFeatureRemoval:
 
         monkeypatch.setattr("attnboost.fusion.fit_variant", no_fit)
         with pytest.raises(DataError, match=message):
-            run_feature_removal(features, SyntheticSpec(n_rows=100, seed=1),
+            run_feature_removal(features, generate_synthetic(SyntheticSpec(n_rows=100, seed=1)),
                                 attention_config=FAST_ATTN, boost_config=FAST_BOOST)

@@ -12,7 +12,7 @@ from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import fit_variant, predict, predict_matrix
 from attnboost.gbdt import BoostConfig
 from attnboost.cli import run_command
-from attnboost.model_io import _checksum, load_model, save_model
+from attnboost.model_io import _checksum, _decode_f64, _encode_f64, load_model, save_model
 from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_split
 
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
@@ -91,6 +91,13 @@ class TestRoundTrip:
         assert from_old.preprocessor == from_new.preprocessor == state
         for got, want in zip(predict(from_old, table), predict(from_new, table)):
             assert got.tobytes() == want.tobytes()
+
+
+def _set_entry(payload: dict, key: str, index: int, value: float) -> None:
+    """Set one entry of the encoded float64 array `payload[key]`."""
+    values = _decode_f64(payload[key]).copy()
+    values.flat[index] = value
+    payload[key] = _encode_f64(values)
 
 
 class TestDamagedFiles:
@@ -262,6 +269,37 @@ class TestDamagedFiles:
         assert str(info.value).startswith(f"{path}: ")
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("section,edit,message", [
+        ("ensemble", lambda ens: _set_entry(ens["trees"][0], "weight", -1, np.nan),
+         r"section 'ensemble' tree 0 node \d+: weight nan is not finite"),
+        ("ensemble", lambda ens: _set_entry(ens["trees"][0], "threshold", 0, np.inf),
+         "section 'ensemble' tree 0 node 0: threshold inf is not finite"),
+        ("ensemble", lambda ens: _set_entry(ens["trees"][1], "gain", 0, -np.inf),
+         "section 'ensemble' tree 1 node 0: gain -inf is not finite"),
+        ("ensemble", lambda ens: ens.update(base_raw=np.nan),
+         "section 'ensemble': base_raw nan is not finite"),
+        ("ensemble", lambda ens: ens.update(learning_rate=-5.0),
+         r"section 'ensemble': learning_rate -5.0 is outside \(0, 1\]"),
+        ("ensemble", lambda ens: ens.update(learning_rate=0.0), r"learning_rate 0.0 is outside"),
+        ("ensemble", lambda ens: ens.update(learning_rate=1.5), r"learning_rate 1.5 is outside"),
+        ("ensemble", lambda ens: ens.update(learning_rate=np.nan), r"learning_rate nan is outside"),
+        ("attention", lambda att: _set_entry(att, "W1", 3, np.nan),
+         "section 'attention': W1 holds a value that is not finite"),
+        ("attention", lambda att: att.update(b2=np.inf),
+         "section 'attention': b2 holds a value that is not finite"),
+    ], ids=["weight", "threshold", "gain", "base_raw", "rate_negative", "rate_zero",
+            "rate_above_one", "rate_nan", "W1", "b2"])
+    def test_non_finite_numbers_with_valid_checksums_rejected(self, fitted, tmp_path, capsys,
+                                                              section, edit, message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, section, edit)
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        assert re.search(message, capsys.readouterr().err)
+
     @staticmethod
     def _edit_payload(path, name, edit):
         """Apply edit to a section's payload and store a checksum that matches the edit."""
@@ -278,7 +316,8 @@ class TestDamagedFiles:
     @staticmethod
     def _csv(tmp_path):
         path = str(tmp_path / "rows.csv")
-        assert run_command(["synth", "--rows", "20", "--seed", "3", "--out", path]) == 0
+        assert run_command(["synth", "--synth.rows", "20", "--synth.seed", "3",
+                            "--out", path]) == 0
         return path
 
     def test_missing_file_rejected(self):

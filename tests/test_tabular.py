@@ -14,7 +14,6 @@ from attnboost.tabular import (
     FeatureMatrix,
     RawTable,
     apply_preprocessor,
-    decompose_date,
     fit_preprocessor,
     load_csv,
     retail_schema,
@@ -421,27 +420,39 @@ class TestColumnwiseEncoderMatchesReference:
             apply_preprocessor(state, short)
 
 
-class TestDecomposeDate:
+def date_parts(cells) -> list[tuple[int, int, int]]:
+    """apply_preprocessor's (year, month, weekday) columns for a table of date cells."""
+    schema = [ColumnSchema("Order Date", "date"), ColumnSchema("Returned", "binary-target")]
+    fitted = fit_preprocessor(RawTable(schema, [[dt.date(2017, 1, 1), "Not"]]), [])
+    X, _ = apply_preprocessor(fitted, RawTable(schema, [[cell, "Not"] for cell in cells]))
+    assert X.feature_names == ["Order Date_year", "Order Date_month", "Order Date_weekday"]
+    return [tuple(int(v) for v in row) for row in X.values]
+
+
+class TestDateColumns:
     def test_against_independent_calendar_oracle(self):
         rng = np.random.default_rng(5)
         base = dt.date(1953, 1, 1)
-        for offset in rng.integers(0, 60000, size=300):
-            day = base + dt.timedelta(days=int(offset))
-            year, month, weekday = decompose_date(day)
-            assert (year, month) == (day.year, day.month)
-            assert weekday == sakamoto_weekday(day.year, day.month, day.day)
+        days = [base + dt.timedelta(days=int(o)) for o in rng.integers(0, 60000, size=300)]
+        # date cells as loaded, and as ISO text in a table built in code
+        for cells in (days, [day.isoformat() for day in days]):
+            for day, (year, month, weekday) in zip(days, date_parts(cells), strict=True):
+                assert (year, month) == (day.year, day.month)
+                assert weekday == sakamoto_weekday(day.year, day.month, day.day)
 
     def test_known_anchors(self):
-        assert decompose_date("2017-05-13") == (2017, 5, 5)  # a Saturday
-        assert decompose_date("1970-01-01") == (1970, 1, 3)  # epoch Thursday
+        # a Saturday, and the epoch's Thursday
+        assert date_parts(["2017-05-13", "1970-01-01"]) == [(2017, 5, 5), (1970, 1, 3)]
 
     def test_invalid_month_rejected(self):
-        with pytest.raises(DataError):
-            decompose_date("2017-13-01")
+        with pytest.raises(DataError, match="row 2, column 'Order Date': '2017-13-01' is not a "
+                                            "valid calendar date"):
+            date_parts(["2017-05-13", "2017-13-01"])
 
     def test_invalid_day_combination_rejected(self):
-        with pytest.raises(DataError):
-            decompose_date("2021-02-29")
+        with pytest.raises(DataError, match="row 1, column 'Order Date': '2021-02-29' is not a "
+                                            "valid calendar date"):
+            date_parts(["2021-02-29"])
 
 
 class TestStratifiedSplit:
