@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tabular
 from .errors import DataError
 from .tabular import FeatureMatrix
 
@@ -102,18 +103,19 @@ class TrainConfig:
     prob_clamp: float = 1e-12
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("hidden width k must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 < self.prob_clamp < 0.5:
-            raise ValueError("prob_clamp must be in (0, 0.5)")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        # each range is written so that NaN fails it; a rejection names the field first
+        for name, ok, rule in (
+            ("k", self.k >= 1, "must be >= 1"),
+            ("epochs", self.epochs >= 0, "must be non-negative"),
+            ("batch_size", self.batch_size >= 1, "must be >= 1"),
+            ("learning_rate", 0.0 < self.learning_rate < math.inf, "must be finite and positive"),
+            # below about 5.6e-17, 1 - prob_clamp rounds to 1 and the loss to log(0)
+            ("prob_clamp", 0.0 < self.prob_clamp < 0.5 and 1.0 - self.prob_clamp < 1.0,
+             "must be in (0, 0.5) with 1 - prob_clamp below 1"),
+            ("optimizer", self.optimizer in OPTIMIZERS, f"must be one of {OPTIMIZERS}"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 def init_params(d: int, k: int, seed: int) -> AttentionParams:
@@ -336,22 +338,40 @@ def _sub_network(params: AttentionParams, units: np.ndarray) -> AttentionParams:
 
 
 def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hidden") -> FeatureMatrix:
-    """Append per-row network features (h_tilde or alpha) to the input columns."""
+    """Append per-row network features (h_tilde or alpha) to the input columns.
+
+    Rows go through the network in blocks of at most tabular._BLOCK_CELLS
+    hidden cells, each written straight into its slice of the output, so the
+    only (rows x k) array is the output. The blocks are of equal size, give or
+    take a row, so none is a short tail: OpenBLAS takes other kernels for a
+    product of one row (and, at k = 128, of up to 9 rows), whose sums can
+    differ in the last bit from the same rows of a larger product. Blocks of
+    many rows take the whole-matrix kernels, so the output is bitwise that of
+    one whole-matrix pass (the tests check it against the allocating form).
+    """
     if mode not in AUGMENT_MODES:
         raise ValueError(f"augment mode must be one of {AUGMENT_MODES}, got {mode!r}")
     if X.d != params.d:
         raise ValueError(f"matrix width {X.d} does not match network input width {params.d}")
     values = X.values
-    H = values @ params.W1.T
-    H += params.b1
-    np.maximum(H, 0.0, out=H)
-    A = H @ params.W_attn.T
-    A += params.b_attn
-    _sigmoid_into(A, A, np.empty_like(A), np.empty(A.shape, dtype=bool))
-    out = np.empty((values.shape[0], params.d + params.k))
-    out[:, : params.d] = values
-    if mode == "weighted-hidden":
-        np.multiply(A, H, out=out[:, params.d :])
-    else:
-        out[:, params.d :] = A
-    return FeatureMatrix(values=out, feature_names=[*X.feature_names, *attention_names(params.k)])
+    n, d, k = values.shape[0], params.d, params.k
+    out = np.empty((n, d + k))
+    out[:, :d] = values
+    blocks = -(-n * k // tabular._BLOCK_CELLS)  # the fewest that hold n * k cells
+    rows = -(-n // blocks) if n else 1
+    H, A, den = np.empty((rows, k)), np.empty((rows, k)), np.empty((rows, k))
+    mask = np.empty((rows, k), dtype=bool)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        h, a = H[: hi - lo], A[: hi - lo]
+        np.matmul(values[lo:hi], params.W1.T, out=h)
+        h += params.b1
+        np.maximum(h, 0.0, out=h)
+        np.matmul(h, params.W_attn.T, out=a)
+        a += params.b_attn
+        _sigmoid_into(a, a, den[: hi - lo], mask[: hi - lo])
+        if mode == "weighted-hidden":
+            np.multiply(a, h, out=out[lo:hi, d:])
+        else:
+            out[lo:hi, d:] = a
+    return FeatureMatrix(values=out, feature_names=[*X.feature_names, *attention_names(k)])

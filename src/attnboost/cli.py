@@ -86,13 +86,13 @@ def _resolve_table(args, cfg: RunConfig) -> RawTable:
     if (args.data is not None) == args.synthetic:
         raise ConfigError("exactly one of --data or --synthetic is required")
     if args.synthetic:
-        return generate_synthetic(cfg.synthetic_spec())
+        return generate_synthetic(cfg.synth)
     return load_csv(args.data, retail_schema())
 
 
 def _run_settings(cfg: RunConfig) -> dict:
     """The settings that the experiment runners and run_fingerprint take, by parameter name."""
-    return {"attention_config": cfg.attention_config(), "boost_config": cfg.boost_config(),
+    return {"attention_config": cfg.attention, "boost_config": cfg.boost,
             "split_fraction": cfg["split.fraction"], "split_seed": cfg["split.seed"],
             "augment_mode": cfg["model.augment_mode"]}
 
@@ -205,7 +205,7 @@ def cmd_remove_features(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _merged_config(args)
-    table = generate_synthetic(cfg.synthetic_spec())
+    table = generate_synthetic(cfg.synth)
     write_text_atomic(args.out, table_to_csv_text(table))
     print(f"{table.row_count} rows written to {args.out}")
     return 0

@@ -9,7 +9,7 @@ the defaults below. Unknown keys are rejected outright. `preprocess.drop` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .attention import AUGMENT_MODES, TrainConfig
 from .errors import ConfigError
@@ -21,6 +21,11 @@ from .gbdt import BoostConfig
 def _section_specs(prefix: str, cls) -> dict[str, tuple[type, object]]:
     """One key per field of a config dataclass, typed and defaulted by the field's default."""
     return {f"{prefix}.{f.name}": (type(f.default), f.default) for f in fields(cls)}
+
+
+def _section_keys(prefix: str, cls) -> dict[str, str]:
+    """Field name -> key for a config dataclass whose keys are `prefix.<field>`."""
+    return {f.name: f"{prefix}.{f.name}" for f in fields(cls)}
 
 
 # key -> (type, default). The attention.* and boost.* keys are the fields of
@@ -80,11 +85,51 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+# the generator's fields and the keys that set them
+_SYNTH_KEYS = {"n_rows": "synth.rows", "seed": "synth.seed", "noise_sd": "synth.noise_sd",
+               "coefficients": "synth.coef", "intercept": "synth.intercept"}
+
+
+def _build(cls, keys: dict[str, str], values: dict):
+    """`cls` from the values of `keys` (field -> key).
+
+    The dataclass checks its own ranges and names the field first, so a
+    rejection becomes a ConfigError naming the key.
+    """
+    try:
+        return cls(**{name: values[key] for name, key in keys.items()})
+    except ValueError as exc:
+        name = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"key {keys[name]!r}: {exc}") from exc
+
+
+def _items(text) -> list[str]:
+    """The non-empty parts of a comma-separated value."""
+    return [part.strip() for part in str(text).split(",") if part.strip()]
+
+
+def _coefficients(text) -> dict[str, float]:
+    """`synth.coef` as NAME=VALUE pairs; empty plants no signal."""
+    try:
+        return {name.strip(): float(value) for name, value in
+                (item.split("=") for item in _items(text))}
+    except ValueError as exc:
+        raise ConfigError(f"key 'synth.coef': expected NAME=VALUE pairs with numeric "
+                          f"values, got {text!r}") from exc
+
+
 @dataclass
 class RunConfig:
-    """Merged settings for one CLI invocation."""
+    """Merged settings for one CLI invocation, and the library configs built from them.
 
-    values: dict[str, object] = field(default_factory=dict)
+    `merged` builds every config, so a value out of its range fails with a
+    ConfigError naming its key before any data is read.
+    """
+
+    values: dict[str, object]
+    attention: TrainConfig
+    boost: BoostConfig
+    synth: SyntheticSpec
 
     @classmethod
     def merged(cls, file_values: dict | None, cli_values: dict | None) -> "RunConfig":
@@ -102,48 +147,21 @@ class RunConfig:
         if values["model.shallow_k"] < 1:
             raise ConfigError(f"key 'model.shallow_k' must be at least 1, got "
                               f"{values['model.shallow_k']}")
-        return cls(values=values)
+        if not 0.0 < values["split.fraction"] < 1.0:  # NaN fails this too
+            raise ConfigError(f"key 'split.fraction' must be in (0, 1), got "
+                              f"{values['split.fraction']!r}")
+        return cls(
+            values=values,
+            attention=_build(TrainConfig, _section_keys("attention", TrainConfig), values),
+            boost=_build(BoostConfig, _section_keys("boost", BoostConfig), values),
+            synth=_build(SyntheticSpec, _SYNTH_KEYS,
+                         {**values, "synth.coef": _coefficients(values["synth.coef"])}),
+        )
 
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def _section(self, prefix: str, cls):
-        try:
-            return cls(**{f.name: self.values[f"{prefix}.{f.name}"] for f in fields(cls)})
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def attention_config(self) -> TrainConfig:
-        return self._section("attention", TrainConfig)
-
-    def boost_config(self) -> BoostConfig:
-        return self._section("boost", BoostConfig)
-
-    def _items(self, key: str) -> list[str]:
-        """The non-empty parts of a comma-separated key."""
-        return [part.strip() for part in str(self.values[key]).split(",") if part.strip()]
-
-    def synthetic_spec(self) -> SyntheticSpec:
-        """The generator's spec; `synth.coef` is NAME=VALUE pairs, and empty plants no signal."""
-        v = self.values
-        try:
-            coefficients = {name.strip(): float(value) for name, value in
-                            (item.split("=") for item in self._items("synth.coef"))}
-        except ValueError as exc:
-            raise ConfigError(f"key 'synth.coef': expected NAME=VALUE pairs with numeric "
-                              f"values, got {v['synth.coef']!r}") from exc
-        try:
-            return SyntheticSpec(
-                n_rows=v["synth.rows"],
-                seed=v["synth.seed"],
-                noise_sd=v["synth.noise_sd"],
-                coefficients=coefficients,
-                intercept=v["synth.intercept"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def drop_columns(self) -> list[str] | None:
         if not str(self.values["preprocess.drop"]).strip():
             return None
-        return self._items("preprocess.drop")
+        return _items(self.values["preprocess.drop"])

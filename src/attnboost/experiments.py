@@ -15,6 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -76,10 +77,16 @@ class SyntheticSpec:
     intercept: float = 0.0
 
     def __post_init__(self):
-        if self.n_rows < 10:
-            raise ValueError("n_rows must be at least 10")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
+        # each range is written so that NaN fails it; a rejection names the field first
+        for name, ok, rule in (
+            ("n_rows", self.n_rows >= 10, "must be at least 10"),
+            ("noise_sd", 0.0 <= self.noise_sd < math.inf, "must be finite and non-negative"),
+            ("intercept", math.isfinite(self.intercept), "must be finite"),
+            ("coefficients", all(map(math.isfinite, self.coefficients.values())),
+             "must be finite"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
         allowed = set(_NUMERIC_FEATURES) | set(_CATEGORICAL_LEVELS)
         unknown = sorted(set(self.coefficients) - allowed)
         if unknown:

@@ -44,10 +44,12 @@ scores do not depend on how many rows or trees are walked together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tabular
 from .attention import sigmoid
 from .errors import DataError
 from .tabular import FeatureMatrix
@@ -57,9 +59,6 @@ HESSIAN_FLOOR = 1e-16
 # Relative window inside which two split gains are considered tied, so the
 # lexicographic tie-break cannot be overridden by summation-order noise.
 GAIN_TIE_REL = 1e-10
-
-# Most (tree, row) pairs one walk step holds; bounds the walk's temporaries.
-_WALK_CELLS = 1 << 16
 
 
 @dataclass
@@ -78,20 +77,24 @@ class BoostConfig:
     base_score: float = 0.5
 
     def __post_init__(self):
-        if self.n_estimators < 0 or self.max_depth < 0:
-            raise ValueError("n_estimators and max_depth must be non-negative")
-        if self.min_child_weight < 0:
-            raise ValueError("min_child_weight must be non-negative")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < self.subsample <= 1.0 or not 0.0 < self.colsample_bytree <= 1.0:
-            raise ValueError("subsample fractions must be in (0, 1]")
-        if self.gamma < 0 or self.reg_lambda < 0 or self.reg_alpha < 0:
-            raise ValueError("gamma, reg_lambda, and reg_alpha must be non-negative")
-        if self.max_bins < 2:
-            raise ValueError("max_bins must be >= 2")
-        if not 0.0 < self.base_score < 1.0:
-            raise ValueError("base_score must be a probability in (0, 1)")
+        # each range is written so that NaN fails it (a comparison with NaN is
+        # false); a rejection names the field first
+        unit, finite = "must be in (0, 1]", "must be finite and non-negative"
+        for name, ok, rule in (
+            ("n_estimators", self.n_estimators >= 0, "must be non-negative"),
+            ("max_depth", self.max_depth >= 0, "must be non-negative"),
+            ("learning_rate", 0.0 < self.learning_rate <= 1.0, unit),
+            ("min_child_weight", 0.0 <= self.min_child_weight < math.inf, finite),
+            ("gamma", 0.0 <= self.gamma < math.inf, finite),
+            ("subsample", 0.0 < self.subsample <= 1.0, unit),
+            ("colsample_bytree", 0.0 < self.colsample_bytree <= 1.0, unit),
+            ("reg_alpha", 0.0 <= self.reg_alpha < math.inf, finite),
+            ("reg_lambda", 0.0 <= self.reg_lambda < math.inf, finite),
+            ("max_bins", self.max_bins >= 2, "must be >= 2"),
+            ("base_score", 0.0 < self.base_score < 1.0, "must be a probability in (0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -283,38 +286,49 @@ def build_histogram(
     the widest bin count among `features`. A compact histogram sorts each
     feature's keys and renames every key to the column of its last occurrence
     in that order. Either way bincount adds a bin's rows in the order of
-    `rows`, so the two layouts hold bitwise equal sums.
+    `rows`, so the two layouts hold bitwise equal sums. Features are taken in
+    chunks of at most tabular._BLOCK_CELLS // rows (at least one), which
+    bounds the (rows x features) keys and weights; a chunk's bins are its own
+    features', so the sums do not depend on the chunking.
     """
     features = np.asarray(features)
     k = features.size
     width = int(binned.widths[features].max()) if k else 1
-    offsets = np.arange(0, k * width, width)
+    columns = rows.size if compact else width
     # rows first, then columns, widened in place: several times faster than
     # bins[np.ix_(rows, features)] and than a casting np.add
-    keys = binned.bins[rows][:, features].astype(np.intp)  # (rows, k)
-    keys += offsets
-    bins = None
-    if compact:
-        ordered = np.sort(keys.T, axis=1)  # (k, rows): each feature's keys by bin
-        flat = ordered.ravel()
-        last = np.ones(flat.size, dtype=bool)  # the last column of each bin
-        np.not_equal(flat[1:], flat[:-1], out=last[:-1])
-        last = np.flatnonzero(last)
-        column = np.empty(k * width, dtype=np.intp)  # key -> its bin's last column
-        column[flat[last]] = last
-        keys = column[keys]
-        bins = ordered - offsets[:, None]
-    keys = keys.ravel()
-    shape = (k, width if bins is None else rows.size)
-    size = shape[0] * shape[1]
-    weights_g = np.repeat(g[rows], k)
-    weights_h = np.repeat(h[rows], k)
-    return NodeHistogram(
-        grad=np.bincount(keys, weights=weights_g, minlength=size).reshape(shape),
-        hess=np.bincount(keys, weights=weights_h, minlength=size).reshape(shape),
-        count=np.bincount(keys, minlength=size).reshape(shape),
-        bins=bins,
-    )
+    node_bins, g_rows, h_rows = binned.bins[rows], g[rows], h[rows]
+    per_chunk = max(1, tabular._BLOCK_CELLS // max(1, rows.size))
+    grads, hesses, counts, bins = [], [], [], []
+    for lo in range(0, max(k, 1), per_chunk):  # one chunk also when there is no feature
+        chunk = features[lo : lo + per_chunk]
+        offsets = np.arange(0, chunk.size * width, width)
+        keys = node_bins[:, chunk].astype(np.intp)  # (rows, chunk)
+        keys += offsets
+        if compact:
+            ordered = np.sort(keys.T, axis=1)  # (chunk, rows): each feature's keys by bin
+            flat = ordered.ravel()
+            last = np.ones(flat.size, dtype=bool)  # the last column of each bin
+            np.not_equal(flat[1:], flat[:-1], out=last[:-1])
+            last = np.flatnonzero(last)
+            column = np.empty(chunk.size * width, dtype=np.intp)  # key -> its bin's last column
+            column[flat[last]] = last
+            keys = column[keys]
+            bins.append(ordered - offsets[:, None])
+        keys = keys.ravel()
+        shape = (chunk.size, columns)
+        size = shape[0] * shape[1]
+        grads.append(np.bincount(keys, weights=np.repeat(g_rows, chunk.size),
+                                 minlength=size).reshape(shape))
+        hesses.append(np.bincount(keys, weights=np.repeat(h_rows, chunk.size),
+                                  minlength=size).reshape(shape))
+        counts.append(np.bincount(keys, minlength=size).reshape(shape))
+
+    def joined(parts):
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return NodeHistogram(grad=joined(grads), hess=joined(hesses), count=joined(counts),
+                         bins=joined(bins) if compact else None)
 
 
 def find_best_split(
@@ -480,15 +494,15 @@ def _add_trees(
     """raw + lr*w_1 + lr*w_2 + ..., each tree's output added in tree order.
 
     `raw` is one score per row, or one score for every row. Trees are walked
-    in blocks of at most _WALK_CELLS (tree, row) pairs, but at least one tree;
-    the running sum carries from block to block. np.add.accumulate adds
-    strictly in sequence, so the result does not depend on the block
+    in blocks of at most tabular._BLOCK_CELLS (tree, row) pairs, but at least
+    one tree; the running sum carries from block to block. np.add.accumulate
+    adds strictly in sequence, so the result does not depend on the block
     boundaries.
     """
     n_trees = forest.roots.size
     if n_trees == 0:
         return np.full(values.shape[0], raw)
-    per_block = max(1, _WALK_CELLS // max(1, values.shape[0]))
+    per_block = max(1, tabular._BLOCK_CELLS // max(1, values.shape[0]))
     for lo in range(0, n_trees, per_block):
         hi = min(lo + per_block, n_trees)
         terms = learning_rate * forest.weight[_walk(forest, values, lo, hi)]

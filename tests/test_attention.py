@@ -1,5 +1,7 @@
 """Tests for the gated network: forward values, exact gradients, training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from attnboost.attention import (
     sigmoid,
     train,
 )
+from attnboost import tabular
 from attnboost.errors import DataError
 from attnboost.tabular import FeatureMatrix
 
@@ -567,6 +570,35 @@ class TestAugment:
                 assert np.array_equal(bits(out.values), bits(ref.values))
                 assert out.feature_names == ref.feature_names
             assert augment(params, _fm(np.zeros((0, 7))), mode).values.shape == (0, 7 + k)
+
+    @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
+    def test_blocks_equal_one_whole_matrix_pass(self, mode, monkeypatch):
+        # blocks of at most 32 rows at k = 16; n on either side of one and two
+        # block boundaries. 33 rows go as 17 + 16: a lone last row would take
+        # BLAS's one-row kernel, whose sums differ from the batch's last bits
+        rng = np.random.default_rng(19)
+        X = _fm(rng.normal(0, 2, (97, 7)))
+        monkeypatch.setattr(tabular, "_BLOCK_CELLS", 16 * 32)
+        for params in (_random_params(7, 16, rng),
+                       train(X, rng.integers(0, 2, 97), TrainConfig(k=16, epochs=2, batch_size=8))[0]):
+            for n in (1, 31, 32, 33, 63, 64, 65, 97):
+                part = _fm(X.values[:n])
+                out, ref = augment(params, part, mode), reference_augment(params, part, mode)
+                assert np.array_equal(bits(out.values), bits(ref.values)), n
+
+    def test_peak_memory_is_the_output_and_a_few_blocks(self):
+        # bench size: 4000 rows, 10 inputs, k = 128; a whole-matrix pass, which
+        # held three (rows x k) arrays besides the output, peaked at 12.8 MB
+        params = init_params(10, 128, seed=0)
+        X = _fm(np.random.default_rng(23).normal(0, 1, (4000, 10)))
+        tracemalloc.start()
+        try:
+            out = augment(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, then H, the gate and the sigmoid's scratch and mask of one block
+        assert peak < out.values.nbytes + 4 * 8 * tabular._BLOCK_CELLS
 
 
 class TestRescalingInvariance:

@@ -277,6 +277,39 @@ class TestAblateAndRemoveFeatures:
         assert names == ["Discount Removed", "Sales Removed", "None (Full Model)"]
 
 
+# one out-of-range value for every float key; nan and inf are out of range for each
+OUT_OF_RANGE = {
+    "split.fraction": "1.5",
+    "attention.learning_rate": "0",
+    "attention.prob_clamp": "0.5",
+    "boost.learning_rate": "1.5",
+    "boost.min_child_weight": "-1",
+    "boost.gamma": "-0.1",
+    "boost.subsample": "0",
+    "boost.colsample_bytree": "1.01",
+    "boost.reg_alpha": "-1",
+    "boost.reg_lambda": "-1",
+    "boost.base_score": "1",
+    "synth.noise_sd": "-0.25",
+    "synth.intercept": "-inf",
+}
+
+# values at or near each end of a training key's range, which train accepts
+ACCEPTED_EDGES = {
+    "split.fraction": ("0.05", "0.95"),
+    "attention.learning_rate": ("1e-12", "1"),
+    "attention.prob_clamp": ("1.2e-16", "0.4999"),
+    "boost.learning_rate": ("1e-12", "1"),
+    "boost.min_child_weight": ("0", "1e6"),
+    "boost.gamma": ("0", "1e6"),
+    "boost.subsample": ("1e-6", "1"),
+    "boost.colsample_bytree": ("1e-6", "1"),
+    "boost.reg_alpha": ("0", "1e6"),
+    "boost.reg_lambda": ("0", "1e6"),
+    "boost.base_score": ("1e-300", "0.999999"),
+}
+
+
 class TestConfigHandling:
     def test_config_file_applied_and_cli_overrides(self, tmp_path, synth_csv):
         cfg = tmp_path / "run.cfg"
@@ -336,11 +369,33 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"key {extra[-2][2:]!r}" in err and extra[-1] in err
 
+    @pytest.mark.parametrize("key,value", [
+        *((key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)),
+        *(("synth.coef", value) for value in ("Discount=nan", "Sales=inf", "Profit=-inf")),
+        ("attention.prob_clamp", "1e-17"),  # 1 - 1e-17 rounds to 1
+    ])
+    def test_bad_number_exits_2_before_data_is_read(self, tmp_path, key, value, capsys):
+        # the data file does not exist, so reading it would exit 1
+        assert _run("train", "--data", str(tmp_path / "absent.csv"), f"--{key}={value}",
+                    "--out", str(tmp_path / "m.bin")) == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+
+    def test_every_float_key_has_an_out_of_range_case(self):
+        assert set(OUT_OF_RANGE) == {key for key, (kind, _) in KEY_SPECS.items() if kind is float}
+
+    @pytest.mark.parametrize("key,value", [(key, value) for key, edges in ACCEPTED_EDGES.items()
+                                           for value in ("nan", *edges)])
+    def test_train_that_exits_0_writes_a_loadable_model(self, tmp_path, synth_csv, key, value):
+        model = str(tmp_path / "m.bin")
+        if _run("train", "--data", synth_csv, *FAST_TRAIN, f"--{key}={value}",
+                "--out", model) == 0:
+            load_model(model)
+
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = RunConfig.merged({}, {})
-        assert cfg.attention_config() == TrainConfig()
-        assert cfg.boost_config() == BoostConfig()
-        assert cfg.synthetic_spec() == SyntheticSpec()
+        assert cfg.attention == TrainConfig()
+        assert cfg.boost == BoostConfig()
+        assert cfg.synth == SyntheticSpec()
         assert cfg["model.shallow_k"] == DEFAULT_SHALLOW_K
 
 
@@ -392,7 +447,7 @@ class TestTrainFingerprint:
     def test_unused_synth_key_leaves_a_data_run_unchanged(self, tmp_path, synth_csv):
         assert (self._fingerprint(tmp_path, "--data", synth_csv, *FAST_TRAIN)
                 == self._fingerprint(tmp_path, "--data", synth_csv, *FAST_TRAIN,
-                                     "--synth.rows", "5"))
+                                     "--synth.rows", "50"))
 
     def test_file_and_flags_give_the_same_fingerprint(self, tmp_path, synth_csv):
         cfg = tmp_path / "fast.cfg"

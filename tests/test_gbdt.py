@@ -1,11 +1,12 @@
 """Tests for binning, split search, leaf weights, and boosting training."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from attnboost import gbdt
+from attnboost import gbdt, tabular
 from attnboost.attention import sigmoid
 from attnboost.errors import DataError
 from attnboost.gbdt import (
@@ -585,6 +586,63 @@ class TestCompactHistogram:
         assert not (dense - dense).count.any()
 
 
+class TestChunkedBuild:
+    """A build takes features in chunks of at most tabular._BLOCK_CELLS // rows,
+    with sums bitwise those of one chunk over every feature."""
+
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_chunks_equal_one_chunk(self, compact, monkeypatch):
+        rng = np.random.default_rng(47)
+        binned = TestCompactHistogram._binned(rng)
+        g, h = rng.normal(0, 1, 300), rng.uniform(0.01, 1.0, 300)
+        feats = np.array([0, 1, 2, 4, 5, 6])
+        for rows in (np.arange(300), np.sort(rng.choice(300, size=90, replace=False)),
+                     np.array([7])):
+            whole = build_histogram(rows, binned, g, h, feats, compact=compact)
+            # chunks of one, two and four features (the last one short), then one chunk
+            for cells in (1, 2 * rows.size, 4 * rows.size, 6 * rows.size):
+                monkeypatch.setattr(tabular, "_BLOCK_CELLS", cells)
+                chunked = build_histogram(rows, binned, g, h, feats, compact=compact)
+                for name in ("grad", "hess", "count", "bins"):
+                    got, want = getattr(chunked, name), getattr(whole, name)
+                    assert (got is None) == (want is None) == (name == "bins" and not compact)
+                    if want is not None:
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (rows.size, cells, name)
+            assert build_histogram(rows, binned, g, h, feats[:0], compact).grad.shape[0] == 0
+
+    def test_trees_equal_with_a_small_cap(self, monkeypatch):
+        # one feature per chunk and one tree per walk block, against the default cap
+        rng = np.random.default_rng(48)
+        X = _fm(rng.normal(0, 1, (400, 6)))
+        y = (X.values[:, 0] + rng.normal(0, 1, 400) > 0).astype(int)
+        config = BoostConfig(n_estimators=6, max_depth=4, min_child_weight=1.0, gamma=0.0)
+        want = train_boosting(X, y, config)
+        monkeypatch.setattr(tabular, "_BLOCK_CELLS", 1)
+        got = train_boosting(X, y, config)
+        assert [tree_nodes(t) for t in got.trees] == [tree_nodes(t) for t in want.trees]
+        assert predict_raw(got, X).tobytes() == predict_raw(want, X).tobytes()
+
+    def test_root_build_peak_memory(self):
+        # bench size: a 3200-row root over 128 of 138 columns of 256 bins; one
+        # chunk held (rows x features) keys and two repeated weights, about 10 MB
+        rng = np.random.default_rng(49)
+        binned = bin_features(_fm(rng.normal(0, 1, (4000, 138))), 256)
+        g, h = rng.normal(0, 1, 4000), rng.uniform(0.01, 1.0, 4000)
+        rows = np.sort(rng.choice(4000, size=3200, replace=False))
+        feats = np.sort(rng.choice(138, size=128, replace=False))
+        tracemalloc.start()
+        try:
+            hist = build_histogram(rows, binned, g, h, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 3 * 8 * tabular._BLOCK_CELLS  # a chunk's keys and its g and h weights
+        gathered = rows.size * (binned.bins.shape[1] + 2 * 8)  # the node's bins, g and h
+        histogram = 2 * 3 * hist.grad.nbytes  # the chunks' sums and their concatenation
+        assert peak < chunk + gathered + histogram
+
+
 class TestTrainBoosting:
     def test_constant_feature_keeps_predictions_half(self):
         X = _fm([[1.0]] * 4)
@@ -717,7 +775,7 @@ class TestWalk:
     def test_nan_goes_right_and_infinities_compare_as_numbers(self, walk_cells, monkeypatch):
         # value <= threshold is false for a NaN, so a NaN row goes right at every node
         if walk_cells is not None:  # 11 rows: blocks of 1, 2 or 3 of the 4 trees
-            monkeypatch.setattr(gbdt, "_WALK_CELLS", walk_cells)
+            monkeypatch.setattr(tabular, "_BLOCK_CELLS", walk_cells)
         deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1], left=[1, 2, -1, -1, 5, -1, -1],
                          right=[4, 3, -1, -1, 6, -1, -1],
                          threshold=[0.5, -1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
@@ -745,12 +803,12 @@ class TestWalk:
 
     def test_more_trees_than_one_block(self):
         n_rows = 300
-        per_block = gbdt._WALK_CELLS // n_rows
+        per_block = tabular._BLOCK_CELLS // n_rows
         model, values = self._case(5, n_trees=2 * per_block + 5, n_rows=n_rows)
         self._assert_walk_matches(model, values)
 
     def test_row_alone_equals_its_batch_row(self):
-        model, values = self._case(6, n_trees=3 * (gbdt._WALK_CELLS // 500), n_rows=500)
+        model, values = self._case(6, n_trees=3 * (tabular._BLOCK_CELLS // 500), n_rows=500)
         batch = predict_raw(model, _fm(values, model.feature_names))
         for i in range(0, 500, 25):
             alone = predict_raw(model, _fm(values[i:i + 1], model.feature_names))
