@@ -342,8 +342,8 @@ def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hid
 
     Rows go through the network in blocks of at most tabular._BLOCK_CELLS
     hidden cells, each written straight into its slice of the output, so the
-    only (rows x k) array is the output. The blocks are of equal size, give or
-    take a row, so none is a short tail: OpenBLAS takes other kernels for a
+    only (rows x k) array is the output. Block sizes differ by at most one
+    row, so no block is a short tail: OpenBLAS takes other kernels for a
     product of one row (and, at k = 128, of up to 9 rows), whose sums can
     differ in the last bit from the same rows of a larger product. Blocks of
     many rows take the whole-matrix kernels, so the output is bitwise that of
@@ -357,21 +357,25 @@ def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hid
     n, d, k = values.shape[0], params.d, params.k
     out = np.empty((n, d + k))
     out[:, :d] = values
-    blocks = -(-n * k // tabular._BLOCK_CELLS)  # the fewest that hold n * k cells
+    blocks = min(n, -(-n * k // tabular._BLOCK_CELLS))  # the fewest that hold n * k cells
     rows = -(-n // blocks) if n else 1
+    longer = n - blocks * (rows - 1)  # blocks of `rows` rows; the rest have one fewer
     H, A, den = np.empty((rows, k)), np.empty((rows, k)), np.empty((rows, k))
     mask = np.empty((rows, k), dtype=bool)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        h, a = H[: hi - lo], A[: hi - lo]
-        np.matmul(values[lo:hi], params.W1.T, out=h)
-        h += params.b1
-        np.maximum(h, 0.0, out=h)
-        np.matmul(h, params.W_attn.T, out=a)
-        a += params.b_attn
-        _sigmoid_into(a, a, den[: hi - lo], mask[: hi - lo])
+    lo = 0
+    for block in range(blocks):
+        if block == longer:
+            H, A, den, mask = H[:-1], A[:-1], den[:-1], mask[:-1]
+        hi = lo + H.shape[0]
+        np.matmul(values[lo:hi], params.W1.T, out=H)
+        H += params.b1
+        np.maximum(H, 0.0, out=H)
+        np.matmul(H, params.W_attn.T, out=A)
+        A += params.b_attn
+        _sigmoid_into(A, A, den, mask)
         if mode == "weighted-hidden":
-            np.multiply(a, h, out=out[lo:hi, d:])
+            np.multiply(A, H, out=out[lo:hi, d:])
         else:
-            out[lo:hi, d:] = a
+            out[lo:hi, d:] = A
+        lo = hi
     return FeatureMatrix(values=out, feature_names=[*X.feature_names, *attention_names(k)])

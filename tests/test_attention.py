@@ -574,14 +574,15 @@ class TestAugment:
     @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
     def test_blocks_equal_one_whole_matrix_pass(self, mode, monkeypatch):
         # blocks of at most 32 rows at k = 16; n on either side of one and two
-        # block boundaries. 33 rows go as 17 + 16: a lone last row would take
-        # BLAS's one-row kernel, whose sums differ from the batch's last bits
+        # block boundaries. 33 rows go as 17 + 16 and 1025 as 33 blocks of 31
+        # or 32: a lone last row would take BLAS's one-row kernel, whose sums
+        # differ from the batch's in the last bits
         rng = np.random.default_rng(19)
-        X = _fm(rng.normal(0, 2, (97, 7)))
+        X = _fm(rng.normal(0, 2, (1025, 7)))
         monkeypatch.setattr(tabular, "_BLOCK_CELLS", 16 * 32)
         for params in (_random_params(7, 16, rng),
-                       train(X, rng.integers(0, 2, 97), TrainConfig(k=16, epochs=2, batch_size=8))[0]):
-            for n in (1, 31, 32, 33, 63, 64, 65, 97):
+                       train(X, rng.integers(0, 2, 1025), TrainConfig(k=16, epochs=1, batch_size=64))[0]):
+            for n in (1, 31, 32, 33, 63, 64, 65, 97, 1025):
                 part = _fm(X.values[:n])
                 out, ref = augment(params, part, mode), reference_augment(params, part, mode)
                 assert np.array_equal(bits(out.values), bits(ref.values)), n
