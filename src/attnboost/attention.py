@@ -340,14 +340,17 @@ def _sub_network(params: AttentionParams, units: np.ndarray) -> AttentionParams:
 def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hidden") -> FeatureMatrix:
     """Append per-row network features (h_tilde or alpha) to the input columns.
 
-    Rows go through the network in blocks of at most tabular._BLOCK_CELLS
-    hidden cells, each written straight into its slice of the output, so the
-    only (rows x k) array is the output. Block sizes differ by at most one
-    row, so no block is a short tail: OpenBLAS takes other kernels for a
-    product of one row (and, at k = 128, of up to 9 rows), whose sums can
-    differ in the last bit from the same rows of a larger product. Blocks of
-    many rows take the whole-matrix kernels, so the output is bitwise that of
-    one whole-matrix pass (the tests check it against the allocating form).
+    The hidden layer is computed in one product straight into the output's
+    attention block. The gate follows in row blocks of at most
+    tabular._BLOCK_CELLS cells, each block's gate and sigmoid scratch reused
+    from one allocation, and each block of the output then becomes h * alpha
+    or alpha in place. So besides the output augment holds about three
+    blocks, whatever the row count. Block sizes differ by at most one row, so
+    no block is a short tail: OpenBLAS takes other kernels for a product of
+    one row (and, at k = 128, of up to 9 rows), whose sums can differ in the
+    last bit from the same rows of a larger product. Blocks of many rows take
+    the whole-matrix kernels, so the output is bitwise that of one
+    whole-matrix pass (the tests check it against the allocating form).
     """
     if mode not in AUGMENT_MODES:
         raise ValueError(f"augment mode must be one of {AUGMENT_MODES}, got {mode!r}")
@@ -357,25 +360,25 @@ def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hid
     n, d, k = values.shape[0], params.d, params.k
     out = np.empty((n, d + k))
     out[:, :d] = values
+    H = out[:, d:]  # the hidden layer, until each block turns into the features
+    np.matmul(values, params.W1.T, out=H)
+    H += params.b1
+    np.maximum(H, 0.0, out=H)
     blocks = min(n, -(-n * k // tabular._BLOCK_CELLS))  # the fewest that hold n * k cells
     rows = -(-n // blocks) if n else 1
     longer = n - blocks * (rows - 1)  # blocks of `rows` rows; the rest have one fewer
-    H, A, den = np.empty((rows, k)), np.empty((rows, k)), np.empty((rows, k))
-    mask = np.empty((rows, k), dtype=bool)
+    A, den, mask = np.empty((rows, k)), np.empty((rows, k)), np.empty((rows, k), dtype=bool)
     lo = 0
     for block in range(blocks):
         if block == longer:
-            H, A, den, mask = H[:-1], A[:-1], den[:-1], mask[:-1]
-        hi = lo + H.shape[0]
-        np.matmul(values[lo:hi], params.W1.T, out=H)
-        H += params.b1
-        np.maximum(H, 0.0, out=H)
-        np.matmul(H, params.W_attn.T, out=A)
+            A, den, mask = A[:-1], den[:-1], mask[:-1]
+        h = H[lo : lo + len(A)]
+        np.matmul(h, params.W_attn.T, out=A)
         A += params.b_attn
         _sigmoid_into(A, A, den, mask)
         if mode == "weighted-hidden":
-            np.multiply(A, H, out=out[lo:hi, d:])
+            h *= A
         else:
-            out[lo:hi, d:] = A
-        lo = hi
+            h[...] = A
+        lo += len(A)
     return FeatureMatrix(values=out, feature_names=[*X.feature_names, *attention_names(k)])

@@ -598,7 +598,7 @@ class TestAugment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the output, then H, the gate and the sigmoid's scratch and mask of one block
+        # the output (which holds H), then one block's gate, sigmoid scratch and mask
         assert peak < out.values.nbytes + 4 * 8 * tabular._BLOCK_CELLS
 
 
