@@ -38,10 +38,10 @@ COLUMN_KINDS = ("integer", "float", "string", "category", "date", "binary-target
 _ISO_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 # Most cells one block of a rows x columns pass holds: the tree walk's (tree,
-# row) pairs, augment's hidden units and a histogram build's (row, feature)
-# keys. Temporaries then stay the same size whatever the row count, so a fit's
-# peak memory does not grow with rows x width, and the blocks are reused from
-# the heap instead of being fresh pages each call.
+# row) pairs, augment's gate and a histogram build's (row, feature) keys.
+# Temporaries then stay the same size whatever the row count, so a fit's peak
+# memory does not grow with rows x width, and the blocks are reused from the
+# heap instead of being fresh pages each call.
 _BLOCK_CELLS = 1 << 16
 
 
