@@ -79,18 +79,6 @@ class AttentionParams:
     d: int
     k: int
 
-    def copy(self) -> "AttentionParams":
-        return AttentionParams(
-            W1=self.W1.copy(),
-            b1=self.b1.copy(),
-            W_attn=self.W_attn.copy(),
-            b_attn=self.b_attn.copy(),
-            w2=self.w2.copy(),
-            b2=self.b2,
-            d=self.d,
-            k=self.k,
-        )
-
 
 @dataclass
 class TrainConfig:

@@ -29,17 +29,17 @@ sums over the leaf's rows and are stored unscaled; the shrinkage factor is
 applied at prediction time.
 
 A tree is a record of parallel node arrays in pre-order (root first, a node's
-left subtree before its right), the layout the model file stores. A split
-keeps only its raw `threshold`, the cut at its bin boundary b: bins come from
-`searchsorted(cuts, value, side="left")`, so bin <= b exactly when
-value <= cuts[b], and a trained tree and one read from a file are the same
-record. An ensemble stacks its trees into one set of arrays once, with leaves
-linking to themselves and each node's two children packed side by side, and
-one walk moves every (tree, row) pair down a level per step: it compares raw
-values with `threshold` and takes the child with one gather indexed by the
-node and the comparison. Training's per-round update and scoring make the
-same call. Tree outputs are added to the raw score strictly in tree order, so
-scores do not depend on how many rows or trees are walked together.
+left subtree before its right). A split keeps only its raw `threshold`, the
+cut at its bin boundary b: bins come from `searchsorted(cuts, value,
+side="left")`, so bin <= b exactly when value <= cuts[b]. An ensemble keeps
+one record of all its trees' nodes end to end and each tree's node count, the
+layout the model file stores. Its walk layout, built once, has leaves linking
+to themselves and each node's two children side by side, and one walk moves
+every (tree, row) pair down a level per step: it compares raw values with
+`threshold` and takes the child with one gather indexed by the node and the
+comparison. Training's per-round update and scoring make the same call. Tree
+outputs are added to the raw score strictly in tree order, so scores do not
+depend on how many rows or trees are walked together.
 """
 
 from __future__ import annotations
@@ -131,13 +131,19 @@ class NodeHistogram:
                              self.count - other.count)
 
 
+# dtype of each node array, in the order a Tree declares them
+NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp, "right": np.intp,
+               "weight": np.float64, "gain": np.float64}
+
+
 @dataclass(eq=False)
 class Tree:
-    """One tree as parallel arrays over its nodes in pre-order.
+    """Parallel arrays over the nodes of one tree, or of several laid end to end.
 
-    Node 0 is the root. An internal node has feature >= 0 and both children
-    after it; a leaf has feature, left and right all -1 and carries weight.
-    A row goes left at an internal node when its value is <= threshold.
+    Each tree's nodes are in pre-order and its node 0 is the root. An internal
+    node has feature >= 0 and both children after it, as indices local to its
+    tree; a leaf has feature, left and right all -1 and carries weight. A row
+    goes left at an internal node when its value is <= threshold.
     """
 
     feature: np.ndarray  # (nodes,) intp
@@ -150,9 +156,9 @@ class Tree:
 
 @dataclass(eq=False)
 class Forest:
-    """Trees stacked into one set of arrays for the vectorized walk.
+    """Trees laid out for the vectorized walk.
 
-    Node i of the stack owns two slots, 2i and 2i + 1, and the walk moves
+    Node i of the record owns two slots, 2i and 2i + 1, and the walk moves
     through slots. `feature`, `threshold` and `weight` hold node i's entry at
     both of its slots. `children[2i + s]` is the slot of the child a row
     takes when `s = value <= threshold` (1 left, 0 right), so one gather
@@ -170,53 +176,66 @@ class Forest:
     weight: np.ndarray  # (2 * nodes,)
 
     @classmethod
-    def stack(cls, trees) -> "Forest":
-        sizes = np.array([t.feature.size for t in trees], dtype=np.intp)
-        roots = np.zeros(sizes.size, dtype=np.intp)
-        np.cumsum(sizes[:-1], out=roots[1:])
+    def stack(cls, nodes: Tree, node_counts: np.ndarray) -> "Forest":
+        """Walk layout of the trees laid end to end in `nodes`, node_counts[t] nodes for tree t."""
+        roots = np.zeros(node_counts.size, dtype=np.intp)
+        np.cumsum(node_counts[:-1], out=roots[1:])
+        leaf = nodes.feature < 0
+        here = np.arange(leaf.size)
+        offset = np.repeat(roots, node_counts)
+        left = np.where(leaf, here, nodes.left + offset)
+        right = np.where(leaf, here, nodes.right + offset)
 
-        def cat(name: str, dtype) -> np.ndarray:
-            return np.concatenate([getattr(t, name) for t in trees] or [np.empty(0, dtype)])
-
-        feature = cat("feature", np.intp)
-        leaf = feature < 0
-        here = np.arange(feature.size)
-        offset = np.repeat(roots, sizes)
-        left = np.where(leaf, here, cat("left", np.intp) + offset)
-        right = np.where(leaf, here, cat("right", np.intp) + offset)
-
-        node_depth = np.zeros(feature.size, dtype=np.intp)
+        node_depth = np.zeros(leaf.size, dtype=np.intp)
         level, steps = roots, 0
         while True:
             level = level[~leaf[level]]
             if level.size == 0:
                 break
             steps += 1
-            if steps > feature.size:
+            if steps > leaf.size:
                 raise ValueError("tree child links form a cycle")
             level = np.concatenate([left[level], right[level]])
             node_depth[level] = steps
-        depth = np.maximum.reduceat(node_depth, roots) if trees else roots
+        depth = np.maximum.reduceat(node_depth, roots) if roots.size else roots
         return cls(roots=2 * roots, depth=depth,
-                   feature=np.repeat(np.where(leaf, 0, feature), 2),
-                   threshold=np.repeat(cat("threshold", np.float64), 2),
+                   feature=np.repeat(np.where(leaf, 0, nodes.feature), 2),
+                   threshold=np.repeat(nodes.threshold, 2),
                    children=2 * np.stack([right, left], axis=1).reshape(-1),
-                   weight=np.repeat(cat("weight", np.float64), 2))
+                   weight=np.repeat(nodes.weight, 2))
 
 
-@dataclass
+@dataclass(eq=False)
 class Ensemble:
-    """Boosted trees; `trees` is fixed at construction and stacked into `forest`."""
+    """Boosted trees as one record: every tree's nodes end to end in `nodes`, each
+    tree's node count in `node_counts`; fixed at construction, laid out in `forest`."""
 
-    trees: tuple[Tree, ...]
+    nodes: Tree
+    node_counts: np.ndarray  # (trees,) intp
     base_raw: float
     learning_rate: float
     feature_names: list[str]
-    forest: Forest = field(init=False, repr=False, compare=False)
+    forest: Forest = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.trees = tuple(self.trees)
-        self.forest = Forest.stack(self.trees)
+        self.forest = Forest.stack(self.nodes, self.node_counts)
+
+    @classmethod
+    def from_trees(cls, trees, base_raw: float, learning_rate: float,
+                   feature_names: list[str]) -> "Ensemble":
+        """The ensemble of `trees` in order, their node arrays copied into one record."""
+        nodes = Tree(**{name: np.concatenate([getattr(t, name) for t in trees]
+                                             or [np.empty(0, dtype)])
+                        for name, dtype in NODE_DTYPES.items()})
+        node_counts = np.array([t.feature.size for t in trees], dtype=np.intp)
+        return cls(nodes, node_counts, base_raw, learning_rate, feature_names)
+
+    @property
+    def trees(self) -> tuple[Tree, ...]:
+        """Each tree's nodes, as views of `nodes`."""
+        ends = np.cumsum(self.node_counts).tolist()
+        return tuple(Tree(**{name: getattr(self.nodes, name)[lo:hi] for name in NODE_DTYPES})
+                     for lo, hi in zip([0, *ends], ends))
 
 
 @dataclass
@@ -416,7 +435,7 @@ def _grow_tree(
     smaller child's is built and the larger one's is parent minus it.
     """
     small = int(binned.widths[features].max()) // 2 if features.size else 0
-    nodes: list[list] = []  # [feature, threshold, left, right, weight, gain]
+    nodes: list[list] = []  # [feature, threshold, left, right, weight, gain], as NODE_DTYPES
     LEFT, RIGHT = 2, 3  # positions of the child links in a node's row
     stack = [(rows, None, 0, -1, -1)]
     while stack:
@@ -453,15 +472,8 @@ def _grow_tree(
                 right_hist = None
         stack.append((right, right_hist, depth + 1, node, RIGHT))
         stack.append((left, left_hist, depth + 1, node, LEFT))
-    feature, threshold, left_of, right_of, weight, gain = zip(*nodes)
-    return Tree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left_of, dtype=np.intp),
-        right=np.array(right_of, dtype=np.intp),
-        weight=np.array(weight, dtype=np.float64),
-        gain=np.array(gain, dtype=np.float64),
-    )
+    return Tree(**{name: np.array(column, dtype=dtype)
+                   for (name, dtype), column in zip(NODE_DTYPES.items(), zip(*nodes))})
 
 
 def _walk(forest: Forest, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -554,14 +566,10 @@ def train_boosting(
         feats = feats[binned.widths[feats] >= 2]  # a one-bin column has no boundary
         tree = _grow_tree(rows, binned, g, h, feats, config)
         trees.append(tree)
-        raw = _add_trees(Forest.stack([tree]), X.values, raw, config.learning_rate)
+        count = np.array([tree.feature.size], dtype=np.intp)
+        raw = _add_trees(Forest.stack(tree, count), X.values, raw, config.learning_rate)
 
-    return Ensemble(
-        trees=trees,
-        base_raw=base_raw,
-        learning_rate=config.learning_rate,
-        feature_names=list(X.feature_names),
-    )
+    return Ensemble.from_trees(trees, base_raw, config.learning_rate, list(X.feature_names))
 
 
 def predict_raw(model: Ensemble, X: FeatureMatrix) -> np.ndarray:

@@ -35,13 +35,12 @@ class ImportanceTable:
 def gain_importance(model: Ensemble) -> ImportanceTable:
     """Sum realized split gains per feature over every tree.
 
-    Internal nodes are summed in tree order, then in pre-order within a tree;
-    bincount adds its weights in input order, so each total is that
-    sequential sum.
+    Internal nodes are summed in the ensemble record's order, tree by tree and
+    in pre-order within a tree; bincount adds its weights in input order, so
+    each total is that sequential sum.
     """
     d = len(model.feature_names)
-    feature = np.concatenate([t.feature for t in model.trees] or [np.empty(0, np.intp)])
-    gain = np.concatenate([t.gain for t in model.trees] or [np.empty(0)])
+    feature, gain = model.nodes.feature, model.nodes.gain
     internal = feature >= 0
     gains = np.bincount(feature[internal], weights=gain[internal], minlength=d).tolist()
     splits = np.bincount(feature[internal], minlength=d).tolist()

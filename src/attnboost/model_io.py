@@ -1,19 +1,19 @@
 """Single-file model container with per-section integrity checksums.
 
 The file is JSON with four sections (meta, preprocessor, attention, ensemble).
-Float arrays are base64-encoded little-endian float64 bytes, so a save/load
-round trip reproduces bit-identical predictions on any platform. Each
-section's checksum is validated before anything is constructed; a bad file
-never yields a partially loaded model. Trees are stored as the learner's own
-pre-order node arrays and checked for structure on load. The preprocessor
-section holds only what applying it reads; sections are read by key, so a key
-an older file still carries (`date_plan`, `unseen_codes`) is ignored. The meta
-section must name a known variant and augment mode that agree with the
-attention section, the ensemble's width must be the input width plus the
-variant's block, and a section whose contents do not decode raises
-ModelFormatError like a damaged one, as does a weight, threshold, gain,
-base score or attention parameter that is not finite, or a learning rate
-outside (0, 1].
+Arrays are base64-encoded little-endian bytes, float64 for real values and
+int32 for node indices, split features and node counts, so a save/load round
+trip reproduces bit-identical predictions on any platform. Each section's
+checksum is validated before anything is constructed; a bad file never yields
+a partially loaded model. The ensemble section stores the learner's own
+record: one array per node field over all trees' nodes, plus each tree's node
+count; it is checked for structure on load in one pass over all trees. The
+preprocessor section holds only what applying it reads. The meta section must
+name a known variant and augment mode that agree with the attention section,
+the ensemble's width must be the input width plus the variant's block, and a
+section whose contents do not decode raises ModelFormatError like a damaged
+one, as does a weight, threshold, gain, base score or attention parameter
+that is not finite, or a learning rate outside (0, 1].
 """
 
 from __future__ import annotations
@@ -29,13 +29,16 @@ import numpy as np
 from .attention import AUGMENT_MODES, AttentionParams
 from .errors import ModelFormatError
 from .fusion import VARIANT_KINDS, AttnBoostModel
-from .gbdt import Ensemble, Tree
+from .gbdt import NODE_DTYPES, Ensemble, Tree
 from .tabular import ColumnSchema, PreprocessorState
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
 _NETWORK_FREE_VARIANTS = ("no_attention", "random_attention")  # fitted without a network
+_INTEGERS = "<i4"  # file dtype of node counts and of the integer node arrays
+_FILE_DTYPES = {name: _INTEGERS if dtype is np.intp else "<f8"
+                for name, dtype in NODE_DTYPES.items()}
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -52,15 +55,16 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _encode_f64(arr) -> dict:
-    arr = np.asarray(arr, dtype=np.float64)
+def _encode(arr, dtype: str = "<f8") -> dict:
+    arr = np.asarray(arr)
     return {"shape": list(arr.shape),
-            "data": base64.b64encode(arr.astype("<f8").tobytes()).decode("ascii")}
+            "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
 
 
-def _decode_f64(obj) -> np.ndarray:
-    raw = base64.b64decode(obj["data"].encode("ascii"))
-    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+def _decode(obj, dtype: str = "<f8") -> np.ndarray:
+    """An array written by _encode with `dtype`, as float64 or, from _INTEGERS, intp."""
+    raw = base64.b64decode(obj["data"])  # TypeError or ValueError on anything but ASCII text
+    arr = np.frombuffer(raw, dtype=dtype).astype(np.intp if dtype == _INTEGERS else np.float64)
     return arr.reshape(obj["shape"])
 
 
@@ -72,50 +76,69 @@ def _checksum(payload) -> str:
     return hashlib.sha256(_canonical(payload)).hexdigest()
 
 
-def _tree_payload(tree: Tree) -> dict:
+def _ensemble_payload(ensemble: Ensemble) -> dict:
     return {
-        "feature": tree.feature.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "threshold": _encode_f64(tree.threshold),
-        "weight": _encode_f64(tree.weight),
-        "gain": _encode_f64(tree.gain),
+        "base_raw": ensemble.base_raw,
+        "learning_rate": ensemble.learning_rate,
+        "feature_names": ensemble.feature_names,
+        "node_counts": _encode(ensemble.node_counts, _INTEGERS),
+        **{name: _encode(getattr(ensemble.nodes, name), dtype)
+           for name, dtype in _FILE_DTYPES.items()},
     }
 
 
-def _tree_from_payload(payload: dict, t: int, n_features: int) -> Tree:
-    """Decode tree t's arrays and check that they form a tree over n_features columns.
+def _ensemble_from_payload(payload: dict) -> Ensemble:
+    """Decode the ensemble and check, for all trees at once, that its arrays form trees.
 
-    A leaf has feature, left and right all -1; an internal node splits on a
-    column of the model and both its children come after it, as in pre-order,
-    which rules out cycles.
+    Every node count is positive, and every node array holds one entry per
+    node of their sum. Within a tree a leaf has feature, left and right all
+    -1; an internal node splits on a column of the model and both its
+    children come after it, as in pre-order, which rules out cycles. An error
+    names the tree, and the node by its index within that tree.
     """
-    feature, left, right = (np.array(payload[k], dtype=np.intp)
-                            for k in ("feature", "left", "right"))
-    threshold, weight, gain = (_decode_f64(payload[k]) for k in ("threshold", "weight", "gain"))
-    arrays = (feature, left, right, threshold, weight, gain)
-    if any(a.ndim != 1 or a.size != feature.size for a in arrays) or feature.size == 0:
-        raise ModelFormatError(
-            f"tree {t}: node arrays must be non-empty and of equal length, got lengths "
-            f"{[a.size for a in arrays]}")
-    node = np.arange(feature.size)
-    leaf = feature == -1
-    bad = np.where(leaf, (left != -1) | (right != -1),
-                   (feature < 0) | (feature >= n_features)
-                   | (left <= node) | (left >= node.size)
-                   | (right <= node) | (right >= node.size))
+    feature_names = list(payload["feature_names"])
+    counts = _decode(payload["node_counts"], _INTEGERS)
+    nodes = Tree(**{name: _decode(payload[name], dtype) for name, dtype in _FILE_DTYPES.items()})
+    if counts.ndim != 1:
+        raise ModelFormatError(f"node counts must be one-dimensional, got shape {counts.shape}")
+    if (counts < 1).any():
+        t = int(np.argmax(counts < 1))
+        raise ModelFormatError(f"tree {t}: node count {counts[t]} is not positive")
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    arrays = [getattr(nodes, name) for name in _FILE_DTYPES]
+    if any(a.shape != (total,) for a in arrays):
+        raise ModelFormatError(f"node arrays must each hold the {total} nodes of the node "
+                               f"counts, got shapes {[a.shape for a in arrays]}")
+
+    local = np.arange(total) - np.repeat(ends - counts, counts)  # index within its tree
+    size = np.repeat(counts, counts)  # node count of its tree
+    feature, left, right = nodes.feature, nodes.left, nodes.right
+    bad = np.where(feature == -1, (left != -1) | (right != -1),
+                   (feature < 0) | (feature >= len(feature_names))
+                   | (left <= local) | (left >= size) | (right <= local) | (right >= size))
+
+    def node(i: int) -> str:
+        return f"tree {int(np.searchsorted(ends, i, side='right'))} node {local[i]}"
+
     if bad.any():
         i = int(np.argmax(bad))
-        raise ModelFormatError(
-            f"tree {t} node {i}: feature {feature[i]}, children {left[i]}/{right[i]} "
-            f"do not form a tree over {n_features} features")
-    for name, values in (("threshold", threshold), ("weight", weight), ("gain", gain)):
+        raise ModelFormatError(f"{node(i)}: feature {feature[i]}, children {left[i]}/{right[i]} "
+                               f"do not form a tree over {len(feature_names)} features")
+    for name in ("threshold", "weight", "gain"):
+        values = getattr(nodes, name)
         if not np.isfinite(values).all():
             i = int(np.argmax(~np.isfinite(values)))
-            raise ModelFormatError(f"section 'ensemble' tree {t} node {i}: {name} {values[i]} "
+            raise ModelFormatError(f"section 'ensemble' {node(i)}: {name} {values[i]} "
                                    "is not finite")
-    return Tree(feature=feature, threshold=threshold, left=left, right=right, weight=weight,
-                gain=gain)
+    ensemble = Ensemble(nodes, counts, float(payload["base_raw"]),
+                        float(payload["learning_rate"]), feature_names)
+    if not np.isfinite(ensemble.base_raw):
+        raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
+    if not 0.0 < ensemble.learning_rate <= 1.0:  # the range BoostConfig accepts
+        raise ModelFormatError(f"section 'ensemble': learning_rate {ensemble.learning_rate} "
+                               "is outside (0, 1]")
+    return ensemble
 
 
 def _preprocessor_payload(state: PreprocessorState | None):
@@ -152,11 +175,11 @@ def _attention_payload(params: AttentionParams | None):
     return {
         "d": params.d,
         "k": params.k,
-        "W1": _encode_f64(params.W1),
-        "b1": _encode_f64(params.b1),
-        "W_attn": _encode_f64(params.W_attn),
-        "b_attn": _encode_f64(params.b_attn),
-        "w2": _encode_f64(params.w2),
+        "W1": _encode(params.W1),
+        "b1": _encode(params.b1),
+        "W_attn": _encode(params.W_attn),
+        "b_attn": _encode(params.b_attn),
+        "w2": _encode(params.w2),
         "b2": params.b2,
     }
 
@@ -165,11 +188,11 @@ def _attention_from_payload(payload) -> AttentionParams | None:
     if payload is None:
         return None
     return AttentionParams(
-        W1=_decode_f64(payload["W1"]),
-        b1=_decode_f64(payload["b1"]),
-        W_attn=_decode_f64(payload["W_attn"]),
-        b_attn=_decode_f64(payload["b_attn"]),
-        w2=_decode_f64(payload["w2"]),
+        W1=_decode(payload["W1"]),
+        b1=_decode(payload["b1"]),
+        W_attn=_decode(payload["W_attn"]),
+        b_attn=_decode(payload["b_attn"]),
+        w2=_decode(payload["w2"]),
         b2=float(payload["b2"]),
         d=int(payload["d"]),
         k=int(payload["k"]),
@@ -190,12 +213,7 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
         },
         "preprocessor": _preprocessor_payload(model.preprocessor),
         "attention": _attention_payload(model.attention),
-        "ensemble": {
-            "base_raw": model.ensemble.base_raw,
-            "learning_rate": model.ensemble.learning_rate,
-            "feature_names": model.ensemble.feature_names,
-            "trees": [_tree_payload(t) for t in model.ensemble.trees],
-        },
+        "ensemble": _ensemble_payload(model.ensemble),
     }
     document = {
         "format": FORMAT_NAME,
@@ -253,25 +271,11 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
     for key, allowed in (("variant", VARIANT_KINDS), ("augment_mode", (*AUGMENT_MODES, "none"))):
         if meta[key] not in allowed:
             raise ModelFormatError(f"unknown {key} {meta[key]!r}; expected one of {allowed}")
-    ensemble_payload = payloads["ensemble"]
-    feature_names = list(ensemble_payload["feature_names"])
-    ensemble = Ensemble(
-        trees=[_tree_from_payload(tree, t, len(feature_names))
-               for t, tree in enumerate(ensemble_payload["trees"])],
-        base_raw=float(ensemble_payload["base_raw"]),
-        learning_rate=float(ensemble_payload["learning_rate"]),
-        feature_names=feature_names,
-    )
-    if not np.isfinite(ensemble.base_raw):
-        raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
-    if not 0.0 < ensemble.learning_rate <= 1.0:  # the range BoostConfig accepts
-        raise ModelFormatError(f"section 'ensemble': learning_rate {ensemble.learning_rate} "
-                               "is outside (0, 1]")
     model = AttnBoostModel(
         preprocessor=_preprocessor_from_payload(payloads["preprocessor"]),
         attention=_attention_from_payload(payloads["attention"]),
         augment_mode=meta["augment_mode"],
-        ensemble=ensemble,
+        ensemble=_ensemble_from_payload(payloads["ensemble"]),
         variant=meta["variant"],
         attention_seed=int(meta["attention_seed"]),
         boost_seed=int(meta["boost_seed"]),

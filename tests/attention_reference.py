@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +152,7 @@ def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
     if params is None:
         params = init_params(values.shape[1], config.k, config.seed)
     else:
-        params = params.copy()
+        params = copy.deepcopy(params)
     rng = np.random.default_rng(config.seed)
     adam = _AdamState(params) if config.optimizer == "adaptive-moments" else None
     clamp = config.prob_clamp

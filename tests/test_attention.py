@@ -1,5 +1,6 @@
 """Tests for the gated network: forward values, exact gradients, training."""
 
+import copy
 import tracemalloc
 
 import numpy as np
@@ -78,14 +79,14 @@ def finite_difference_grads(params: AttentionParams, X, y, step=1e-5):
     for name in PARAM_FIELDS:
         value = getattr(params, name)
         if np.isscalar(value) or np.ndim(value) == 0:
-            hi, lo = params.copy(), params.copy()
+            hi, lo = copy.deepcopy(params), copy.deepcopy(params)
             setattr(hi, name, value + step)
             setattr(lo, name, value - step)
             grads[name] = (_mean_loss_at(hi, X, y) - _mean_loss_at(lo, X, y)) / (2 * step)
             continue
         out = np.zeros_like(value)
         for idx in np.ndindex(value.shape):
-            hi, lo = params.copy(), params.copy()
+            hi, lo = copy.deepcopy(params), copy.deepcopy(params)
             getattr(hi, name)[idx] += step
             getattr(lo, name)[idx] -= step
             out[idx] = (_mean_loss_at(hi, X, y) - _mean_loss_at(lo, X, y)) / (2 * step)
@@ -446,7 +447,7 @@ def restrict(params: AttentionParams, units) -> AttentionParams:
 
 def scatter(params: AttentionParams, sub: AttentionParams, units) -> AttentionParams:
     """A copy of `params` with the entries of `units` taken from `sub`."""
-    out = params.copy()
+    out = copy.deepcopy(params)
     out.W1[units], out.b1[units], out.b_attn[units], out.w2[units] = (
         sub.W1, sub.b1, sub.b_attn, sub.w2)
     out.W_attn[np.ix_(units, units)] = sub.W_attn
@@ -609,7 +610,7 @@ class TestRescalingInvariance:
             p = _random_params(int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng)
             x = rng.normal(0, 1.5, p.d)
             factor = float(rng.uniform(0.05, 20.0))
-            scaled = p.copy()
+            scaled = copy.deepcopy(p)
             scaled.w2 = p.w2 * factor
             scaled.b2 = p.b2 * factor
             before = forward(p, x).y_hat >= 0.5

@@ -13,7 +13,7 @@ from attnboost.config import KEY_SPECS, RunConfig
 from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import DEFAULT_SHALLOW_K
 from attnboost.gbdt import BoostConfig
-from attnboost.model_io import load_model
+from attnboost.model_io import FORMAT_VERSION, load_model
 from attnboost.tabular import load_csv, retail_schema
 
 FAST_TRAIN = [
@@ -252,7 +252,8 @@ class TestImportanceCommand:
 
     def test_malformed_sections_exit_1(self, tmp_path, capsys):
         model = tmp_path / "bad.model"
-        model.write_text('{"format":"attnboost-model","version":1,"sections":{"meta":[1,2]}}')
+        model.write_text(f'{{"format":"attnboost-model","version":{FORMAT_VERSION},'
+                         '"sections":{"meta":[1,2]}}')
         assert _run("importance", "--model", str(model)) == 1
         assert "section 'meta' must be a JSON object" in capsys.readouterr().err
 

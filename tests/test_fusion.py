@@ -185,8 +185,8 @@ class TestPredict:
             preprocessor=state,
             attention=None,
             augment_mode="none",
-            ensemble=Ensemble(trees=[], base_raw=0.0, learning_rate=0.1,
-                              feature_names=list(state.feature_names)),
+            ensemble=Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1,
+                                         feature_names=list(state.feature_names)),
             variant="no_attention",
             attention_seed=0,
             boost_seed=0,

@@ -683,15 +683,15 @@ class TestTrainBoosting:
 
 class TestPredict:
     def test_empty_ensemble_is_base_score(self):
-        model = Ensemble(trees=[], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
+        model = Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
         X = _fm([[1.0], [5.0], [-3.0]])
         np.testing.assert_array_equal(predict_proba(model, X), np.full(3, 0.5))
 
     def test_single_stump_hand_traced(self):
         stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
                           threshold=[0.0, 0.0, 0.0], weight=[0.0, -1.0, 1.0])
-        model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=0.1,
-                         feature_names=["f0"])
+        model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=0.1,
+                                    feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
         assert proba[0] == pytest.approx(0.475021, abs=1e-6)
         assert proba[1] == pytest.approx(0.524979, abs=1e-6)
@@ -701,7 +701,7 @@ class TestPredict:
         assert (np.diff(sigmoid(raw)) > 0).all()
 
     def test_width_mismatch_rejected(self):
-        model = Ensemble(trees=[], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
+        model = Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
         with pytest.raises(ValueError):
             predict_raw(model, _fm([[1.0, 2.0]]))
 
@@ -741,8 +741,8 @@ class TestWalk:
         rng = np.random.default_rng(seed)
         cuts = np.sort(rng.normal(0, 1, (self.D, self.CUTS)), axis=1)
         trees = [random_tree(rng, cuts, int(rng.integers(*depths))) for _ in range(n_trees)]
-        model = Ensemble(trees=trees, base_raw=float(rng.normal()), learning_rate=0.3,
-                         feature_names=[f"f{j}" for j in range(self.D)])
+        model = Ensemble.from_trees(trees, base_raw=float(rng.normal()), learning_rate=0.3,
+                                    feature_names=[f"f{j}" for j in range(self.D)])
         # half the values sit exactly on a threshold of their column
         on_cut = cuts[np.arange(self.D), rng.integers(0, self.CUTS, (n_rows, self.D))]
         values = np.where(rng.uniform(size=(n_rows, self.D)) < 0.5, on_cut,
@@ -767,7 +767,8 @@ class TestWalk:
     def test_values_equal_to_a_threshold_go_left(self):
         stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
                           threshold=[0.5, 0.0, 0.0], weight=[0.0, -1.0, 1.0])
-        model = Ensemble(trees=[stump], base_raw=0.0, learning_rate=1.0, feature_names=["f0"])
+        model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=1.0,
+                                    feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
         assert self._assert_walk_matches(model, values).tolist() == [-1.0, -1.0, 1.0]
 
@@ -783,8 +784,8 @@ class TestWalk:
         stump = make_tree(feature=[1, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
                           threshold=[np.inf, 0.0, 0.0], weight=[0.0, 0.25, -0.25])
         leaf = make_tree(feature=[-1], left=[-1], right=[-1], weight=[0.5])
-        model = Ensemble(trees=[deep, leaf, stump, deep], base_raw=0.125, learning_rate=0.5,
-                         feature_names=["f0", "f1"])
+        model = Ensemble.from_trees([deep, leaf, stump, deep], base_raw=0.125,
+                                    learning_rate=0.5, feature_names=["f0", "f1"])
         nan, inf = np.nan, np.inf
         values = np.array([[nan, nan], [nan, 0.0], [0.0, nan], [0.5, -1.0], [0.5, 2.0],
                            [-inf, -inf], [inf, inf], [-inf, inf], [inf, -inf], [inf, nan],
@@ -834,8 +835,9 @@ class TestWalk:
 
 
 def _total_bce(model, X, y, upto):
-    prefix = Ensemble(trees=model.trees[:upto], base_raw=model.base_raw,
-                      learning_rate=model.learning_rate, feature_names=model.feature_names)
+    prefix = Ensemble.from_trees(model.trees[:upto], base_raw=model.base_raw,
+                                 learning_rate=model.learning_rate,
+                                 feature_names=model.feature_names)
     raw = predict_raw(prefix, X)
     p = np.clip(sigmoid(raw), 1e-12, 1 - 1e-12)
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
@@ -1008,7 +1010,8 @@ class TestOneBinColumns:
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, name)
             only_constant += bool(np.isin(feats, constant).all())
             splits += int((tree.feature >= 0).sum())
-            raw = _add_trees(gbdt.Forest.stack([tree]), values, raw, config.learning_rate)
+            one = gbdt.Forest.stack(tree, np.array([tree.feature.size]))
+            raw = _add_trees(one, values, raw, config.learning_rate)
         assert only_constant > 0 and splits > 0, (only_constant, splits)
         np.testing.assert_array_equal(predict_raw(model, X), raw)
 

@@ -12,7 +12,8 @@ from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import fit_variant, predict, predict_matrix
 from attnboost.gbdt import BoostConfig
 from attnboost.cli import run_command
-from attnboost.model_io import _checksum, _decode_f64, _encode_f64, load_model, save_model
+from attnboost.model_io import (FORMAT_VERSION, _checksum, _decode, _encode, load_model,
+                                save_model)
 from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_split
 
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
@@ -64,40 +65,54 @@ class TestRoundTrip:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
-    def test_file_with_keys_older_writers_stored_loads_and_scores_alike(self, fitted,
-                                                                         tmp_path):
-        # Older files also stored date_plan, which nothing read, and
-        # unseen_codes, which always equalled the size of each category map.
-        # Sections are read by key, so such a file loads and scores as the new
-        # file does, unseen categories included.
-        model = fitted[0]["full"]
-        state = model.preprocessor
-        new, old = str(tmp_path / "new.model"), str(tmp_path / "old.model")
-        save_model(model, new)
-        save_model(model, old)
+    def test_load_then_save_reproduces_the_file(self, fitted, tmp_path):
+        for kind, model in fitted[0].items():
+            first, second = str(tmp_path / f"{kind}.model"), str(tmp_path / f"{kind}.again")
+            save_model(model, first, fingerprint="x")
+            save_model(load_model(first), second, fingerprint="x")
+            assert open(first, "rb").read() == open(second, "rb").read(), kind
 
-        def add_old_keys(payload):
-            payload["unseen_codes"] = {c: len(m) for c, m in state.category_maps.items()}
-            payload["date_plan"] = {c.name: [f"{c.name}_{part}"
-                                             for part in ("year", "month", "weekday")]
-                                    for c in state.schema if c.kind == "date"}
-        TestDamagedFiles._edit_payload(old, "preprocessor", add_old_keys)
-        new_payload = json.load(open(new))["sections"]["preprocessor"]["payload"]
-        assert not {"date_plan", "unseen_codes"} & set(new_payload)
+    def test_zero_tree_model_round_trip(self, tmp_path):
+        csv_path, path = str(tmp_path / "rows.csv"), str(tmp_path / "zero.model")
+        again, scores = str(tmp_path / "zero.again"), str(tmp_path / "scores.csv")
+        assert run_command(["synth", "--synth.rows", "60", "--out", csv_path]) == 0
+        assert run_command(["train", "--data", csv_path, "--boost.n_estimators", "0",
+                            "--attention.k", "4", "--attention.epochs", "1",
+                            "--out", path]) == 0
+        model = load_model(path)
+        assert model.ensemble.trees == () and model.ensemble.nodes.feature.size == 0
+        fingerprint = json.load(open(path))["sections"]["meta"]["payload"]["fingerprint"]
+        save_model(model, again, fingerprint=fingerprint)
+        assert open(again, "rb").read() == open(path, "rb").read()
 
-        table = generate_synthetic(SyntheticSpec(n_rows=40, seed=5))
-        table.rows[0][table.column_index("Region")] = "Atlantis"
-        from_new, from_old = load_model(new), load_model(old)
-        assert from_old.preprocessor == from_new.preprocessor == state
-        for got, want in zip(predict(from_old, table), predict(from_new, table)):
-            assert got.tobytes() == want.tobytes()
+        assert run_command(["predict", "--model", path, "--data", csv_path,
+                            "--out", scores]) == 0
+        rows = [line.split(",") for line in open(scores).read().splitlines()[1:]]
+        assert len(rows) == 60 and {p for _, p, _ in rows} == {"0.5"}
+        ranking = str(tmp_path / "importance.csv")
+        assert run_command(["importance", "--model", path, "--raw", "--csv-out", ranking]) == 0
+        ranked = [line.split(",") for line in open(ranking).read().splitlines()[1:]]
+        assert len(ranked) == len(model.ensemble.feature_names)
+        assert all(row[2:] == ["0.000000", "0.000000", "0"] for row in ranked)
 
 
 def _set_entry(payload: dict, key: str, index: int, value: float) -> None:
     """Set one entry of the encoded float64 array `payload[key]`."""
-    values = _decode_f64(payload[key]).copy()
+    values = _decode(payload[key])
     values.flat[index] = value
-    payload[key] = _encode_f64(values)
+    payload[key] = _encode(values)
+
+
+# File dtype of the ensemble section's node counts and node arrays
+_NODE_FIELDS = {"node_counts": "<i4", "feature": "<i4", "left": "<i4", "right": "<i4",
+                "threshold": "<f8", "weight": "<f8", "gain": "<f8"}
+
+
+def _node_index(ensemble: dict, t: int, i: int) -> int:
+    """Index into an ensemble payload's node arrays of tree t's node i; a negative t or i
+    counts from the last tree, or from the tree's last node."""
+    counts = _decode(ensemble["node_counts"], "<i4")
+    return int(counts[:t].sum()) + i % int(counts[t])
 
 
 class TestDamagedFiles:
@@ -126,6 +141,20 @@ class TestDamagedFiles:
         json.dump(document, open(path, "w"))
         with pytest.raises(ModelFormatError, match="preprocessor"):
             load_model(path)
+
+    def test_version_1_file_rejected(self, fitted, tmp_path, capsys):
+        # version 1 stored one object per tree; no version 1 file is read
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        document["version"] = 1
+        json.dump(document, open(path, "w"))
+        message = "unsupported model format version 1, expected 2"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_version_rejected(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path)
@@ -164,7 +193,7 @@ class TestDamagedFiles:
     def test_sections_that_are_not_objects_rejected(self, tmp_path, sections, message):
         path = str(tmp_path / "m.model")
         open(path, "w").write(
-            f'{{"format":"attnboost-model","version":1,"sections":{sections}}}')
+            f'{{"format":"attnboost-model","version":{FORMAT_VERSION},"sections":{sections}}}')
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
@@ -177,7 +206,7 @@ class TestDamagedFiles:
     def test_bad_tree_arrays_with_valid_checksums_rejected(self, fitted, tmp_path, key,
                                                            value, message):
         path = self._saved(fitted, tmp_path)
-        self._edit_tree(path, lambda tree: tree[key].__setitem__(0, value))
+        self._edit_nodes(path, lambda nodes: nodes[key].__setitem__(0, value))
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
@@ -185,18 +214,70 @@ class TestDamagedFiles:
     def test_leaf_with_a_child_rejected(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path)
 
-        def edit(tree):
-            leaf = tree["feature"].index(-1)
-            tree["left"][leaf] = leaf + 1
-        self._edit_tree(path, edit)
+        def edit(nodes):
+            leaf = nodes["feature"].index(-1)  # in tree 0
+            nodes["left"][leaf] = leaf + 1
+        self._edit_nodes(path, edit)
         with pytest.raises(ModelFormatError, match="tree 0 node"):
             load_model(path)
 
     def test_unequal_array_lengths_rejected(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path)
-        self._edit_tree(path, lambda tree: tree["right"].pop())
-        with pytest.raises(ModelFormatError, match="tree 0: node arrays"):
+        self._edit_nodes(path, lambda nodes: nodes["right"].pop())
+        with pytest.raises(ModelFormatError, match="node arrays must each hold"):
             load_model(path)
+
+    @pytest.mark.parametrize("key,node,value,message", [
+        ("feature", 1, 9999, "tree 9 node 1: feature 9999"),
+        ("left", 1, 0, "tree 9 node 1: "),  # a leaf with a child, or a link back to the root
+        ("right", -1, 1, "tree 9 node {last}: "),  # a leaf with a child
+        ("threshold", 1, np.inf, "section 'ensemble' tree 9 node 1: threshold inf is not finite"),
+        ("weight", -1, np.nan, "section 'ensemble' tree 9 node {last}: weight nan is not finite"),
+    ])
+    def test_error_names_the_tree_and_its_own_node_index(self, fitted, tmp_path, key, node,
+                                                         value, message):
+        path = self._saved(fitted, tmp_path)
+        ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
+        counts = _decode(ensemble["node_counts"], "<i4")
+        assert counts.size == 10 and counts[-1] >= 3  # node 1 is neither root nor last
+        index = _node_index(ensemble, -1, node)
+        self._edit_nodes(path, lambda nodes: nodes[key].__setitem__(index, value))
+        with pytest.raises(ModelFormatError, match=re.escape(message.format(last=counts[-1] - 1))):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda counts: counts.__setitem__(0, counts[0] + 1), "node arrays must each hold"),
+        (lambda counts: counts.__setitem__(-1, counts[-1] - 1), "node arrays must each hold"),
+        (lambda counts: counts.insert(3, 0), "tree 3: node count 0 is not positive"),
+        (lambda counts: counts.__setitem__(4, 0), "tree 4: node count 0 is not positive"),
+        (lambda counts: counts.__setitem__(4, -2), "tree 4: node count -2 is not positive"),
+    ], ids=["sum_above_length", "sum_below_length", "zero_inserted", "zero", "negative"])
+    def test_bad_node_counts_rejected(self, fitted, tmp_path, edit, message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_nodes(path, lambda nodes: edit(nodes["node_counts"]))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("edit", [
+        # version 1's JSON lists, with a float and a boolean where an index goes
+        lambda ens: ens.update(feature=[15.9, *_decode(ens["feature"], "<i4")[1:].tolist()]),
+        lambda ens: ens.update(left=[True, *_decode(ens["left"], "<i4")[1:].tolist()]),
+        lambda ens: ens.update(node_counts=[1.5] * 10),
+        lambda ens: ens["feature"].update(data=15.9),
+        lambda ens: ens["left"].update(data=True),
+        lambda ens: ens["node_counts"].update(shape=[2.5]),
+        # float64 values where int32 go: twice the bytes that the shape holds
+        lambda ens: ens.update(feature=_encode(_decode(ens["feature"], "<i4") + 0.9)),
+    ], ids=["float_in_list", "bool_in_list", "float_counts", "float_data", "bool_data",
+            "float_shape", "float64_bytes"])
+    def test_node_fields_that_are_not_int32_arrays_rejected(self, fitted, tmp_path, edit):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "ensemble", edit)
+        with pytest.raises(ModelFormatError, match="malformed section contents"):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @pytest.mark.parametrize("section,key", [("meta", "variant"),
                                              ("preprocessor", "numeric_stats"),
@@ -270,11 +351,11 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @pytest.mark.parametrize("section,edit,message", [
-        ("ensemble", lambda ens: _set_entry(ens["trees"][0], "weight", -1, np.nan),
+        ("ensemble", lambda ens: _set_entry(ens, "weight", _node_index(ens, 0, -1), np.nan),
          r"section 'ensemble' tree 0 node \d+: weight nan is not finite"),
-        ("ensemble", lambda ens: _set_entry(ens["trees"][0], "threshold", 0, np.inf),
+        ("ensemble", lambda ens: _set_entry(ens, "threshold", _node_index(ens, 0, 0), np.inf),
          "section 'ensemble' tree 0 node 0: threshold inf is not finite"),
-        ("ensemble", lambda ens: _set_entry(ens["trees"][1], "gain", 0, -np.inf),
+        ("ensemble", lambda ens: _set_entry(ens, "gain", _node_index(ens, 1, 0), -np.inf),
          "section 'ensemble' tree 1 node 0: gain -inf is not finite"),
         ("ensemble", lambda ens: ens.update(base_raw=np.nan),
          "section 'ensemble': base_raw nan is not finite"),
@@ -310,8 +391,16 @@ class TestDamagedFiles:
         json.dump(document, open(path, "w"))
 
     @classmethod
-    def _edit_tree(cls, path, edit):
-        cls._edit_payload(path, "ensemble", lambda payload: edit(payload["trees"][0]))
+    def _edit_nodes(cls, path, edit):
+        """Apply edit to the ensemble's node counts and node arrays, as lists by name, and
+        store them encoded again with a checksum that matches."""
+        def apply(payload):
+            nodes = {name: _decode(payload[name], dtype).tolist()
+                     for name, dtype in _NODE_FIELDS.items()}
+            edit(nodes)
+            payload.update({name: _encode(np.array(nodes[name]), dtype)
+                            for name, dtype in _NODE_FIELDS.items()})
+        cls._edit_payload(path, "ensemble", apply)
 
     @staticmethod
     def _csv(tmp_path):
