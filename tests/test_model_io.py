@@ -9,7 +9,7 @@ import pytest
 from attnboost.attention import TrainConfig
 from attnboost.errors import ModelFormatError
 from attnboost.experiments import SyntheticSpec, generate_synthetic
-from attnboost.fusion import fit_variant, predict, predict_matrix
+from attnboost.fusion import fit_variant, predict_matrix
 from attnboost.gbdt import BoostConfig
 from attnboost.cli import run_command
 from attnboost.model_io import (FORMAT_VERSION, _checksum, _decode, _encode, load_model,
