@@ -42,7 +42,6 @@ class AttnBoostModel:
     attention_seed: int
     boost_seed: int
     random_k: int = 0
-    random_seed: int = 0
 
 
 def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
@@ -67,7 +66,7 @@ def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
 def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
     """The matrix the ensemble actually sees for this model's variant."""
     if model.variant == "random_attention":
-        block = _random_block(X.values, model.random_k, model.random_seed)
+        block = _random_block(X.values, model.random_k, model.attention_seed)
         return FeatureMatrix(values=np.hstack([X.values, block]),
                              feature_names=[*X.feature_names, *attn.attention_names(model.random_k)])
     if model.augment_mode == "none":
@@ -109,7 +108,6 @@ def fit_variant(
         model.attention, _ = attn.train(X, y, attention_config)
     elif kind == "random_attention":
         model.random_k = attention_config.k
-        model.random_seed = attention_config.seed
     elif kind == "frozen_attention":
         model.attention = attn.init_params(X.d, attention_config.k, attention_config.seed)
     elif kind == "shallow_attention":

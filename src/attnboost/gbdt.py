@@ -28,18 +28,19 @@ bitwise equal decisions and gains. Leaf weights use the L1/L2 closed form on
 sums over the leaf's rows and are stored unscaled; the shrinkage factor is
 applied at prediction time.
 
-A tree is a record of parallel node arrays in pre-order (root first, a node's
-left subtree before its right). A split keeps only its raw `threshold`, the
-cut at its bin boundary b: bins come from `searchsorted(cuts, value,
-side="left")`, so bin <= b exactly when value <= cuts[b]. An ensemble keeps
-one record of all its trees' nodes end to end and each tree's node count, the
-layout the model file stores. Its walk layout, built once, has leaves linking
-to themselves and each node's two children side by side, and one walk moves
-every (tree, row) pair down a level per step: it compares raw values with
-`threshold` and takes the child with one gather indexed by the node and the
-comparison. Training's per-round update and scoring make the same call. Tree
-outputs are added to the raw score strictly in tree order, so scores do not
-depend on how many rows or trees are walked together.
+A tree is four parallel node arrays in pre-order (root first, a node's left
+subtree before its right), so a split's left child is the next node and only
+its right child is stored. `value` is a leaf's unscaled weight or a split's
+raw threshold, the cut at its bin boundary b: bins come from
+`searchsorted(cuts, value, side="left")`, so bin <= b exactly when value <=
+cuts[b]. An ensemble keeps one record of all its trees' nodes end to end and
+each tree's node count, the layout the model file stores. Its walk layout,
+built once, has leaves linking to themselves and each node's two children side
+by side, and one walk moves every (tree, row) pair down a level per step: it
+compares raw values with `value` and takes the child with one gather indexed
+by the node and the comparison, in training's per-round update and in
+scoring. Tree outputs are added to the raw score strictly in tree order, so
+scores do not depend on how many rows or trees are walked together.
 """
 
 from __future__ import annotations
@@ -132,8 +133,7 @@ class NodeHistogram:
 
 
 # dtype of each node array, in the order a Tree declares them
-NODE_DTYPES = {"feature": np.intp, "threshold": np.float64, "left": np.intp, "right": np.intp,
-               "weight": np.float64, "gain": np.float64}
+NODE_DTYPES = {"feature": np.intp, "value": np.float64, "right": np.intp, "gain": np.float64}
 
 
 @dataclass(eq=False)
@@ -141,16 +141,14 @@ class Tree:
     """Parallel arrays over the nodes of one tree, or of several laid end to end.
 
     Each tree's nodes are in pre-order and its node 0 is the root. An internal
-    node has feature >= 0 and both children after it, as indices local to its
-    tree; a leaf has feature, left and right all -1 and carries weight. A row
-    goes left at an internal node when its value is <= threshold.
+    node i has feature >= 0, its left child at i + 1 and its right one at
+    `right`, local to its tree; a row goes left when its value is <= `value`.
+    A leaf has feature and right -1 and its weight in `value`.
     """
 
     feature: np.ndarray  # (nodes,) intp
-    threshold: np.ndarray  # (nodes,) float64
-    left: np.ndarray  # (nodes,) intp
+    value: np.ndarray  # (nodes,) float64, raw split threshold, or unscaled leaf weight
     right: np.ndarray  # (nodes,) intp
-    weight: np.ndarray  # (nodes,) float64, unscaled leaf weight (0 on internal nodes)
     gain: np.ndarray  # (nodes,) float64, split gain (0 on leaves)
 
 
@@ -159,11 +157,11 @@ class Forest:
     """Trees laid out for the vectorized walk.
 
     Node i of the record owns two slots, 2i and 2i + 1, and the walk moves
-    through slots. `feature`, `threshold` and `weight` hold node i's entry at
-    both of its slots. `children[2i + s]` is the slot of the child a row
-    takes when `s = value <= threshold` (1 left, 0 right), so one gather
-    picks the next node. A leaf's children are its own slot, so a walk that
-    takes a fixed number of steps leaves each (tree, row) pair on its leaf. A
+    through slots. `feature` and `value` hold node i's entry at both of its
+    slots. `children[2i + s]` is the slot of the child a row takes when `s =
+    x <= value` (1 left, 0 right), so one gather picks the next node. A leaf's
+    children are its own slot, so a walk that takes a fixed number of steps
+    leaves each (tree, row) pair on its leaf, whose `value` is its weight. A
     leaf's feature is 0, so its comparison (whose outcome is ignored) reads a
     real column.
     """
@@ -171,9 +169,8 @@ class Forest:
     roots: np.ndarray  # (trees,) slot of each tree's root
     depth: np.ndarray  # (trees,) edges on each tree's longest root-to-leaf path
     feature: np.ndarray  # (2 * nodes,)
-    threshold: np.ndarray  # (2 * nodes,)
+    value: np.ndarray  # (2 * nodes,)
     children: np.ndarray  # (2 * nodes,)
-    weight: np.ndarray  # (2 * nodes,)
 
     @classmethod
     def stack(cls, nodes: Tree, node_counts: np.ndarray) -> "Forest":
@@ -182,9 +179,8 @@ class Forest:
         np.cumsum(node_counts[:-1], out=roots[1:])
         leaf = nodes.feature < 0
         here = np.arange(leaf.size)
-        offset = np.repeat(roots, node_counts)
-        left = np.where(leaf, here, nodes.left + offset)
-        right = np.where(leaf, here, nodes.right + offset)
+        left = np.where(leaf, here, here + 1)
+        right = np.where(leaf, here, nodes.right + np.repeat(roots, node_counts))
 
         node_depth = np.zeros(leaf.size, dtype=np.intp)
         level, steps = roots, 0
@@ -200,9 +196,8 @@ class Forest:
         depth = np.maximum.reduceat(node_depth, roots) if roots.size else roots
         return cls(roots=2 * roots, depth=depth,
                    feature=np.repeat(np.where(leaf, 0, nodes.feature), 2),
-                   threshold=np.repeat(nodes.threshold, 2),
-                   children=2 * np.stack([right, left], axis=1).reshape(-1),
-                   weight=np.repeat(nodes.weight, 2))
+                   value=np.repeat(nodes.value, 2),
+                   children=2 * np.stack([right, left], axis=1).reshape(-1))
 
 
 @dataclass(eq=False)
@@ -425,24 +420,24 @@ def _grow_tree(
 ) -> Tree:
     """Grow one tree depth-first, left subtree before right.
 
-    A node is numbered when it is popped, which is pre-order, and its
-    parent's child link is set then. Besides the node being split, the stack
-    holds the histograms of pending right siblings, at most one per level.
-    Nodes at max_depth get none. A node of at most B/2 rows (B the dense
-    histogram's width) is small: its compact histogram, which has fewer
-    columns, is built from its rows when it is searched. A larger node is
-    searched from a dense histogram: the root's is built, and at a split the
-    smaller child's is built and the larger one's is parent minus it.
+    A node is numbered when it is popped, which is pre-order: a left child is
+    popped right after its parent, a right child sets its parent's `right`
+    then. Besides the node being split, the stack holds the histograms of
+    pending right siblings, at most one per level. Nodes at max_depth get
+    none. A node of at most B/2 rows (B the dense histogram's width) is small:
+    its compact histogram, which has fewer columns, is built from its rows
+    when it is searched. A larger node is searched from a dense histogram: the
+    root's is built, and at a split the smaller child's is built and the
+    larger one's is parent minus it.
     """
     small = int(binned.widths[features].max()) // 2 if features.size else 0
-    nodes: list[list] = []  # [feature, threshold, left, right, weight, gain], as NODE_DTYPES
-    LEFT, RIGHT = 2, 3  # positions of the child links in a node's row
-    stack = [(rows, None, 0, -1, -1)]
+    nodes: list[list] = []  # [feature, value, right, gain], as NODE_DTYPES
+    RIGHT = 2  # position of the right child link in a node's row
+    stack = [(rows, None, 0, -1)]  # parent: the node whose right child this is, or -1
     while stack:
-        rows, hist, depth, parent, link = stack.pop()
-        node = len(nodes)
+        rows, hist, depth, parent = stack.pop()
         if parent >= 0:
-            nodes[parent][link] = node
+            nodes[parent][RIGHT] = len(nodes)
         decision = None
         if depth < config.max_depth and rows.size >= 2:
             if hist is None:
@@ -452,9 +447,10 @@ def _grow_tree(
         if decision is None:
             G, H = float(g[rows].sum()), float(h[rows].sum())
             weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
-            nodes.append([-1, 0.0, -1, -1, weight, 0.0])
+            nodes.append([-1, weight, -1, 0.0])
             continue
-        nodes.append([decision.feature, decision.threshold, -1, -1, 0.0, decision.gain])
+        node = len(nodes)
+        nodes.append([decision.feature, decision.threshold, -1, decision.gain])
         mask = binned.bins[rows, decision.feature] <= decision.bin_idx
         left, right = rows[mask], rows[~mask]
         left_hist = right_hist = None
@@ -470,8 +466,8 @@ def _grow_tree(
                 left_hist = None
             if right.size <= small:
                 right_hist = None
-        stack.append((right, right_hist, depth + 1, node, RIGHT))
-        stack.append((left, left_hist, depth + 1, node, LEFT))
+        stack.append((right, right_hist, depth + 1, node))
+        stack.append((left, left_hist, depth + 1, -1))  # popped next: node + 1
     return Tree(**{name: np.array(column, dtype=dtype)
                    for (name, dtype), column in zip(NODE_DTYPES.items(), zip(*nodes))})
 
@@ -479,7 +475,7 @@ def _grow_tree(
 def _walk(forest: Forest, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Slot of the leaf reached by each (tree, row) pair of trees lo..hi-1, shape (trees, rows).
 
-    Row r goes left at a node when values[r, feature] <= threshold.
+    Row r goes left at a node when values[r, feature] <= value.
     """
     n, d = values.shape
     slot = np.repeat(forest.roots[lo:hi, None], n, axis=1)
@@ -491,7 +487,7 @@ def _walk(forest: Forest, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
             at = forest.feature[slot]
             if n > 1:  # a lone row starts at 0, and on tiny arrays the add costs a full gather
                 at += row_start
-            goes_left = flat[at] <= forest.threshold[slot]
+            goes_left = flat[at] <= forest.value[slot]
             # an int + bool add takes numpy's slower mixed-type path; int + int does not
             slot = forest.children[slot + goes_left.astype(np.intp)]
     return slot
@@ -517,7 +513,7 @@ def _add_trees(
     per_block = max(1, tabular._BLOCK_CELLS // max(1, values.shape[0]))
     for lo in range(0, n_trees, per_block):
         hi = min(lo + per_block, n_trees)
-        terms = learning_rate * forest.weight[_walk(forest, values, lo, hi)]
+        terms = learning_rate * forest.value[_walk(forest, values, lo, hi)]
         terms[0] += raw  # lr*w_lo + raw is raw + lr*w_lo exactly: the sequence's first sum
         raw = np.add.accumulate(terms, axis=0)[-1]
     return raw

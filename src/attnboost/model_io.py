@@ -6,14 +6,14 @@ int32 for node indices, split features and node counts, so a save/load round
 trip reproduces bit-identical predictions on any platform. Each section's
 checksum is validated before anything is constructed; a bad file never yields
 a partially loaded model. The ensemble section stores the learner's own
-record: one array per node field over all trees' nodes, plus each tree's node
-count; it is checked for structure on load in one pass over all trees. The
-preprocessor section holds only what applying it reads. The meta section must
-name a known variant and augment mode that agree with the attention section,
-the ensemble's width must be the input width plus the variant's block, and a
-section whose contents do not decode raises ModelFormatError like a damaged
-one, as does a weight, threshold, gain, base score or attention parameter
-that is not finite, or a learning rate outside (0, 1].
+record, its four node arrays over all trees' nodes and each tree's node count,
+and is checked for structure on load in one pass over all trees. The meta
+section must name a known variant and augment mode that agree with the
+attention section, the ensemble's width must be the input width plus the
+variant's block, and a section whose contents do not decode, such as a seed
+that is not an integer, raises ModelFormatError like a damaged one, as does a
+node value, gain, base score or attention parameter that is not finite, or a
+learning rate outside (0, 1].
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .gbdt import NODE_DTYPES, Ensemble, Tree
 from .tabular import ColumnSchema, PreprocessorState
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 2
-_SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
+FORMAT_VERSION = 3
 _NETWORK_FREE_VARIANTS = ("no_attention", "random_attention")  # fitted without a network
+_ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and of the integer node arrays
 _FILE_DTYPES = {name: _INTEGERS if dtype is np.intp else "<f8"
                 for name, dtype in NODE_DTYPES.items()}
@@ -91,10 +91,10 @@ def _ensemble_from_payload(payload: dict) -> Ensemble:
     """Decode the ensemble and check, for all trees at once, that its arrays form trees.
 
     Every node count is positive, and every node array holds one entry per
-    node of their sum. Within a tree a leaf has feature, left and right all
-    -1; an internal node splits on a column of the model and both its
-    children come after it, as in pre-order, which rules out cycles. An error
-    names the tree, and the node by its index within that tree.
+    node of their sum. Within a tree a leaf has feature and right -1; an
+    internal node i splits on a column of the model and its right child comes
+    after its left one, i + 1, which rules out cycles; every node but the root
+    has one parent. An error names the tree, and its node by tree-local index.
     """
     feature_names = list(payload["feature_names"])
     counts = _decode(payload["node_counts"], _INTEGERS)
@@ -113,19 +113,25 @@ def _ensemble_from_payload(payload: dict) -> Ensemble:
 
     local = np.arange(total) - np.repeat(ends - counts, counts)  # index within its tree
     size = np.repeat(counts, counts)  # node count of its tree
-    feature, left, right = nodes.feature, nodes.left, nodes.right
-    bad = np.where(feature == -1, (left != -1) | (right != -1),
+    feature, right = nodes.feature, nodes.right
+    bad = np.where(feature == -1, right != -1,
                    (feature < 0) | (feature >= len(feature_names))
-                   | (left <= local) | (left >= size) | (right <= local) | (right >= size))
+                   | (right <= local + 1) | (right >= size))
 
     def node(i: int) -> str:
         return f"tree {int(np.searchsorted(ends, i, side='right'))} node {local[i]}"
 
     if bad.any():
         i = int(np.argmax(bad))
-        raise ModelFormatError(f"{node(i)}: feature {feature[i]}, children {left[i]}/{right[i]} "
+        raise ModelFormatError(f"{node(i)}: feature {feature[i]}, right child {right[i]} "
                                f"do not form a tree over {len(feature_names)} features")
-    for name in ("threshold", "weight", "gain"):
+    split = np.flatnonzero(feature >= 0)
+    parents = np.bincount(np.concatenate([split + 1, split - local[split] + right[split]]),
+                          minlength=total)
+    if (parents != (local > 0)).any():
+        i = int(np.argmax(parents != (local > 0)))
+        raise ModelFormatError(f"{node(i)}: has {parents[i]} parents, expected one")
+    for name in ("value", "gain"):
         values = getattr(nodes, name)
         if not np.isfinite(values).all():
             i = int(np.argmax(~np.isfinite(values)))
@@ -172,31 +178,35 @@ def _preprocessor_from_payload(payload) -> PreprocessorState | None:
 def _attention_payload(params: AttentionParams | None):
     if params is None:
         return None
-    return {
-        "d": params.d,
-        "k": params.k,
-        "W1": _encode(params.W1),
-        "b1": _encode(params.b1),
-        "W_attn": _encode(params.W_attn),
-        "b_attn": _encode(params.b_attn),
-        "w2": _encode(params.w2),
-        "b2": params.b2,
-    }
+    return {"d": params.d, "k": params.k, "b2": params.b2,
+            **{name: _encode(getattr(params, name)) for name in _ATTENTION_ARRAYS}}
 
 
 def _attention_from_payload(payload) -> AttentionParams | None:
     if payload is None:
         return None
-    return AttentionParams(
-        W1=_decode(payload["W1"]),
-        b1=_decode(payload["b1"]),
-        W_attn=_decode(payload["W_attn"]),
-        b_attn=_decode(payload["b_attn"]),
-        w2=_decode(payload["w2"]),
-        b2=float(payload["b2"]),
-        d=int(payload["d"]),
-        k=int(payload["k"]),
-    )
+    return AttentionParams(**{name: _decode(payload[name]) for name in _ATTENTION_ARRAYS},
+                           b2=float(payload["b2"]), d=_integer(payload, "d"),
+                           k=_integer(payload, "k"))
+
+
+def _integer(payload: dict, key: str) -> int:
+    if type(payload[key]) is not int:  # a JSON float or boolean is not read as one
+        raise TypeError(f"{key} must be an integer, got {payload[key]!r}")
+    return payload[key]
+
+
+def _meta_from_payload(meta: dict) -> dict:
+    for key, allowed in (("variant", VARIANT_KINDS), ("augment_mode", (*AUGMENT_MODES, "none"))):
+        if meta[key] not in allowed:
+            raise ModelFormatError(f"unknown {key} {meta[key]!r}; expected one of {allowed}")
+    return {"variant": meta["variant"], "augment_mode": meta["augment_mode"],
+            **{key: _integer(meta, key) for key in ("attention_seed", "boost_seed", "random_k")}}
+
+
+# each section's decoder, in the order the file's sections are checked and read
+_SECTIONS = {"meta": _meta_from_payload, "preprocessor": _preprocessor_from_payload,
+             "attention": _attention_from_payload, "ensemble": _ensemble_from_payload}
 
 
 def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
@@ -208,7 +218,6 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
             "attention_seed": model.attention_seed,
             "boost_seed": model.boost_seed,
             "random_k": model.random_k,
-            "random_seed": model.random_seed,
             "fingerprint": fingerprint,
         },
         "preprocessor": _preprocessor_payload(model.preprocessor),
@@ -261,27 +270,17 @@ def load_model(path: str) -> AttnBoostModel:
         return _model_from_payloads(payloads)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(
-            f"{path}: malformed section contents ({type(exc).__name__}: {exc})") from exc
 
 
 def _model_from_payloads(payloads: dict) -> AttnBoostModel:
-    meta = payloads["meta"]
-    for key, allowed in (("variant", VARIANT_KINDS), ("augment_mode", (*AUGMENT_MODES, "none"))):
-        if meta[key] not in allowed:
-            raise ModelFormatError(f"unknown {key} {meta[key]!r}; expected one of {allowed}")
-    model = AttnBoostModel(
-        preprocessor=_preprocessor_from_payload(payloads["preprocessor"]),
-        attention=_attention_from_payload(payloads["attention"]),
-        augment_mode=meta["augment_mode"],
-        ensemble=_ensemble_from_payload(payloads["ensemble"]),
-        variant=meta["variant"],
-        attention_seed=int(meta["attention_seed"]),
-        boost_seed=int(meta["boost_seed"]),
-        random_k=int(meta["random_k"]),
-        random_seed=int(meta["random_seed"]),
-    )
+    parts = {}
+    for name, decode in _SECTIONS.items():
+        try:
+            parts[name] = decode(payloads[name])
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ModelFormatError(f"section {name!r}: malformed section contents "
+                                   f"({type(exc).__name__}: {exc})") from exc
+    model = AttnBoostModel(**parts.pop("meta"), **parts)
     _check_sections_agree(model)
     return model
 
@@ -311,7 +310,7 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
             if getattr(params, name).shape != shape:
                 raise ModelFormatError(f"attention {name} has shape "
                                        f"{getattr(params, name).shape}, expected {shape}")
-        for name in ("W1", "b1", "W_attn", "b_attn", "w2", "b2"):
+        for name in (*_ATTENTION_ARRAYS, "b2"):
             if not np.isfinite(getattr(params, name)).all():
                 raise ModelFormatError(f"section 'attention': {name} holds a value that is "
                                        "not finite")

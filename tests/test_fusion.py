@@ -243,7 +243,7 @@ class TestBatchInvariance:
         swapped = FeatureMatrix(X.values[::-1], X.feature_names)
         np.testing.assert_array_equal(_model_inputs(model, swapped).values[:, X.d:],
                                       block[::-1])
-        model.random_seed += 1
+        model.attention_seed += 1
         assert not np.array_equal(_model_inputs(model, X).values[:, X.d:], block)
 
 

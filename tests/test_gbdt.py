@@ -39,32 +39,31 @@ def _fm(values, names=None):
 GAIN_TIE_REL = 1e-10  # same tie window as the implementation under test
 
 
-def make_tree(feature, left, right, threshold=None, weight=None, gain=None):
+def make_tree(feature, right, value=None, gain=None):
     """A Tree from per-node lists; unspecified float arrays are zero."""
     n = len(feature)
 
     def floats(v):
         return np.zeros(n) if v is None else np.array(v, dtype=np.float64)
 
-    return Tree(feature=np.array(feature, dtype=np.intp),
-                threshold=floats(threshold), left=np.array(left, dtype=np.intp),
-                right=np.array(right, dtype=np.intp), weight=floats(weight), gain=floats(gain))
+    return Tree(feature=np.array(feature, dtype=np.intp), value=floats(value),
+                right=np.array(right, dtype=np.intp), gain=floats(gain))
 
 
 def reference_tree_output(tree: Tree, values):
     """Leaf weight each row reaches, by recursive descent over index sets from the root.
 
-    A row goes left at node i when values[row, feature[i]] <= threshold[i].
+    A row goes left at node i, to node i + 1, when values[row, feature[i]] <= value[i].
     """
     out = np.empty(values.shape[0])
 
     def descend(i, idx):
         f = tree.feature[i]
         if f < 0:
-            out[idx] = tree.weight[i]
+            out[idx] = tree.value[i]
             return
-        mask = values[idx, f] <= tree.threshold[i]
-        descend(tree.left[i], idx[mask])
+        mask = values[idx, f] <= tree.value[i]
+        descend(i + 1, idx[mask])
         descend(tree.right[i], idx[~mask])
 
     descend(0, np.arange(values.shape[0]))
@@ -80,8 +79,8 @@ def reference_raw(model: Ensemble, values):
 
 
 def tree_nodes(tree: Tree):
-    """(feature, threshold, weight, gain) of every node, in stored (pre-)order."""
-    return list(zip(tree.feature.tolist(), tree.threshold.tolist(), tree.weight.tolist(),
+    """(feature, value, right, gain) of every node, in stored (pre-)order."""
+    return list(zip(tree.feature.tolist(), tree.value.tolist(), tree.right.tolist(),
                     tree.gain.tolist()))
 
 
@@ -652,7 +651,7 @@ class TestTrainBoosting:
         model = train_boosting(X, y, config)
         for tree in model.trees:
             assert tree.feature.tolist() == [-1]
-            assert tree.weight[0] == 0.0
+            assert tree.value[0] == 0.0
         np.testing.assert_array_equal(predict_proba(model, X), np.full(4, 0.5))
 
     def test_separating_feature_reaches_perfect_training_auc(self):
@@ -688,8 +687,7 @@ class TestPredict:
         np.testing.assert_array_equal(predict_proba(model, X), np.full(3, 0.5))
 
     def test_single_stump_hand_traced(self):
-        stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
-                          threshold=[0.0, 0.0, 0.0], weight=[0.0, -1.0, 1.0])
+        stump = make_tree(feature=[0, -1, -1], right=[2, -1, -1], value=[0.0, -1.0, 1.0])
         model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=0.1,
                                     feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
@@ -711,24 +709,23 @@ def random_tree(rng, cuts, max_depth):
 
     Each split takes a threshold cuts[feature, b] from the grid.
     """
-    feature, threshold, left, right, weight = [], [], [], [], []
+    feature, value, right = [], [], []
 
     def grow(depth):
         i = len(feature)
-        for column, blank in ((feature, -1), (threshold, 0.0), (left, -1), (right, -1),
-                              (weight, 0.0)):
+        for column, blank in ((feature, -1), (value, 0.0), (right, -1)):
             column.append(blank)
         if depth < max_depth and rng.uniform() < 0.75:
             f, b = int(rng.integers(cuts.shape[0])), int(rng.integers(cuts.shape[1]))
-            feature[i], threshold[i] = f, float(cuts[f, b])
-            left[i] = grow(depth + 1)
+            feature[i], value[i] = f, float(cuts[f, b])
+            assert grow(depth + 1) == i + 1
             right[i] = grow(depth + 1)
         else:
-            weight[i] = float(rng.normal())
+            value[i] = float(rng.normal())
         return i
 
     grow(0)
-    return make_tree(feature, left, right, threshold=threshold, weight=weight)
+    return make_tree(feature, right, value=value)
 
 
 class TestWalk:
@@ -765,8 +762,7 @@ class TestWalk:
         self._assert_walk_matches(model, values)
 
     def test_values_equal_to_a_threshold_go_left(self):
-        stump = make_tree(feature=[0, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
-                          threshold=[0.5, 0.0, 0.0], weight=[0.0, -1.0, 1.0])
+        stump = make_tree(feature=[0, -1, -1], right=[2, -1, -1], value=[0.5, -1.0, 1.0])
         model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=1.0,
                                     feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
@@ -777,13 +773,10 @@ class TestWalk:
         # value <= threshold is false for a NaN, so a NaN row goes right at every node
         if walk_cells is not None:  # 11 rows: blocks of 1, 2 or 3 of the 4 trees
             monkeypatch.setattr(tabular, "_BLOCK_CELLS", walk_cells)
-        deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1], left=[1, 2, -1, -1, 5, -1, -1],
-                         right=[4, 3, -1, -1, 6, -1, -1],
-                         threshold=[0.5, -1.0, 0.0, 0.0, 2.0, 0.0, 0.0],
-                         weight=[0.0, 0.0, -3.0, -1.0, 0.0, 1.0, 3.0])
-        stump = make_tree(feature=[1, -1, -1], left=[1, -1, -1], right=[2, -1, -1],
-                          threshold=[np.inf, 0.0, 0.0], weight=[0.0, 0.25, -0.25])
-        leaf = make_tree(feature=[-1], left=[-1], right=[-1], weight=[0.5])
+        deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1], right=[4, 3, -1, -1, 6, -1, -1],
+                         value=[0.5, -1.0, -3.0, -1.0, 2.0, 1.0, 3.0])
+        stump = make_tree(feature=[1, -1, -1], right=[2, -1, -1], value=[np.inf, 0.25, -0.25])
+        leaf = make_tree(feature=[-1], right=[-1], value=[0.5])
         model = Ensemble.from_trees([deep, leaf, stump, deep], base_raw=0.125,
                                     learning_rate=0.5, feature_names=["f0", "f1"])
         nan, inf = np.nan, np.inf
@@ -826,8 +819,7 @@ class TestWalk:
             """One past the last node of the subtree at i, by recursion."""
             if tree.feature[i] < 0:
                 return i + 1
-            assert tree.left[i] == i + 1
-            assert tree.right[i] == subtree_end(tree, tree.left[i])
+            assert tree.right[i] == subtree_end(tree, i + 1)
             return subtree_end(tree, tree.right[i])
 
         for tree in model.trees:
@@ -911,10 +903,10 @@ class TestGrownTreesMatchBruteForce:
                     seen["early_leaf"] += 1
                 return
             assert oracle is not None
-            assert (tree.feature[i], tree.threshold[i]) == (oracle[0], oracle[1])
+            assert (tree.feature[i], tree.value[i]) == (oracle[0], oracle[1])
             assert tree.gain[i] == pytest.approx(oracle[2], abs=1e-9)
             seen["deep"] += depth > 0
-            mask = values[rows, tree.feature[i]] <= tree.threshold[i]
+            mask = values[rows, tree.feature[i]] <= tree.value[i]
             left, right = rows[mask], rows[~mask]
             parent = build_histogram(rows, binned, g, h, feats)
             derived = parent - build_histogram(left, binned, g, h, feats)
@@ -923,7 +915,7 @@ class TestGrownTreesMatchBruteForce:
             for got, want, total in ((derived.grad, direct.grad, parent.grad),
                                      (derived.hess, direct.hess, parent.hess)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(total).sum()
-            check(tree, tree.left[i], left, depth + 1, g, h, feats)
+            check(tree, i + 1, left, depth + 1, g, h, feats)
             check(tree, tree.right[i], right, depth + 1, g, h, feats)
 
         raw = np.full(n, model.base_raw)
@@ -963,10 +955,10 @@ class TestOneBinColumns:
         searched = int(depth < max_depth and rows.size >= 2)
         if tree.feature[i] < 0:
             return searched
-        mask = values[rows, tree.feature[i]] <= tree.threshold[i]
+        mask = values[rows, tree.feature[i]] <= tree.value[i]
         return (searched
                 + TestOneBinColumns._searched_nodes(tree, rows[mask], values, max_depth,
-                                                    depth + 1, tree.left[i])
+                                                    depth + 1, i + 1)
                 + TestOneBinColumns._searched_nodes(tree, rows[~mask], values, max_depth,
                                                     depth + 1, tree.right[i]))
 
@@ -1005,7 +997,7 @@ class TestOneBinColumns:
             g, h = logistic_grad_hess(raw, y)
             rows, feats = _round_sample(config, t, n, d)
             expected = gbdt._grow_tree(rows, binned, g, h, feats, config)
-            for name in ("feature", "threshold", "left", "right", "weight", "gain"):
+            for name in ("feature", "value", "right", "gain"):
                 got, want = getattr(tree, name), getattr(expected, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, name)
             only_constant += bool(np.isin(feats, constant).all())
@@ -1033,9 +1025,9 @@ class TestOneBinColumns:
             G = rows.size * p - positives
             H = rows.size * p * (1.0 - p)
             w = -np.sign(G) * max(abs(G) - config.reg_alpha, 0.0) / (H + config.reg_lambda)
-            assert tree.weight[0] == pytest.approx(w, rel=1e-12, abs=1e-15)
-            raw += config.learning_rate * tree.weight[0]
-        assert abs(model.trees[0].weight[0]) > 0.1
+            assert tree.value[0] == pytest.approx(w, rel=1e-12, abs=1e-15)
+            raw += config.learning_rate * tree.value[0]
+        assert abs(model.trees[0].value[0]) > 0.1
         scores = predict_raw(model, X)
         np.testing.assert_array_equal(scores, np.full(n, raw))
 
@@ -1053,11 +1045,11 @@ class TestSplitsRespectConstraints:
             if tree.feature[i] < 0:
                 return
             assert tree.gain[i] > 0.0
-            mask = X.values[rows, tree.feature[i]] <= tree.threshold[i]
+            mask = X.values[rows, tree.feature[i]] <= tree.value[i]
             left, right = rows[mask], rows[~mask]
             assert h[left].sum() >= config.min_child_weight
             assert h[right].sum() >= config.min_child_weight
-            check(tree, tree.left[i], left, g, h)
+            check(tree, i + 1, left, g, h)
             check(tree, tree.right[i], right, g, h)
 
         raw = np.full(200, model.base_raw)

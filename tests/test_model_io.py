@@ -1,5 +1,6 @@
 """Tests for the checksummed model container."""
 
+import hashlib
 import json
 import re
 
@@ -19,6 +20,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
+PINNED_SHA256 = "1ae0184322514ba4938ce74f5cfbaece27f7d503055e1d8f250dbaa316acadcc"
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +54,7 @@ class TestRoundTrip:
         save_model(models["random_attention"], path, fingerprint="f00")
         loaded = load_model(path)
         assert loaded.variant == "random_attention"
-        assert (loaded.random_k, loaded.random_seed) == (FAST_ATTN.k, FAST_ATTN.seed)
+        assert (loaded.random_k, loaded.attention_seed) == (FAST_ATTN.k, FAST_ATTN.seed)
         assert loaded.boost_seed == 42
         meta = json.load(open(path))["sections"]["meta"]["payload"]
         assert meta["fingerprint"] == "f00"
@@ -96,6 +98,22 @@ class TestRoundTrip:
         assert all(row[2:] == ["0.000000", "0.000000", "0"] for row in ranked)
 
 
+def test_file_bytes_are_pinned(tmp_path):
+    # a fixed-seed no_attention fit, which makes no BLAS product; any change to what a
+    # model file holds or how it is written changes this digest, and must update it on
+    # purpose (with FORMAT_VERSION, if older files can no longer be read)
+    table = generate_synthetic(SyntheticSpec(n_rows=200, seed=11))
+    state = fit_preprocessor(table, [])
+    X, y = apply_preprocessor(state, table)
+    model = fit_variant("no_attention", X, y, FAST_ATTN, BoostConfig(
+        n_estimators=4, max_depth=3, min_child_weight=0.5, gamma=0.0, seed=7),
+        preprocessor=state)
+    path = str(tmp_path / "pinned.model")
+    save_model(model, path, fingerprint="pinned")
+    assert FORMAT_VERSION == 3
+    assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
+
+
 def _set_entry(payload: dict, key: str, index: int, value: float) -> None:
     """Set one entry of the encoded float64 array `payload[key]`."""
     values = _decode(payload[key])
@@ -104,8 +122,8 @@ def _set_entry(payload: dict, key: str, index: int, value: float) -> None:
 
 
 # File dtype of the ensemble section's node counts and node arrays
-_NODE_FIELDS = {"node_counts": "<i4", "feature": "<i4", "left": "<i4", "right": "<i4",
-                "threshold": "<f8", "weight": "<f8", "gain": "<f8"}
+_NODE_FIELDS = {"node_counts": "<i4", "feature": "<i4", "value": "<f8", "right": "<i4",
+                "gain": "<f8"}
 
 
 def _node_index(ensemble: dict, t: int, i: int) -> int:
@@ -113,6 +131,12 @@ def _node_index(ensemble: dict, t: int, i: int) -> int:
     counts from the last tree, or from the tree's last node."""
     counts = _decode(ensemble["node_counts"], "<i4")
     return int(counts[:t].sum()) + i % int(counts[t])
+
+
+def _node_local(ensemble: dict) -> np.ndarray:
+    """Each node's index within its tree, for every node of an ensemble payload."""
+    counts = _decode(ensemble["node_counts"], "<i4")
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 class TestDamagedFiles:
@@ -148,7 +172,29 @@ class TestDamagedFiles:
         document = json.load(open(path))
         document["version"] = 1
         json.dump(document, open(path, "w"))
-        message = "unsupported model format version 1, expected 2"
+        self._assert_version_rejected(path, 1, tmp_path, capsys)
+
+    def test_version_2_file_rejected(self, fitted, tmp_path, capsys):
+        # version 2 stored left links, thresholds and weights as arrays of their own, and
+        # meta random_seed; no version 2 file is read
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        sections = document["sections"]
+        ensemble = sections["ensemble"]["payload"]
+        feature, value = _decode(ensemble["feature"], "<i4"), _decode(ensemble.pop("value"))
+        ensemble.update(left=_encode(np.where(feature < 0, -1, _node_local(ensemble) + 1), "<i4"),
+                        threshold=_encode(np.where(feature < 0, 0.0, value)),
+                        weight=_encode(np.where(feature < 0, value, 0.0)))
+        sections["meta"]["payload"]["random_seed"] = sections["meta"]["payload"]["attention_seed"]
+        for section in sections.values():
+            section["checksum"] = _checksum(section["payload"])
+        document["version"] = 2
+        json.dump(document, open(path, "w"))
+        self._assert_version_rejected(path, 2, tmp_path, capsys)
+
+    def _assert_version_rejected(self, path, version, tmp_path, capsys):
+        message = f"unsupported model format version {version}, expected 3"
+        assert FORMAT_VERSION == 3
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -199,8 +245,8 @@ class TestDamagedFiles:
 
     @pytest.mark.parametrize("key,value,message", [
         ("feature", 9999, "tree 0 node 0"),  # split on a column the model does not have
-        ("left", 9999, "tree 0 node 0"),  # child past the last node
-        ("left", 0, "tree 0 node 0"),  # child pointing back at its parent: a cycle
+        ("right", 9999, "tree 0 node 0"),  # child past the last node
+        ("right", 0, "tree 0 node 0"),  # child pointing back at its parent: a cycle
         ("right", -1, "tree 0 node 0"),  # internal node without a right child
     ])
     def test_bad_tree_arrays_with_valid_checksums_rejected(self, fitted, tmp_path, key,
@@ -216,7 +262,7 @@ class TestDamagedFiles:
 
         def edit(nodes):
             leaf = nodes["feature"].index(-1)  # in tree 0
-            nodes["left"][leaf] = leaf + 1
+            nodes["right"][leaf] = leaf + 1
         self._edit_nodes(path, edit)
         with pytest.raises(ModelFormatError, match="tree 0 node"):
             load_model(path)
@@ -229,10 +275,10 @@ class TestDamagedFiles:
 
     @pytest.mark.parametrize("key,node,value,message", [
         ("feature", 1, 9999, "tree 9 node 1: feature 9999"),
-        ("left", 1, 0, "tree 9 node 1: "),  # a leaf with a child, or a link back to the root
+        ("right", 1, 0, "tree 9 node 1: "),  # a leaf with a child, or a link back to the root
         ("right", -1, 1, "tree 9 node {last}: "),  # a leaf with a child
-        ("threshold", 1, np.inf, "section 'ensemble' tree 9 node 1: threshold inf is not finite"),
-        ("weight", -1, np.nan, "section 'ensemble' tree 9 node {last}: weight nan is not finite"),
+        ("value", 1, np.inf, "section 'ensemble' tree 9 node 1: value inf is not finite"),
+        ("value", -1, np.nan, "section 'ensemble' tree 9 node {last}: value nan is not finite"),
     ])
     def test_error_names_the_tree_and_its_own_node_index(self, fitted, tmp_path, key, node,
                                                          value, message):
@@ -243,6 +289,38 @@ class TestDamagedFiles:
         index = _node_index(ensemble, -1, node)
         self._edit_nodes(path, lambda nodes: nodes[key].__setitem__(index, value))
         with pytest.raises(ModelFormatError, match=re.escape(message.format(last=counts[-1] - 1))):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    # non-finite values at a split (node 1) and a leaf (the last node) of the last tree
+    # are the cases above
+    @pytest.mark.parametrize("case", ["both_children_one_node", "right_past_the_tree",
+                                      "right_at_itself", "right_before_itself",
+                                      "leaf_with_a_right_child", "node_with_two_parents"])
+    def test_bad_node_of_the_last_tree_is_named_by_its_own_index(self, fitted, tmp_path, case):
+        path = self._saved(fitted, tmp_path)
+        ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
+        counts = _decode(ensemble["node_counts"], "<i4")
+        feature = _decode(ensemble["feature"], "<i4")[_node_index(ensemble, -1, 0):].tolist()
+        assert counts.size == 10 and len(feature) == counts[-1]
+        splits = [i for i, f in enumerate(feature) if f >= 0 and i > 0]
+        leaf = next(i for i, f in enumerate(feature[:-1]) if f < 0 and i > 0)
+        nested = next(i for i in splits if feature[i + 1] >= 0)  # its left child splits too
+        i, right, named, reason = {  # the node, its new right link, the node named
+            "both_children_one_node": (splits[-1], splits[-1] + 1, splits[-1], None),
+            "right_past_the_tree": (splits[0], len(feature), splits[0], None),
+            "right_at_itself": (splits[-1], splits[-1], splits[-1], None),
+            "right_before_itself": (splits[-1], 0, splits[-1], None),
+            "leaf_with_a_right_child": (leaf, leaf + 1, leaf, None),
+            # the link goes to the left child's left child, and the old right child is
+            # nobody's
+            "node_with_two_parents": (nested, nested + 2, nested + 2,
+                                      "has 2 parents, expected one"),
+        }[case]
+        reason = reason or f"feature {feature[i]}, right child {right} do not form a tree"
+        index = _node_index(ensemble, -1, i)
+        self._edit_nodes(path, lambda nodes: nodes["right"].__setitem__(index, right))
+        with pytest.raises(ModelFormatError, match=re.escape(f"tree 9 node {named}: {reason}")):
             load_model(path)
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
@@ -263,10 +341,10 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("edit", [
         # version 1's JSON lists, with a float and a boolean where an index goes
         lambda ens: ens.update(feature=[15.9, *_decode(ens["feature"], "<i4")[1:].tolist()]),
-        lambda ens: ens.update(left=[True, *_decode(ens["left"], "<i4")[1:].tolist()]),
+        lambda ens: ens.update(right=[True, *_decode(ens["right"], "<i4")[1:].tolist()]),
         lambda ens: ens.update(node_counts=[1.5] * 10),
         lambda ens: ens["feature"].update(data=15.9),
-        lambda ens: ens["left"].update(data=True),
+        lambda ens: ens["right"].update(data=True),
         lambda ens: ens["node_counts"].update(shape=[2.5]),
         # float64 values where int32 go: twice the bytes that the shape holds
         lambda ens: ens.update(feature=_encode(_decode(ens["feature"], "<i4") + 0.9)),
@@ -278,6 +356,37 @@ class TestDamagedFiles:
         with pytest.raises(ModelFormatError, match="malformed section contents"):
             load_model(path)
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("key", ["category_maps", "numeric_stats"])
+    def test_preprocessor_map_that_is_a_list_rejected(self, fitted, tmp_path, capsys, key):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "preprocessor", lambda pre: pre.update({key: []}))
+        message = "section 'preprocessor': malformed section contents"
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "boost_seed"),
+                                             ("meta", "random_k"), ("attention", "d"),
+                                             ("attention", "k")])
+    @pytest.mark.parametrize("make", [lambda v: v + 0.9, float, lambda v: True],
+                             ids=["fraction", "whole_float", "boolean"])
+    def test_integer_field_that_is_a_float_or_boolean_rejected(self, fitted, tmp_path, capsys,
+                                                               section, key, make):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, section, lambda payload: payload.update({key: make(payload[key])}))
+        message = (f"section '{section}': malformed section contents "
+                   f"(TypeError: {key} must be an integer, got ")
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,key", [("meta", "variant"),
                                              ("preprocessor", "numeric_stats"),
@@ -351,10 +460,10 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @pytest.mark.parametrize("section,edit,message", [
-        ("ensemble", lambda ens: _set_entry(ens, "weight", _node_index(ens, 0, -1), np.nan),
-         r"section 'ensemble' tree 0 node \d+: weight nan is not finite"),
-        ("ensemble", lambda ens: _set_entry(ens, "threshold", _node_index(ens, 0, 0), np.inf),
-         "section 'ensemble' tree 0 node 0: threshold inf is not finite"),
+        ("ensemble", lambda ens: _set_entry(ens, "value", _node_index(ens, 0, -1), np.nan),
+         r"section 'ensemble' tree 0 node \d+: value nan is not finite"),
+        ("ensemble", lambda ens: _set_entry(ens, "value", _node_index(ens, 0, 0), np.inf),
+         "section 'ensemble' tree 0 node 0: value inf is not finite"),
         ("ensemble", lambda ens: _set_entry(ens, "gain", _node_index(ens, 1, 0), -np.inf),
          "section 'ensemble' tree 1 node 0: gain -inf is not finite"),
         ("ensemble", lambda ens: ens.update(base_raw=np.nan),
