@@ -40,7 +40,6 @@ class AttnBoostModel:
     ensemble: gbdt.Ensemble
     variant: str
     attention_seed: int
-    boost_seed: int
     random_k: int = 0
 
 
@@ -102,7 +101,6 @@ def fit_variant(
         ensemble=None,
         variant=kind,
         attention_seed=attention_config.seed,
-        boost_seed=boost_config.seed,
     )
     if kind == "full":
         model.attention, _ = attn.train(X, y, attention_config)

@@ -28,19 +28,21 @@ bitwise equal decisions and gains. Leaf weights use the L1/L2 closed form on
 sums over the leaf's rows and are stored unscaled; the shrinkage factor is
 applied at prediction time.
 
-A tree is four parallel node arrays in pre-order (root first, a node's left
-subtree before its right), so a split's left child is the next node and only
-its right child is stored. `value` is a leaf's unscaled weight or a split's
-raw threshold, the cut at its bin boundary b: bins come from
-`searchsorted(cuts, value, side="left")`, so bin <= b exactly when value <=
-cuts[b]. An ensemble keeps one record of all its trees' nodes end to end and
-each tree's node count, the layout the model file stores. Its walk layout,
-built once, has leaves linking to themselves and each node's two children side
-by side, and one walk moves every (tree, row) pair down a level per step: it
-compares raw values with `value` and takes the child with one gather indexed
-by the node and the comparison, in training's per-round update and in
-scoring. Tree outputs are added to the raw score strictly in tree order, so
-scores do not depend on how many rows or trees are walked together.
+A tree is three parallel node arrays in pre-order (root first, a node's left
+subtree before its right) and stores no child link: a split's left child is
+the next node, its right child the next one whose running count (+1 per split,
+-1 per leaf, counted before the node) equals the split's own. `value` is a
+leaf's unscaled weight or a split's raw threshold, the cut at its bin boundary
+b: bins come from `searchsorted(cuts, value, side="left")`, so bin <= b
+exactly when value <= cuts[b]. An ensemble keeps one record of all its trees'
+nodes end to end and each tree's node count, the layout the model file stores.
+Its walk layout, built once, has leaves linking to themselves and each node's
+two children side by side, and one walk moves every (tree, row) pair down a
+level per step: it compares raw values with `value` and takes the child with
+one gather indexed by the node and the comparison, in training's per-round
+update and in scoring. Tree outputs are added to the raw score strictly in
+tree order, so scores do not depend on how many rows or trees are walked
+together.
 """
 
 from __future__ import annotations
@@ -133,7 +135,7 @@ class NodeHistogram:
 
 
 # dtype of each node array, in the order a Tree declares them
-NODE_DTYPES = {"feature": np.intp, "value": np.float64, "right": np.intp, "gain": np.float64}
+NODE_DTYPES = {"feature": np.intp, "value": np.float64, "gain": np.float64}
 
 
 @dataclass(eq=False)
@@ -141,14 +143,12 @@ class Tree:
     """Parallel arrays over the nodes of one tree, or of several laid end to end.
 
     Each tree's nodes are in pre-order and its node 0 is the root. An internal
-    node i has feature >= 0, its left child at i + 1 and its right one at
-    `right`, local to its tree; a row goes left when its value is <= `value`.
-    A leaf has feature and right -1 and its weight in `value`.
+    node i has feature >= 0 and its left child at i + 1; a row goes left when
+    its value is <= `value`. A leaf has feature -1 and its weight in `value`.
     """
 
     feature: np.ndarray  # (nodes,) intp
     value: np.ndarray  # (nodes,) float64, raw split threshold, or unscaled leaf weight
-    right: np.ndarray  # (nodes,) intp
     gain: np.ndarray  # (nodes,) float64, split gain (0 on leaves)
 
 
@@ -179,8 +179,12 @@ class Forest:
         np.cumsum(node_counts[:-1], out=roots[1:])
         leaf = nodes.feature < 0
         here = np.arange(leaf.size)
-        left = np.where(leaf, here, here + 1)
-        right = np.where(leaf, here, nodes.right + np.repeat(roots, node_counts))
+        step = np.where(leaf, -1, 1)
+        # by running count, over all trees (each lowers it by one), then by index
+        order = np.argsort(np.cumsum(step) - step, kind="stable")
+        right = np.empty_like(here)
+        right[order[:-1]] = order[1:]  # for a split, its right child
+        left, right = np.where(leaf, here, here + 1), np.where(leaf, here, right)
 
         node_depth = np.zeros(leaf.size, dtype=np.intp)
         level, steps = roots, 0
@@ -189,8 +193,6 @@ class Forest:
             if level.size == 0:
                 break
             steps += 1
-            if steps > leaf.size:
-                raise ValueError("tree child links form a cycle")
             level = np.concatenate([left[level], right[level]])
             node_depth[level] = steps
         depth = np.maximum.reduceat(node_depth, roots) if roots.size else roots
@@ -421,8 +423,8 @@ def _grow_tree(
     """Grow one tree depth-first, left subtree before right.
 
     A node is numbered when it is popped, which is pre-order: a left child is
-    popped right after its parent, a right child sets its parent's `right`
-    then. Besides the node being split, the stack holds the histograms of
+    popped right after its parent, a right child after its sibling's subtree.
+    Besides the node being split, the stack holds the histograms of
     pending right siblings, at most one per level. Nodes at max_depth get
     none. A node of at most B/2 rows (B the dense histogram's width) is small:
     its compact histogram, which has fewer columns, is built from its rows
@@ -431,13 +433,10 @@ def _grow_tree(
     larger one's is parent minus it.
     """
     small = int(binned.widths[features].max()) // 2 if features.size else 0
-    nodes: list[list] = []  # [feature, value, right, gain], as NODE_DTYPES
-    RIGHT = 2  # position of the right child link in a node's row
-    stack = [(rows, None, 0, -1)]  # parent: the node whose right child this is, or -1
+    nodes: list[tuple] = []  # (feature, value, gain), as NODE_DTYPES
+    stack = [(rows, None, 0)]
     while stack:
-        rows, hist, depth, parent = stack.pop()
-        if parent >= 0:
-            nodes[parent][RIGHT] = len(nodes)
+        rows, hist, depth = stack.pop()
         decision = None
         if depth < config.max_depth and rows.size >= 2:
             if hist is None:
@@ -447,10 +446,9 @@ def _grow_tree(
         if decision is None:
             G, H = float(g[rows].sum()), float(h[rows].sum())
             weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
-            nodes.append([-1, weight, -1, 0.0])
+            nodes.append((-1, weight, 0.0))
             continue
-        node = len(nodes)
-        nodes.append([decision.feature, decision.threshold, -1, decision.gain])
+        nodes.append((decision.feature, decision.threshold, decision.gain))
         mask = binned.bins[rows, decision.feature] <= decision.bin_idx
         left, right = rows[mask], rows[~mask]
         left_hist = right_hist = None
@@ -466,8 +464,8 @@ def _grow_tree(
                 left_hist = None
             if right.size <= small:
                 right_hist = None
-        stack.append((right, right_hist, depth + 1, node))
-        stack.append((left, left_hist, depth + 1, -1))  # popped next: node + 1
+        stack.append((right, right_hist, depth + 1))
+        stack.append((left, left_hist, depth + 1))  # popped next: the next node
     return Tree(**{name: np.array(column, dtype=dtype)
                    for (name, dtype), column in zip(NODE_DTYPES.items(), zip(*nodes))})
 

@@ -1,19 +1,22 @@
 """Single-file model container with per-section integrity checksums.
 
-The file is JSON with four sections (meta, preprocessor, attention, ensemble).
-Arrays are base64-encoded little-endian bytes, float64 for real values and
-int32 for node indices, split features and node counts, so a save/load round
-trip reproduces bit-identical predictions on any platform. Each section's
-checksum is validated before anything is constructed; a bad file never yields
-a partially loaded model. The ensemble section stores the learner's own
-record, its four node arrays over all trees' nodes and each tree's node count,
-and is checked for structure on load in one pass over all trees. The meta
-section must name a known variant and augment mode that agree with the
-attention section, the ensemble's width must be the input width plus the
-variant's block, and a section whose contents do not decode, such as a seed
-that is not an integer, raises ModelFormatError like a damaged one, as does a
-node value, gain, base score or attention parameter that is not finite, or a
-learning rate outside (0, 1].
+The file is JSON with four sections (meta, preprocessor, attention, ensemble)
+and stores nothing that can be derived. Arrays are base64-encoded
+little-endian bytes, float64 for real values and int32 for split features and
+node counts, so a save/load round trip reproduces bit-identical predictions on
+any platform. Each section's checksum is validated before anything is
+constructed; a bad file never yields a partially loaded model. The ensemble
+section stores the learner's own record without child links (the learner
+derives them from the features), each tree's node count, and gains for splits
+only; it is checked for structure on load in one pass over all trees. The
+preprocessor section holds no feature or target names, which follow from its
+schema, and is checked against what fitting guarantees. The meta section must
+name a known variant and augment mode that agree with the attention section,
+the ensemble's width must be the input width plus the variant's block, and a
+section whose contents do not decode, such as a seed that is not an integer,
+raises ModelFormatError like a damaged one, as does a node value, gain, base
+score or attention parameter that is not finite, or a learning rate outside
+(0, 1].
 """
 
 from __future__ import annotations
@@ -21,24 +24,23 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import tempfile
 
 import numpy as np
 
 from .attention import AUGMENT_MODES, AttentionParams
-from .errors import ModelFormatError
+from .errors import DataError, ModelFormatError
 from .fusion import VARIANT_KINDS, AttnBoostModel
-from .gbdt import NODE_DTYPES, Ensemble, Tree
-from .tabular import ColumnSchema, PreprocessorState
+from .gbdt import Ensemble, Tree
+from .tabular import EPSILON_STD, ColumnSchema, PreprocessorState, _validate_schema
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _NETWORK_FREE_VARIANTS = ("no_attention", "random_attention")  # fitted without a network
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
-_INTEGERS = "<i4"  # file dtype of node counts and of the integer node arrays
-_FILE_DTYPES = {name: _INTEGERS if dtype is np.intp else "<f8"
-                for name, dtype in NODE_DTYPES.items()}
+_INTEGERS = "<i4"  # file dtype of node counts and split features
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -77,28 +79,31 @@ def _checksum(payload) -> str:
 
 
 def _ensemble_payload(ensemble: Ensemble) -> dict:
+    nodes = ensemble.nodes
     return {
         "base_raw": ensemble.base_raw,
         "learning_rate": ensemble.learning_rate,
         "feature_names": ensemble.feature_names,
         "node_counts": _encode(ensemble.node_counts, _INTEGERS),
-        **{name: _encode(getattr(ensemble.nodes, name), dtype)
-           for name, dtype in _FILE_DTYPES.items()},
+        "feature": _encode(nodes.feature, _INTEGERS),
+        "value": _encode(nodes.value),
+        "gain": _encode(nodes.gain[nodes.feature >= 0]),  # a leaf's is 0
     }
 
 
 def _ensemble_from_payload(payload: dict) -> Ensemble:
     """Decode the ensemble and check, for all trees at once, that its arrays form trees.
 
-    Every node count is positive, and every node array holds one entry per
-    node of their sum. Within a tree a leaf has feature and right -1; an
-    internal node i splits on a column of the model and its right child comes
-    after its left one, i + 1, which rules out cycles; every node but the root
-    has one parent. An error names the tree, and its node by tree-local index.
+    Every node count is positive, `feature` and `value` hold one entry per node
+    of their sum and `gain` one per split. A feature is -1 (a leaf) or a column
+    of the model. A tree's running count, +1 per split and -1 per leaf, stays
+    at or above 0 until its last node and reaches -1 exactly there. An error
+    names the tree, and its node by tree-local index.
     """
     feature_names = list(payload["feature_names"])
     counts = _decode(payload["node_counts"], _INTEGERS)
-    nodes = Tree(**{name: _decode(payload[name], dtype) for name, dtype in _FILE_DTYPES.items()})
+    feature, value = _decode(payload["feature"], _INTEGERS), _decode(payload["value"])
+    split_gain = _decode(payload["gain"])
     if counts.ndim != 1:
         raise ModelFormatError(f"node counts must be one-dimensional, got shape {counts.shape}")
     if (counts < 1).any():
@@ -106,38 +111,36 @@ def _ensemble_from_payload(payload: dict) -> Ensemble:
         raise ModelFormatError(f"tree {t}: node count {counts[t]} is not positive")
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
-    arrays = [getattr(nodes, name) for name in _FILE_DTYPES]
-    if any(a.shape != (total,) for a in arrays):
+    if feature.shape != (total,) or value.shape != (total,):
         raise ModelFormatError(f"node arrays must each hold the {total} nodes of the node "
-                               f"counts, got shapes {[a.shape for a in arrays]}")
+                               f"counts, got shapes {[feature.shape, value.shape]}")
 
-    local = np.arange(total) - np.repeat(ends - counts, counts)  # index within its tree
-    size = np.repeat(counts, counts)  # node count of its tree
-    feature, right = nodes.feature, nodes.right
-    bad = np.where(feature == -1, right != -1,
-                   (feature < 0) | (feature >= len(feature_names))
-                   | (right <= local + 1) | (right >= size))
+    tree = np.repeat(np.arange(counts.size), counts)  # each node's tree
+    local = np.arange(total) - (ends - counts)[tree]  # its index within the tree
 
-    def node(i: int) -> str:
-        return f"tree {int(np.searchsorted(ends, i, side='right'))} node {local[i]}"
+    def reject_first(bad: np.ndarray, describe) -> None:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ModelFormatError(f"section 'ensemble' tree {tree[i]} node {local[i]}: "
+                                   f"{describe(i)}")
 
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ModelFormatError(f"{node(i)}: feature {feature[i]}, right child {right[i]} "
-                               f"do not form a tree over {len(feature_names)} features")
-    split = np.flatnonzero(feature >= 0)
-    parents = np.bincount(np.concatenate([split + 1, split - local[split] + right[split]]),
-                          minlength=total)
-    if (parents != (local > 0)).any():
-        i = int(np.argmax(parents != (local > 0)))
-        raise ModelFormatError(f"{node(i)}: has {parents[i]} parents, expected one")
-    for name in ("value", "gain"):
-        values = getattr(nodes, name)
-        if not np.isfinite(values).all():
-            i = int(np.argmax(~np.isfinite(values)))
-            raise ModelFormatError(f"section 'ensemble' {node(i)}: {name} {values[i]} "
-                                   "is not finite")
-    ensemble = Ensemble(nodes, counts, float(payload["base_raw"]),
+    width = len(feature_names)
+    reject_first((feature < -1) | (feature >= width),
+                 lambda i: f"feature {feature[i]} is not -1 or one of the {width} columns")
+    # after each node, within its tree once every tree before it has closed at -1
+    count = np.cumsum(np.where(feature < 0, -1, 1)) + tree
+    last = local == (counts - 1)[tree]
+    reject_first(np.where(last, count != -1, count < 0), lambda i: (
+        f"the tree's last node leaves {count[i] + 1} children missing" if last[i]
+        else "the tree is complete here, before its last node"))
+    split = feature >= 0
+    if split_gain.shape != (split.sum(),):
+        raise ModelFormatError(f"{split.sum()} splits, but gain has shape {split_gain.shape}")
+    gain = np.zeros(total)
+    gain[split] = split_gain
+    for name, values in (("value", value), ("gain", gain)):
+        reject_first(~np.isfinite(values), lambda i: f"{name} {values[i]} is not finite")
+    ensemble = Ensemble(Tree(feature, value, gain), counts, float(payload["base_raw"]),
                         float(payload["learning_rate"]), feature_names)
     if not np.isfinite(ensemble.base_raw):
         raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
@@ -155,24 +158,50 @@ def _preprocessor_payload(state: PreprocessorState | None):
         "category_maps": state.category_maps,
         "numeric_stats": {k: list(v) for k, v in state.numeric_stats.items()},
         "dropped_columns": state.dropped_columns,
-        "feature_names": state.feature_names,
-        "target_name": state.target_name,
         "target_positive": state.target_positive,
     }
 
 
 def _preprocessor_from_payload(payload) -> PreprocessorState | None:
+    """Decode the preprocessor state and check what fit_preprocessor guarantees.
+
+    The schema has unique names and one binary-target column. Each kept
+    category or string column has a map whose codes are the integers 0..n-1,
+    each once, and each kept numeric column a [mean, standard deviation] pair
+    of finite numbers, the deviation at least EPSILON_STD; no other column has
+    either. An error names the key, and the column.
+    """
     if payload is None:
         return None
-    return PreprocessorState(
-        schema=[ColumnSchema(n, k, bool(nl)) for n, k, nl in payload["schema"]],
-        category_maps={c: dict(m) for c, m in payload["category_maps"].items()},
-        numeric_stats={k: (v[0], v[1]) for k, v in payload["numeric_stats"].items()},
-        dropped_columns=list(payload["dropped_columns"]),
-        feature_names=list(payload["feature_names"]),
-        target_name=payload["target_name"],
-        target_positive=payload["target_positive"],
-    )
+    schema = [ColumnSchema(n, k, bool(nl)) for n, k, nl in payload["schema"]]
+    category_maps = {c: dict(m) for c, m in payload["category_maps"].items()}
+    numeric_stats = {c: tuple(v) for c, v in payload["numeric_stats"].items()}
+    dropped = list(payload["dropped_columns"])
+    try:
+        _validate_schema(schema)
+    except DataError as exc:
+        raise ModelFormatError(f"section 'preprocessor' schema: {exc}") from exc
+    for key, stored, kinds in (("category_maps", category_maps, ("category", "string")),
+                               ("numeric_stats", numeric_stats, ("integer", "float"))):
+        wanted = sorted(c.name for c in schema if c.kind in kinds and c.name not in dropped)
+        if sorted(stored) != wanted:
+            raise ModelFormatError(f"section 'preprocessor' {key}: holds columns "
+                                   f"{sorted(stored)}, expected {wanted}")
+    for column, cmap in category_maps.items():
+        codes = list(cmap.values())
+        if not all(type(c) is int for c in codes) or sorted(codes) != list(range(len(codes))):
+            raise ModelFormatError(f"section 'preprocessor' category_maps {column!r}: codes "
+                                   f"must be the integers 0..{len(codes) - 1}, each once, "
+                                   f"got {codes}")
+    for column, stats in numeric_stats.items():
+        if not (len(stats) == 2 and all(type(v) in (int, float) for v in stats)
+                and math.isfinite(stats[0]) and EPSILON_STD <= stats[1] < math.inf):
+            raise ModelFormatError(f"section 'preprocessor' numeric_stats {column!r}: expected "
+                                   "a finite mean and a finite standard deviation of at least "
+                                   f"{EPSILON_STD}, got {list(stats)}")
+    return PreprocessorState(schema=schema, category_maps=category_maps,
+                             numeric_stats=numeric_stats, dropped_columns=dropped,
+                             target_positive=payload["target_positive"])
 
 
 def _attention_payload(params: AttentionParams | None):
@@ -201,7 +230,7 @@ def _meta_from_payload(meta: dict) -> dict:
         if meta[key] not in allowed:
             raise ModelFormatError(f"unknown {key} {meta[key]!r}; expected one of {allowed}")
     return {"variant": meta["variant"], "augment_mode": meta["augment_mode"],
-            **{key: _integer(meta, key) for key in ("attention_seed", "boost_seed", "random_k")}}
+            **{key: _integer(meta, key) for key in ("attention_seed", "random_k")}}
 
 
 # each section's decoder, in the order the file's sections are checked and read
@@ -216,7 +245,6 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
             "variant": model.variant,
             "augment_mode": model.augment_mode,
             "attention_seed": model.attention_seed,
-            "boost_seed": model.boost_seed,
             "random_k": model.random_k,
             "fingerprint": fingerprint,
         },

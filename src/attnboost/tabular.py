@@ -113,15 +113,24 @@ class FeatureMatrix:
 
 @dataclass
 class PreprocessorState:
-    """Everything learned at fit time, sufficient to transform new tables."""
+    """Everything learned at fit time, sufficient to transform new tables. The
+    feature and target names follow from the schema and the dropped columns."""
 
     schema: list[ColumnSchema]
     category_maps: dict[str, dict[str, int]]  # a value outside a map gets code len(map)
     numeric_stats: dict[str, tuple[float, float]]
     dropped_columns: list[str]
-    feature_names: list[str]
-    target_name: str
     target_positive: str | None
+    feature_names: list[str] = field(init=False)
+    target_name: str = field(init=False)
+
+    def __post_init__(self):  # a date column gives three features; the schema has one target
+        self.feature_names = [
+            name for c in self.schema
+            if c.name not in self.dropped_columns and c.kind != "binary-target"
+            for name in ([f"{c.name}_{part}" for part in ("year", "month", "weekday")]
+                         if c.kind == "date" else [c.name])]
+        (self.target_name,) = [c.name for c in self.schema if c.kind == "binary-target"]
 
 
 def retail_schema() -> list[ColumnSchema]:
@@ -294,7 +303,6 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
     dropped = set(drop)
     category_maps: dict[str, dict[str, int]] = {}
     numeric_stats: dict[str, tuple[float, float]] = {}
-    feature_names: list[str] = []
     target_values: set[str] = set()
 
     for col, cells in zip(table.schema, table.columns(), strict=True):
@@ -306,7 +314,6 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
         if col.kind in ("category", "string"):
             seen = sorted({NULL_CATEGORY if v is None else str(v) for v in cells})
             category_maps[col.name] = {value: code for code, value in enumerate(seen)}
-            feature_names.append(col.name)
         elif col.kind in ("integer", "float"):
             values = np.array(_standardized(cells, col.name, nulls_allowed=True))
             if values.size == 0:
@@ -317,9 +324,6 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
                 raise DataError(f"numeric column {col.name!r}: mean {mean} or standard "
                                 f"deviation {std} is not finite; its values are too large")
             numeric_stats[col.name] = (mean, max(std, EPSILON_STD))
-            feature_names.append(col.name)
-        elif col.kind == "date":
-            feature_names.extend(f"{col.name}_{part}" for part in ("year", "month", "weekday"))
 
     positives = target_values - {TARGET_NEGATIVE}
     if len(positives) > 1:
@@ -332,8 +336,6 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
         category_maps=category_maps,
         numeric_stats=numeric_stats,
         dropped_columns=list(drop),
-        feature_names=feature_names,
-        target_name=target_col.name,
         target_positive=next(iter(positives)) if positives else None,
     )
 

@@ -189,7 +189,6 @@ class TestPredict:
                                          feature_names=list(state.feature_names)),
             variant="no_attention",
             attention_seed=0,
-            boost_seed=0,
         )
         proba, labels = predict(model, table)
         assert (proba == 0.5).all()

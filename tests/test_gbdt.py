@@ -39,15 +39,24 @@ def _fm(values, names=None):
 GAIN_TIE_REL = 1e-10  # same tie window as the implementation under test
 
 
-def make_tree(feature, right, value=None, gain=None):
-    """A Tree from per-node lists; unspecified float arrays are zero."""
+def make_tree(feature, value=None, gain=None):
+    """A Tree from per-node lists in pre-order; unspecified float arrays are zero."""
     n = len(feature)
 
     def floats(v):
         return np.zeros(n) if v is None else np.array(v, dtype=np.float64)
 
-    return Tree(feature=np.array(feature, dtype=np.intp), value=floats(value),
-                right=np.array(right, dtype=np.intp), gain=floats(gain))
+    return Tree(feature=np.array(feature, dtype=np.intp), value=floats(value), gain=floats(gain))
+
+
+def subtree_end(tree: Tree, i: int) -> int:
+    """One past the last node of the subtree at node i, by recursion over the pre-order."""
+    return i + 1 if tree.feature[i] < 0 else subtree_end(tree, subtree_end(tree, i + 1))
+
+
+def right_child(tree: Tree, i: int) -> int:
+    """The right child of split i: the node after its left subtree."""
+    return subtree_end(tree, i + 1)
 
 
 def reference_tree_output(tree: Tree, values):
@@ -64,7 +73,7 @@ def reference_tree_output(tree: Tree, values):
             return
         mask = values[idx, f] <= tree.value[i]
         descend(i + 1, idx[mask])
-        descend(tree.right[i], idx[~mask])
+        descend(right_child(tree, i), idx[~mask])
 
     descend(0, np.arange(values.shape[0]))
     return out
@@ -79,9 +88,8 @@ def reference_raw(model: Ensemble, values):
 
 
 def tree_nodes(tree: Tree):
-    """(feature, value, right, gain) of every node, in stored (pre-)order."""
-    return list(zip(tree.feature.tolist(), tree.value.tolist(), tree.right.tolist(),
-                    tree.gain.tolist()))
+    """(feature, value, gain) of every node, in stored (pre-)order."""
+    return list(zip(tree.feature.tolist(), tree.value.tolist(), tree.gain.tolist()))
 
 
 def brute_force_split(rows, binned: BinnedMatrix, g, h, features, config: BoostConfig):
@@ -687,7 +695,7 @@ class TestPredict:
         np.testing.assert_array_equal(predict_proba(model, X), np.full(3, 0.5))
 
     def test_single_stump_hand_traced(self):
-        stump = make_tree(feature=[0, -1, -1], right=[2, -1, -1], value=[0.0, -1.0, 1.0])
+        stump = make_tree(feature=[0, -1, -1], value=[0.0, -1.0, 1.0])
         model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=0.1,
                                     feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
@@ -709,23 +717,21 @@ def random_tree(rng, cuts, max_depth):
 
     Each split takes a threshold cuts[feature, b] from the grid.
     """
-    feature, value, right = [], [], []
+    feature, value = [], []
 
     def grow(depth):
-        i = len(feature)
-        for column, blank in ((feature, -1), (value, 0.0), (right, -1)):
-            column.append(blank)
         if depth < max_depth and rng.uniform() < 0.75:
             f, b = int(rng.integers(cuts.shape[0])), int(rng.integers(cuts.shape[1]))
-            feature[i], value[i] = f, float(cuts[f, b])
-            assert grow(depth + 1) == i + 1
-            right[i] = grow(depth + 1)
+            feature.append(f)
+            value.append(float(cuts[f, b]))
+            grow(depth + 1)
+            grow(depth + 1)
         else:
-            value[i] = float(rng.normal())
-        return i
+            feature.append(-1)
+            value.append(float(rng.normal()))
 
     grow(0)
-    return make_tree(feature, right, value=value)
+    return make_tree(feature, value=value)
 
 
 class TestWalk:
@@ -762,7 +768,7 @@ class TestWalk:
         self._assert_walk_matches(model, values)
 
     def test_values_equal_to_a_threshold_go_left(self):
-        stump = make_tree(feature=[0, -1, -1], right=[2, -1, -1], value=[0.5, -1.0, 1.0])
+        stump = make_tree(feature=[0, -1, -1], value=[0.5, -1.0, 1.0])
         model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=1.0,
                                     feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
@@ -773,10 +779,10 @@ class TestWalk:
         # value <= threshold is false for a NaN, so a NaN row goes right at every node
         if walk_cells is not None:  # 11 rows: blocks of 1, 2 or 3 of the 4 trees
             monkeypatch.setattr(tabular, "_BLOCK_CELLS", walk_cells)
-        deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1], right=[4, 3, -1, -1, 6, -1, -1],
+        deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1],
                          value=[0.5, -1.0, -3.0, -1.0, 2.0, 1.0, 3.0])
-        stump = make_tree(feature=[1, -1, -1], right=[2, -1, -1], value=[np.inf, 0.25, -0.25])
-        leaf = make_tree(feature=[-1], right=[-1], value=[0.5])
+        stump = make_tree(feature=[1, -1, -1], value=[np.inf, 0.25, -0.25])
+        leaf = make_tree(feature=[-1], value=[0.5])
         model = Ensemble.from_trees([deep, leaf, stump, deep], base_raw=0.125,
                                     learning_rate=0.5, feature_names=["f0", "f1"])
         nan, inf = np.nan, np.inf
@@ -808,22 +814,48 @@ class TestWalk:
             alone = predict_raw(model, _fm(values[i:i + 1], model.feature_names))
             assert alone.tobytes() == batch[i:i + 1].tobytes(), f"row {i}"
 
-    def test_grown_trees_are_pre_order(self):
-        rng = np.random.default_rng(7)
-        X = _fm(rng.normal(0, 1, (200, 3)))
-        y = (X.values[:, 0] + rng.normal(0, 1, 200) > 0).astype(int)
-        model = train_boosting(X, y, BoostConfig(n_estimators=5, max_depth=5,
-                                                 min_child_weight=0.0, gamma=0.0))
 
-        def subtree_end(tree, i):
-            """One past the last node of the subtree at i, by recursion."""
+class TestDerivedChildren:
+    """Forest.stack derives every child link from the features alone: on fitted
+    ensembles each split's right child is the node after its left subtree, as
+    the recursion finds it, its left child the next node, and each tree's
+    depth that of the recursion."""
+
+    @staticmethod
+    def _assert_links_match(model: Ensemble):
+        def depth(tree, i):
             if tree.feature[i] < 0:
-                return i + 1
-            assert tree.right[i] == subtree_end(tree, i + 1)
-            return subtree_end(tree, tree.right[i])
+                return 0
+            return 1 + max(depth(tree, i + 1), depth(tree, right_child(tree, i)))
 
-        for tree in model.trees:
-            assert subtree_end(tree, 0) == tree.feature.size > 1
+        children, roots = model.forest.children, model.forest.roots // 2
+        assert roots.size == len(model.trees)
+        for root, tree, tree_depth in zip(roots, model.trees, model.forest.depth):
+            assert subtree_end(tree, 0) == tree.feature.size  # the tree is one whole subtree
+            assert tree_depth == depth(tree, 0)
+            for i, f in enumerate(tree.feature.tolist()):
+                slot = 2 * (root + i)
+                if f < 0:  # a leaf links to its own slot
+                    assert children[slot] == children[slot + 1] == slot
+                else:
+                    assert children[slot + 1] == 2 * (root + i + 1)
+                    assert children[slot] == 2 * (root + right_child(tree, i)), (root, i)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("max_depth", [0, 1, 6])
+    def test_fitted_ensembles(self, seed, max_depth):
+        rng = np.random.default_rng(seed)
+        X = _fm(rng.normal(0, 1, (300, 4)))
+        y = (X.values[:, 0] + X.values[:, 1] * rng.normal(0, 1, 300) > 0).astype(int)
+        model = train_boosting(X, y, BoostConfig(n_estimators=8, max_depth=max_depth,
+                                                 min_child_weight=0.0, gamma=0.0, seed=seed))
+        assert model.forest.depth.max() == max_depth  # some tree grows to full depth
+        self._assert_links_match(model)
+
+    def test_zero_tree_ensemble(self):
+        model = Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
+        assert model.forest.children.size == model.forest.roots.size == 0
+        self._assert_links_match(model)
 
 
 def _total_bce(model, X, y, upto):
@@ -916,7 +948,7 @@ class TestGrownTreesMatchBruteForce:
                                      (derived.hess, direct.hess, parent.hess)):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(total).sum()
             check(tree, i + 1, left, depth + 1, g, h, feats)
-            check(tree, tree.right[i], right, depth + 1, g, h, feats)
+            check(tree, right_child(tree, i), right, depth + 1, g, h, feats)
 
         raw = np.full(n, model.base_raw)
         for t, tree in enumerate(model.trees):
@@ -960,7 +992,7 @@ class TestOneBinColumns:
                 + TestOneBinColumns._searched_nodes(tree, rows[mask], values, max_depth,
                                                     depth + 1, i + 1)
                 + TestOneBinColumns._searched_nodes(tree, rows[~mask], values, max_depth,
-                                                    depth + 1, tree.right[i]))
+                                                    depth + 1, right_child(tree, i)))
 
     def test_trees_equal_the_unfiltered_growth_and_skip_one_bin_columns(self, monkeypatch):
         rng = np.random.default_rng(21)
@@ -997,7 +1029,7 @@ class TestOneBinColumns:
             g, h = logistic_grad_hess(raw, y)
             rows, feats = _round_sample(config, t, n, d)
             expected = gbdt._grow_tree(rows, binned, g, h, feats, config)
-            for name in ("feature", "value", "right", "gain"):
+            for name in gbdt.NODE_DTYPES:
                 got, want = getattr(tree, name), getattr(expected, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (t, name)
             only_constant += bool(np.isin(feats, constant).all())
@@ -1050,7 +1082,7 @@ class TestSplitsRespectConstraints:
             assert h[left].sum() >= config.min_child_weight
             assert h[right].sum() >= config.min_child_weight
             check(tree, i + 1, left, g, h)
-            check(tree, tree.right[i], right, g, h)
+            check(tree, right_child(tree, i), right, g, h)
 
         raw = np.full(200, model.base_raw)
         for tree in model.trees:

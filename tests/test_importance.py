@@ -11,12 +11,12 @@ from attnboost.importance import (
     rank_report,
 )
 from attnboost.tabular import FeatureMatrix
-from test_gbdt import make_tree
+from test_gbdt import make_tree, right_child
 
 
 def _stump(feature, gain, weight=0.5):
-    return make_tree(feature=[feature, -1, -1], right=[2, -1, -1],
-                     value=[0.0, -weight, weight], gain=[gain, 0.0, 0.0])
+    return make_tree(feature=[feature, -1, -1], value=[0.0, -weight, weight],
+                     gain=[gain, 0.0, 0.0])
 
 
 def _ensemble(trees, names):
@@ -51,7 +51,8 @@ class TestGainImportance:
         def walk_sum(tree, i=0):
             if tree.feature[i] < 0:
                 return 0.0
-            return tree.gain[i] + walk_sum(tree, i + 1) + walk_sum(tree, tree.right[i])
+            return (tree.gain[i] + walk_sum(tree, i + 1)
+                    + walk_sum(tree, right_child(tree, i)))
 
         recorded = sum(walk_sum(t) for t in model.trees)
         assert sum(e.gain for e in table.entries) == pytest.approx(recorded, abs=1e-9)

@@ -10,7 +10,7 @@ import pytest
 from attnboost.attention import TrainConfig
 from attnboost.errors import ModelFormatError
 from attnboost.experiments import SyntheticSpec, generate_synthetic
-from attnboost.fusion import fit_variant, predict_matrix
+from attnboost.fusion import VARIANT_KINDS, fit_variant, predict_matrix
 from attnboost.gbdt import BoostConfig
 from attnboost.cli import run_command
 from attnboost.model_io import (FORMAT_VERSION, _checksum, _decode, _encode, load_model,
@@ -20,7 +20,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "1ae0184322514ba4938ce74f5cfbaece27f7d503055e1d8f250dbaa316acadcc"
+PINNED_SHA256 = "fe35f2c4ea20594f059efc062e863bc79c382afd2b7c66132bb450681c6b56c6"
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def fitted():
     models = {
         kind: fit_variant(kind, split.X_train, split.y_train, FAST_ATTN, FAST_BOOST,
                           preprocessor=state)
-        for kind in ("full", "no_attention", "random_attention")
+        for kind in VARIANT_KINDS
     }
     return models, split.X_test
 
@@ -55,7 +55,6 @@ class TestRoundTrip:
         loaded = load_model(path)
         assert loaded.variant == "random_attention"
         assert (loaded.random_k, loaded.attention_seed) == (FAST_ATTN.k, FAST_ATTN.seed)
-        assert loaded.boost_seed == 42
         meta = json.load(open(path))["sections"]["meta"]["payload"]
         assert meta["fingerprint"] == "f00"
 
@@ -67,12 +66,34 @@ class TestRoundTrip:
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
-    def test_load_then_save_reproduces_the_file(self, fitted, tmp_path):
-        for kind, model in fitted[0].items():
-            first, second = str(tmp_path / f"{kind}.model"), str(tmp_path / f"{kind}.again")
-            save_model(model, first, fingerprint="x")
-            save_model(load_model(first), second, fingerprint="x")
-            assert open(first, "rb").read() == open(second, "rb").read(), kind
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_load_then_save_reproduces_the_file(self, fitted, tmp_path, kind):
+        model = fitted[0][kind]
+        first, second = str(tmp_path / f"{kind}.model"), str(tmp_path / f"{kind}.again")
+        save_model(model, first, fingerprint="x")
+        loaded = load_model(first)
+        save_model(loaded, second, fingerprint="x")
+        assert open(first, "rb").read() == open(second, "rb").read()
+        for name in ("feature", "value", "gain"):  # leaf gains come back as 0.0
+            got, want = getattr(loaded.ensemble.nodes, name), getattr(model.ensemble.nodes, name)
+            assert got.tobytes() == want.tobytes(), name
+        assert loaded.preprocessor == model.preprocessor
+
+    def test_file_stores_nothing_that_can_be_derived(self, fitted, tmp_path):
+        model = fitted[0]["full"]
+        path = str(tmp_path / "m.model")
+        save_model(model, path)
+        sections = json.load(open(path))["sections"]
+        ensemble = sections["ensemble"]["payload"]
+        assert sorted(ensemble) == ["base_raw", "feature", "feature_names", "gain",
+                                    "learning_rate", "node_counts", "value"]
+        splits = model.ensemble.nodes.feature >= 0
+        assert ensemble["gain"]["shape"] == [int(splits.sum())] < ensemble["value"]["shape"]
+        assert _decode(ensemble["gain"]).tobytes() == model.ensemble.nodes.gain[splits].tobytes()
+        assert sorted(sections["preprocessor"]["payload"]) == [
+            "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
+        assert sorted(sections["meta"]["payload"]) == [
+            "attention_seed", "augment_mode", "fingerprint", "random_k", "variant"]
 
     def test_zero_tree_model_round_trip(self, tmp_path):
         csv_path, path = str(tmp_path / "rows.csv"), str(tmp_path / "zero.model")
@@ -110,7 +131,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 3
+    assert FORMAT_VERSION == 4
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -122,8 +143,8 @@ def _set_entry(payload: dict, key: str, index: int, value: float) -> None:
 
 
 # File dtype of the ensemble section's node counts and node arrays
-_NODE_FIELDS = {"node_counts": "<i4", "feature": "<i4", "value": "<f8", "right": "<i4",
-                "gain": "<f8"}
+# (gain holds one entry per split)
+_NODE_FIELDS = {"node_counts": "<i4", "feature": "<i4", "value": "<f8", "gain": "<f8"}
 
 
 def _node_index(ensemble: dict, t: int, i: int) -> int:
@@ -133,10 +154,41 @@ def _node_index(ensemble: dict, t: int, i: int) -> int:
     return int(counts[:t].sum()) + i % int(counts[t])
 
 
+def _split_index(ensemble: dict, t: int, i: int) -> int:
+    """Index into an ensemble payload's gain array of tree t's node i, which splits."""
+    feature = _decode(ensemble["feature"], "<i4")
+    index = _node_index(ensemble, t, i)
+    assert feature[index] >= 0
+    return int((feature[:index] >= 0).sum())
+
+
 def _node_local(ensemble: dict) -> np.ndarray:
     """Each node's index within its tree, for every node of an ensemble payload."""
     counts = _decode(ensemble["node_counts"], "<i4")
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _first_column(preprocessor: dict, key: str) -> str:
+    """The first column, by name, that a preprocessor payload's `key` holds an entry for."""
+    return sorted(preprocessor[key])[0]
+
+
+def _set_stats(preprocessor: dict, edit) -> None:
+    """Replace the first numeric column's [mean, std] pair with edit(pair)."""
+    column = _first_column(preprocessor, "numeric_stats")
+    preprocessor["numeric_stats"][column] = edit(preprocessor["numeric_stats"][column])
+
+
+def _set_code(preprocessor: dict, code) -> None:
+    """Set the code of the first value of the first category map."""
+    cmap = preprocessor["category_maps"][_first_column(preprocessor, "category_maps")]
+    cmap[sorted(cmap)[0]] = code
+
+
+def _retype_columns(preprocessor: dict, kind: str, to: str) -> None:
+    """Give every schema column of `kind` the kind `to`."""
+    preprocessor["schema"] = [[n, to if k == kind else k, nl]
+                              for n, k, nl in preprocessor["schema"]]
 
 
 class TestDamagedFiles:
@@ -161,7 +213,7 @@ class TestDamagedFiles:
     def test_modified_preprocessor_payload_names_it(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path)
         document = json.load(open(path))
-        document["sections"]["preprocessor"]["payload"]["target_name"] = "Hacked"
+        document["sections"]["preprocessor"]["payload"]["target_positive"] = "Hacked"
         json.dump(document, open(path, "w"))
         with pytest.raises(ModelFormatError, match="preprocessor"):
             load_model(path)
@@ -192,9 +244,37 @@ class TestDamagedFiles:
         json.dump(document, open(path, "w"))
         self._assert_version_rejected(path, 2, tmp_path, capsys)
 
+    def test_version_3_file_rejected(self, fitted, tmp_path, capsys):
+        # version 3 also stored right links, leaf gains, the preprocessor's feature and
+        # target names and meta boost_seed; no version 3 file is read
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        sections = document["sections"]
+        ensemble = sections["ensemble"]["payload"]
+        feature = _decode(ensemble["feature"], "<i4")
+        gain = np.zeros(feature.size)
+        gain[feature >= 0] = _decode(ensemble["gain"])
+        right, open_splits = np.full(feature.size, -1), []
+        for i, local in enumerate(_node_local(ensemble)):  # a leaf's successor is a right child
+            if local > 0 and feature[i - 1] < 0:
+                right[open_splits.pop()] = local
+            if feature[i] >= 0:
+                open_splits.append(i)
+        ensemble.update(right=_encode(right, "<i4"), gain=_encode(gain))
+        model = fitted[0]["full"]
+        sections["preprocessor"]["payload"].update(
+            feature_names=model.preprocessor.feature_names,
+            target_name=model.preprocessor.target_name)
+        sections["meta"]["payload"]["boost_seed"] = FAST_BOOST.seed
+        for section in sections.values():
+            section["checksum"] = _checksum(section["payload"])
+        document["version"] = 3
+        json.dump(document, open(path, "w"))
+        self._assert_version_rejected(path, 3, tmp_path, capsys)
+
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 3"
-        assert FORMAT_VERSION == 3
+        message = f"unsupported model format version {version}, expected 4"
+        assert FORMAT_VERSION == 4
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -243,40 +323,25 @@ class TestDamagedFiles:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("feature", 9999, "tree 0 node 0"),  # split on a column the model does not have
-        ("right", 9999, "tree 0 node 0"),  # child past the last node
-        ("right", 0, "tree 0 node 0"),  # child pointing back at its parent: a cycle
-        ("right", -1, "tree 0 node 0"),  # internal node without a right child
-    ])
-    def test_bad_tree_arrays_with_valid_checksums_rejected(self, fitted, tmp_path, key,
-                                                           value, message):
-        path = self._saved(fitted, tmp_path)
-        self._edit_nodes(path, lambda nodes: nodes[key].__setitem__(0, value))
-        with pytest.raises(ModelFormatError, match=message):
-            load_model(path)
-        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
-
-    def test_leaf_with_a_child_rejected(self, fitted, tmp_path):
-        path = self._saved(fitted, tmp_path)
-
-        def edit(nodes):
-            leaf = nodes["feature"].index(-1)  # in tree 0
-            nodes["right"][leaf] = leaf + 1
-        self._edit_nodes(path, edit)
-        with pytest.raises(ModelFormatError, match="tree 0 node"):
-            load_model(path)
-
     def test_unequal_array_lengths_rejected(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path)
-        self._edit_nodes(path, lambda nodes: nodes["right"].pop())
+        self._edit_nodes(path, lambda nodes: nodes["value"].pop())
         with pytest.raises(ModelFormatError, match="node arrays must each hold"):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [1, -1], ids=["one_more", "one_fewer"])
+    def test_gain_not_one_per_split_rejected(self, fitted, tmp_path, change):
+        path = self._saved(fitted, tmp_path)
+        ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
+        splits = int((_decode(ensemble["feature"], "<i4") >= 0).sum())
+        self._edit_nodes(path, lambda nodes: nodes["gain"].append(0.5) if change > 0
+                         else nodes["gain"].pop())
+        message = f"{splits} splits, but gain has shape ({splits + change},)"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
 
     @pytest.mark.parametrize("key,node,value,message", [
         ("feature", 1, 9999, "tree 9 node 1: feature 9999"),
-        ("right", 1, 0, "tree 9 node 1: "),  # a leaf with a child, or a link back to the root
-        ("right", -1, 1, "tree 9 node {last}: "),  # a leaf with a child
         ("value", 1, np.inf, "section 'ensemble' tree 9 node 1: value inf is not finite"),
         ("value", -1, np.nan, "section 'ensemble' tree 9 node {last}: value nan is not finite"),
     ])
@@ -292,34 +357,51 @@ class TestDamagedFiles:
             load_model(path)
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
-    # non-finite values at a split (node 1) and a leaf (the last node) of the last tree
-    # are the cases above
-    @pytest.mark.parametrize("case", ["both_children_one_node", "right_past_the_tree",
-                                      "right_at_itself", "right_before_itself",
-                                      "leaf_with_a_right_child", "node_with_two_parents"])
-    def test_bad_node_of_the_last_tree_is_named_by_its_own_index(self, fitted, tmp_path, case):
+    @pytest.mark.parametrize("case", ["root_made_a_leaf", "last_split_made_a_leaf",
+                                      "last_leaf_made_a_split", "feature_below_minus_one",
+                                      "feature_at_the_width"])
+    def test_nodes_that_do_not_form_a_tree_are_named(self, fitted, tmp_path, case):
+        # a tree that closes early, one that never closes, and a feature outside -1..width-1,
+        # each in the last tree, named by the node's index within it
         path = self._saved(fitted, tmp_path)
         ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
-        counts = _decode(ensemble["node_counts"], "<i4")
-        feature = _decode(ensemble["feature"], "<i4")[_node_index(ensemble, -1, 0):].tolist()
-        assert counts.size == 10 and len(feature) == counts[-1]
-        splits = [i for i, f in enumerate(feature) if f >= 0 and i > 0]
-        leaf = next(i for i, f in enumerate(feature[:-1]) if f < 0 and i > 0)
-        nested = next(i for i in splits if feature[i + 1] >= 0)  # its left child splits too
-        i, right, named, reason = {  # the node, its new right link, the node named
-            "both_children_one_node": (splits[-1], splits[-1] + 1, splits[-1], None),
-            "right_past_the_tree": (splits[0], len(feature), splits[0], None),
-            "right_at_itself": (splits[-1], splits[-1], splits[-1], None),
-            "right_before_itself": (splits[-1], 0, splits[-1], None),
-            "leaf_with_a_right_child": (leaf, leaf + 1, leaf, None),
-            # the link goes to the left child's left child, and the old right child is
-            # nobody's
-            "node_with_two_parents": (nested, nested + 2, nested + 2,
-                                      "has 2 parents, expected one"),
+        width = len(ensemble["feature_names"])
+        first = _node_index(ensemble, -1, 0)
+        feature = _decode(ensemble["feature"], "<i4")[first:].tolist()
+        splits = [i for i, f in enumerate(feature) if f >= 0]
+        assert len(splits) >= 2 and feature[-1] < 0
+
+        def subtree_end(f, i):
+            return i + 1 if f[i] < 0 else subtree_end(f, subtree_end(f, i + 1))
+
+        def edited(i, new):
+            return feature[:i] + [new] + feature[i + 1:]
+
+        closes_early = "the tree is complete here, before its last node"
+        i, new, reason = {
+            "root_made_a_leaf": (0, -1, closes_early),
+            "last_split_made_a_leaf": (splits[-1], -1, closes_early),
+            "last_leaf_made_a_split": (len(feature) - 1, 0,
+                                       "the tree's last node leaves 2 children missing"),
+            "feature_below_minus_one": (1, -2, f"feature -2 is not -1 or one of the {width} "
+                                               "columns"),
+            "feature_at_the_width": (1, width, f"feature {width} is not -1 or one of the "
+                                               f"{width} columns"),
         }[case]
-        reason = reason or f"feature {feature[i]}, right child {right} do not form a tree"
-        index = _node_index(ensemble, -1, i)
-        self._edit_nodes(path, lambda nodes: nodes["right"].__setitem__(index, right))
+        named = i
+        if reason == closes_early:  # the edited tree is whole at the node the recursion ends
+            named = subtree_end(edited(i, new), 0) - 1
+            assert named < len(feature) - 1
+        split_before = sum(f >= 0 for f in _decode(ensemble["feature"], "<i4")[:first + i])
+
+        def edit(nodes):
+            was_split, now_split = nodes["feature"][first + i] >= 0, new >= 0
+            nodes["feature"][first + i] = new
+            if was_split and not now_split:  # gain stays one entry per split
+                nodes["gain"].pop(split_before)
+            elif now_split and not was_split:
+                nodes["gain"].insert(split_before, 0.5)
+        self._edit_nodes(path, edit)
         with pytest.raises(ModelFormatError, match=re.escape(f"tree 9 node {named}: {reason}")):
             load_model(path)
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
@@ -341,10 +423,10 @@ class TestDamagedFiles:
     @pytest.mark.parametrize("edit", [
         # version 1's JSON lists, with a float and a boolean where an index goes
         lambda ens: ens.update(feature=[15.9, *_decode(ens["feature"], "<i4")[1:].tolist()]),
-        lambda ens: ens.update(right=[True, *_decode(ens["right"], "<i4")[1:].tolist()]),
+        lambda ens: ens.update(feature=[True, *_decode(ens["feature"], "<i4")[1:].tolist()]),
         lambda ens: ens.update(node_counts=[1.5] * 10),
         lambda ens: ens["feature"].update(data=15.9),
-        lambda ens: ens["right"].update(data=True),
+        lambda ens: ens["node_counts"].update(data=True),
         lambda ens: ens["node_counts"].update(shape=[2.5]),
         # float64 values where int32 go: twice the bytes that the shape holds
         lambda ens: ens.update(feature=_encode(_decode(ens["feature"], "<i4") + 0.9)),
@@ -370,9 +452,48 @@ class TestDamagedFiles:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "boost_seed"),
-                                             ("meta", "random_k"), ("attention", "d"),
-                                             ("attention", "k")])
+    # one case per kind of damage that loaded, or failed without a ModelFormatError,
+    # before the preprocessor section was checked
+    @pytest.mark.parametrize("edit,key,message", [
+        (lambda pre: _set_stats(pre, lambda s: s[:1]), "numeric_stats",
+         "expected a finite mean and a finite standard deviation"),
+        (lambda pre: _set_stats(pre, lambda s: [s[0], 0.0]), "numeric_stats",
+         "of at least 1e-12, got ["),
+        (lambda pre: _set_stats(pre, lambda s: [s[0], 1e-13]), "numeric_stats",
+         "of at least 1e-12, got ["),
+        (lambda pre: _set_code(pre, "x"), "category_maps",
+         "must be the integers 0.."),
+        (lambda pre: _set_code(pre, 1.5), "category_maps",
+         "must be the integers 0.."),
+        (lambda pre: _set_code(pre, True), "category_maps",
+         "must be the integers 0.."),
+        (lambda pre: _set_code(pre, 1), "category_maps",  # code 1 twice
+         "must be the integers 0.."),
+        (lambda pre: pre["category_maps"].pop(_first_column(pre, "category_maps")),
+         "category_maps", "holds columns"),
+        (lambda pre: _retype_columns(pre, "binary-target", "category"),
+         "schema", "schema must have exactly one binary-target column, found []"),
+        (lambda pre: _retype_columns(pre, "category", "binary-target"),
+         "schema", "schema must have exactly one binary-target column, found ["),
+    ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "code_text",
+            "code_fraction", "code_true", "codes_not_0_to_n", "map_missing", "no_target",
+            "two_targets"])
+    def test_malformed_preprocessor_contents_rejected(self, fitted, tmp_path, capsys, edit,
+                                                      key, message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "preprocessor", edit)
+        with pytest.raises(ModelFormatError, match=re.escape(f"section 'preprocessor' {key}")) \
+                as info:
+            load_model(path)
+        assert message in str(info.value)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert f"section 'preprocessor' {key}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "random_k"),
+                                             ("attention", "d"), ("attention", "k")])
     @pytest.mark.parametrize("make", [lambda v: v + 0.9, float, lambda v: True],
                              ids=["fraction", "whole_float", "boolean"])
     def test_integer_field_that_is_a_float_or_boolean_rejected(self, fitted, tmp_path, capsys,
@@ -446,7 +567,9 @@ class TestDamagedFiles:
          r"preprocessor width \d+ plus the 7-column block"),
         ("full", "ensemble", lambda ens: ens["feature_names"].append("attn_6"),
          r"attention input width \d+ plus the 6-column block"),
-        ("full", "preprocessor", lambda pre: pre["feature_names"].pop(),
+        # a date column gives three features
+        ("full", "preprocessor",
+         lambda pre: pre.update(schema=[c for c in pre["schema"] if c[1] != "date"]),
          r"preprocessor width \d+ plus the 6-column block"),
         ("full", "attention", lambda att: att.update(k=7), r"W1 has shape \(6, \d+\), expected"),
     ])
@@ -464,7 +587,7 @@ class TestDamagedFiles:
          r"section 'ensemble' tree 0 node \d+: value nan is not finite"),
         ("ensemble", lambda ens: _set_entry(ens, "value", _node_index(ens, 0, 0), np.inf),
          "section 'ensemble' tree 0 node 0: value inf is not finite"),
-        ("ensemble", lambda ens: _set_entry(ens, "gain", _node_index(ens, 1, 0), -np.inf),
+        ("ensemble", lambda ens: _set_entry(ens, "gain", _split_index(ens, 1, 0), -np.inf),
          "section 'ensemble' tree 1 node 0: gain -inf is not finite"),
         ("ensemble", lambda ens: ens.update(base_raw=np.nan),
          "section 'ensemble': base_raw nan is not finite"),
