@@ -3,6 +3,7 @@
 Forward pass: h = ReLU(W1 x + b1), alpha = sigmoid(W_attn h + b_attn),
 h_tilde = alpha * h, y_hat = sigmoid(w2 . h_tilde + b2), trained with
 binary cross-entropy. Gradients are exact; the ReLU subgradient at 0 is 0.
+`augment` widens a feature matrix with h_tilde, the block the trees see.
 
 Training keeps the six parameters as views into one float64 vector and writes
 each mini-batch's mean gradient into a second vector with the same layout, so
@@ -35,7 +36,6 @@ from . import tabular
 from .errors import DataError
 from .tabular import FeatureMatrix
 
-AUGMENT_MODES = ("weighted-hidden", "attention-vector")
 OPTIMIZERS = ("plain-sgd", "adaptive-moments")
 
 
@@ -325,14 +325,14 @@ def _sub_network(params: AttentionParams, units: np.ndarray) -> AttentionParams:
                            b2=params.b2, d=params.d, k=units.size)
 
 
-def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hidden") -> FeatureMatrix:
-    """Append per-row network features (h_tilde or alpha) to the input columns.
+def augment(params: AttentionParams, X: FeatureMatrix) -> FeatureMatrix:
+    """Append each row's attention-weighted hidden features h * alpha to its input columns.
 
     The hidden layer is computed in one product straight into the output's
     attention block. The gate follows in row blocks of at most
     tabular._BLOCK_CELLS cells, each block's gate and sigmoid scratch reused
-    from one allocation, and each block of the output then becomes h * alpha
-    or alpha in place. So besides the output augment holds about three
+    from one allocation, and each block of the output is then multiplied by
+    its gate in place. So besides the output augment holds about three
     blocks, whatever the row count. Block sizes differ by at most one row, so
     no block is a short tail: OpenBLAS takes other kernels for a product of
     one row (and, at k = 128, of up to 9 rows), whose sums can differ in the
@@ -340,8 +340,6 @@ def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hid
     the whole-matrix kernels, so the output is bitwise that of one
     whole-matrix pass (the tests check it against the allocating form).
     """
-    if mode not in AUGMENT_MODES:
-        raise ValueError(f"augment mode must be one of {AUGMENT_MODES}, got {mode!r}")
     if X.d != params.d:
         raise ValueError(f"matrix width {X.d} does not match network input width {params.d}")
     values = X.values
@@ -364,9 +362,6 @@ def augment(params: AttentionParams, X: FeatureMatrix, mode: str = "weighted-hid
         np.matmul(h, params.W_attn.T, out=A)
         A += params.b_attn
         _sigmoid_into(A, A, den, mask)
-        if mode == "weighted-hidden":
-            h *= A
-        else:
-            h[...] = A
+        h *= A
         lo += len(A)
     return FeatureMatrix(values=out, feature_names=[*X.feature_names, *attention_names(k)])

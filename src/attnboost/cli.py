@@ -93,8 +93,7 @@ def _resolve_table(args, cfg: RunConfig) -> RawTable:
 def _run_settings(cfg: RunConfig) -> dict:
     """The settings that the experiment runners and run_fingerprint take, by parameter name."""
     return {"attention_config": cfg.attention, "boost_config": cfg.boost,
-            "split_fraction": cfg["split.fraction"], "split_seed": cfg["split.seed"],
-            "augment_mode": cfg["model.augment_mode"]}
+            "split_fraction": cfg["split.fraction"], "split_seed": cfg["split.seed"]}
 
 
 def cmd_train(args) -> int:
@@ -109,7 +108,6 @@ def cmd_train(args) -> int:
         split.y_train,
         settings["attention_config"],
         settings["boost_config"],
-        augment_mode=cfg["model.augment_mode"],
         shallow_k=cfg["model.shallow_k"],
         preprocessor=state,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .attention import AUGMENT_MODES, TrainConfig
+from .attention import TrainConfig
 from .errors import ConfigError
 from .experiments import DEFAULT_COEFFICIENTS, SyntheticSpec
 from .fusion import DEFAULT_SHALLOW_K, VARIANT_KINDS
@@ -38,7 +38,6 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
     **_section_specs("attention", TrainConfig),
     **_section_specs("boost", BoostConfig),
     "model.variant": (str, "full"),
-    "model.augment_mode": (str, "weighted-hidden"),
     "model.shallow_k": (int, DEFAULT_SHALLOW_K),
     "synth.rows": (int, 2000),
     "synth.seed": (int, 42),
@@ -49,7 +48,7 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
 }
 
 # keys whose value must be one of a closed set, checked before any data is read
-_CHOICES = {"model.variant": VARIANT_KINDS, "model.augment_mode": AUGMENT_MODES}
+_CHOICES = {"model.variant": VARIANT_KINDS}
 
 
 def parse_value(key: str, text: str):

@@ -198,7 +198,7 @@ def prepare(table: RawTable, drop: list[str] | None, split_fraction: float,
 
 def _evaluate_variant(kind: str, state: PreprocessorState, split: SplitResult,
                       attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
-                      augment_mode: str, shallow_k: int) -> MetricsReport:
+                      shallow_k: int) -> MetricsReport:
     """Fit one variant on a prepared split and score its test rows."""
     model = fusion.fit_variant(
         kind,
@@ -206,7 +206,6 @@ def _evaluate_variant(kind: str, state: PreprocessorState, split: SplitResult,
         split.y_train,
         attention_config,
         boost_config,
-        augment_mode=augment_mode,
         shallow_k=shallow_k,
         preprocessor=state,
     )
@@ -225,7 +224,7 @@ def _split_digest(split: SplitResult) -> str:
 
 def run_fingerprint(split: SplitResult, attention_config: TrainConfig,
                     boost_config: gbdt.BoostConfig, split_fraction: float, split_seed: int,
-                    augment_mode: str, **parts) -> str:
+                    **parts) -> str:
     """SHA-256 of a run's settings plus `parts` and its split's data, as canonical JSON.
 
     Hashing the split's data means runs on different tables never share one,
@@ -235,7 +234,6 @@ def run_fingerprint(split: SplitResult, attention_config: TrainConfig,
         "attention": asdict(attention_config),
         "boost": asdict(boost_config),
         "split": {"fraction": split_fraction, "seed": split_seed},
-        "augment_mode": augment_mode,
         "data": _split_digest(split),
         **parts,
     }, sort_keys=True, separators=(",", ":"), default=str)
@@ -244,11 +242,10 @@ def run_fingerprint(split: SplitResult, attention_config: TrainConfig,
 
 def _record(rows: list[tuple[str, MetricsReport]], split: SplitResult,
             attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
-            split_fraction: float, split_seed: int, augment_mode: str,
-            **parts) -> ExperimentResult:
+            split_fraction: float, split_seed: int, **parts) -> ExperimentResult:
     """The result of a run: its rows, seeds and run_fingerprint."""
     fingerprint = run_fingerprint(split, attention_config, boost_config, split_fraction,
-                                  split_seed, augment_mode, **parts)
+                                  split_seed, **parts)
     seeds = {
         "attention": attention_config.seed,
         "boost": boost_config.seed,
@@ -266,17 +263,16 @@ def run_ablation(
     split_seed: int = 42,
     drop: list[str] | None = None,
     shallow_k: int = fusion.DEFAULT_SHALLOW_K,
-    augment_mode: str = "weighted-hidden",
 ) -> ExperimentResult:
     """Train and evaluate every fusion.VARIANT_KINDS entry on one shared stratified split."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
     state, split = prepare(table, drop, split_fraction, split_seed)
     rows = [(kind, _evaluate_variant(kind, state, split, attention_config, boost_config,
-                                     augment_mode, shallow_k))
+                                     shallow_k))
             for kind in fusion.VARIANT_KINDS]
     return _record(rows, split, attention_config, boost_config, split_fraction,
-                   split_seed, augment_mode, experiment="ablation", shallow_k=shallow_k,
+                   split_seed, experiment="ablation", shallow_k=shallow_k,
                    drop=sorted(state.dropped_columns))
 
 
@@ -288,7 +284,6 @@ def run_feature_removal(
     split_fraction: float = 0.8,
     split_seed: int = 42,
     drop: list[str] | None = None,
-    augment_mode: str = "weighted-hidden",
 ) -> ExperimentResult:
     """Retrain the full pipeline once per removed feature, plus an intact run."""
     attention_config = attention_config or TrainConfig()
@@ -307,8 +302,8 @@ def run_feature_removal(
         state, split = prepare(table if name is None else table.drop_column(name), drop,
                                split_fraction, split_seed)
         report = _evaluate_variant("full", state, split, attention_config, boost_config,
-                                   augment_mode, fusion.DEFAULT_SHALLOW_K)
+                                   fusion.DEFAULT_SHALLOW_K)
         rows.append(("None (Full Model)" if name is None else f"{name} Removed", report))
     return _record(rows, split, attention_config, boost_config, split_fraction,
-                   split_seed, augment_mode, experiment="feature_removal",
+                   split_seed, experiment="feature_removal",
                    features=list(features), drop=sorted(state.dropped_columns))

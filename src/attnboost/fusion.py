@@ -7,7 +7,7 @@ network stage: `no_attention` boosts on the input matrix alone,
 `frozen_attention` widens it with the untrained network, `shallow_attention`
 with a network of width `shallow_k`, and `random_attention` with uniforms drawn
 from each row's own values, so a row's score never depends on the rows scored
-with it.
+with it. A network's features are always its gated hidden layer h * alpha.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ DEFAULT_SHALLOW_K = 16
 class AttnBoostModel:
     preprocessor: PreprocessorState | None
     attention: attn.AttentionParams | None
-    augment_mode: str  # weighted-hidden | attention-vector | none
     ensemble: gbdt.Ensemble
     variant: str
     attention_seed: int
@@ -68,9 +67,9 @@ def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
         block = _random_block(X.values, model.random_k, model.attention_seed)
         return FeatureMatrix(values=np.hstack([X.values, block]),
                              feature_names=[*X.feature_names, *attn.attention_names(model.random_k)])
-    if model.augment_mode == "none":
+    if model.attention is None:
         return X
-    return attn.augment(model.attention, X, model.augment_mode)
+    return attn.augment(model.attention, X)
 
 
 def fit_variant(
@@ -79,7 +78,6 @@ def fit_variant(
     y: np.ndarray,
     attention_config: attn.TrainConfig,
     boost_config: gbdt.BoostConfig,
-    augment_mode: str = "weighted-hidden",
     shallow_k: int = DEFAULT_SHALLOW_K,
     preprocessor: PreprocessorState | None = None,
 ) -> AttnBoostModel:
@@ -90,14 +88,10 @@ def fit_variant(
     """
     if kind not in VARIANT_KINDS:
         raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANT_KINDS}")
-    if augment_mode not in attn.AUGMENT_MODES:
-        raise ValueError(f"unknown augment mode {augment_mode!r}; "
-                         f"expected one of {attn.AUGMENT_MODES}")
 
     model = AttnBoostModel(
         preprocessor=preprocessor,
         attention=None,
-        augment_mode="none",
         ensemble=None,
         variant=kind,
         attention_seed=attention_config.seed,
@@ -111,8 +105,6 @@ def fit_variant(
     elif kind == "shallow_attention":
         model.attention, _ = attn.train(X, y, replace(attention_config, k=shallow_k))
     # no_attention trains on the raw matrix as-is
-    if model.attention is not None:
-        model.augment_mode = augment_mode
 
     model.ensemble = gbdt.train_boosting(_model_inputs(model, X), y, boost_config)
     return model

@@ -11,8 +11,9 @@ derives them from the features), each tree's node count, and gains for splits
 only; it is checked for structure on load in one pass over all trees. The
 preprocessor section holds no feature or target names, which follow from its
 schema, and is checked against what fitting guarantees. The meta section must
-name a known variant and augment mode that agree with the attention section,
-the ensemble's width must be the input width plus the variant's block, and a
+name a known variant, which has an attention section exactly when it widens
+the matrix with a network (the block is then always h * alpha), the
+ensemble's width must be the input width plus the variant's block, and a
 section whose contents do not decode, such as a seed that is not an integer,
 raises ModelFormatError like a damaged one, as does a node value, gain, base
 score or attention parameter that is not finite, or a learning rate outside
@@ -30,14 +31,15 @@ import tempfile
 
 import numpy as np
 
-from .attention import AUGMENT_MODES, AttentionParams
+from .attention import AttentionParams
 from .errors import DataError, ModelFormatError
 from .fusion import VARIANT_KINDS, AttnBoostModel
 from .gbdt import Ensemble, Tree
-from .tabular import EPSILON_STD, ColumnSchema, PreprocessorState, _validate_schema
+from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorState,
+                      _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _NETWORK_FREE_VARIANTS = ("no_attention", "random_attention")  # fitted without a network
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and split features
@@ -165,22 +167,47 @@ def _preprocessor_payload(state: PreprocessorState | None):
 def _preprocessor_from_payload(payload) -> PreprocessorState | None:
     """Decode the preprocessor state and check what fit_preprocessor guarantees.
 
-    The schema has unique names and one binary-target column. Each kept
-    category or string column has a map whose codes are the integers 0..n-1,
-    each once, and each kept numeric column a [mean, standard deviation] pair
-    of finite numbers, the deviation at least EPSILON_STD; no other column has
-    either. An error names the key, and the column.
+    Each schema entry is a string name, a known kind and a JSON boolean
+    nullable; the names are unique and one column is the binary target. The
+    target's positive value is a string other than TARGET_NEGATIVE, or null.
+    The dropped columns are a list of schema columns other than the target,
+    each once. Each kept category or string column has a map whose codes are
+    the integers 0..n-1, each once, and each kept numeric column a [mean,
+    standard deviation] pair of finite numbers, the deviation at least
+    EPSILON_STD; no other column has either. An error names the key, and the
+    column.
     """
     if payload is None:
         return None
-    schema = [ColumnSchema(n, k, bool(nl)) for n, k, nl in payload["schema"]]
+    schema = []
+    for name, kind, nullable in payload["schema"]:
+        if type(name) is not str:
+            raise ModelFormatError(f"section 'preprocessor' schema: column name {name!r} "
+                                   "is not a string")
+        if type(nullable) is not bool:
+            raise ModelFormatError(f"section 'preprocessor' schema: column {name!r} has "
+                                   f"nullable {nullable!r}, not a JSON boolean")
+        schema.append(ColumnSchema(name, kind, nullable))
     category_maps = {c: dict(m) for c, m in payload["category_maps"].items()}
     numeric_stats = {c: tuple(v) for c, v in payload["numeric_stats"].items()}
-    dropped = list(payload["dropped_columns"])
+    dropped, positive = payload["dropped_columns"], payload["target_positive"]
     try:
         _validate_schema(schema)
     except DataError as exc:
         raise ModelFormatError(f"section 'preprocessor' schema: {exc}") from exc
+    (target,) = [c.name for c in schema if c.kind == "binary-target"]
+    if positive is not None and (type(positive) is not str or positive == TARGET_NEGATIVE):
+        raise ModelFormatError(f"section 'preprocessor' target_positive: column {target!r} "
+                               f"needs a string other than {TARGET_NEGATIVE!r}, or null, "
+                               f"got {positive!r}")
+    if type(dropped) is not list:
+        raise ModelFormatError(f"section 'preprocessor' dropped_columns: expected a list of "
+                               f"column names, got {dropped!r}")
+    droppable = [c.name for c in schema if c.name != target]
+    for i, column in enumerate(dropped):
+        if type(column) is not str or column not in droppable or column in dropped[:i]:
+            raise ModelFormatError(f"section 'preprocessor' dropped_columns: column {column!r} "
+                                   "is not a schema column other than the target, named once")
     for key, stored, kinds in (("category_maps", category_maps, ("category", "string")),
                                ("numeric_stats", numeric_stats, ("integer", "float"))):
         wanted = sorted(c.name for c in schema if c.kind in kinds and c.name not in dropped)
@@ -201,7 +228,7 @@ def _preprocessor_from_payload(payload) -> PreprocessorState | None:
                                    f"{EPSILON_STD}, got {list(stats)}")
     return PreprocessorState(schema=schema, category_maps=category_maps,
                              numeric_stats=numeric_stats, dropped_columns=dropped,
-                             target_positive=payload["target_positive"])
+                             target_positive=positive)
 
 
 def _attention_payload(params: AttentionParams | None):
@@ -226,10 +253,10 @@ def _integer(payload: dict, key: str) -> int:
 
 
 def _meta_from_payload(meta: dict) -> dict:
-    for key, allowed in (("variant", VARIANT_KINDS), ("augment_mode", (*AUGMENT_MODES, "none"))):
-        if meta[key] not in allowed:
-            raise ModelFormatError(f"unknown {key} {meta[key]!r}; expected one of {allowed}")
-    return {"variant": meta["variant"], "augment_mode": meta["augment_mode"],
+    if meta["variant"] not in VARIANT_KINDS:
+        raise ModelFormatError(f"unknown variant {meta['variant']!r}; "
+                               f"expected one of {VARIANT_KINDS}")
+    return {"variant": meta["variant"],
             **{key: _integer(meta, key) for key in ("attention_seed", "random_k")}}
 
 
@@ -243,7 +270,6 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
     sections = {
         "meta": {
             "variant": model.variant,
-            "augment_mode": model.augment_mode,
             "attention_seed": model.attention_seed,
             "random_k": model.random_k,
             "fingerprint": fingerprint,
@@ -316,16 +342,14 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
 def _check_sections_agree(model: AttnBoostModel) -> None:
     """Meta, attention and ensemble must describe one model, as fit_variant builds it.
 
-    A network variant has an attention section and an augment mode; no_attention
-    and random_attention have neither, and random_attention draws random_k >= 1
+    A network variant has an attention section; no_attention and
+    random_attention have none, and random_attention draws random_k >= 1
     columns. The ensemble reads the input columns followed by the block.
     """
-    variant, mode, params = model.variant, model.augment_mode, model.attention
-    wants_network = variant not in _NETWORK_FREE_VARIANTS
-    if (mode != "none") != wants_network or (params is not None) != wants_network:
-        raise ModelFormatError(
-            f"variant {variant!r} with augment_mode {mode!r} does not match an attention "
-            f"section that is {'absent' if params is None else 'present'}")
+    variant, params = model.variant, model.attention
+    if (params is not None) != (variant not in _NETWORK_FREE_VARIANTS):
+        raise ModelFormatError(f"variant {variant!r} does not match an attention section "
+                               f"that is {'absent' if params is None else 'present'}")
     if variant == "random_attention" and model.random_k < 1:
         raise ModelFormatError(f"random_attention needs random_k >= 1, got {model.random_k}")
     block = model.random_k if variant == "random_attention" else 0

@@ -175,8 +175,7 @@ def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
     return params, history
 
 
-def reference_augment(params: AttentionParams, X: FeatureMatrix, mode: str) -> FeatureMatrix:
-    _, A, Ht, _ = _forward_batch(params, X.values)
-    block = Ht if mode == "weighted-hidden" else A
+def reference_augment(params: AttentionParams, X: FeatureMatrix) -> FeatureMatrix:
+    _, _, Ht, _ = _forward_batch(params, X.values)
     names = list(X.feature_names) + [f"attn_{i}" for i in range(params.k)]
-    return FeatureMatrix(values=np.hstack([X.values, block]), feature_names=names)
+    return FeatureMatrix(values=np.hstack([X.values, Ht]), feature_names=names)

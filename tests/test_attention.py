@@ -125,13 +125,16 @@ def assert_epoch_matches_finite_differences(params, X, y, batch_size, rel=1e-4, 
 
 
 def batch_forward(params: AttentionParams, X):
-    """(alpha, h_tilde, y_hat) per row from the code `augment` and `train` run."""
+    """(alpha, h_tilde, y_hat) per row from the code `augment` and `train` run.
+
+    alpha and y_hat are what `_Trainer.gradient` leaves in its gate and output
+    buffers; h_tilde is `augment`'s block.
+    """
     X = np.asarray(X, dtype=float)
-    alpha = augment(params, _fm(X), "attention-vector").values[:, params.d:]
-    h_tilde = augment(params, _fm(X), "weighted-hidden").values[:, params.d:]
+    h_tilde = augment(params, _fm(X)).values[:, params.d:]
     trainer = _Trainer(params, X.shape[0], TrainConfig(k=params.k))
     trainer.gradient(X, np.zeros(X.shape[0]), np.arange(X.shape[0]))
-    return alpha, h_tilde, trainer.y_hat.copy()
+    return trainer.A.copy(), h_tilde, trainer.y_hat.copy()
 
 
 def bits(a):
@@ -533,47 +536,33 @@ class TestAugment:
         p = init_params(19, 128, seed=0)
         X = FeatureMatrix(values=np.random.default_rng(0).normal(0, 1, (4, 19)),
                           feature_names=[f"f{i}" for i in range(19)])
-        for mode in ("weighted-hidden", "attention-vector"):
-            out = augment(p, X, mode)
-            assert out.d == 147
-            assert out.feature_names[19:] == [f"attn_{i}" for i in range(128)]
-
-    def test_zero_params_attention_vector_is_half(self):
-        X = FeatureMatrix(values=np.ones((5, 2)), feature_names=["a", "b"])
-        out = augment(_zero_params(2, 3), X, "attention-vector")
-        assert np.array_equal(out.values[:, 2:], np.full((5, 3), 0.5))
+        out = augment(p, X)
+        assert out.d == 147
+        assert out.feature_names[19:] == [f"attn_{i}" for i in range(128)]
 
     def test_zero_params_weighted_hidden_is_zero(self):
         X = FeatureMatrix(values=np.ones((5, 2)), feature_names=["a", "b"])
-        out = augment(_zero_params(2, 3), X, "weighted-hidden")
+        out = augment(_zero_params(2, 3), X)
         assert not out.values[:, 2:].any()
 
     def test_width_mismatch(self):
         p = init_params(3, 2, seed=0)
         X = FeatureMatrix(values=np.ones((2, 4)), feature_names=list("abcd"))
         with pytest.raises(ValueError):
-            augment(p, X, "weighted-hidden")
+            augment(p, X)
 
-    def test_unknown_mode(self):
-        p = init_params(2, 2, seed=0)
-        X = FeatureMatrix(values=np.ones((1, 2)), feature_names=["a", "b"])
-        with pytest.raises(ValueError):
-            augment(p, X, "softmax")
-
-    @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
-    def test_matches_reference_bitwise(self, mode):
+    def test_matches_reference_bitwise(self):
         rng = np.random.default_rng(17)
         for k in (1, 16):
             X = _fm(rng.normal(0, 2, (57, 7)))
             for params in (_random_params(7, k, rng),
                            train(X, rng.integers(0, 2, 57), TrainConfig(k=k, epochs=2, batch_size=8))[0]):
-                out, ref = augment(params, X, mode), reference_augment(params, X, mode)
+                out, ref = augment(params, X), reference_augment(params, X)
                 assert np.array_equal(bits(out.values), bits(ref.values))
                 assert out.feature_names == ref.feature_names
-            assert augment(params, _fm(np.zeros((0, 7))), mode).values.shape == (0, 7 + k)
+            assert augment(params, _fm(np.zeros((0, 7)))).values.shape == (0, 7 + k)
 
-    @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
-    def test_blocks_equal_one_whole_matrix_pass(self, mode, monkeypatch):
+    def test_blocks_equal_one_whole_matrix_pass(self, monkeypatch):
         # blocks of at most 32 rows at k = 16; n on either side of one and two
         # block boundaries. 33 rows go as 17 + 16 and 1025 as 33 blocks of 31
         # or 32: a lone last row would take BLAS's one-row kernel, whose sums
@@ -585,7 +574,7 @@ class TestAugment:
                        train(X, rng.integers(0, 2, 1025), TrainConfig(k=16, epochs=1, batch_size=64))[0]):
             for n in (1, 31, 32, 33, 63, 64, 65, 97, 1025):
                 part = _fm(X.values[:n])
-                out, ref = augment(params, part, mode), reference_augment(params, part, mode)
+                out, ref = augment(params, part), reference_augment(params, part)
                 assert np.array_equal(bits(out.values), bits(ref.values)), n
 
     def test_peak_memory_is_the_output_and_a_few_blocks(self):

@@ -358,9 +358,6 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("extra", [
         ["--model.variant", "bogus"],
-        ["--model.augment_mode", "bogus"],
-        ["--model.variant", "no_attention", "--model.augment_mode", "bogus"],
-        ["--model.variant", "random_attention", "--model.augment_mode", "bogus"],
         ["--model.shallow_k", "0"],
     ])
     def test_bad_choice_exits_2_before_data_is_read(self, tmp_path, extra, capsys):
@@ -369,6 +366,12 @@ class TestConfigHandling:
                     "--out", str(tmp_path / "m.bin")) == 2
         err = capsys.readouterr().err
         assert f"key {extra[-2][2:]!r}" in err and extra[-1] in err
+
+    def test_augment_mode_flag_exits_2(self, tmp_path, synth_csv, capsys):
+        # no setting chooses the block: it is always h * alpha
+        assert _run("train", "--data", synth_csv, "--model.augment_mode", "weighted-hidden",
+                    "--out", str(tmp_path / "m.bin")) == 2
+        assert "--model.augment_mode" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         *((key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)),

@@ -157,7 +157,7 @@ class TestRunAblation:
     def test_fingerprint_is_pinned(self, ablation_result):
         # a changed, added or dropped fingerprint key changes every CSV's header
         assert ablation_result.fingerprint == \
-            "19b630329056529c51fdeab222a1065cac9a4d3abc38ba4231109d83b795f908"
+            "6cfd165f4fc2c3fd46bbcef2ff3a873d90d55cf598e334dd393d6a6ffe037a33"
 
 
 class TestFingerprintIdentifiesTheRun:
@@ -233,7 +233,7 @@ class TestRunFeatureRemoval:
 
     def test_fingerprint_and_seeds_are_pinned(self, removal_result):
         assert removal_result.fingerprint == \
-            "e9c61592a4471630b8dfe8583d74ca836cc1791080344eec8851cbb0e25db7a8"
+            "647030d074c548d5f07dfe1cbbbf913e30d14d56c1c7eec3b2ea459131360ae5"
         assert removal_result.seeds == {"attention": 0, "boost": 42, "split": 42}
 
     def test_full_model_row_uses_the_intact_split(self, removal_result):

@@ -99,7 +99,6 @@ class TestFitVariant:
         X, y = _toy_matrix()
         model = fit_variant("no_attention", X, y, TrainConfig(k=4, epochs=1),
                             _small_boost())
-        assert model.augment_mode == "none"
         assert model.attention is None
         assert len(model.ensemble.feature_names) == X.d
 
@@ -155,13 +154,6 @@ class TestFitVariant:
         with pytest.raises(ValueError, match="unknown variant"):
             fit_variant("mystery", X, y, TrainConfig(k=2, epochs=1), _small_boost())
 
-    @pytest.mark.parametrize("kind", VARIANT_KINDS)
-    def test_unknown_augment_mode_rejected(self, kind):
-        X, y = _toy_matrix()
-        with pytest.raises(ValueError, match="'bogus'"):
-            fit_variant(kind, X, y, TrainConfig(k=2, epochs=1), _small_boost(),
-                        augment_mode="bogus")
-
     def test_variant_enumeration_complete(self):
         assert VARIANT_KINDS == ("full", "no_attention", "random_attention",
                                  "frozen_attention", "shallow_attention")
@@ -184,7 +176,6 @@ class TestPredict:
         model = AttnBoostModel(
             preprocessor=state,
             attention=None,
-            augment_mode="none",
             ensemble=Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1,
                                          feature_names=list(state.feature_names)),
             variant="no_attention",
@@ -215,14 +206,13 @@ class TestPredict:
 class TestBatchInvariance:
     """A row's score is a function of the row alone, whatever it is scored with."""
 
-    @pytest.mark.parametrize("mode", ["weighted-hidden", "attention-vector"])
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
-    def test_row_alone_equals_row_in_batch(self, planted_split, kind, mode):
+    def test_row_alone_equals_row_in_batch(self, planted_split, kind):
         state, split, _ = planted_split
         model = fit_variant(kind, split.X_train, split.y_train, TrainConfig(k=8, epochs=2),
-                            _small_boost(), augment_mode=mode, shallow_k=4, preprocessor=state)
+                            _small_boost(), shallow_k=4, preprocessor=state)
         X = split.X_test
-        rng = np.random.default_rng(sum(map(ord, kind + mode)))
+        rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(5):
             batch = rng.choice(X.n_rows, size=int(rng.integers(2, 60)), replace=True)
             together, _ = predict_matrix(model, FeatureMatrix(X.values[batch], X.feature_names))

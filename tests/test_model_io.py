@@ -20,7 +20,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "fe35f2c4ea20594f059efc062e863bc79c382afd2b7c66132bb450681c6b56c6"
+PINNED_SHA256 = "436ad44299f4614cf1f14c40ff50985c7e364c0fc4776e759e4e9cf4a7c39888"
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ class TestRoundTrip:
         assert sorted(sections["preprocessor"]["payload"]) == [
             "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
         assert sorted(sections["meta"]["payload"]) == [
-            "attention_seed", "augment_mode", "fingerprint", "random_k", "variant"]
+            "attention_seed", "fingerprint", "random_k", "variant"]
 
     def test_zero_tree_model_round_trip(self, tmp_path):
         csv_path, path = str(tmp_path / "rows.csv"), str(tmp_path / "zero.model")
@@ -131,7 +131,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 4
+    assert FORMAT_VERSION == 5
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -189,6 +189,12 @@ def _retype_columns(preprocessor: dict, kind: str, to: str) -> None:
     """Give every schema column of `kind` the kind `to`."""
     preprocessor["schema"] = [[n, to if k == kind else k, nl]
                               for n, k, nl in preprocessor["schema"]]
+
+
+def _set_schema_field(preprocessor: dict, kind: str, field: int, value) -> None:
+    """Set field `field` (0 name, 2 nullable) of the first schema entry of `kind`."""
+    entry = next(e for e in preprocessor["schema"] if e[1] == kind)
+    entry[field] = value
 
 
 class TestDamagedFiles:
@@ -272,9 +278,21 @@ class TestDamagedFiles:
         json.dump(document, open(path, "w"))
         self._assert_version_rejected(path, 3, tmp_path, capsys)
 
+    def test_version_4_file_rejected(self, fitted, tmp_path, capsys):
+        # version 4 also stored meta augment_mode, which chose h * alpha or alpha alone as
+        # the block; no version 4 file is read
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        meta = document["sections"]["meta"]
+        meta["payload"]["augment_mode"] = "weighted-hidden"
+        meta["checksum"] = _checksum(meta["payload"])
+        document["version"] = 4
+        json.dump(document, open(path, "w"))
+        self._assert_version_rejected(path, 4, tmp_path, capsys)
+
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 4"
-        assert FORMAT_VERSION == 4
+        message = f"unsupported model format version {version}, expected 5"
+        assert FORMAT_VERSION == 5
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -475,9 +493,29 @@ class TestDamagedFiles:
          "schema", "schema must have exactly one binary-target column, found []"),
         (lambda pre: _retype_columns(pre, "category", "binary-target"),
          "schema", "schema must have exactly one binary-target column, found ["),
+        (lambda pre: _set_schema_field(pre, "date", 0, 5), "schema",
+         "column name 5 is not a string"),
+        (lambda pre: _set_schema_field(pre, "category", 2, "no"), "schema",
+         "has nullable 'no', not a JSON boolean"),
+        (lambda pre: pre.update(target_positive=7), "target_positive",
+         "column 'Returned' needs a string other than 'Not', or null, got 7"),
+        (lambda pre: pre.update(target_positive="Not"), "target_positive",
+         "got 'Not'"),
+        (lambda pre: pre.update(dropped_columns="Order Date"), "dropped_columns",
+         "expected a list of column names, got 'Order Date'"),
+        (lambda pre: pre.update(dropped_columns=[7]), "dropped_columns", "column 7 is not"),
+        (lambda pre: pre.update(dropped_columns=["Nope"]), "dropped_columns",
+         "column 'Nope' is not a schema column"),
+        (lambda pre: pre.update(dropped_columns=["Returned"]), "dropped_columns",
+         "column 'Returned' is not a schema column other than the target"),
+        (lambda pre: pre.update(dropped_columns=["Order Date", "Order Date"]),
+         "dropped_columns", "column 'Order Date' is not a schema column other than the "
+         "target, named once"),
     ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "code_text",
             "code_fraction", "code_true", "codes_not_0_to_n", "map_missing", "no_target",
-            "two_targets"])
+            "two_targets", "name_not_text", "nullable_text", "positive_number",
+            "positive_is_negative", "dropped_not_list", "dropped_not_text", "dropped_unknown", "dropped_target",
+            "dropped_twice"])
     def test_malformed_preprocessor_contents_rejected(self, fitted, tmp_path, capsys, edit,
                                                       key, message):
         path = self._saved(fitted, tmp_path)
@@ -491,6 +529,20 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         err = capsys.readouterr().err
         assert f"section 'preprocessor' {key}" in err and "Traceback" not in err
+
+    def test_damaged_target_value_blames_the_model_file_not_the_data(self, fitted, tmp_path,
+                                                                      capsys):
+        # before target_positive was checked, evaluate loaded this file and then blamed the
+        # data: "row 1, column 'Returned': target value 'Yes' outside vocabulary ['Not', 7]"
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "preprocessor",
+                           lambda pre: pre.update(target_positive=7, dropped_columns=["Nope"]))
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["evaluate", "--model", path, "--data", csv_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: section 'preprocessor' target_positive")
+        assert "row " not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "random_k"),
                                              ("attention", "d"), ("attention", "k")])
@@ -526,7 +578,6 @@ class TestDamagedFiles:
         # a file of the removed manual_weights variant: thresholds cut on scaled columns
         ({"variant": "manual_weights", "manual_weights": {"Discount": 2.0}}, "'manual_weights'"),
         ({"variant": "equal_weight"}, "'equal_weight'"),
-        ({"augment_mode": "bogus"}, "'bogus'"),
     ])
     def test_unknown_meta_value_with_valid_checksum_rejected(self, fitted, tmp_path, edit,
                                                              message):
@@ -538,13 +589,10 @@ class TestDamagedFiles:
 
     @pytest.mark.parametrize("kind,edit,message", [
         # a network-free file told to widen its rows with a network it does not have
-        ("no_attention", {"augment_mode": "weighted-hidden"}, "section that is absent"),
-        ("no_attention", {"variant": "full", "augment_mode": "weighted-hidden"},
-         "section that is absent"),
-        ("full", {"augment_mode": "none"}, "section that is present"),
+        ("no_attention", {"variant": "full"}, "section that is absent"),
+        ("random_attention", {"variant": "shallow_attention"}, "section that is absent"),
         ("full", {"variant": "no_attention"}, "section that is present"),
-        ("full", {"variant": "random_attention", "augment_mode": "none"},
-         "section that is present"),
+        ("full", {"variant": "random_attention"}, "section that is present"),
         ("random_attention", {"random_k": 0}, "random_k >= 1"),
     ])
     def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
