@@ -373,6 +373,14 @@ class TestConfigHandling:
                     "--out", str(tmp_path / "m.bin")) == 2
         assert "--model.augment_mode" in capsys.readouterr().err
 
+    def test_augment_mode_config_key_exits_2(self, tmp_path, synth_csv, capsys):
+        # a config file that chose alpha alone as the block is refused, not read as h * alpha
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("attention.k=6\nmodel.augment_mode=attention-vector\n")
+        assert _run("train", "--data", synth_csv, "--config", str(cfg),
+                    "--out", str(tmp_path / "m.bin")) == 2
+        assert f"{cfg}:2: unknown key 'model.augment_mode'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [
         *((key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)),
         *(("synth.coef", value) for value in ("Discount=nan", "Sales=inf", "Profit=-inf")),

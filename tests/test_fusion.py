@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attention_reference import reference_train
+from attention_reference import reference_augment, reference_train
 from attnboost import attention, gbdt
 from attnboost.attention import TrainConfig, init_params, train
 from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, generate_synthetic
@@ -148,6 +148,18 @@ class TestFitVariant:
             assert np.array_equal(np.asarray(getattr(model.attention, name)),
                                   np.asarray(getattr(ref, name)))
         assert len(model.ensemble.feature_names) == X.d + 8
+
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_block_is_gated_hidden_layer_exactly_when_there_is_a_network(self, kind):
+        X, y = _toy_matrix()
+        model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost(), shallow_k=3)
+        inputs = _model_inputs(model, X)
+        assert (model.attention is None) == (kind in ("no_attention", "random_attention"))
+        if model.attention is not None:
+            assert np.array_equal(inputs.values, reference_augment(model.attention, X).values)
+        else:
+            assert inputs.d == X.d + model.random_k
+        assert model.ensemble.feature_names == inputs.feature_names
 
     def test_unknown_kind_rejected(self):
         X, y = _toy_matrix()

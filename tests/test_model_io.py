@@ -594,6 +594,11 @@ class TestDamagedFiles:
         ("full", {"variant": "no_attention"}, "section that is present"),
         ("full", {"variant": "random_attention"}, "section that is present"),
         ("random_attention", {"random_k": 0}, "random_k >= 1"),
+        # every variant is checked by the same rule: a network variant has a section
+        ("no_attention", {"variant": "frozen_attention"}, "section that is absent"),
+        ("random_attention", {"variant": "full"}, "section that is absent"),
+        ("frozen_attention", {"variant": "no_attention"}, "section that is present"),
+        ("shallow_attention", {"variant": "random_attention"}, "section that is present"),
     ])
     def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
                                                               kind, edit, message):
