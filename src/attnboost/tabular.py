@@ -335,7 +335,7 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
         schema=list(table.schema),
         category_maps=category_maps,
         numeric_stats=numeric_stats,
-        dropped_columns=list(drop),
+        dropped_columns=list(dict.fromkeys(drop)),
         target_positive=next(iter(positives)) if positives else None,
     )
 

@@ -330,12 +330,18 @@ class TestConfigHandling:
         assert data == open(by_flags["9"], "rb").read()
         assert data != open(by_flags["5"], "rb").read()
 
-    def test_unknown_config_key_exits_2(self, tmp_path, synth_csv):
+    # model.augment_mode chose alpha alone as the block; a file that still sets it is
+    # refused, not read as h * alpha
+    @pytest.mark.parametrize("line", ["boost.n_estimatorz=12",
+                                      "model.augment_mode=attention-vector"])
+    def test_unknown_config_key_exits_2(self, tmp_path, synth_csv, capsys, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("boost.n_estimatorz=12\n")
+        cfg.write_text(f"attention.k=6\n{line}\n")
         model = str(tmp_path / "m.bin")
         assert _run("train", "--data", synth_csv, "--config", str(cfg),
                     "--out", model) == 2
+        key = line.split("=")[0]
+        assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
 
     def test_both_sources_rejected(self, tmp_path, synth_csv):
         assert _run("train", "--data", synth_csv, "--synthetic",
@@ -367,20 +373,6 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert f"key {extra[-2][2:]!r}" in err and extra[-1] in err
 
-    def test_augment_mode_flag_exits_2(self, tmp_path, synth_csv, capsys):
-        # no setting chooses the block: it is always h * alpha
-        assert _run("train", "--data", synth_csv, "--model.augment_mode", "weighted-hidden",
-                    "--out", str(tmp_path / "m.bin")) == 2
-        assert "--model.augment_mode" in capsys.readouterr().err
-
-    def test_augment_mode_config_key_exits_2(self, tmp_path, synth_csv, capsys):
-        # a config file that chose alpha alone as the block is refused, not read as h * alpha
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text("attention.k=6\nmodel.augment_mode=attention-vector\n")
-        assert _run("train", "--data", synth_csv, "--config", str(cfg),
-                    "--out", str(tmp_path / "m.bin")) == 2
-        assert f"{cfg}:2: unknown key 'model.augment_mode'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("key,value", [
         *((key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)),
         *(("synth.coef", value) for value in ("Discount=nan", "Sales=inf", "Profit=-inf")),
@@ -402,6 +394,18 @@ class TestConfigHandling:
         if _run("train", "--data", synth_csv, *FAST_TRAIN, f"--{key}={value}",
                 "--out", model) == 0:
             load_model(model)
+
+    def test_drop_list_naming_a_column_twice_trains_the_model_naming_it_once(self, tmp_path,
+                                                                             synth_csv):
+        # the loader refuses a file whose dropped_columns repeats a name, so train must
+        # never write one
+        once, twice = str(tmp_path / "once.bin"), str(tmp_path / "twice.bin")
+        for model, drop in ((once, "Sales"), (twice, "Sales,Sales")):
+            assert _run("train", "--data", synth_csv, *FAST_TRAIN,
+                        f"--preprocess.drop={drop}", "--out", model) == 0
+        assert load_model(twice).preprocessor.dropped_columns == ["Sales"]
+        assert open(twice, "rb").read() == open(once, "rb").read()
+        assert _run("evaluate", "--model", twice, "--data", synth_csv) == 0
 
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = RunConfig.merged({}, {})
@@ -474,8 +478,12 @@ class TestExitCodes:
         assert _run("frobnicate") == 2
         assert "usage" in capsys.readouterr().err
 
-    def test_unknown_flag(self, capsys):
-        assert _run("synth", "--bogus", "1") == 2
+    @pytest.mark.parametrize("argv", [("synth", "--bogus", "1"),
+                                      ("train", "--synthetic", "--model.augment_mode",
+                                       "weighted-hidden")])
+    def test_unknown_flag(self, tmp_path, capsys, argv):
+        assert _run(*argv, "--out", str(tmp_path / "out")) == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path):
         assert _run("train", "--data", "/no/such.csv",

@@ -514,8 +514,8 @@ class TestDamagedFiles:
     ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "code_text",
             "code_fraction", "code_true", "codes_not_0_to_n", "map_missing", "no_target",
             "two_targets", "name_not_text", "nullable_text", "positive_number",
-            "positive_is_negative", "dropped_not_list", "dropped_not_text", "dropped_unknown", "dropped_target",
-            "dropped_twice"])
+            "positive_is_negative", "dropped_not_list", "dropped_not_text", "dropped_unknown",
+            "dropped_target", "dropped_twice"])
     def test_malformed_preprocessor_contents_rejected(self, fitted, tmp_path, capsys, edit,
                                                       key, message):
         path = self._saved(fitted, tmp_path)
@@ -526,23 +526,14 @@ class TestDamagedFiles:
         assert message in str(info.value)
         csv_path = self._csv(tmp_path)
         capsys.readouterr()
-        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
-        err = capsys.readouterr().err
-        assert f"section 'preprocessor' {key}" in err and "Traceback" not in err
-
-    def test_damaged_target_value_blames_the_model_file_not_the_data(self, fitted, tmp_path,
-                                                                      capsys):
-        # before target_positive was checked, evaluate loaded this file and then blamed the
-        # data: "row 1, column 'Returned': target value 'Yes' outside vocabulary ['Not', 7]"
-        path = self._saved(fitted, tmp_path)
-        self._edit_payload(path, "preprocessor",
-                           lambda pre: pre.update(target_positive=7, dropped_columns=["Nope"]))
-        csv_path = self._csv(tmp_path)
-        capsys.readouterr()
-        assert run_command(["evaluate", "--model", path, "--data", csv_path]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: section 'preprocessor' target_positive")
-        assert "row " not in err and "Traceback" not in err
+        # before target_positive was checked, evaluate loaded positive_number's file and
+        # then blamed the data: "row 1, column 'Returned': target value 'Yes' outside
+        # vocabulary ['Not', 7]"
+        for command in ("predict", "evaluate"):
+            assert run_command([command, "--model", path, "--data", csv_path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: section 'preprocessor' {key}")
+            assert "row " not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "random_k"),
                                              ("attention", "d"), ("attention", "k")])
