@@ -1,24 +1,24 @@
 """Gated two-layer network producing attention-weighted hidden features.
 
 Forward pass: h = ReLU(W1 x + b1), alpha = sigmoid(W_attn h + b_attn),
-h_tilde = alpha * h, y_hat = sigmoid(w2 . h_tilde + b2), trained with
+h_tilde = alpha * h, y_hat = sigmoid(w2 . h_tilde + b2), trained by Adam on
 binary cross-entropy. Gradients are exact; the ReLU subgradient at 0 is 0.
 `augment` widens a feature matrix with h_tilde, the block the trees see.
 
 Training keeps the six parameters as views into one float64 vector and writes
 each mini-batch's mean gradient into a second vector with the same layout, so
-the optimizer updates everything in one pass over one vector. Every buffer a
-step needs is allocated once per fit and the forward and backward passes work
-in place. Each elementwise operation keeps the operands and order of the
-plain allocating formulation, so results are bitwise equal to it on the
-network that is trained.
+Adam updates everything in one pass over one vector. Every buffer a step needs
+is allocated once per fit and the forward and backward passes work in place.
+Each elementwise operation keeps the operands and order of the plain
+allocating formulation, so results are bitwise equal to it on the network
+that is trained.
 
 That network holds only the live units: those whose initial pre-activation is
 positive on at least one training row. A unit that is dead on every row has
 h = 0 in every batch, so every gradient entry of its W1 row, b1, w2, b_attn
-and W_attn row and column is a sum of zeros, Adam and SGD step it by exactly
-0, it stays dead, and each term it adds to a live unit's sum is an exact
-zero. Training without it is therefore exact in arithmetic; dead units are
+and W_attn row and column is a sum of zeros, Adam steps it by exactly 0, it
+stays dead, and each term it adds to a live unit's sum is an exact zero.
+Training without it is therefore exact in arithmetic; dead units are
 returned bitwise at initialisation, and live parameters may differ from a fit
 over all units in the last bits only, because the matrix products sum the
 remaining terms in another order.
@@ -36,7 +36,9 @@ from . import tabular
 from .errors import DataError
 from .tabular import FeatureMatrix
 
-OPTIMIZERS = ("plain-sgd", "adaptive-moments")
+# the loss clamps predictions to [PROB_CLAMP, 1 - PROB_CLAMP]; below about 5.6e-17,
+# 1 - PROB_CLAMP would round to 1 and the loss to log(0)
+PROB_CLAMP = 1e-12
 
 
 def _sigmoid_into(x, out, den, mask):
@@ -87,8 +89,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adaptive-moments"
-    prob_clamp: float = 1e-12
 
     def __post_init__(self):
         # each range is written so that NaN fails it; a rejection names the field first
@@ -97,10 +97,6 @@ class TrainConfig:
             ("epochs", self.epochs >= 0, "must be non-negative"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("learning_rate", 0.0 < self.learning_rate < math.inf, "must be finite and positive"),
-            # below about 5.6e-17, 1 - prob_clamp rounds to 1 and the loss to log(0)
-            ("prob_clamp", 0.0 < self.prob_clamp < 0.5 and 1.0 - self.prob_clamp < 1.0,
-             "must be in (0, 0.5) with 1 - prob_clamp below 1"),
-            ("optimizer", self.optimizer in OPTIMIZERS, f"must be one of {OPTIMIZERS}"),
         ):
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
@@ -139,7 +135,7 @@ def _views(flat: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
 
 
 class _Trainer:
-    """One fit's flat parameter and gradient vectors, optimizer state and batch buffers.
+    """One fit's flat parameter and gradient vectors, Adam state and batch buffers.
 
     Batch buffers hold `rows` rows; a shorter batch uses their leading rows.
     """
@@ -152,7 +148,6 @@ class _Trainer:
         d, k = params.d, params.k
         self.d, self.k = d, k
         self.learning_rate = config.learning_rate
-        self.prob_clamp = config.prob_clamp
         self.flat = np.concatenate([params.W1.ravel(), params.b1, params.W_attn.ravel(),
                                     params.b_attn, params.w2, [params.b2]])
         self.grad = np.empty_like(self.flat)
@@ -160,12 +155,9 @@ class _Trainer:
         self.grad_views = _views(self.grad, d, k)
         self.update_buf = np.empty_like(self.flat)
         self.t = 0
-        if config.optimizer == "adaptive-moments":
-            self.m = np.zeros_like(self.flat)
-            self.v = np.zeros_like(self.flat)
-            self.denom = np.empty_like(self.flat)
-        else:
-            self.m = None
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.denom = np.empty_like(self.flat)
         self.X = np.empty((rows, d))
         self.H, self.Z, self.A, self.Ht, self.D, self.dZ = (np.empty((rows, k)) for _ in range(6))
         self.mask = np.empty((rows, k), dtype=bool)
@@ -203,7 +195,7 @@ class _Trainer:
         y_hat += b2
         _sigmoid_into(y_hat, y_hat, q, self.mask_out[:m])
 
-        np.clip(y_hat, self.prob_clamp, 1.0 - self.prob_clamp, out=p)
+        np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
         np.subtract(1.0, p, out=q)
         np.log(p, out=p)
         p *= yb
@@ -234,38 +226,35 @@ class _Trainer:
         return loss
 
     def update(self) -> None:
-        """One optimizer step over the whole flat parameter vector."""
-        g, step, lr = self.grad, self.update_buf, self.learning_rate
-        if self.m is None:
-            np.multiply(g, lr, out=step)
-        else:
-            self.t += 1
-            bc1 = 1.0 - self.BETA1 ** self.t
-            bc2 = 1.0 - self.BETA2 ** self.t
-            m, v, denom = self.m, self.v, self.denom
-            m *= self.BETA1
-            np.multiply(g, 1.0 - self.BETA1, out=step)
-            m += step
-            v *= self.BETA2
-            np.multiply(g, g, out=step)
-            step *= 1.0 - self.BETA2
-            v += step
-            np.divide(v, bc2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += self.EPS
-            np.divide(m, bc1, out=step)
-            step *= lr
-            step /= denom
+        """One Adam step over the whole flat parameter vector."""
+        g, step, m, v, denom = self.grad, self.update_buf, self.m, self.v, self.denom
+        self.t += 1
+        bc1 = 1.0 - self.BETA1 ** self.t
+        bc2 = 1.0 - self.BETA2 ** self.t
+        m *= self.BETA1
+        np.multiply(g, 1.0 - self.BETA1, out=step)
+        m += step
+        v *= self.BETA2
+        np.multiply(g, g, out=step)
+        step *= 1.0 - self.BETA2
+        v += step
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.EPS
+        np.divide(m, bc1, out=step)
+        step *= self.learning_rate
+        step /= denom
         self.flat -= step
 
 
 def train(
     X: FeatureMatrix, y: np.ndarray, config: TrainConfig
 ) -> tuple[AttentionParams, list[float]]:
-    """Mini-batch training with seeded per-epoch shuffling.
+    """Mini-batch Adam training of `init_params`' network, with seeded per-epoch shuffling.
 
     Only the live units are trained (see the module docstring); the returned
     parameters keep all `config.k` units, the dead ones at initialisation.
+    With zero epochs the result is `init_params`' network bit for bit.
     Returns the trained parameters and the mean per-sample loss of each epoch.
     """
     values = X.values

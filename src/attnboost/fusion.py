@@ -2,10 +2,10 @@
 
 The full pipeline trains the gated network on the training split, freezes it,
 appends its features to the input matrix, then trains the tree ensemble on
-the widened matrix. The other four ablation variants swap or bypass the
-network stage: `no_attention` boosts on the input matrix alone,
-`frozen_attention` widens it with the untrained network, `shallow_attention`
-with a network of width `shallow_k`, and `random_attention` with uniforms drawn
+the widened matrix. The other four ablation variants change or bypass the
+network stage: `frozen_attention` is `full` fitted for zero epochs,
+`shallow_attention` is `full` at width `shallow_k`, `no_attention` boosts on
+the input matrix alone, and `random_attention` widens it with uniforms drawn
 from each row's own values, so a row's score never depends on the rows scored
 with it. A network's features are always its gated hidden layer h * alpha.
 """
@@ -28,6 +28,8 @@ VARIANT_KINDS = (
     "frozen_attention",
     "shallow_attention",
 )
+# the variants that widen the matrix with a network; the others have none
+NETWORK_VARIANTS = ("full", "frozen_attention", "shallow_attention")
 
 DEFAULT_SHALLOW_K = 16
 
@@ -96,14 +98,14 @@ def fit_variant(
         variant=kind,
         attention_seed=attention_config.seed,
     )
-    if kind == "full":
+    if kind == "frozen_attention":
+        attention_config = replace(attention_config, epochs=0)
+    elif kind == "shallow_attention":
+        attention_config = replace(attention_config, k=shallow_k)
+    if kind in NETWORK_VARIANTS:
         model.attention, _ = attn.train(X, y, attention_config)
     elif kind == "random_attention":
         model.random_k = attention_config.k
-    elif kind == "frozen_attention":
-        model.attention = attn.init_params(X.d, attention_config.k, attention_config.seed)
-    elif kind == "shallow_attention":
-        model.attention, _ = attn.train(X, y, replace(attention_config, k=shallow_k))
     # no_attention trains on the raw matrix as-is
 
     model.ensemble = gbdt.train_boosting(_model_inputs(model, X), y, boost_config)

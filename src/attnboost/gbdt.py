@@ -546,6 +546,8 @@ def train_boosting(
         raise DataError("cannot train on an empty matrix")
     if y.shape[0] != n:
         raise ValueError("feature matrix and target lengths differ")
+    if not np.isin(y, (0, 1)).all():
+        raise DataError("labels must be 0 or 1")
     if np.unique(y).size < 2:
         raise DataError("boosting requires both classes in the target")
 

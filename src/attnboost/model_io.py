@@ -1,23 +1,24 @@
 """Single-file model container with per-section integrity checksums.
 
 The file is JSON with four sections (meta, preprocessor, attention, ensemble)
-and stores nothing that can be derived. Arrays are base64-encoded
-little-endian bytes, float64 for real values and int32 for split features and
-node counts, so a save/load round trip reproduces bit-identical predictions on
-any platform. Each section's checksum is validated before anything is
-constructed; a bad file never yields a partially loaded model. The ensemble
-section stores the learner's own record without child links (the learner
-derives them from the features), each tree's node count, and gains for splits
-only; it is checked for structure on load in one pass over all trees. The
-preprocessor section holds no feature or target names, which follow from its
-schema, and is checked against what fitting guarantees. The meta section must
-name a known variant, which has an attention section exactly when it widens
-the matrix with a network (the block is then always h * alpha), the
-ensemble's width must be the input width plus the variant's block, and a
-section whose contents do not decode, such as a seed that is not an integer,
-raises ModelFormatError like a damaged one, as does a node value, gain, base
-score or attention parameter that is not finite, or a learning rate outside
-(0, 1].
+and stores nothing that can be derived, but for the attention section's d and
+k, which repeat W1's shape. The loader takes only the sections and payload
+keys that save_model writes. Arrays are base64-encoded little-endian bytes,
+float64 for real values and int32 for split features and node counts, so a
+save/load round trip reproduces bit-identical predictions on any platform.
+Each section's checksum is validated before anything is constructed; a bad
+file never yields a partially loaded model. The ensemble section stores the
+learner's own record without child links (the learner derives them from the
+features), each tree's node count, and gains for splits only; it is checked
+for structure on load in one pass over all trees. The preprocessor section
+holds no feature or target names, which follow from its schema, and is checked
+against what fitting guarantees. The meta section must name a known variant,
+which has an attention section exactly when it widens the matrix with a
+network (the block is then always h * alpha), the ensemble's width must be the
+input width plus the variant's block, and a section whose contents do not
+decode, such as a seed that is not an integer, raises ModelFormatError like a
+damaged one, as does a node value, gain, base score or attention parameter
+that is not finite, or a learning rate outside (0, 1].
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ import numpy as np
 
 from .attention import AttentionParams
 from .errors import DataError, ModelFormatError
-from .fusion import VARIANT_KINDS, AttnBoostModel
+from .fusion import NETWORK_VARIANTS, VARIANT_KINDS, AttnBoostModel
 from .gbdt import Ensemble, Tree
 from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorState,
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
 FORMAT_VERSION = 5
-_NETWORK_FREE_VARIANTS = ("no_attention", "random_attention")  # fitted without a network
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and split features
 
@@ -59,8 +59,10 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _encode(arr, dtype: str = "<f8") -> dict:
+def _encode(arr, dtype: str | None = None) -> dict:
+    """An array as base64 bytes of `dtype`; by default _INTEGERS for integers, else float64."""
     arr = np.asarray(arr)
+    dtype = dtype or (_INTEGERS if arr.dtype.kind in "iu" else "<f8")
     return {"shape": list(arr.shape),
             "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
 
@@ -86,10 +88,10 @@ def _ensemble_payload(ensemble: Ensemble) -> dict:
         "base_raw": ensemble.base_raw,
         "learning_rate": ensemble.learning_rate,
         "feature_names": ensemble.feature_names,
-        "node_counts": _encode(ensemble.node_counts, _INTEGERS),
-        "feature": _encode(nodes.feature, _INTEGERS),
-        "value": _encode(nodes.value),
-        "gain": _encode(nodes.gain[nodes.feature >= 0]),  # a leaf's is 0
+        "node_counts": ensemble.node_counts,
+        "feature": nodes.feature,
+        "value": nodes.value,
+        "gain": nodes.gain[nodes.feature >= 0],  # a leaf's is 0
     }
 
 
@@ -235,7 +237,7 @@ def _attention_payload(params: AttentionParams | None):
     if params is None:
         return None
     return {"d": params.d, "k": params.k, "b2": params.b2,
-            **{name: _encode(getattr(params, name)) for name in _ATTENTION_ARRAYS}}
+            **{name: getattr(params, name) for name in _ATTENTION_ARRAYS}}
 
 
 def _attention_from_payload(payload) -> AttentionParams | None:
@@ -265,9 +267,9 @@ _SECTIONS = {"meta": _meta_from_payload, "preprocessor": _preprocessor_from_payl
              "attention": _attention_from_payload, "ensemble": _ensemble_from_payload}
 
 
-def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
-    """Write the model atomically; output bytes are deterministic."""
-    sections = {
+def _payloads(model: AttnBoostModel, fingerprint: str) -> dict:
+    """Each section's payload by section name, its arrays not yet encoded."""
+    return {
         "meta": {
             "variant": model.variant,
             "attention_seed": model.attention_seed,
@@ -278,6 +280,19 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
         "attention": _attention_payload(model.attention),
         "ensemble": _ensemble_payload(model.ensemble),
     }
+
+
+def _encoded(payload: dict | None) -> dict | None:
+    """A payload of _payloads as the file stores it, each array encoded by _encode."""
+    if payload is None:
+        return None
+    return {key: _encode(value) if isinstance(value, np.ndarray) else value
+            for key, value in payload.items()}
+
+
+def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
+    """Write the model atomically; output bytes are deterministic."""
+    sections = {name: _encoded(payload) for name, payload in _payloads(model, fingerprint).items()}
     document = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -321,9 +336,11 @@ def load_model(path: str) -> AttnBoostModel:
         payloads[name] = payload
 
     try:
-        return _model_from_payloads(payloads)
+        model = _model_from_payloads(payloads)
+        _check_only_written(stored, payloads, model)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+    return model
 
 
 def _model_from_payloads(payloads: dict) -> AttnBoostModel:
@@ -342,12 +359,12 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
 def _check_sections_agree(model: AttnBoostModel) -> None:
     """Meta, attention and ensemble must describe one model, as fit_variant builds it.
 
-    A network variant has an attention section; no_attention and
-    random_attention have none, and random_attention draws random_k >= 1
-    columns. The ensemble reads the input columns followed by the block.
+    A variant of fusion.NETWORK_VARIANTS has an attention section and the
+    others have none, and random_attention draws random_k >= 1 columns. The
+    ensemble reads the input columns followed by the block.
     """
     variant, params = model.variant, model.attention
-    if (params is not None) != (variant not in _NETWORK_FREE_VARIANTS):
+    if (params is not None) != (variant in NETWORK_VARIANTS):
         raise ModelFormatError(f"variant {variant!r} does not match an attention section "
                                f"that is {'absent' if params is None else 'present'}")
     if variant == "random_attention" and model.random_k < 1:
@@ -373,3 +390,21 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
         if columns + block != width:
             raise ModelFormatError(f"ensemble has {width} columns but the {source} width "
                                    f"{columns} plus the {block}-column block is {columns + block}")
+
+
+def _check_only_written(stored: dict, payloads: dict, model: AttnBoostModel) -> None:
+    """The file holds the sections and payload keys that save_model writes for the model.
+
+    The expected names are those of `_payloads`, the writers save_model runs,
+    so no key a writer adds can be missed here; no array is encoded to find
+    them. An error names the section and the key.
+    """
+    written = _payloads(model, payloads["meta"].get("fingerprint"))
+    extra = sorted(set(stored) - set(written))
+    if extra:
+        raise ModelFormatError(f"section {extra[0]!r} is not one save_model writes")
+    for name, payload in written.items():  # a null payload decodes to None, written as null
+        keys = sorted(set(payloads[name] or ()) ^ set(payload or ()))
+        if keys:
+            raise ModelFormatError(f"section {name!r}: key {keys[0]!r} is " + (
+                "not one save_model writes" if keys[0] in payloads[name] else "missing"))

@@ -5,8 +5,8 @@
   check the batch gradient that `attention.train` uses.
 - `reference_sigmoid`, `reference_train` and `reference_augment` are the plain
   allocating formulation: boolean-mask sigmoid, fresh arrays for every batch
-  temporary, per-parameter Adam and SGD updates. The in-place training step
-  must match them bit for bit.
+  temporary, per-parameter Adam updates and the loss clamp of 1e-12. The
+  in-place training step must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from attnboost.attention import AttentionParams, TrainConfig, init_params
 from attnboost.tabular import FeatureMatrix
 
 PARAM_FIELDS = ("W1", "b1", "W_attn", "b_attn", "w2", "b2")
+PROB_CLAMP = 1e-12
 
 
 def reference_sigmoid(x):
@@ -63,7 +64,7 @@ def forward(params: AttentionParams, x: np.ndarray) -> ForwardTrace:
     return ForwardTrace(x=x, h=h, alpha=alpha, h_tilde=h_tilde, y_hat=y_hat)
 
 
-def bce_loss(y_hat: float, y: int, prob_clamp: float = 1e-12) -> float:
+def bce_loss(y_hat: float, y: int, prob_clamp: float = PROB_CLAMP) -> float:
     """Binary cross-entropy with the probability clamped away from 0 and 1."""
     if not 0.0 <= y_hat <= 1.0:
         raise ValueError(f"y_hat must be a probability, got {y_hat}")
@@ -135,11 +136,6 @@ class _AdamState:
             setattr(params, name, getattr(params, name) - update)
 
 
-def _sgd_step(params: AttentionParams, grads: Gradients, lr: float) -> None:
-    for name in PARAM_FIELDS:
-        setattr(params, name, getattr(params, name) - lr * getattr(grads, name))
-
-
 def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
                     params: AttentionParams | None = None):
     """The allocating mini-batch loop: same shuffles, same batches, same updates.
@@ -154,8 +150,7 @@ def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
     else:
         params = copy.deepcopy(params)
     rng = np.random.default_rng(config.seed)
-    adam = _AdamState(params) if config.optimizer == "adaptive-moments" else None
-    clamp = config.prob_clamp
+    adam = _AdamState(params)
     history = []
     for _ in range(config.epochs):
         perm = rng.permutation(n)
@@ -164,13 +159,10 @@ def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
             batch = perm[start : start + config.batch_size]
             Xb, yb = values[batch], y[batch]
             H, A, Ht, y_hat = _forward_batch(params, Xb)
-            p = np.clip(y_hat, clamp, 1.0 - clamp)
+            p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
             loss_sum += float(-(yb * np.log(p) + (1 - yb) * np.log(1.0 - p)).sum())
             grads = _backward_batch(params, Xb, yb, H, A, Ht, y_hat)
-            if adam is not None:
-                adam.step(params, grads, config.learning_rate)
-            else:
-                _sgd_step(params, grads, config.learning_rate)
+            adam.step(params, grads, config.learning_rate)
         history.append(loss_sum / n)
     return params, history
 

@@ -385,16 +385,15 @@ class TestTrain:
             assert np.array_equal(np.asarray(getattr(p1, name)),
                                   np.asarray(getattr(p2, name)))
 
-    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
     @pytest.mark.parametrize("k", [1, 16])
     @pytest.mark.parametrize("epochs", [0, 3])
-    def test_bitwise_equal_to_reference(self, optimizer, k, epochs):
+    def test_bitwise_equal_to_reference(self, k, epochs):
         rng = np.random.default_rng(k)
         X = _fm(rng.normal(0, 2, (103, 5)))
         y = rng.integers(0, 2, 103)
         for batch_size in (16, 1, 200):
             cfg = TrainConfig(k=k, epochs=epochs, batch_size=batch_size, seed=4,
-                              optimizer=optimizer, learning_rate=0.02)
+                              learning_rate=0.02)
             params, history = train(X, y, cfg)
             ref_params, ref_history = reference_train(X, y, cfg)
             assert np.array_equal(bits(history), bits(ref_history))
@@ -412,12 +411,6 @@ class TestTrain:
         cfg = TrainConfig(k=8, epochs=50, seed=0, learning_rate=5e-3)
         _, history = train(X, y, cfg)
         assert history[-1] < 0.2
-        assert history[-1] < history[0]
-
-    def test_plain_sgd_also_descends(self):
-        X, y = self._toy(n=200, seed=2)
-        cfg = TrainConfig(k=8, epochs=40, seed=0, optimizer="plain-sgd", learning_rate=0.05)
-        _, history = train(X, y, cfg)
         assert history[-1] < history[0]
 
     def test_rejects_non_binary_labels(self):
@@ -481,14 +474,12 @@ class TestLiveUnits:
         y = (X[:, 0] + 0.5 * rng.normal(0, 1, n) > 0).astype(int)
         return _fm(X), y
 
-    def _config(self, optimizer, k=16):
-        return TrainConfig(k=k, epochs=3, batch_size=16, seed=4, optimizer=optimizer,
-                           learning_rate=0.02)
+    def _config(self, k=16):
+        return TrainConfig(k=k, epochs=3, batch_size=16, seed=4, learning_rate=0.02)
 
-    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
-    def test_bitwise_equal_to_reference_on_live_sub_network(self, optimizer):
+    def test_bitwise_equal_to_reference_on_live_sub_network(self):
         X, y = self._year_like()
-        cfg = self._config(optimizer)
+        cfg = self._config()
         init = init_params(X.d, cfg.k, cfg.seed)
         live = live_units(init, X.values)
         assert 0 < live.size < cfg.k
@@ -498,15 +489,14 @@ class TestLiveUnits:
         assert_params_bitwise_equal(params, scatter(init, ref_sub, live))
         assert params.k == cfg.k and type(params.b2) is float
 
-    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
-    def test_full_reference_leaves_dead_units_at_init(self, optimizer):
+    def test_full_reference_leaves_dead_units_at_init(self):
         X, y = self._year_like()
-        cfg = self._config(optimizer)
+        cfg = self._config()
         init = init_params(X.d, cfg.k, cfg.seed)
         live = live_units(init, X.values)
         dead = np.setdiff1d(np.arange(cfg.k), live)
         ref, ref_history = reference_train(X, y, cfg)
-        # a unit dead on every row gets zero gradients and zero optimizer steps
+        # a unit dead on every row gets zero gradients and zero Adam steps
         assert_units_at_init(ref, init, dead)
         params, history = train(X, y, cfg)
         assert_units_at_init(params, init, dead)
@@ -516,11 +506,10 @@ class TestLiveUnits:
                                        rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(history, ref_history, rtol=1e-12)
 
-    @pytest.mark.parametrize("optimizer", ["adaptive-moments", "plain-sgd"])
-    def test_no_live_unit_trains_output_bias_only(self, optimizer):
+    def test_no_live_unit_trains_output_bias_only(self):
         X = _fm(np.zeros((40, 3)))
         y = (np.arange(40) % 3 == 0).astype(int)
-        cfg = self._config(optimizer, k=8)
+        cfg = self._config(k=8)
         init = init_params(3, 8, cfg.seed)
         assert live_units(init, X.values).size == 0
         params, history = train(X, y, cfg)

@@ -282,7 +282,6 @@ class TestAblateAndRemoveFeatures:
 OUT_OF_RANGE = {
     "split.fraction": "1.5",
     "attention.learning_rate": "0",
-    "attention.prob_clamp": "0.5",
     "boost.learning_rate": "1.5",
     "boost.min_child_weight": "-1",
     "boost.gamma": "-0.1",
@@ -299,7 +298,6 @@ OUT_OF_RANGE = {
 ACCEPTED_EDGES = {
     "split.fraction": ("0.05", "0.95"),
     "attention.learning_rate": ("1e-12", "1"),
-    "attention.prob_clamp": ("1.2e-16", "0.4999"),
     "boost.learning_rate": ("1e-12", "1"),
     "boost.min_child_weight": ("0", "1e6"),
     "boost.gamma": ("0", "1e6"),
@@ -330,10 +328,13 @@ class TestConfigHandling:
         assert data == open(by_flags["9"], "rb").read()
         assert data != open(by_flags["5"], "rb").read()
 
-    # model.augment_mode chose alpha alone as the block; a file that still sets it is
-    # refused, not read as h * alpha
+    # model.augment_mode chose alpha alone as the block, attention.optimizer plain SGD
+    # and attention.prob_clamp the loss clamp; a file that still sets one is refused,
+    # not trained with h * alpha, Adam and a clamp of 1e-12
     @pytest.mark.parametrize("line", ["boost.n_estimatorz=12",
-                                      "model.augment_mode=attention-vector"])
+                                      "model.augment_mode=attention-vector",
+                                      "attention.optimizer=plain-sgd",
+                                      "attention.prob_clamp=1e-6"])
     def test_unknown_config_key_exits_2(self, tmp_path, synth_csv, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"attention.k=6\n{line}\n")
@@ -376,7 +377,6 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key,value", [
         *((key, value) for key, bad in OUT_OF_RANGE.items() for value in ("nan", "inf", bad)),
         *(("synth.coef", value) for value in ("Discount=nan", "Sales=inf", "Profit=-inf")),
-        ("attention.prob_clamp", "1e-17"),  # 1 - 1e-17 rounds to 1
     ])
     def test_bad_number_exits_2_before_data_is_read(self, tmp_path, key, value, capsys):
         # the data file does not exist, so reading it would exit 1
@@ -480,7 +480,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [("synth", "--bogus", "1"),
                                       ("train", "--synthetic", "--model.augment_mode",
-                                       "weighted-hidden")])
+                                       "weighted-hidden"),
+                                      ("train", "--synthetic", "--attention.optimizer",
+                                       "plain-sgd"),
+                                      ("train", "--synthetic", "--attention.prob_clamp",
+                                       "1e-6")])
     def test_unknown_flag(self, tmp_path, capsys, argv):
         assert _run(*argv, "--out", str(tmp_path / "out")) == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

@@ -157,7 +157,7 @@ class TestRunAblation:
     def test_fingerprint_is_pinned(self, ablation_result):
         # a changed, added or dropped fingerprint key changes every CSV's header
         assert ablation_result.fingerprint == \
-            "6cfd165f4fc2c3fd46bbcef2ff3a873d90d55cf598e334dd393d6a6ffe037a33"
+            "f0589752bb06a600684438ffdb27c6608be843177674f584424127ba78d84a6c"
 
 
 class TestFingerprintIdentifiesTheRun:
@@ -233,7 +233,7 @@ class TestRunFeatureRemoval:
 
     def test_fingerprint_and_seeds_are_pinned(self, removal_result):
         assert removal_result.fingerprint == \
-            "647030d074c548d5f07dfe1cbbbf913e30d14d56c1c7eec3b2ea459131360ae5"
+            "109f1298b934cd2b30868c3ee68eb9728a10823d62609ce4f1f3f62491ab9951"
         assert removal_result.seeds == {"attention": 0, "boost": 42, "split": 42}
 
     def test_full_model_row_uses_the_intact_split(self, removal_result):

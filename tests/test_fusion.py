@@ -6,8 +6,10 @@ import pytest
 from attention_reference import reference_augment, reference_train
 from attnboost import attention, gbdt
 from attnboost.attention import TrainConfig, init_params, train
+from attnboost.errors import DataError
 from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, generate_synthetic
 from attnboost.fusion import (
+    NETWORK_VARIANTS,
     VARIANT_KINDS,
     AttnBoostModel,
     _model_inputs,
@@ -139,11 +141,10 @@ class TestFitVariant:
 
     def test_shallow_attention_keeps_other_settings(self):
         X, y = _toy_matrix()
-        acfg = TrainConfig(k=64, epochs=2, batch_size=7, learning_rate=0.01, seed=5,
-                           optimizer="plain-sgd", prob_clamp=1e-6)
+        acfg = TrainConfig(k=64, epochs=2, batch_size=7, learning_rate=0.01, seed=5)
         model = fit_variant("shallow_attention", X, y, acfg, _small_boost(), shallow_k=8)
         ref, _ = train(X, y, TrainConfig(k=8, epochs=2, batch_size=7, learning_rate=0.01,
-                                         seed=5, optimizer="plain-sgd", prob_clamp=1e-6))
+                                         seed=5))
         for name in ATTN_FIELDS:
             assert np.array_equal(np.asarray(getattr(model.attention, name)),
                                   np.asarray(getattr(ref, name)))
@@ -154,12 +155,20 @@ class TestFitVariant:
         X, y = _toy_matrix()
         model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost(), shallow_k=3)
         inputs = _model_inputs(model, X)
-        assert (model.attention is None) == (kind in ("no_attention", "random_attention"))
+        assert (model.attention is not None) == (kind in NETWORK_VARIANTS)
         if model.attention is not None:
             assert np.array_equal(inputs.values, reference_augment(model.attention, X).values)
         else:
             assert inputs.d == X.d + model.random_k
         assert model.ensemble.feature_names == inputs.feature_names
+
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_labels_other_than_zero_and_one_rejected(self, kind):
+        # boosting checks its labels itself, so a variant without a network checks them too
+        X, y = _toy_matrix()
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
+            fit_variant(kind, X, 2 * y, TrainConfig(k=4, epochs=1), _small_boost(),
+                        shallow_k=3)
 
     def test_unknown_kind_rejected(self):
         X, y = _toy_matrix()
@@ -169,6 +178,13 @@ class TestFitVariant:
     def test_variant_enumeration_complete(self):
         assert VARIANT_KINDS == ("full", "no_attention", "random_attention",
                                  "frozen_attention", "shallow_attention")
+        assert NETWORK_VARIANTS == ("full", "frozen_attention", "shallow_attention")
+
+    @pytest.mark.parametrize("kind", ["full", "frozen_attention"])
+    def test_shallow_k_is_read_by_shallow_attention_only(self, kind):
+        X, y = _toy_matrix()
+        model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost(), shallow_k=0)
+        assert model.attention.k == 4
 
     def test_no_two_variants_alias(self, planted_split):
         # a variant whose test probabilities equal another's bit for bit refits it

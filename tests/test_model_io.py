@@ -1,7 +1,10 @@
 """Tests for the checksummed model container."""
 
+import copy
 import hashlib
 import json
+import math
+import random
 import re
 
 import numpy as np
@@ -565,6 +568,43 @@ class TestDamagedFiles:
         with pytest.raises(ModelFormatError, match=f"malformed section contents.*{key}"):
             load_model(path)
 
+    @pytest.mark.parametrize("section,key,value", [
+        # a format 4 file's meta edited to read as format 5: its block was alpha alone
+        ("meta", "augment_mode", "attention-vector"),
+        # format 3 stored each split's right child
+        ("ensemble", "right", {"shape": [0], "data": ""}),
+        ("attention", "optimizer", "plain-sgd"),
+        # format 3 stored the names that follow from the schema
+        ("preprocessor", "feature_names", ["Sales"]),
+    ])
+    def test_key_save_model_does_not_write_rejected(self, fitted, tmp_path, capsys, section,
+                                                    key, value):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, section, lambda payload: payload.update({key: value}))
+        message = f"{path}: section {section!r}: key {key!r} is not one save_model writes"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_section_save_model_does_not_write_rejected(self, fitted, tmp_path):
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        document["sections"]["trace"] = {"payload": {}, "checksum": _checksum({})}
+        json.dump(document, open(path, "w"))
+        with pytest.raises(ModelFormatError,
+                           match="section 'trace' is not one save_model writes"):
+            load_model(path)
+
+    def test_meta_without_fingerprint_rejected(self, fitted, tmp_path):
+        # every decoder reads what it needs, but nothing reads the fingerprint
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "meta", lambda meta: meta.pop("fingerprint"))
+        with pytest.raises(ModelFormatError, match="section 'meta': key 'fingerprint' is missing"):
+            load_model(path)
+
     @pytest.mark.parametrize("edit,message", [
         # a file of the removed manual_weights variant: thresholds cut on scaled columns
         ({"variant": "manual_weights", "manual_weights": {"Discount": 2.0}}, "'manual_weights'"),
@@ -688,3 +728,144 @@ class TestDamagedFiles:
     def test_missing_file_rejected(self):
         with pytest.raises(ModelFormatError, match="cannot read"):
             load_model("/no/such/model.bin")
+
+
+# ROADMAP item 16's standing fuzz: a single structural edit of a valid file, its checksum
+# recomputed, must fail to load with ModelFormatError, or load and then let `predict`
+# exit 0 with finite probabilities or exit 1 with an `error:` line; never a traceback.
+FUZZ_MODELS = ("full", "no_attention", "random_attention")
+FUZZ_SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
+# what a leaf, a container or a list entry is replaced by
+FUZZ_VALUES = (None, [], {}, "x", "", 1.5, True, False, -1, 0, 2**40, 1e308, -1e308)
+FUZZ_KINDS = ("leaf", "container", "entry", "unknown key")
+FUZZ_KEY = "fuzz_key"  # the unknown key inserted into each section's payload
+
+
+def _fuzz_sites(value, path=(), entry=False):
+    """(path, kind) of `value` and of every value under it, the first three of a list's.
+
+    A list's entry is an "entry", whatever it holds; any other value is a
+    "container" (an object or a list) or a "leaf".
+    """
+    yield path, "entry" if entry else "container" if isinstance(value, (dict, list)) else "leaf"
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _fuzz_sites(child, (*path, key))
+    elif isinstance(value, list):
+        for i, child in enumerate(value[:3]):
+            yield from _fuzz_sites(child, (*path, i), entry=True)
+
+
+def _fuzz_mutants(documents: dict) -> dict:
+    """Every mutant of the documents, grouped by (section, kind, index in FUZZ_VALUES).
+
+    A mutant is (model kind, section, path, value); an unknown key is grouped
+    under index 0 and sets FUZZ_KEY to 0.
+    """
+    groups = {}
+    for model, document in documents.items():
+        for section in FUZZ_SECTIONS:
+            payload = document["sections"][section]["payload"]
+            for path, kind in _fuzz_sites(payload):
+                for i, value in enumerate(FUZZ_VALUES):
+                    groups.setdefault((section, kind, i), []).append((model, section, path, value))
+            if isinstance(payload, dict):
+                groups.setdefault((section, "unknown key", 0), []).append(
+                    (model, section, (FUZZ_KEY,), 0))
+    return groups
+
+
+def _fuzz_subset(groups: dict, per_group: int = 4, seed: int = 16) -> list:
+    """Up to `per_group` mutants of each group, drawn by a seeded generator."""
+    rng = random.Random(seed)
+    return [mutant for key in sorted(groups, key=repr)
+            for mutant in rng.sample(groups[key], min(per_group, len(groups[key])))]
+
+
+def _mutated(document: dict, section: str, path: tuple, value) -> dict:
+    document = copy.deepcopy(document)
+    stored = document["sections"][section]
+    if path:
+        parent = stored["payload"]
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = copy.deepcopy(value)
+    else:
+        stored["payload"] = copy.deepcopy(value)
+    stored["checksum"] = _checksum(stored["payload"])
+    return document
+
+
+def _fuzz_outcome(document: dict, path: str, csv_path: str, capsys,
+                  must_fail: bool) -> str | None:
+    """None when the file fails to load or, unless it `must_fail`, predicts cleanly;
+    else what went wrong."""
+    json.dump(document, open(path, "w"))
+    try:
+        load_model(path)
+    except ModelFormatError:
+        return None
+    if must_fail:
+        return "loads"
+    scores = path + ".csv"
+    capsys.readouterr()
+    try:
+        code = run_command(["predict", "--model", path, "--data", csv_path, "--out", scores])
+    except Exception as exc:  # run_command lets it out, so `attnboost predict` shows a traceback
+        return f"traceback: {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code == 1:
+        return None if err.startswith("error: ") and "Traceback" not in err else f"exit 1: {err!r}"
+    if code != 0:
+        return f"exit {code}: {err!r}"
+    probabilities = [float(line.split(",")[1]) for line in open(scores).read().splitlines()[1:]]
+    return None if all(math.isfinite(p) for p in probabilities) else "a score is not finite"
+
+
+@pytest.fixture(scope="module")
+def fuzz_groups(fitted, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    documents = {}
+    for kind in FUZZ_MODELS:
+        path = str(directory / f"{kind}.model")
+        save_model(fitted[0][kind], path, fingerprint="fuzz")
+        documents[kind] = json.load(open(path))
+    csv_path = str(directory / "rows.csv")
+    assert run_command(["synth", "--synth.rows", "20", "--synth.seed", "3",
+                        "--out", csv_path]) == 0
+    return documents, _fuzz_mutants(documents), csv_path
+
+
+class TestStructuralFuzz:
+    def test_subset_covers_every_section_kind_and_value(self, fuzz_groups):
+        documents, groups, _ = fuzz_groups
+        subset = _fuzz_subset(groups)
+        # an unknown key in every object payload of every model
+        assert {(model, section) for model, section, path, _ in subset
+                if path == (FUZZ_KEY,)} == {
+            (model, section) for model, document in documents.items()
+            for section, stored in document["sections"].items()
+            if isinstance(stored["payload"], dict)}
+        assert {(section, kind) for section, kind, _ in groups} == {
+            (section, kind) for section in FUZZ_SECTIONS for kind in FUZZ_KINDS
+            if (section, kind) != ("meta", "entry")}  # meta holds no list
+        for section, kind, _ in groups:
+            if kind != "unknown key":
+                assert {i for s, k, i in groups if (s, k) == (section, kind)} == set(
+                    range(len(FUZZ_VALUES)))
+
+    @pytest.mark.parametrize("section", FUZZ_SECTIONS)
+    def test_mutant_fails_to_load_or_predicts_cleanly(self, fuzz_groups, tmp_path, capsys,
+                                                      section):
+        documents, groups, csv_path = fuzz_groups
+        failures = []
+        for model, where, path, value in _fuzz_subset(groups):
+            if where != section:
+                continue
+            document = _mutated(documents[model], where, path, value)
+            # save_model writes no such key, so a file that holds one is not its file
+            outcome = _fuzz_outcome(document, str(tmp_path / "mutant.model"), csv_path, capsys,
+                                    must_fail=path == (FUZZ_KEY,))
+            if outcome is not None:
+                failures.append(f"{model} {where} {list(path)} = {value!r}: {outcome}")
+        assert failures == []
