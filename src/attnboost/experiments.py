@@ -182,16 +182,19 @@ def result_to_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _resolve_drop(table: RawTable, drop: list[str] | None) -> list[str]:
+    """`drop`, or for None the retail identifier columns the table has."""
+    names = {c.name for c in table.schema}
+    return drop if drop is not None else [c for c in RETAIL_IDENTIFIER_COLUMNS if c in names]
+
+
 def prepare(table: RawTable, drop: list[str] | None, split_fraction: float,
             split_seed: int) -> tuple[PreprocessorState, SplitResult]:
     """Fit the preprocessor, apply it and split: the one data path of every run.
 
     `drop=None` drops the retail identifier columns the table has.
     """
-    if drop is None:
-        names = {c.name for c in table.schema}
-        drop = [c for c in RETAIL_IDENTIFIER_COLUMNS if c in names]
-    state = fit_preprocessor(table, drop)
+    state = fit_preprocessor(table, _resolve_drop(table, drop))
     X, y = apply_preprocessor(state, table)
     return state, stratified_split(X, y, split_fraction, split_seed)
 
@@ -285,7 +288,8 @@ def run_feature_removal(
     split_seed: int = 42,
     drop: list[str] | None = None,
 ) -> ExperimentResult:
-    """Retrain the full pipeline once per removed feature, plus an intact run."""
+    """Retrain the full pipeline once per removed feature, plus an intact run; the
+    preprocessor drops each removed feature beside `drop`, which must not name it."""
     attention_config = attention_config or TrainConfig()
     boost_config = boost_config or desk_scale_boost_config()
     unknown = sorted(set(features) - {c.name for c in table.schema})
@@ -296,10 +300,13 @@ def run_feature_removal(
             raise DataError(f"cannot remove the target column {name!r}")
         if features.count(name) > 1:
             raise DataError(f"feature {name!r} is named more than once")
+        if drop is not None and name in drop:
+            raise DataError(f"feature {name!r} is also in the drop list")
 
+    drop = _resolve_drop(table, drop)
     rows = []
     for name in [*features, None]:  # the intact table last: its split is the one recorded
-        state, split = prepare(table if name is None else table.drop_column(name), drop,
+        state, split = prepare(table, drop if name is None else [*drop, name],
                                split_fraction, split_seed)
         report = _evaluate_variant("full", state, split, attention_config, boost_config,
                                    fusion.DEFAULT_SHALLOW_K)

@@ -24,15 +24,15 @@ rounding residue in its gradient sums. Split search scans every feature of a
 node in one pass over the matrix, maximizing the regularized second-order
 gain. Both layouts add each bin's rows in the same order, and a column that
 closes no bin repeats the gain of the last one that does, so they give
-bitwise equal decisions and gains. Leaf weights use the L1/L2 closed form on
-sums over the leaf's rows and are stored unscaled; the shrinkage factor is
-applied at prediction time.
+bitwise equal decisions and gains. A leaf stores the learning rate times the
+L1/L2 closed-form weight on sums over the leaf's rows, so scoring adds leaf
+values as they are.
 
 A tree is three parallel node arrays in pre-order (root first, a node's left
 subtree before its right) and stores no child link: a split's left child is
 the next node, its right child the next one whose running count (+1 per split,
 -1 per leaf, counted before the node) equals the split's own. `value` is a
-leaf's unscaled weight or a split's raw threshold, the cut at its bin boundary
+leaf's scaled weight or a split's raw threshold, the cut at its bin boundary
 b: bins come from `searchsorted(cuts, value, side="left")`, so bin <= b
 exactly when value <= cuts[b]. An ensemble keeps one record of all its trees'
 nodes end to end and each tree's node count, the layout the model file stores.
@@ -144,11 +144,11 @@ class Tree:
 
     Each tree's nodes are in pre-order and its node 0 is the root. An internal
     node i has feature >= 0 and its left child at i + 1; a row goes left when
-    its value is <= `value`. A leaf has feature -1 and its weight in `value`.
+    its value is <= `value`. A leaf has feature -1 and its scaled weight in `value`.
     """
 
     feature: np.ndarray  # (nodes,) intp
-    value: np.ndarray  # (nodes,) float64, raw split threshold, or unscaled leaf weight
+    value: np.ndarray  # (nodes,) float64, raw split threshold, or learning rate * leaf weight
     gain: np.ndarray  # (nodes,) float64, split gain (0 on leaves)
 
 
@@ -210,7 +210,6 @@ class Ensemble:
     nodes: Tree
     node_counts: np.ndarray  # (trees,) intp
     base_raw: float
-    learning_rate: float
     feature_names: list[str]
     forest: Forest = field(init=False, repr=False)
 
@@ -218,14 +217,13 @@ class Ensemble:
         self.forest = Forest.stack(self.nodes, self.node_counts)
 
     @classmethod
-    def from_trees(cls, trees, base_raw: float, learning_rate: float,
-                   feature_names: list[str]) -> "Ensemble":
+    def from_trees(cls, trees, base_raw: float, feature_names: list[str]) -> "Ensemble":
         """The ensemble of `trees` in order, their node arrays copied into one record."""
         nodes = Tree(**{name: np.concatenate([getattr(t, name) for t in trees]
                                              or [np.empty(0, dtype)])
                         for name, dtype in NODE_DTYPES.items()})
         node_counts = np.array([t.feature.size for t in trees], dtype=np.intp)
-        return cls(nodes, node_counts, base_raw, learning_rate, feature_names)
+        return cls(nodes, node_counts, base_raw, feature_names)
 
     @property
     def trees(self) -> tuple[Tree, ...]:
@@ -446,7 +444,7 @@ def _grow_tree(
         if decision is None:
             G, H = float(g[rows].sum()), float(h[rows].sum())
             weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
-            nodes.append((-1, weight, 0.0))
+            nodes.append((-1, config.learning_rate * weight, 0.0))
             continue
         nodes.append((decision.feature, decision.threshold, decision.gain))
         mask = binned.bins[rows, decision.feature] <= decision.bin_idx
@@ -491,13 +489,8 @@ def _walk(forest: Forest, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return slot
 
 
-def _add_trees(
-    forest: Forest,
-    values: np.ndarray,
-    raw,
-    learning_rate: float,
-) -> np.ndarray:
-    """raw + lr*w_1 + lr*w_2 + ..., each tree's output added in tree order.
+def _add_trees(forest: Forest, values: np.ndarray, raw) -> np.ndarray:
+    """raw + w_1 + w_2 + ..., each tree's leaf value added in tree order.
 
     `raw` is one score per row, or one score for every row. Trees are walked
     in blocks of at most tabular._BLOCK_CELLS (tree, row) pairs, but at least
@@ -511,8 +504,8 @@ def _add_trees(
     per_block = max(1, tabular._BLOCK_CELLS // max(1, values.shape[0]))
     for lo in range(0, n_trees, per_block):
         hi = min(lo + per_block, n_trees)
-        terms = learning_rate * forest.value[_walk(forest, values, lo, hi)]
-        terms[0] += raw  # lr*w_lo + raw is raw + lr*w_lo exactly: the sequence's first sum
+        terms = forest.value[_walk(forest, values, lo, hi)]
+        terms[0] += raw  # w_lo + raw is raw + w_lo exactly: the sequence's first sum
         raw = np.add.accumulate(terms, axis=0)[-1]
     return raw
 
@@ -563,18 +556,18 @@ def train_boosting(
         tree = _grow_tree(rows, binned, g, h, feats, config)
         trees.append(tree)
         count = np.array([tree.feature.size], dtype=np.intp)
-        raw = _add_trees(Forest.stack(tree, count), X.values, raw, config.learning_rate)
+        raw = _add_trees(Forest.stack(tree, count), X.values, raw)
 
-    return Ensemble.from_trees(trees, base_raw, config.learning_rate, list(X.feature_names))
+    return Ensemble.from_trees(trees, base_raw, list(X.feature_names))
 
 
 def predict_raw(model: Ensemble, X: FeatureMatrix) -> np.ndarray:
-    """Raw scores base + eta * sum of tree outputs."""
+    """Raw scores base + the sum of tree outputs, each a leaf's scaled weight."""
     if X.d != len(model.feature_names):
         raise ValueError(
             f"matrix width {X.d} does not match model width {len(model.feature_names)}"
         )
-    return _add_trees(model.forest, X.values, model.base_raw, model.learning_rate)
+    return _add_trees(model.forest, X.values, model.base_raw)
 
 
 def predict_proba(model: Ensemble, X: FeatureMatrix) -> np.ndarray:

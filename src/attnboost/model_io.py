@@ -1,24 +1,25 @@
 """Single-file model container with per-section integrity checksums.
 
 The file is JSON with four sections (meta, preprocessor, attention, ensemble)
-and stores nothing that can be derived, but for the attention section's d and
-k, which repeat W1's shape. The loader takes only the sections and payload
-keys that save_model writes. Arrays are base64-encoded little-endian bytes,
-float64 for real values and int32 for split features and node counts, so a
-save/load round trip reproduces bit-identical predictions on any platform.
-Each section's checksum is validated before anything is constructed; a bad
-file never yields a partially loaded model. The ensemble section stores the
-learner's own record without child links (the learner derives them from the
-features), each tree's node count, and gains for splits only; it is checked
-for structure on load in one pass over all trees. The preprocessor section
-holds no feature or target names, which follow from its schema, and is checked
-against what fitting guarantees. The meta section must name a known variant,
-which has an attention section exactly when it widens the matrix with a
-network (the block is then always h * alpha), the ensemble's width must be the
-input width plus the variant's block, and a section whose contents do not
-decode, such as a seed that is not an integer, raises ModelFormatError like a
-damaged one, as does a node value, gain, base score or attention parameter
-that is not finite, or a learning rate outside (0, 1].
+and stores nothing that can be derived: the network's sizes are W1's shape,
+and each leaf holds its weight times the learning rate. The loader takes only
+the sections and payload keys that save_model writes. Arrays are
+base64-encoded little-endian bytes, float64 for real values and int32 for
+split features and node counts, so a save/load round trip reproduces
+bit-identical predictions on any platform. Each section's checksum is
+validated before anything is constructed; a bad file never yields a
+partially loaded model. The ensemble section stores the learner's own record
+without child links (the learner derives them from the features), each
+tree's node count, gains for splits only and feature names, each a string
+named once; it is checked for structure on load in one pass over all trees.
+The preprocessor section holds no feature or target names, which follow from
+its schema, and is checked against what fitting guarantees. The meta section
+must name a known variant, which has an attention section exactly when it
+widens the matrix with a network (the block is then always h * alpha), the
+ensemble's width must be the input width plus the variant's block, and a
+section whose contents do not decode, such as a seed that is not an integer,
+raises ModelFormatError like a damaged one, as does a node value, gain, base
+score or attention parameter that is not finite, or a W1 without rows or columns.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorSt
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and split features
 
@@ -86,7 +87,6 @@ def _ensemble_payload(ensemble: Ensemble) -> dict:
     nodes = ensemble.nodes
     return {
         "base_raw": ensemble.base_raw,
-        "learning_rate": ensemble.learning_rate,
         "feature_names": ensemble.feature_names,
         "node_counts": ensemble.node_counts,
         "feature": nodes.feature,
@@ -102,9 +102,19 @@ def _ensemble_from_payload(payload: dict) -> Ensemble:
     of their sum and `gain` one per split. A feature is -1 (a leaf) or a column
     of the model. A tree's running count, +1 per split and -1 per leaf, stays
     at or above 0 until its last node and reaches -1 exactly there. An error
-    names the tree, and its node by tree-local index.
+    names the tree, and its node by tree-local index. Feature names are
+    strings, each named once.
     """
-    feature_names = list(payload["feature_names"])
+    feature_names = payload["feature_names"]
+    if type(feature_names) is not list:
+        raise ModelFormatError(f"section 'ensemble' feature_names: expected a list of column "
+                               f"names, got {feature_names!r}")
+    seen = set()  # keeps the check linear in the width
+    for name in feature_names:
+        if type(name) is not str or name in seen:
+            raise ModelFormatError(f"section 'ensemble' feature_names: column {name!r} is not "
+                                   "a string named once")
+        seen.add(name)
     counts = _decode(payload["node_counts"], _INTEGERS)
     feature, value = _decode(payload["feature"], _INTEGERS), _decode(payload["value"])
     split_gain = _decode(payload["gain"])
@@ -145,12 +155,9 @@ def _ensemble_from_payload(payload: dict) -> Ensemble:
     for name, values in (("value", value), ("gain", gain)):
         reject_first(~np.isfinite(values), lambda i: f"{name} {values[i]} is not finite")
     ensemble = Ensemble(Tree(feature, value, gain), counts, float(payload["base_raw"]),
-                        float(payload["learning_rate"]), feature_names)
+                        feature_names)
     if not np.isfinite(ensemble.base_raw):
         raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
-    if not 0.0 < ensemble.learning_rate <= 1.0:  # the range BoostConfig accepts
-        raise ModelFormatError(f"section 'ensemble': learning_rate {ensemble.learning_rate} "
-                               "is outside (0, 1]")
     return ensemble
 
 
@@ -236,30 +243,30 @@ def _preprocessor_from_payload(payload) -> PreprocessorState | None:
 def _attention_payload(params: AttentionParams | None):
     if params is None:
         return None
-    return {"d": params.d, "k": params.k, "b2": params.b2,
-            **{name: getattr(params, name) for name in _ATTENTION_ARRAYS}}
+    return {"b2": params.b2, **{name: getattr(params, name) for name in _ATTENTION_ARRAYS}}
 
 
 def _attention_from_payload(payload) -> AttentionParams | None:
+    """Decode the network, whose k units and d inputs are the shape of W1."""
     if payload is None:
         return None
-    return AttentionParams(**{name: _decode(payload[name]) for name in _ATTENTION_ARRAYS},
-                           b2=float(payload["b2"]), d=_integer(payload, "d"),
-                           k=_integer(payload, "k"))
-
-
-def _integer(payload: dict, key: str) -> int:
-    if type(payload[key]) is not int:  # a JSON float or boolean is not read as one
-        raise TypeError(f"{key} must be an integer, got {payload[key]!r}")
-    return payload[key]
+    arrays = {name: _decode(payload[name]) for name in _ATTENTION_ARRAYS}
+    shape = arrays["W1"].shape
+    if len(shape) != 2 or 0 in shape:  # the sizes init_params accepts
+        raise ModelFormatError(f"section 'attention': W1 has shape {shape}, expected a matrix "
+                               "with at least one row and one column")
+    k, d = shape
+    return AttentionParams(**arrays, b2=float(payload["b2"]), d=d, k=k)
 
 
 def _meta_from_payload(meta: dict) -> dict:
     if meta["variant"] not in VARIANT_KINDS:
         raise ModelFormatError(f"unknown variant {meta['variant']!r}; "
                                f"expected one of {VARIANT_KINDS}")
-    return {"variant": meta["variant"],
-            **{key: _integer(meta, key) for key in ("attention_seed", "random_k")}}
+    for key in ("attention_seed", "random_k"):
+        if type(meta[key]) is not int:  # a JSON float or boolean is not read as one
+            raise TypeError(f"{key} must be an integer, got {meta[key]!r}")
+    return {key: meta[key] for key in ("variant", "attention_seed", "random_k")}
 
 
 # each section's decoder, in the order the file's sections are checked and read
@@ -359,9 +366,9 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
 def _check_sections_agree(model: AttnBoostModel) -> None:
     """Meta, attention and ensemble must describe one model, as fit_variant builds it.
 
-    A variant of fusion.NETWORK_VARIANTS has an attention section and the
-    others have none, and random_attention draws random_k >= 1 columns. The
-    ensemble reads the input columns followed by the block.
+    A variant of fusion.NETWORK_VARIANTS has an attention section, whose
+    arrays fit W1's shape, and the others have none; random_attention draws
+    random_k >= 1 columns. The ensemble reads the input columns, then the block.
     """
     variant, params = model.variant, model.attention
     if (params is not None) != (variant in NETWORK_VARIANTS):
@@ -374,8 +381,7 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
     if params is not None:
         k, d = params.k, params.d
         block, inputs["attention input"] = k, d
-        for name, shape in (("W1", (k, d)), ("b1", (k,)), ("W_attn", (k, k)),
-                            ("b_attn", (k,)), ("w2", (k,))):
+        for name, shape in (("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,)), ("w2", (k,))):
             if getattr(params, name).shape != shape:
                 raise ModelFormatError(f"attention {name} has shape "
                                        f"{getattr(params, name).shape}, expected {shape}")

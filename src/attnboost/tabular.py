@@ -77,13 +77,6 @@ class RawTable:
                 return i
         raise KeyError(name)
 
-    def drop_column(self, name: str) -> "RawTable":
-        """Return a copy of the table without the named column."""
-        idx = self.column_index(name)
-        schema = [c for i, c in enumerate(self.schema) if i != idx]
-        rows = [[cell for i, cell in enumerate(row) if i != idx] for row in self.rows]
-        return RawTable(schema=schema, rows=rows)
-
 
 @dataclass
 class FeatureMatrix:

@@ -22,6 +22,7 @@ from attnboost.experiments import (
 from attnboost.gbdt import BoostConfig
 from attnboost.metrics import auc
 from attnboost.tabular import (
+    RawTable,
     apply_preprocessor,
     fit_preprocessor,
     stratified_split,
@@ -242,6 +243,17 @@ class TestRunFeatureRemoval:
         split = stratified_split(X, y, 0.8, 42)
         np.testing.assert_array_equal(removal_result.test_indices, split.test_indices)
 
+    def test_removed_row_equals_the_intact_run_of_the_table_built_without_it(self,
+                                                                            removal_result):
+        # the preprocessor's drop list removes the column, as if the table never had it
+        table = generate_synthetic(SyntheticSpec(n_rows=600, seed=7))
+        j = table.column_index("Quantity")
+        without = RawTable(schema=table.schema[:j] + table.schema[j + 1:],
+                           rows=[row[:j] + row[j + 1:] for row in table.rows])
+        (_, report), = run_feature_removal([], without, attention_config=FAST_ATTN,
+                                           boost_config=FAST_BOOST).rows
+        assert removal_result.rows[1] == ("Quantity Removed", report)
+
     def test_default_removal_features(self):
         from attnboost.experiments import REMOVAL_FEATURES
 
@@ -251,6 +263,18 @@ class TestRunFeatureRemoval:
         with pytest.raises(DataError, match="unknown"):
             run_feature_removal(["Nope"], generate_synthetic(SyntheticSpec(n_rows=100, seed=1)),
                                 attention_config=FAST_ATTN, boost_config=FAST_BOOST)
+
+    @pytest.mark.parametrize("drop", [["Discount"], ["Region", "Discount"]])
+    def test_removed_feature_in_the_drop_list_rejected_before_any_fit(self, drop,
+                                                                      monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the drop list was checked")
+
+        monkeypatch.setattr("attnboost.fusion.fit_variant", no_fit)
+        with pytest.raises(DataError, match="feature 'Discount' is also in the drop list"):
+            run_feature_removal(["Sales", "Discount"],
+                                generate_synthetic(SyntheticSpec(n_rows=100, seed=1)),
+                                attention_config=FAST_ATTN, boost_config=FAST_BOOST, drop=drop)
 
     @pytest.mark.parametrize("features, message", [
         (["Returned"], "cannot remove the target column 'Returned'"),

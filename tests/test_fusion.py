@@ -204,7 +204,7 @@ class TestPredict:
         model = AttnBoostModel(
             preprocessor=state,
             attention=None,
-            ensemble=Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1,
+            ensemble=Ensemble.from_trees([], base_raw=0.0,
                                          feature_names=list(state.feature_names)),
             variant="no_attention",
             attention_seed=0,

@@ -80,10 +80,10 @@ def reference_tree_output(tree: Tree, values):
 
 
 def reference_raw(model: Ensemble, values):
-    """base + lr * (output of tree 1) + lr * (output of tree 2) + ..., one tree at a time."""
+    """base + (output of tree 1) + (output of tree 2) + ..., one tree at a time."""
     raw = np.full(values.shape[0], model.base_raw)
     for tree in model.trees:
-        raw += model.learning_rate * reference_tree_output(tree, values)
+        raw += reference_tree_output(tree, values)
     return raw
 
 
@@ -690,14 +690,13 @@ class TestTrainBoosting:
 
 class TestPredict:
     def test_empty_ensemble_is_base_score(self):
-        model = Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
+        model = Ensemble.from_trees([], base_raw=0.0, feature_names=["f0"])
         X = _fm([[1.0], [5.0], [-3.0]])
         np.testing.assert_array_equal(predict_proba(model, X), np.full(3, 0.5))
 
     def test_single_stump_hand_traced(self):
-        stump = make_tree(feature=[0, -1, -1], value=[0.0, -1.0, 1.0])
-        model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=0.1,
-                                    feature_names=["f0"])
+        stump = make_tree(feature=[0, -1, -1], value=[0.0, -0.1, 0.1])
+        model = Ensemble.from_trees([stump], base_raw=0.0, feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
         assert proba[0] == pytest.approx(0.475021, abs=1e-6)
         assert proba[1] == pytest.approx(0.524979, abs=1e-6)
@@ -707,7 +706,7 @@ class TestPredict:
         assert (np.diff(sigmoid(raw)) > 0).all()
 
     def test_width_mismatch_rejected(self):
-        model = Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
+        model = Ensemble.from_trees([], base_raw=0.0, feature_names=["f0"])
         with pytest.raises(ValueError):
             predict_raw(model, _fm([[1.0, 2.0]]))
 
@@ -744,7 +743,7 @@ class TestWalk:
         rng = np.random.default_rng(seed)
         cuts = np.sort(rng.normal(0, 1, (self.D, self.CUTS)), axis=1)
         trees = [random_tree(rng, cuts, int(rng.integers(*depths))) for _ in range(n_trees)]
-        model = Ensemble.from_trees(trees, base_raw=float(rng.normal()), learning_rate=0.3,
+        model = Ensemble.from_trees(trees, base_raw=float(rng.normal()),
                                     feature_names=[f"f{j}" for j in range(self.D)])
         # half the values sit exactly on a threshold of their column
         on_cut = cuts[np.arange(self.D), rng.integers(0, self.CUTS, (n_rows, self.D))]
@@ -769,8 +768,7 @@ class TestWalk:
 
     def test_values_equal_to_a_threshold_go_left(self):
         stump = make_tree(feature=[0, -1, -1], value=[0.5, -1.0, 1.0])
-        model = Ensemble.from_trees([stump], base_raw=0.0, learning_rate=1.0,
-                                    feature_names=["f0"])
+        model = Ensemble.from_trees([stump], base_raw=0.0, feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
         assert self._assert_walk_matches(model, values).tolist() == [-1.0, -1.0, 1.0]
 
@@ -780,20 +778,20 @@ class TestWalk:
         if walk_cells is not None:  # 11 rows: blocks of 1, 2 or 3 of the 4 trees
             monkeypatch.setattr(tabular, "_BLOCK_CELLS", walk_cells)
         deep = make_tree(feature=[0, 1, -1, -1, 1, -1, -1],
-                         value=[0.5, -1.0, -3.0, -1.0, 2.0, 1.0, 3.0])
-        stump = make_tree(feature=[1, -1, -1], value=[np.inf, 0.25, -0.25])
-        leaf = make_tree(feature=[-1], value=[0.5])
+                         value=[0.5, -1.0, -1.5, -0.5, 2.0, 0.5, 1.5])
+        stump = make_tree(feature=[1, -1, -1], value=[np.inf, 0.125, -0.125])
+        leaf = make_tree(feature=[-1], value=[0.25])
         model = Ensemble.from_trees([deep, leaf, stump, deep], base_raw=0.125,
-                                    learning_rate=0.5, feature_names=["f0", "f1"])
+                                    feature_names=["f0", "f1"])
         nan, inf = np.nan, np.inf
         values = np.array([[nan, nan], [nan, 0.0], [0.0, nan], [0.5, -1.0], [0.5, 2.0],
                            [-inf, -inf], [inf, inf], [-inf, inf], [inf, -inf], [inf, nan],
                            [np.nextafter(0.5, 1.0), 2.0]])
         scored = self._assert_walk_matches(model, values)
-        # deep: NaN goes right twice (weight 3); stump: NaN goes right (-0.25)
-        assert scored[0] == 0.125 + 0.5 * 3.0 + 0.5 * 0.5 + 0.5 * -0.25 + 0.5 * 3.0
+        # deep: NaN goes right twice (leaf 1.5); stump: NaN goes right (-0.125)
+        assert scored[0] == 0.125 + 1.5 + 0.25 + -0.125 + 1.5
         # inf <= inf: the stump sends an infinite value left
-        assert scored[6] == 0.125 + 0.5 * 3.0 + 0.5 * 0.5 + 0.5 * 0.25 + 0.5 * 3.0
+        assert scored[6] == 0.125 + 1.5 + 0.25 + 0.125 + 1.5
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_random_trees_of_unequal_depth(self, seed):
@@ -853,14 +851,13 @@ class TestDerivedChildren:
         self._assert_links_match(model)
 
     def test_zero_tree_ensemble(self):
-        model = Ensemble.from_trees([], base_raw=0.0, learning_rate=0.1, feature_names=["f0"])
+        model = Ensemble.from_trees([], base_raw=0.0, feature_names=["f0"])
         assert model.forest.children.size == model.forest.roots.size == 0
         self._assert_links_match(model)
 
 
 def _total_bce(model, X, y, upto):
     prefix = Ensemble.from_trees(model.trees[:upto], base_raw=model.base_raw,
-                                 learning_rate=model.learning_rate,
                                  feature_names=model.feature_names)
     raw = predict_raw(prefix, X)
     p = np.clip(sigmoid(raw), 1e-12, 1 - 1e-12)
@@ -930,6 +927,9 @@ class TestGrownTreesMatchBruteForce:
                 expected.append((rows.size <= small, rows.size))
             oracle = brute_force_split(rows, binned, g, h, feats, config)
             if tree.feature[i] < 0:
+                G, H = float(g[rows].sum()), float(h[rows].sum())
+                weight = leaf_weight(G, H, config.reg_lambda, config.reg_alpha)
+                assert tree.value[i] == config.learning_rate * weight
                 if depth < config.max_depth:
                     assert oracle is None
                     seen["early_leaf"] += 1
@@ -956,7 +956,7 @@ class TestGrownTreesMatchBruteForce:
             rows, feats = _round_sample(config, t, n, d)
             assert rows.size < n and feats.size < d
             check(tree, 0, rows, 0, g, h, feats)
-            raw += config.learning_rate * reference_tree_output(tree, values)
+            raw += reference_tree_output(tree, values)
         assert seen["deep"] > 0 and seen["early_leaf"] > 0, seen
         assert searched == expected
         assert {compact for compact, _ in searched} == {False, True}
@@ -1035,7 +1035,7 @@ class TestOneBinColumns:
             only_constant += bool(np.isin(feats, constant).all())
             splits += int((tree.feature >= 0).sum())
             one = gbdt.Forest.stack(tree, np.array([tree.feature.size]))
-            raw = _add_trees(one, values, raw, config.learning_rate)
+            raw = _add_trees(one, values, raw)
         assert only_constant > 0 and splits > 0, (only_constant, splits)
         np.testing.assert_array_equal(predict_raw(model, X), raw)
 
@@ -1057,9 +1057,10 @@ class TestOneBinColumns:
             G = rows.size * p - positives
             H = rows.size * p * (1.0 - p)
             w = -np.sign(G) * max(abs(G) - config.reg_alpha, 0.0) / (H + config.reg_lambda)
-            assert tree.value[0] == pytest.approx(w, rel=1e-12, abs=1e-15)
-            raw += config.learning_rate * tree.value[0]
-        assert abs(model.trees[0].value[0]) > 0.1
+            assert tree.value[0] == pytest.approx(config.learning_rate * w, rel=1e-12,
+                                                  abs=1e-15)
+            raw += tree.value[0]
+        assert abs(model.trees[0].value[0]) > config.learning_rate * 0.1
         scores = predict_raw(model, X)
         np.testing.assert_array_equal(scores, np.full(n, raw))
 
@@ -1088,4 +1089,4 @@ class TestSplitsRespectConstraints:
         for tree in model.trees:
             g, h = logistic_grad_hess(raw, y)
             check(tree, 0, np.arange(200), g, h)
-            raw += config.learning_rate * reference_tree_output(tree, X.values)
+            raw += reference_tree_output(tree, X.values)

@@ -23,7 +23,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "436ad44299f4614cf1f14c40ff50985c7e364c0fc4776e759e4e9cf4a7c39888"
+PINNED_SHA256 = "3d2c4a6f27320a577ceb41fcdc5169817e9d92d9f8387e1fe29c0b4a133087b8"
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +88,9 @@ class TestRoundTrip:
         save_model(model, path)
         sections = json.load(open(path))["sections"]
         ensemble = sections["ensemble"]["payload"]
+        # leaves hold the learning rate times their weight, so the rate is not stored
         assert sorted(ensemble) == ["base_raw", "feature", "feature_names", "gain",
-                                    "learning_rate", "node_counts", "value"]
+                                    "node_counts", "value"]
         splits = model.ensemble.nodes.feature >= 0
         assert ensemble["gain"]["shape"] == [int(splits.sum())] < ensemble["value"]["shape"]
         assert _decode(ensemble["gain"]).tobytes() == model.ensemble.nodes.gain[splits].tobytes()
@@ -97,6 +98,9 @@ class TestRoundTrip:
             "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
         assert sorted(sections["meta"]["payload"]) == [
             "attention_seed", "fingerprint", "random_k", "variant"]
+        # the network's sizes are the shape of W1
+        assert sorted(sections["attention"]["payload"]) == [
+            "W1", "W_attn", "b1", "b2", "b_attn", "w2"]
 
     def test_zero_tree_model_round_trip(self, tmp_path):
         csv_path, path = str(tmp_path / "rows.csv"), str(tmp_path / "zero.model")
@@ -134,7 +138,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 5
+    assert FORMAT_VERSION == 6
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -293,9 +297,28 @@ class TestDamagedFiles:
         json.dump(document, open(path, "w"))
         self._assert_version_rejected(path, 4, tmp_path, capsys)
 
+    def test_version_5_file_rejected(self, fitted, tmp_path, capsys):
+        # version 5 stored the learning rate beside unscaled leaf weights, and the network's
+        # d and k beside W1; no version 5 file is read
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        sections = document["sections"]
+        ensemble, attention = sections["ensemble"]["payload"], sections["attention"]["payload"]
+        rate = FAST_BOOST.learning_rate
+        feature, value = _decode(ensemble["feature"], "<i4"), _decode(ensemble["value"])
+        ensemble.update(learning_rate=rate,
+                        value=_encode(np.where(feature < 0, value / rate, value)))
+        k, d = attention["W1"]["shape"]
+        attention.update(d=d, k=k)
+        for section in sections.values():
+            section["checksum"] = _checksum(section["payload"])
+        document["version"] = 5
+        json.dump(document, open(path, "w"))
+        self._assert_version_rejected(path, 5, tmp_path, capsys)
+
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 5"
-        assert FORMAT_VERSION == 5
+        message = f"unsupported model format version {version}, expected 6"
+        assert FORMAT_VERSION == 6
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -538,8 +561,7 @@ class TestDamagedFiles:
             assert err.startswith(f"error: {path}: section 'preprocessor' {key}")
             assert "row " not in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "random_k"),
-                                             ("attention", "d"), ("attention", "k")])
+    @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "random_k")])
     @pytest.mark.parametrize("make", [lambda v: v + 0.9, float, lambda v: True],
                              ids=["fraction", "whole_float", "boolean"])
     def test_integer_field_that_is_a_float_or_boolean_rejected(self, fitted, tmp_path, capsys,
@@ -576,6 +598,10 @@ class TestDamagedFiles:
         ("attention", "optimizer", "plain-sgd"),
         # format 3 stored the names that follow from the schema
         ("preprocessor", "feature_names", ["Sales"]),
+        # a format 5 file edited to read as format 6: its leaves were unscaled
+        ("ensemble", "learning_rate", 0.1),
+        # format 5 stored W1's shape as d and k
+        ("attention", "k", 6),
     ])
     def test_key_save_model_does_not_write_rejected(self, fitted, tmp_path, capsys, section,
                                                     key, value):
@@ -655,7 +681,10 @@ class TestDamagedFiles:
         ("full", "preprocessor",
          lambda pre: pre.update(schema=[c for c in pre["schema"] if c[1] != "date"]),
          r"preprocessor width \d+ plus the 6-column block"),
-        ("full", "attention", lambda att: att.update(k=7), r"W1 has shape \(6, \d+\), expected"),
+        # the network's input width is the number of W1's columns
+        ("full", "attention",
+         lambda att: att.update(W1=_encode(_decode(att["W1"])[:, 1:])),
+         r"attention input width \d+ plus the 6-column block"),
     ])
     def test_block_width_mismatch_rejected(self, fitted, tmp_path, kind, section, edit,
                                            message):
@@ -675,17 +704,11 @@ class TestDamagedFiles:
          "section 'ensemble' tree 1 node 0: gain -inf is not finite"),
         ("ensemble", lambda ens: ens.update(base_raw=np.nan),
          "section 'ensemble': base_raw nan is not finite"),
-        ("ensemble", lambda ens: ens.update(learning_rate=-5.0),
-         r"section 'ensemble': learning_rate -5.0 is outside \(0, 1\]"),
-        ("ensemble", lambda ens: ens.update(learning_rate=0.0), r"learning_rate 0.0 is outside"),
-        ("ensemble", lambda ens: ens.update(learning_rate=1.5), r"learning_rate 1.5 is outside"),
-        ("ensemble", lambda ens: ens.update(learning_rate=np.nan), r"learning_rate nan is outside"),
         ("attention", lambda att: _set_entry(att, "W1", 3, np.nan),
          "section 'attention': W1 holds a value that is not finite"),
         ("attention", lambda att: att.update(b2=np.inf),
          "section 'attention': b2 holds a value that is not finite"),
-    ], ids=["weight", "threshold", "gain", "base_raw", "rate_negative", "rate_zero",
-            "rate_above_one", "rate_nan", "W1", "b2"])
+    ], ids=["weight", "threshold", "gain", "base_raw", "W1", "b2"])
     def test_non_finite_numbers_with_valid_checksums_rejected(self, fitted, tmp_path, capsys,
                                                               section, edit, message):
         path = self._saved(fitted, tmp_path)
@@ -696,6 +719,59 @@ class TestDamagedFiles:
         capsys.readouterr()
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         assert re.search(message, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("edit,message", [
+        # loaded before the names were checked, and `importance` then failed to sort them:
+        # TypeError: '<' not supported between instances of 'str' and 'float'
+        (lambda names: names.__setitem__(0, 1.5), "column 1.5 is not a string named once"),
+        (lambda names: names.__setitem__(1, names[0]), "is not a string named once"),
+        (lambda names: " ".join(names), "expected a list of column names, got '"),
+    ], ids=["number", "repeated", "not_a_list"])
+    def test_ensemble_feature_names_that_are_not_strings_named_once_rejected(
+            self, fitted, tmp_path, capsys, edit, message):
+        # `edit` changes the list in place or returns what replaces it
+        path = self._saved(fitted, tmp_path, kind="no_attention")
+        self._edit_payload(path, "ensemble", lambda ens: ens.update(
+            feature_names=edit(ens["feature_names"]) or ens["feature_names"]))
+        prefix = "section 'ensemble' feature_names: "
+        with pytest.raises(ModelFormatError, match=re.escape(prefix)) as info:
+            load_model(path)
+        assert message in str(info.value)
+        capsys.readouterr()
+        for command in (["importance", "--model", path],
+                        ["predict", "--model", path, "--data", self._csv(tmp_path)]):
+            assert run_command(command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: {prefix}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("shape", ["no_units", "no_inputs", "vector"])
+    def test_w1_that_is_not_a_matrix_of_units_and_inputs_rejected(self, fitted, tmp_path,
+                                                                 capsys, shape):
+        # a network of no units beside an ensemble over the input columns alone loaded
+        # before its sizes came from W1, and `predict` then divided by zero in augment
+        path = self._saved(fitted, tmp_path)
+        donor = self._saved(fitted, tmp_path, name="inputs.model", kind="no_attention")
+        inputs = json.load(open(donor))["sections"]["ensemble"]["payload"]
+        k, d = json.load(open(path))["sections"]["attention"]["payload"]["W1"]["shape"]
+        W1 = {"no_units": np.zeros((0, d)), "no_inputs": np.zeros((k, 0)),
+              "vector": np.zeros(k * d)}[shape]
+        units = W1.shape[0] if W1.ndim == 2 else k
+
+        def edit(att):
+            att.update(W1=_encode(W1), b1=_encode(np.zeros(units)),
+                       W_attn=_encode(np.zeros((units, units))),
+                       b_attn=_encode(np.zeros(units)), w2=_encode(np.zeros(units)))
+        self._edit_payload(path, "attention", edit)
+        if shape == "no_units":
+            self._edit_payload(path, "ensemble", lambda ens: ens.update(inputs))
+        message = (f"section 'attention': W1 has shape {W1.shape}, expected a matrix with at "
+                   "least one row and one column")
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        csv_path = self._csv(tmp_path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @staticmethod
     def _edit_payload(path, name, edit):
@@ -732,7 +808,8 @@ class TestDamagedFiles:
 
 # ROADMAP item 16's standing fuzz: a single structural edit of a valid file, its checksum
 # recomputed, must fail to load with ModelFormatError, or load and then let `predict`
-# exit 0 with finite probabilities or exit 1 with an `error:` line; never a traceback.
+# exit 0 with finite probabilities and `importance` exit 0, or either exit 1 with an
+# `error:` line; never a traceback.
 FUZZ_MODELS = ("full", "no_attention", "random_attention")
 FUZZ_SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
 # what a leaf, a container or a list entry is replaced by
@@ -798,8 +875,8 @@ def _mutated(document: dict, section: str, path: tuple, value) -> dict:
 
 def _fuzz_outcome(document: dict, path: str, csv_path: str, capsys,
                   must_fail: bool) -> str | None:
-    """None when the file fails to load or, unless it `must_fail`, predicts cleanly;
-    else what went wrong."""
+    """None when the file fails to load or, unless it `must_fail`, `predict` and
+    `importance` each run cleanly on it; else what went wrong."""
     json.dump(document, open(path, "w"))
     try:
         load_model(path)
@@ -809,17 +886,23 @@ def _fuzz_outcome(document: dict, path: str, csv_path: str, capsys,
         return "loads"
     scores = path + ".csv"
     capsys.readouterr()
-    try:
-        code = run_command(["predict", "--model", path, "--data", csv_path, "--out", scores])
-    except Exception as exc:  # run_command lets it out, so `attnboost predict` shows a traceback
-        return f"traceback: {type(exc).__name__}: {exc}"
-    err = capsys.readouterr().err
-    if code == 1:
-        return None if err.startswith("error: ") and "Traceback" not in err else f"exit 1: {err!r}"
-    if code != 0:
-        return f"exit {code}: {err!r}"
-    probabilities = [float(line.split(",")[1]) for line in open(scores).read().splitlines()[1:]]
-    return None if all(math.isfinite(p) for p in probabilities) else "a score is not finite"
+    for command in (["predict", "--model", path, "--data", csv_path, "--out", scores],
+                    ["importance", "--model", path]):
+        try:
+            code = run_command(command)
+        except Exception as exc:  # run_command lets it out, so `attnboost` shows a traceback
+            return f"{command[0]} traceback: {type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code == 1 and not (err.startswith("error: ") and "Traceback" not in err):
+            return f"{command[0]} exit 1: {err!r}"
+        if code not in (0, 1):
+            return f"{command[0]} exit {code}: {err!r}"
+        if code == 0 and command[0] == "predict":
+            probabilities = [float(line.split(",")[1])
+                             for line in open(scores).read().splitlines()[1:]]
+            if not all(math.isfinite(p) for p in probabilities):
+                return "a score is not finite"
+    return None
 
 
 @pytest.fixture(scope="module")

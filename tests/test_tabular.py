@@ -304,6 +304,13 @@ def _outcome(apply, state, table):
             None if y is None else (y.dtype, y.tobytes()))
 
 
+def _without(table, name):
+    """The table's schema and rows without the named column."""
+    j = table.column_index(name)
+    return RawTable(schema=table.schema[:j] + table.schema[j + 1:],
+                    rows=[row[:j] + row[j + 1:] for row in table.rows])
+
+
 def assert_matches_reference(state, table):
     got = _outcome(apply_preprocessor, state, table)
     assert got == _outcome(reference_apply, state, table)
@@ -341,7 +348,7 @@ class TestColumnwiseEncoderMatchesReference:
             dropped_state = fit_preprocessor(
                 generate_synthetic(SyntheticSpec(n_rows=300, seed=fit_seed)), drop)
             assert assert_matches_reference(dropped_state, table)[0] != "raised"
-        unlabeled = table.drop_column("Returned")
+        unlabeled = _without(table, "Returned")
         outcome = assert_matches_reference(state, unlabeled)
         assert outcome[0] == (250, 10) and outcome[-1] is None
 
@@ -404,7 +411,7 @@ class TestColumnwiseEncoderMatchesReference:
 
     def test_schema_mismatches_raise_the_same_error(self):
         state = fit_preprocessor(_mixed_table(), [])
-        for table in (_mixed_table().drop_column("Qty"),
+        for table in (_without(_mixed_table(), "Qty"),
                       RawTable(schema=list(reversed(_mixed_table().schema)), rows=[])):
             outcome = assert_matches_reference(state, table)
             assert outcome[0] == "raised" and "schema" in outcome[2]
