@@ -39,6 +39,8 @@ from .tabular import FeatureMatrix
 # the loss clamps predictions to [PROB_CLAMP, 1 - PROB_CLAMP]; below about 5.6e-17,
 # 1 - PROB_CLAMP would round to 1 and the loss to log(0)
 PROB_CLAMP = 1e-12
+# the widest block; no network comes near it (W_attn alone holds k * k floats)
+MAX_UNITS = 2**16
 
 
 def _sigmoid_into(x, out, den, mask):
@@ -78,8 +80,8 @@ class AttentionParams:
     b_attn: np.ndarray  # (k,)
     w2: np.ndarray  # (k,)
     b2: float
-    d: int
-    k: int
+    k = property(lambda self: self.W1.shape[0], doc="hidden units, the rows of W1")
+    d = property(lambda self: self.W1.shape[1], doc="input columns, the columns of W1")
 
 
 @dataclass
@@ -93,7 +95,7 @@ class TrainConfig:
     def __post_init__(self):
         # each range is written so that NaN fails it; a rejection names the field first
         for name, ok, rule in (
-            ("k", self.k >= 1, "must be >= 1"),
+            ("k", 1 <= self.k <= MAX_UNITS, f"must be from 1 to {MAX_UNITS}"),
             ("epochs", self.epochs >= 0, "must be non-negative"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("learning_rate", 0.0 < self.learning_rate < math.inf, "must be finite and positive"),
@@ -119,8 +121,6 @@ def init_params(d: int, k: int, seed: int) -> AttentionParams:
         b_attn=np.zeros(k),
         w2=uniform(k, 1, (k,)),
         b2=0.0,
-        d=d,
-        k=k,
     )
 
 
@@ -146,7 +146,6 @@ class _Trainer:
 
     def __init__(self, params: AttentionParams, rows: int, config: TrainConfig):
         d, k = params.d, params.k
-        self.d, self.k = d, k
         self.learning_rate = config.learning_rate
         self.flat = np.concatenate([params.W1.ravel(), params.b1, params.W_attn.ravel(),
                                     params.b_attn, params.w2, [params.b2]])
@@ -167,7 +166,7 @@ class _Trainer:
     def params(self) -> AttentionParams:
         W1, b1, W_attn, b_attn, w2, b2 = self.param_views
         return AttentionParams(W1=W1, b1=b1, W_attn=W_attn, b_attn=b_attn, w2=w2,
-                               b2=float(b2[0]), d=self.d, k=self.k)
+                               b2=float(b2[0]))
 
     def gradient(self, values: np.ndarray, y: np.ndarray, batch: np.ndarray) -> float:
         """Write the mean-loss gradient of rows `batch` into `grad`; return their summed loss.
@@ -310,8 +309,7 @@ def _sub_network(params: AttentionParams, units: np.ndarray) -> AttentionParams:
     """The network restricted to the given hidden units (copies, in their order)."""
     return AttentionParams(W1=params.W1[units], b1=params.b1[units],
                            W_attn=params.W_attn[np.ix_(units, units)],
-                           b_attn=params.b_attn[units], w2=params.w2[units],
-                           b2=params.b2, d=params.d, k=units.size)
+                           b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2)
 
 
 def augment(params: AttentionParams, X: FeatureMatrix) -> FeatureMatrix:

@@ -135,8 +135,6 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    if model.preprocessor is None:
-        raise ModelFormatError("model file has no preprocessor section")
     table = load_csv(args.data, model.preprocessor.schema)
     proba, labels = fusion.predict(model, table)
     lines = ["row_index,probability,label"]
@@ -151,8 +149,6 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    if model.preprocessor is None:
-        raise ModelFormatError("model file has no preprocessor section")
     table = load_csv(args.data, model.preprocessor.schema)
     X, y = apply_preprocessor(model.preprocessor, table)
     if y is None:

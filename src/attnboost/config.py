@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .attention import TrainConfig
+from .attention import MAX_UNITS, TrainConfig
 from .errors import ConfigError
 from .experiments import DEFAULT_COEFFICIENTS, SyntheticSpec
 from .fusion import DEFAULT_SHALLOW_K, VARIANT_KINDS
@@ -143,8 +143,8 @@ class RunConfig:
         for key, allowed in _CHOICES.items():
             if values[key] not in allowed:
                 raise ConfigError(f"key {key!r}: {values[key]!r} is not one of {allowed}")
-        if values["model.shallow_k"] < 1:
-            raise ConfigError(f"key 'model.shallow_k' must be at least 1, got "
+        if not 1 <= values["model.shallow_k"] <= MAX_UNITS:
+            raise ConfigError(f"key 'model.shallow_k' must be from 1 to {MAX_UNITS}, got "
                               f"{values['model.shallow_k']}")
         if not 0.0 < values["split.fraction"] < 1.0:  # NaN fails this too
             raise ConfigError(f"key 'split.fraction' must be in (0, 1), got "

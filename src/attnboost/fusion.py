@@ -36,6 +36,9 @@ DEFAULT_SHALLOW_K = 16
 
 @dataclass
 class AttnBoostModel:
+    """A fitted variant, its ensemble over column_names(model, input names); `preprocessor`
+    is None only for a model fitted in memory on a matrix, which save_model refuses."""
+
     preprocessor: PreprocessorState | None
     attention: attn.AttentionParams | None
     ensemble: gbdt.Ensemble
@@ -63,12 +66,20 @@ def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
     return (z >> np.uint64(11)) * 2.0**-53
 
 
+def column_names(model: AttnBoostModel, inputs: list[str]) -> list[str]:
+    """The ensemble's columns: the inputs, then attn_<i> for each column of the block (the
+    network's k units, random_attention's random_k uniforms, or none)."""
+    block = model.random_k if model.variant == "random_attention" else (
+        0 if model.attention is None else model.attention.k)
+    return [*inputs, *attn.attention_names(block)]
+
+
 def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
     """The matrix the ensemble actually sees for this model's variant."""
     if model.variant == "random_attention":
         block = _random_block(X.values, model.random_k, model.attention_seed)
         return FeatureMatrix(values=np.hstack([X.values, block]),
-                             feature_names=[*X.feature_names, *attn.attention_names(model.random_k)])
+                             feature_names=column_names(model, X.feature_names))
     if model.attention is None:
         return X
     return attn.augment(model.attention, X)

@@ -1,25 +1,27 @@
 """Single-file model container with per-section integrity checksums.
 
 The file is JSON with four sections (meta, preprocessor, attention, ensemble)
-and stores nothing that can be derived: the network's sizes are W1's shape,
-and each leaf holds its weight times the learning rate. The loader takes only
-the sections and payload keys that save_model writes. Arrays are
-base64-encoded little-endian bytes, float64 for real values and int32 for
-split features and node counts, so a save/load round trip reproduces
-bit-identical predictions on any platform. Each section's checksum is
-validated before anything is constructed; a bad file never yields a
-partially loaded model. The ensemble section stores the learner's own record
-without child links (the learner derives them from the features), each
-tree's node count, gains for splits only and feature names, each a string
-named once; it is checked for structure on load in one pass over all trees.
-The preprocessor section holds no feature or target names, which follow from
-its schema, and is checked against what fitting guarantees. The meta section
-must name a known variant, which has an attention section exactly when it
-widens the matrix with a network (the block is then always h * alpha), the
-ensemble's width must be the input width plus the variant's block, and a
-section whose contents do not decode, such as a seed that is not an integer,
-raises ModelFormatError like a damaged one, as does a node value, gain, base
-score or attention parameter that is not finite, or a W1 without rows or columns.
+and stores nothing that can be derived: the ensemble's columns are the
+preprocessor's followed by the block's (fusion.column_names), the network's
+sizes are W1's shape, and each leaf holds its weight times the learning rate.
+save_model takes only a model with a preprocessor whose ensemble reads those
+columns; the loader takes only the sections and payload keys it writes.
+Arrays are base64-encoded little-endian bytes with a shape of non-negative
+integers, float64 for real values and int32 for split features and node
+counts, so a save/load round trip reproduces bit-identical predictions on
+any platform. Each section's checksum is validated before anything is
+constructed; a bad file never yields a partially loaded model. The ensemble
+section stores the learner's own record without child links (the learner
+derives them from the features), each tree's node count and gains for splits
+only; it is checked for structure on load in one pass over all trees. The
+preprocessor section holds no feature or target names, which follow from its
+schema, and is checked against what fitting guarantees. The meta section must
+name a known variant, which has an attention section exactly when it widens
+the matrix with a network over the preprocessor's columns (the block is then
+always h * alpha). A section whose contents do not decode, such as a seed
+that is not an integer or a shape of -1, raises ModelFormatError like a
+damaged one, as does a node value, gain, base score or attention parameter
+that is not finite, or a W1 without rows or columns.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ import tempfile
 
 import numpy as np
 
-from .attention import AttentionParams
+from .attention import MAX_UNITS, AttentionParams
 from .errors import DataError, ModelFormatError
-from .fusion import NETWORK_VARIANTS, VARIANT_KINDS, AttnBoostModel
+from .fusion import NETWORK_VARIANTS, VARIANT_KINDS, AttnBoostModel, column_names
 from .gbdt import Ensemble, Tree
 from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorState,
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and split features
 
@@ -68,11 +70,14 @@ def _encode(arr, dtype: str | None = None) -> dict:
             "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
 
 
-def _decode(obj, dtype: str = "<f8") -> np.ndarray:
-    """An array written by _encode with `dtype`, as float64 or, from _INTEGERS, intp."""
-    raw = base64.b64decode(obj["data"])  # TypeError or ValueError on anything but ASCII text
+def _decode(payload: dict, key: str, dtype: str = "<f8") -> np.ndarray:
+    """payload[key], written by _encode with `dtype`, as float64 or, from _INTEGERS, intp."""
+    shape = payload[key]["shape"]
+    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
+        raise ValueError(f"{key} shape {shape!r} is not a list of non-negative integers")
+    raw = base64.b64decode(payload[key]["data"])  # TypeError or ValueError unless ASCII text
     arr = np.frombuffer(raw, dtype=dtype).astype(np.intp if dtype == _INTEGERS else np.float64)
-    return arr.reshape(obj["shape"])
+    return arr.reshape(shape)
 
 
 def _canonical(payload) -> bytes:
@@ -87,7 +92,6 @@ def _ensemble_payload(ensemble: Ensemble) -> dict:
     nodes = ensemble.nodes
     return {
         "base_raw": ensemble.base_raw,
-        "feature_names": ensemble.feature_names,
         "node_counts": ensemble.node_counts,
         "feature": nodes.feature,
         "value": nodes.value,
@@ -95,29 +99,19 @@ def _ensemble_payload(ensemble: Ensemble) -> dict:
     }
 
 
-def _ensemble_from_payload(payload: dict) -> Ensemble:
-    """Decode the ensemble and check, for all trees at once, that its arrays form trees.
+def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
+    """Decode the ensemble over the named columns and check, for all trees at once, that
+    its arrays form trees.
 
     Every node count is positive, `feature` and `value` hold one entry per node
-    of their sum and `gain` one per split. A feature is -1 (a leaf) or a column
-    of the model. A tree's running count, +1 per split and -1 per leaf, stays
+    of their sum and `gain` one per split. A feature is -1 (a leaf) or one of
+    the columns. A tree's running count, +1 per split and -1 per leaf, stays
     at or above 0 until its last node and reaches -1 exactly there. An error
-    names the tree, and its node by tree-local index. Feature names are
-    strings, each named once.
+    names the tree, and its node by tree-local index.
     """
-    feature_names = payload["feature_names"]
-    if type(feature_names) is not list:
-        raise ModelFormatError(f"section 'ensemble' feature_names: expected a list of column "
-                               f"names, got {feature_names!r}")
-    seen = set()  # keeps the check linear in the width
-    for name in feature_names:
-        if type(name) is not str or name in seen:
-            raise ModelFormatError(f"section 'ensemble' feature_names: column {name!r} is not "
-                                   "a string named once")
-        seen.add(name)
-    counts = _decode(payload["node_counts"], _INTEGERS)
-    feature, value = _decode(payload["feature"], _INTEGERS), _decode(payload["value"])
-    split_gain = _decode(payload["gain"])
+    counts = _decode(payload, "node_counts", _INTEGERS)
+    feature, value = _decode(payload, "feature", _INTEGERS), _decode(payload, "value")
+    split_gain = _decode(payload, "gain")
     if counts.ndim != 1:
         raise ModelFormatError(f"node counts must be one-dimensional, got shape {counts.shape}")
     if (counts < 1).any():
@@ -161,9 +155,7 @@ def _ensemble_from_payload(payload: dict) -> Ensemble:
     return ensemble
 
 
-def _preprocessor_payload(state: PreprocessorState | None):
-    if state is None:
-        return None
+def _preprocessor_payload(state: PreprocessorState) -> dict:
     return {
         "schema": [[c.name, c.kind, c.nullable] for c in state.schema],
         "category_maps": state.category_maps,
@@ -173,7 +165,7 @@ def _preprocessor_payload(state: PreprocessorState | None):
     }
 
 
-def _preprocessor_from_payload(payload) -> PreprocessorState | None:
+def _preprocessor_from_payload(payload) -> PreprocessorState:
     """Decode the preprocessor state and check what fit_preprocessor guarantees.
 
     Each schema entry is a string name, a known kind and a JSON boolean
@@ -186,8 +178,6 @@ def _preprocessor_from_payload(payload) -> PreprocessorState | None:
     EPSILON_STD; no other column has either. An error names the key, and the
     column.
     """
-    if payload is None:
-        return None
     schema = []
     for name, kind, nullable in payload["schema"]:
         if type(name) is not str:
@@ -250,13 +240,12 @@ def _attention_from_payload(payload) -> AttentionParams | None:
     """Decode the network, whose k units and d inputs are the shape of W1."""
     if payload is None:
         return None
-    arrays = {name: _decode(payload[name]) for name in _ATTENTION_ARRAYS}
+    arrays = {name: _decode(payload, name) for name in _ATTENTION_ARRAYS}
     shape = arrays["W1"].shape
     if len(shape) != 2 or 0 in shape:  # the sizes init_params accepts
         raise ModelFormatError(f"section 'attention': W1 has shape {shape}, expected a matrix "
                                "with at least one row and one column")
-    k, d = shape
-    return AttentionParams(**arrays, b2=float(payload["b2"]), d=d, k=k)
+    return AttentionParams(**arrays, b2=float(payload["b2"]))
 
 
 def _meta_from_payload(meta: dict) -> dict:
@@ -269,9 +258,8 @@ def _meta_from_payload(meta: dict) -> dict:
     return {key: meta[key] for key in ("variant", "attention_seed", "random_k")}
 
 
-# each section's decoder, in the order the file's sections are checked and read
-_SECTIONS = {"meta": _meta_from_payload, "preprocessor": _preprocessor_from_payload,
-             "attention": _attention_from_payload, "ensemble": _ensemble_from_payload}
+# the file's sections, in the order they are checked and read
+_SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
 
 
 def _payloads(model: AttnBoostModel, fingerprint: str) -> dict:
@@ -298,7 +286,13 @@ def _encoded(payload: dict | None) -> dict | None:
 
 
 def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
-    """Write the model atomically; output bytes are deterministic."""
+    """Write the model atomically; output bytes are deterministic. Only a model with a
+    preprocessor, whose ensemble reads the columns the loader derives, is saved."""
+    if model.preprocessor is None:
+        raise ValueError("only a model with its fitted preprocessor can be saved")
+    if model.ensemble.feature_names != column_names(model, model.preprocessor.feature_names):
+        raise ValueError("the ensemble's columns are not the preprocessor's followed by the "
+                         "block's, the names a loaded model derives")
     sections = {name: _encoded(payload) for name, payload in _payloads(model, fingerprint).items()}
     document = {
         "format": FORMAT_NAME,
@@ -351,37 +345,41 @@ def load_model(path: str) -> AttnBoostModel:
 
 
 def _model_from_payloads(payloads: dict) -> AttnBoostModel:
-    parts = {}
-    for name, decode in _SECTIONS.items():
+    """The model, its ensemble decoded over the column names the other sections derive."""
+    def decode(name, decoder, *args):
         try:
-            parts[name] = decode(payloads[name])
+            return decoder(payloads[name], *args)
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"section {name!r}: malformed section contents "
                                    f"({type(exc).__name__}: {exc})") from exc
-    model = AttnBoostModel(**parts.pop("meta"), **parts)
+
+    model = AttnBoostModel(**decode("meta", _meta_from_payload),
+                           preprocessor=decode("preprocessor", _preprocessor_from_payload),
+                           attention=decode("attention", _attention_from_payload), ensemble=None)
     _check_sections_agree(model)
+    model.ensemble = decode("ensemble", _ensemble_from_payload,
+                            column_names(model, model.preprocessor.feature_names))
     return model
 
 
 def _check_sections_agree(model: AttnBoostModel) -> None:
-    """Meta, attention and ensemble must describe one model, as fit_variant builds it.
+    """Meta, preprocessor and attention must describe one model, as fit_variant builds it.
 
     A variant of fusion.NETWORK_VARIANTS has an attention section, whose
-    arrays fit W1's shape, and the others have none; random_attention draws
-    random_k >= 1 columns. The ensemble reads the input columns, then the block.
+    arrays fit W1's shape and whose inputs are the preprocessor's columns, and
+    the others have none; random_attention draws 1 to MAX_UNITS columns.
     """
     variant, params = model.variant, model.attention
     if (params is not None) != (variant in NETWORK_VARIANTS):
         raise ModelFormatError(f"variant {variant!r} does not match an attention section "
                                f"that is {'absent' if params is None else 'present'}")
-    if variant == "random_attention" and model.random_k < 1:
-        raise ModelFormatError(f"random_attention needs random_k >= 1, got {model.random_k}")
-    block = model.random_k if variant == "random_attention" else 0
-    inputs = {}  # input width, by the section that records it
+    if variant == "random_attention" and not 1 <= model.random_k <= MAX_UNITS:
+        raise ModelFormatError(f"random_attention needs random_k from 1 to {MAX_UNITS}, "
+                               f"got {model.random_k}")
     if params is not None:
-        k, d = params.k, params.d
-        block, inputs["attention input"] = k, d
-        for name, shape in (("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,)), ("w2", (k,))):
+        k, d = params.k, len(model.preprocessor.feature_names)  # W1 reads the inputs
+        for name, shape in (("W1", (k, d)), ("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,)),
+                            ("w2", (k,))):
             if getattr(params, name).shape != shape:
                 raise ModelFormatError(f"attention {name} has shape "
                                        f"{getattr(params, name).shape}, expected {shape}")
@@ -389,13 +387,6 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
             if not np.isfinite(getattr(params, name)).all():
                 raise ModelFormatError(f"section 'attention': {name} holds a value that is "
                                        "not finite")
-    if model.preprocessor is not None:
-        inputs["preprocessor"] = len(model.preprocessor.feature_names)
-    width = len(model.ensemble.feature_names)
-    for source, columns in inputs.items():
-        if columns + block != width:
-            raise ModelFormatError(f"ensemble has {width} columns but the {source} width "
-                                   f"{columns} plus the {block}-column block is {columns + block}")
 
 
 def _check_only_written(stored: dict, payloads: dict, model: AttnBoostModel) -> None:
@@ -409,7 +400,7 @@ def _check_only_written(stored: dict, payloads: dict, model: AttnBoostModel) -> 
     extra = sorted(set(stored) - set(written))
     if extra:
         raise ModelFormatError(f"section {extra[0]!r} is not one save_model writes")
-    for name, payload in written.items():  # a null payload decodes to None, written as null
+    for name, payload in written.items():  # a null attention payload is written as null
         keys = sorted(set(payloads[name] or ()) ^ set(payload or ()))
         if keys:
             raise ModelFormatError(f"section {name!r}: key {keys[0]!r} is " + (

@@ -1,6 +1,7 @@
 """Tests for the gated network: forward values, exact gradients, training."""
 
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from attention_reference import (
     reference_train,
 )
 from attnboost.attention import (
+    MAX_UNITS,
     AttentionParams,
     TrainConfig,
     _Trainer,
@@ -37,14 +39,12 @@ def _random_params(d, k, rng, scale=0.8) -> AttentionParams:
         b_attn=rng.normal(0, scale, k),
         w2=rng.normal(0, scale, k),
         b2=float(rng.normal(0, scale)),
-        d=d,
-        k=k,
     )
 
 
 def _zero_params(d, k) -> AttentionParams:
     return AttentionParams(W1=np.zeros((k, d)), b1=np.zeros(k), W_attn=np.zeros((k, k)),
-                           b_attn=np.zeros(k), w2=np.zeros(k), b2=0.0, d=d, k=k)
+                           b_attn=np.zeros(k), w2=np.zeros(k), b2=0.0)
 
 
 def _fm(values) -> FeatureMatrix:
@@ -193,6 +193,14 @@ class TestInitParams:
         assert p.W_attn.shape == (3, 3)
         assert p.w2.shape == (3,)
 
+    def test_sizes_are_the_shape_of_w1(self):
+        # k and d are read from W1, so no stored copy of them can disagree with it
+        p = _zero_params(5, 3)
+        assert p.W1.shape == (3, 5) and (p.k, p.d) == (3, 5)
+        p.W1 = np.zeros((4, 7))
+        assert (p.k, p.d) == (4, 7)
+        assert [f.name for f in dataclasses.fields(p)] == list(PARAM_FIELDS)
+
     def test_fan_based_bounds(self):
         p = init_params(10, 20, seed=3)
         assert np.abs(p.W1).max() <= np.sqrt(6 / 30)
@@ -234,7 +242,7 @@ class TestForward:
 
     def test_hand_computed_trace(self):
         p = AttentionParams(W1=np.eye(2), b1=np.zeros(2), W_attn=np.zeros((2, 2)),
-                            b_attn=np.zeros(2), w2=np.array([1.0, 1.0]), b2=0.0, d=2, k=2)
+                            b_attn=np.zeros(2), w2=np.array([1.0, 1.0]), b2=0.0)
         t = forward(p, np.array([1.0, 2.0]))
         np.testing.assert_allclose(t.h, [1.0, 2.0])
         np.testing.assert_allclose(t.alpha, [0.5, 0.5])
@@ -423,7 +431,8 @@ class TestTrain:
         with pytest.raises(DataError):
             train(X, np.zeros(0, dtype=int), TrainConfig(k=2, epochs=1))
 
-    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1}])
+    @pytest.mark.parametrize("kwargs", [{"batch_size": 0}, {"batch_size": -1}, {"epochs": -1},
+                                        {"k": 0}, {"k": MAX_UNITS + 1}])
     def test_config_rejects_bad_settings(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             TrainConfig(**kwargs)
@@ -437,8 +446,7 @@ def live_units(params: AttentionParams, X) -> np.ndarray:
 def restrict(params: AttentionParams, units) -> AttentionParams:
     return AttentionParams(W1=params.W1[units], b1=params.b1[units],
                            W_attn=params.W_attn[np.ix_(units, units)],
-                           b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2,
-                           d=params.d, k=len(units))
+                           b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2)
 
 
 def scatter(params: AttentionParams, sub: AttentionParams, units) -> AttentionParams:

@@ -366,6 +366,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("extra", [
         ["--model.variant", "bogus"],
         ["--model.shallow_k", "0"],
+        ["--model.shallow_k", "65537"],
+        ["--attention.k", "65537"],
     ])
     def test_bad_choice_exits_2_before_data_is_read(self, tmp_path, extra, capsys):
         # the data file does not exist, so reading it would exit 1

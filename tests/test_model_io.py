@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from attnboost.errors import ModelFormatError
 from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.fusion import VARIANT_KINDS, fit_variant, predict_matrix
 from attnboost.gbdt import BoostConfig
+from attnboost.importance import gain_importance, rank_report
 from attnboost.cli import run_command
 from attnboost.model_io import (FORMAT_VERSION, _checksum, _decode, _encode, load_model,
                                 save_model)
@@ -23,7 +25,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "3d2c4a6f27320a577ceb41fcdc5169817e9d92d9f8387e1fe29c0b4a133087b8"
+PINNED_SHA256 = "4537af4b79bb948ae676fe6a09e2706cd7df66b3ea4d7122d3f08e861af38959"
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +91,11 @@ class TestRoundTrip:
         sections = json.load(open(path))["sections"]
         ensemble = sections["ensemble"]["payload"]
         # leaves hold the learning rate times their weight, so the rate is not stored
-        assert sorted(ensemble) == ["base_raw", "feature", "feature_names", "gain",
-                                    "node_counts", "value"]
+        # and its column names are the preprocessor's followed by the block's
+        assert sorted(ensemble) == ["base_raw", "feature", "gain", "node_counts", "value"]
         splits = model.ensemble.nodes.feature >= 0
         assert ensemble["gain"]["shape"] == [int(splits.sum())] < ensemble["value"]["shape"]
-        assert _decode(ensemble["gain"]).tobytes() == model.ensemble.nodes.gain[splits].tobytes()
+        assert _decode(ensemble, "gain").tobytes() == model.ensemble.nodes.gain[splits].tobytes()
         assert sorted(sections["preprocessor"]["payload"]) == [
             "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
         assert sorted(sections["meta"]["payload"]) == [
@@ -101,6 +103,17 @@ class TestRoundTrip:
         # the network's sizes are the shape of W1
         assert sorted(sections["attention"]["payload"]) == [
             "W1", "W_attn", "b1", "b2", "b_attn", "w2"]
+
+    @pytest.mark.parametrize("kind", ["full", "random_attention"])
+    def test_loaded_model_names_its_columns_as_the_model_in_memory(self, fitted, tmp_path,
+                                                                   kind):
+        model = fitted[0][kind]
+        path, ranking = str(tmp_path / "m.model"), str(tmp_path / "raw.csv")
+        save_model(model, path)
+        assert load_model(path).ensemble.feature_names == model.ensemble.feature_names
+        assert run_command(["importance", "--model", path, "--raw", "--csv-out", ranking]) == 0
+        _, expected = rank_report(gain_importance(model.ensemble))
+        assert open(ranking).read() == expected + "\n"
 
     def test_zero_tree_model_round_trip(self, tmp_path):
         csv_path, path = str(tmp_path / "rows.csv"), str(tmp_path / "zero.model")
@@ -126,6 +139,30 @@ class TestRoundTrip:
         assert all(row[2:] == ["0.000000", "0.000000", "0"] for row in ranked)
 
 
+class TestSaveRefuses:
+    def test_model_without_its_preprocessor(self, fitted, tmp_path):
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="only a model with its fitted preprocessor"):
+            save_model(replace(fitted[0]["full"], preprocessor=None), str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("kind,edit", [
+        # a loaded model would name the column as its preprocessor does, not "Renamed"
+        ("full", lambda m: replace(m, ensemble=replace(
+            m.ensemble, feature_names=["Renamed", *m.ensemble.feature_names[1:]]))),
+        # one uniform column more than the trees were fitted on
+        ("random_attention", lambda m: replace(m, random_k=m.random_k + 1)),
+        ("no_attention", lambda m: replace(m, ensemble=replace(
+            m.ensemble, feature_names=m.ensemble.feature_names[:-1]))),
+    ], ids=["renamed", "random_k", "shorter"])
+    def test_ensemble_columns_a_loaded_model_would_not_derive(self, fitted, tmp_path, kind,
+                                                             edit):
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match="not the preprocessor's followed by the block's"):
+            save_model(edit(fitted[0][kind]), str(path))
+        assert not path.exists()
+
+
 def test_file_bytes_are_pinned(tmp_path):
     # a fixed-seed no_attention fit, which makes no BLAS product; any change to what a
     # model file holds or how it is written changes this digest, and must update it on
@@ -138,13 +175,13 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 6
+    assert FORMAT_VERSION == 7
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
 def _set_entry(payload: dict, key: str, index: int, value: float) -> None:
     """Set one entry of the encoded float64 array `payload[key]`."""
-    values = _decode(payload[key])
+    values = _decode(payload, key)
     values.flat[index] = value
     payload[key] = _encode(values)
 
@@ -157,13 +194,13 @@ _NODE_FIELDS = {"node_counts": "<i4", "feature": "<i4", "value": "<f8", "gain": 
 def _node_index(ensemble: dict, t: int, i: int) -> int:
     """Index into an ensemble payload's node arrays of tree t's node i; a negative t or i
     counts from the last tree, or from the tree's last node."""
-    counts = _decode(ensemble["node_counts"], "<i4")
+    counts = _decode(ensemble, "node_counts", "<i4")
     return int(counts[:t].sum()) + i % int(counts[t])
 
 
 def _split_index(ensemble: dict, t: int, i: int) -> int:
     """Index into an ensemble payload's gain array of tree t's node i, which splits."""
-    feature = _decode(ensemble["feature"], "<i4")
+    feature = _decode(ensemble, "feature", "<i4")
     index = _node_index(ensemble, t, i)
     assert feature[index] >= 0
     return int((feature[:index] >= 0).sum())
@@ -171,7 +208,7 @@ def _split_index(ensemble: dict, t: int, i: int) -> int:
 
 def _node_local(ensemble: dict) -> np.ndarray:
     """Each node's index within its tree, for every node of an ensemble payload."""
-    counts = _decode(ensemble["node_counts"], "<i4")
+    counts = _decode(ensemble, "node_counts", "<i4")
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
@@ -234,10 +271,7 @@ class TestDamagedFiles:
     def test_version_1_file_rejected(self, fitted, tmp_path, capsys):
         # version 1 stored one object per tree; no version 1 file is read
         path = self._saved(fitted, tmp_path)
-        document = json.load(open(path))
-        document["version"] = 1
-        json.dump(document, open(path, "w"))
-        self._assert_version_rejected(path, 1, tmp_path, capsys)
+        self._assert_older_rejected(fitted, path, json.load(open(path)), 1, tmp_path, capsys)
 
     def test_version_2_file_rejected(self, fitted, tmp_path, capsys):
         # version 2 stored left links, thresholds and weights as arrays of their own, and
@@ -246,16 +280,13 @@ class TestDamagedFiles:
         document = json.load(open(path))
         sections = document["sections"]
         ensemble = sections["ensemble"]["payload"]
-        feature, value = _decode(ensemble["feature"], "<i4"), _decode(ensemble.pop("value"))
+        feature, value = _decode(ensemble, "feature", "<i4"), _decode(ensemble, "value")
+        del ensemble["value"]
         ensemble.update(left=_encode(np.where(feature < 0, -1, _node_local(ensemble) + 1), "<i4"),
                         threshold=_encode(np.where(feature < 0, 0.0, value)),
                         weight=_encode(np.where(feature < 0, value, 0.0)))
         sections["meta"]["payload"]["random_seed"] = sections["meta"]["payload"]["attention_seed"]
-        for section in sections.values():
-            section["checksum"] = _checksum(section["payload"])
-        document["version"] = 2
-        json.dump(document, open(path, "w"))
-        self._assert_version_rejected(path, 2, tmp_path, capsys)
+        self._assert_older_rejected(fitted, path, document, 2, tmp_path, capsys)
 
     def test_version_3_file_rejected(self, fitted, tmp_path, capsys):
         # version 3 also stored right links, leaf gains, the preprocessor's feature and
@@ -264,9 +295,9 @@ class TestDamagedFiles:
         document = json.load(open(path))
         sections = document["sections"]
         ensemble = sections["ensemble"]["payload"]
-        feature = _decode(ensemble["feature"], "<i4")
+        feature = _decode(ensemble, "feature", "<i4")
         gain = np.zeros(feature.size)
-        gain[feature >= 0] = _decode(ensemble["gain"])
+        gain[feature >= 0] = _decode(ensemble, "gain")
         right, open_splits = np.full(feature.size, -1), []
         for i, local in enumerate(_node_local(ensemble)):  # a leaf's successor is a right child
             if local > 0 and feature[i - 1] < 0:
@@ -279,23 +310,15 @@ class TestDamagedFiles:
             feature_names=model.preprocessor.feature_names,
             target_name=model.preprocessor.target_name)
         sections["meta"]["payload"]["boost_seed"] = FAST_BOOST.seed
-        for section in sections.values():
-            section["checksum"] = _checksum(section["payload"])
-        document["version"] = 3
-        json.dump(document, open(path, "w"))
-        self._assert_version_rejected(path, 3, tmp_path, capsys)
+        self._assert_older_rejected(fitted, path, document, 3, tmp_path, capsys)
 
     def test_version_4_file_rejected(self, fitted, tmp_path, capsys):
         # version 4 also stored meta augment_mode, which chose h * alpha or alpha alone as
         # the block; no version 4 file is read
         path = self._saved(fitted, tmp_path)
         document = json.load(open(path))
-        meta = document["sections"]["meta"]
-        meta["payload"]["augment_mode"] = "weighted-hidden"
-        meta["checksum"] = _checksum(meta["payload"])
-        document["version"] = 4
-        json.dump(document, open(path, "w"))
-        self._assert_version_rejected(path, 4, tmp_path, capsys)
+        document["sections"]["meta"]["payload"]["augment_mode"] = "weighted-hidden"
+        self._assert_older_rejected(fitted, path, document, 4, tmp_path, capsys)
 
     def test_version_5_file_rejected(self, fitted, tmp_path, capsys):
         # version 5 stored the learning rate beside unscaled leaf weights, and the network's
@@ -305,20 +328,33 @@ class TestDamagedFiles:
         sections = document["sections"]
         ensemble, attention = sections["ensemble"]["payload"], sections["attention"]["payload"]
         rate = FAST_BOOST.learning_rate
-        feature, value = _decode(ensemble["feature"], "<i4"), _decode(ensemble["value"])
+        feature, value = _decode(ensemble, "feature", "<i4"), _decode(ensemble, "value")
         ensemble.update(learning_rate=rate,
                         value=_encode(np.where(feature < 0, value / rate, value)))
         k, d = attention["W1"]["shape"]
         attention.update(d=d, k=k)
+        self._assert_older_rejected(fitted, path, document, 5, tmp_path, capsys)
+
+    def test_version_6_file_rejected(self, fitted, tmp_path, capsys):
+        # version 6 differs only in storing the ensemble's column names, the preprocessor's
+        # followed by the block's; no version 6 file is read
+        path = self._saved(fitted, tmp_path)
+        self._assert_older_rejected(fitted, path, json.load(open(path)), 6, tmp_path, capsys)
+
+    def _assert_older_rejected(self, fitted, path, document, version, tmp_path, capsys):
+        """Write `document` as a `full` file of `version`, with the ensemble's column names
+        that versions 1 to 6 all stored and checksums that match, and check it is rejected."""
+        sections = document["sections"]
+        sections["ensemble"]["payload"]["feature_names"] = fitted[0]["full"].ensemble.feature_names
         for section in sections.values():
             section["checksum"] = _checksum(section["payload"])
-        document["version"] = 5
+        document["version"] = version
         json.dump(document, open(path, "w"))
-        self._assert_version_rejected(path, 5, tmp_path, capsys)
+        self._assert_version_rejected(path, version, tmp_path, capsys)
 
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 6"
-        assert FORMAT_VERSION == 6
+        message = f"unsupported model format version {version}, expected 7"
+        assert FORMAT_VERSION == 7
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -377,7 +413,7 @@ class TestDamagedFiles:
     def test_gain_not_one_per_split_rejected(self, fitted, tmp_path, change):
         path = self._saved(fitted, tmp_path)
         ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
-        splits = int((_decode(ensemble["feature"], "<i4") >= 0).sum())
+        splits = int((_decode(ensemble, "feature", "<i4") >= 0).sum())
         self._edit_nodes(path, lambda nodes: nodes["gain"].append(0.5) if change > 0
                          else nodes["gain"].pop())
         message = f"{splits} splits, but gain has shape ({splits + change},)"
@@ -393,7 +429,7 @@ class TestDamagedFiles:
                                                          value, message):
         path = self._saved(fitted, tmp_path)
         ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
-        counts = _decode(ensemble["node_counts"], "<i4")
+        counts = _decode(ensemble, "node_counts", "<i4")
         assert counts.size == 10 and counts[-1] >= 3  # node 1 is neither root nor last
         index = _node_index(ensemble, -1, node)
         self._edit_nodes(path, lambda nodes: nodes[key].__setitem__(index, value))
@@ -409,9 +445,9 @@ class TestDamagedFiles:
         # each in the last tree, named by the node's index within it
         path = self._saved(fitted, tmp_path)
         ensemble = json.load(open(path))["sections"]["ensemble"]["payload"]
-        width = len(ensemble["feature_names"])
+        width = len(fitted[0]["full"].ensemble.feature_names)
         first = _node_index(ensemble, -1, 0)
-        feature = _decode(ensemble["feature"], "<i4")[first:].tolist()
+        feature = _decode(ensemble, "feature", "<i4")[first:].tolist()
         splits = [i for i, f in enumerate(feature) if f >= 0]
         assert len(splits) >= 2 and feature[-1] < 0
 
@@ -436,7 +472,7 @@ class TestDamagedFiles:
         if reason == closes_early:  # the edited tree is whole at the node the recursion ends
             named = subtree_end(edited(i, new), 0) - 1
             assert named < len(feature) - 1
-        split_before = sum(f >= 0 for f in _decode(ensemble["feature"], "<i4")[:first + i])
+        split_before = sum(f >= 0 for f in _decode(ensemble, "feature", "<i4")[:first + i])
 
         def edit(nodes):
             was_split, now_split = nodes["feature"][first + i] >= 0, new >= 0
@@ -466,14 +502,14 @@ class TestDamagedFiles:
 
     @pytest.mark.parametrize("edit", [
         # version 1's JSON lists, with a float and a boolean where an index goes
-        lambda ens: ens.update(feature=[15.9, *_decode(ens["feature"], "<i4")[1:].tolist()]),
-        lambda ens: ens.update(feature=[True, *_decode(ens["feature"], "<i4")[1:].tolist()]),
+        lambda ens: ens.update(feature=[15.9, *_decode(ens, "feature", "<i4")[1:].tolist()]),
+        lambda ens: ens.update(feature=[True, *_decode(ens, "feature", "<i4")[1:].tolist()]),
         lambda ens: ens.update(node_counts=[1.5] * 10),
         lambda ens: ens["feature"].update(data=15.9),
         lambda ens: ens["node_counts"].update(data=True),
         lambda ens: ens["node_counts"].update(shape=[2.5]),
         # float64 values where int32 go: twice the bytes that the shape holds
-        lambda ens: ens.update(feature=_encode(_decode(ens["feature"], "<i4") + 0.9)),
+        lambda ens: ens.update(feature=_encode(_decode(ens, "feature", "<i4") + 0.9)),
     ], ids=["float_in_list", "bool_in_list", "float_counts", "float_data", "bool_data",
             "float_shape", "float64_bytes"])
     def test_node_fields_that_are_not_int32_arrays_rejected(self, fitted, tmp_path, edit):
@@ -602,6 +638,8 @@ class TestDamagedFiles:
         ("ensemble", "learning_rate", 0.1),
         # format 5 stored W1's shape as d and k
         ("attention", "k", 6),
+        # format 6 stored the ensemble's column names
+        ("ensemble", "feature_names", ["Renamed"]),
     ])
     def test_key_save_model_does_not_write_rejected(self, fitted, tmp_path, capsys, section,
                                                     key, value):
@@ -650,12 +688,14 @@ class TestDamagedFiles:
         ("random_attention", {"variant": "shallow_attention"}, "section that is absent"),
         ("full", {"variant": "no_attention"}, "section that is present"),
         ("full", {"variant": "random_attention"}, "section that is present"),
-        ("random_attention", {"random_k": 0}, "random_k >= 1"),
+        ("random_attention", {"random_k": 0}, "random_k from 1 to 65536, got 0"),
         # every variant is checked by the same rule: a network variant has a section
         ("no_attention", {"variant": "frozen_attention"}, "section that is absent"),
         ("random_attention", {"variant": "full"}, "section that is absent"),
         ("frozen_attention", {"variant": "no_attention"}, "section that is present"),
         ("shallow_attention", {"variant": "random_attention"}, "section that is present"),
+        # the block's width is derived from random_k, so loading would build a name for each
+        ("random_attention", {"random_k": 2**16 + 1}, "random_k from 1 to 65536, got 65537"),
     ])
     def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
                                                               kind, edit, message):
@@ -670,30 +710,37 @@ class TestDamagedFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("kind,section,edit,message", [
-        ("random_attention", "meta", lambda meta: meta.update(random_k=meta["random_k"] - 1),
-         r"preprocessor width \d+ plus the 5-column block"),
-        ("random_attention", "meta", lambda meta: meta.update(random_k=meta["random_k"] + 1),
-         r"preprocessor width \d+ plus the 7-column block"),
-        ("full", "ensemble", lambda ens: ens["feature_names"].append("attn_6"),
-         r"attention input width \d+ plus the 6-column block"),
+    @pytest.mark.parametrize("section,edit", [
         # a date column gives three features
-        ("full", "preprocessor",
-         lambda pre: pre.update(schema=[c for c in pre["schema"] if c[1] != "date"]),
-         r"preprocessor width \d+ plus the 6-column block"),
+        ("preprocessor",
+         lambda pre: pre.update(schema=[c for c in pre["schema"] if c[1] != "date"])),
         # the network's input width is the number of W1's columns
-        ("full", "attention",
-         lambda att: att.update(W1=_encode(_decode(att["W1"])[:, 1:])),
-         r"attention input width \d+ plus the 6-column block"),
-    ])
-    def test_block_width_mismatch_rejected(self, fitted, tmp_path, kind, section, edit,
-                                           message):
-        path = self._saved(fitted, tmp_path, kind=kind)
+        ("attention", lambda att: att.update(W1=_encode(_decode(att, "W1")[:, 1:]))),
+    ], ids=["preprocessor", "attention"])
+    def test_network_not_over_the_preprocessors_columns_rejected(self, fitted, tmp_path,
+                                                                 section, edit):
+        path = self._saved(fitted, tmp_path)
         self._edit_payload(path, section, edit)
+        message = r"attention W1 has shape \(6, \d+\), expected \(6, \d+\)"
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("random_k", [1, FAST_ATTN.k])
+    def test_random_k_gives_the_columns_a_split_may_read(self, fitted, tmp_path, random_k):
+        # no width is stored: the ensemble's columns are the preprocessor's and random_k
+        # block columns, so a split on attn_1 reads a column only while random_k >= 2
+        path = self._saved(fitted, tmp_path, kind="random_attention")
+        inputs = len(fitted[0]["random_attention"].preprocessor.feature_names)
+        self._edit_nodes(path, lambda nodes: nodes["feature"].__setitem__(0, inputs + 1))
+        self._edit_payload(path, "meta", lambda meta: meta.update(random_k=random_k))
+        if random_k > 1:
+            assert load_model(path).ensemble.feature_names[inputs + 1] == "attn_1"
+            return
+        message = f"tree 0 node 0: feature {inputs + 1} is not -1 or one of the {inputs + 1} "
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
 
     @pytest.mark.parametrize("section,edit,message", [
         ("ensemble", lambda ens: _set_entry(ens, "value", _node_index(ens, 0, -1), np.nan),
@@ -720,29 +767,36 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         assert re.search(message, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("edit,message", [
-        # loaded before the names were checked, and `importance` then failed to sort them:
-        # TypeError: '<' not supported between instances of 'str' and 'float'
-        (lambda names: names.__setitem__(0, 1.5), "column 1.5 is not a string named once"),
-        (lambda names: names.__setitem__(1, names[0]), "is not a string named once"),
-        (lambda names: " ".join(names), "expected a list of column names, got '"),
-    ], ids=["number", "repeated", "not_a_list"])
-    def test_ensemble_feature_names_that_are_not_strings_named_once_rejected(
-            self, fitted, tmp_path, capsys, edit, message):
-        # `edit` changes the list in place or returns what replaces it
-        path = self._saved(fitted, tmp_path, kind="no_attention")
-        self._edit_payload(path, "ensemble", lambda ens: ens.update(
-            feature_names=edit(ens["feature_names"]) or ens["feature_names"]))
-        prefix = "section 'ensemble' feature_names: "
-        with pytest.raises(ModelFormatError, match=re.escape(prefix)) as info:
+    @pytest.mark.parametrize("section,key,shape", [
+        ("attention", "W1", lambda shape: [-1, *shape[1:]]),
+        ("ensemble", "value", lambda shape: [-1]),
+        ("ensemble", "node_counts", lambda shape: [*shape, True]),
+    ], ids=["W1_minus_one", "value_minus_one", "counts_boolean"])
+    def test_shape_that_is_not_non_negative_integers_rejected(self, fitted, tmp_path, capsys,
+                                                             section, key, shape):
+        # numpy infers a -1 in a shape, so such a file loaded before shapes were checked
+        path = self._saved(fitted, tmp_path)
+        stored = json.load(open(path))["sections"][section]["payload"][key]["shape"]
+        self._edit_payload(path, section, lambda payload: payload[key].update(
+            shape=shape(payload[key]["shape"])))
+        message = (f"section {section!r}: malformed section contents (ValueError: {key} shape "
+                   f"{shape(stored)!r} is not a list of non-negative integers)")
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
-        assert message in str(info.value)
         capsys.readouterr()
-        for command in (["importance", "--model", path],
-                        ["predict", "--model", path, "--data", self._csv(tmp_path)]):
-            assert run_command(command) == 1
-            err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: {prefix}") and "Traceback" not in err
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_null_preprocessor_section_rejected(self, fitted, tmp_path):
+        # save_model writes no model without its preprocessor, so no file lacks one
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        document["sections"]["preprocessor"] = {"payload": None, "checksum": _checksum(None)}
+        json.dump(document, open(path, "w"))
+        with pytest.raises(ModelFormatError,
+                           match="section 'preprocessor': malformed section contents"):
+            load_model(path)
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @pytest.mark.parametrize("shape", ["no_units", "no_inputs", "vector"])
     def test_w1_that_is_not_a_matrix_of_units_and_inputs_rejected(self, fitted, tmp_path,
@@ -787,7 +841,7 @@ class TestDamagedFiles:
         """Apply edit to the ensemble's node counts and node arrays, as lists by name, and
         store them encoded again with a checksum that matches."""
         def apply(payload):
-            nodes = {name: _decode(payload[name], dtype).tolist()
+            nodes = {name: _decode(payload, name, dtype).tolist()
                      for name, dtype in _NODE_FIELDS.items()}
             edit(nodes)
             payload.update({name: _encode(np.array(nodes[name]), dtype)
@@ -946,9 +1000,10 @@ class TestStructuralFuzz:
             if where != section:
                 continue
             document = _mutated(documents[model], where, path, value)
-            # save_model writes no such key, so a file that holds one is not its file
+            # save_model writes no such key, and each stored shape is its array's own (none
+            # holds a 0 or a 1), so a file with the key or an edited shape is not its file
             outcome = _fuzz_outcome(document, str(tmp_path / "mutant.model"), csv_path, capsys,
-                                    must_fail=path == (FUZZ_KEY,))
+                                    must_fail=path == (FUZZ_KEY,) or "shape" in path[-2:])
             if outcome is not None:
                 failures.append(f"{model} {where} {list(path)} = {value!r}: {outcome}")
         assert failures == []
