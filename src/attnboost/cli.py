@@ -19,7 +19,7 @@ import io
 import sys
 
 from . import fusion, importance as importance_mod
-from .config import KEY_SPECS, RunConfig, parse_config_file
+from .config import KEY_SPECS, RunConfig, _items, parse_config_file
 from .errors import AttnBoostError, ConfigError, DataError, ModelFormatError
 from .experiments import (
     REMOVAL_FEATURES,
@@ -191,8 +191,7 @@ def cmd_ablate(args) -> int:
 def cmd_remove_features(args) -> int:
     cfg = _merged_config(args)
     settings = _run_settings(cfg)
-    features = [f.strip() for f in args.features.split(",") if f.strip()]
-    result = run_feature_removal(features, _resolve_table(args, cfg),
+    result = run_feature_removal(_items(args.features), _resolve_table(args, cfg),
                                  drop=cfg.drop_columns(), **settings)
     return _write_result(result, args.out)
 

@@ -2,12 +2,12 @@
 
 The generator plants a known label rule (logit linear in standardized feature
 values plus Gaussian noise) over a retail-shaped table, so ablation tests can
-assert which features must matter. Both experiments take a table, fit and
-score each condition through one helper and record their run through another:
-every result embeds its seeds and a fingerprint of its settings and its
-recorded split's data (`run_fingerprint`, which `attnboost train` also
-writes into its model), and every condition of an ablation shares one
-stratified split.
+assert which features must matter. Both experiments are condition lists for
+one runner, `run_conditions`, which fits each variant on the intact table,
+prepared once so that its stratified split is shared and recorded, or on the
+table without one feature. Every result embeds its seeds and a fingerprint of
+its settings and recorded split's data (`run_fingerprint`, which `attnboost
+train` also writes into its model).
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class ExperimentResult:
     rows: list[tuple[str, MetricsReport]]
     fingerprint: str
     seeds: dict[str, int]
-    test_indices: np.ndarray | None = field(default=None, repr=False)
+    test_indices: np.ndarray = field(repr=False)
 
     def report(self, condition: str) -> MetricsReport:
         for name, r in self.rows:
@@ -199,23 +199,6 @@ def prepare(table: RawTable, drop: list[str] | None, split_fraction: float,
     return state, stratified_split(X, y, split_fraction, split_seed)
 
 
-def _evaluate_variant(kind: str, state: PreprocessorState, split: SplitResult,
-                      attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
-                      shallow_k: int) -> MetricsReport:
-    """Fit one variant on a prepared split and score its test rows."""
-    model = fusion.fit_variant(
-        kind,
-        split.X_train,
-        split.y_train,
-        attention_config,
-        boost_config,
-        shallow_k=shallow_k,
-        preprocessor=state,
-    )
-    proba, _ = fusion.predict_matrix(model, split.X_test)
-    return evaluate_scores(proba, split.y_test)
-
-
 def _split_digest(split: SplitResult) -> str:
     """SHA-256 over a split's train and test matrices and labels, with their shapes."""
     digest = hashlib.sha256()
@@ -243,19 +226,53 @@ def run_fingerprint(split: SplitResult, attention_config: TrainConfig,
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _record(rows: list[tuple[str, MetricsReport]], split: SplitResult,
-            attention_config: TrainConfig, boost_config: gbdt.BoostConfig,
-            split_fraction: float, split_seed: int, **parts) -> ExperimentResult:
-    """The result of a run: its rows, seeds and run_fingerprint."""
+def run_conditions(
+    table: RawTable,
+    conditions: list[tuple[str, str, str | None]],
+    attention_config: TrainConfig | None = None,
+    boost_config: gbdt.BoostConfig | None = None,
+    split_fraction: float = 0.8,
+    split_seed: int = 42,
+    drop: list[str] | None = None,
+    shallow_k: int = fusion.DEFAULT_SHALLOW_K,
+    parts: dict | None = None,
+) -> ExperimentResult:
+    """Fit and score each (label, variant, removed feature or None) condition, in order.
+
+    The intact table is prepared once, shared by every condition that removes
+    nothing, and its split is the one recorded; a removed feature's table is
+    prepared with the feature added to the resolved drop list, which must not
+    already name it. `parts` go into the fingerprint beside the dropped columns.
+    """
+    attention_config = attention_config or TrainConfig()
+    boost_config = boost_config or desk_scale_boost_config()
+    drop = _resolve_drop(table, drop)
+    removed = [(kind, name) for _, kind, name in conditions if name is not None]
+    unknown = sorted({name for _, name in removed} - {c.name for c in table.schema})
+    if unknown:
+        raise DataError(f"cannot remove unknown features: {unknown}")
+    for kind, name in removed:
+        if table.schema[table.column_index(name)].kind == "binary-target":
+            raise DataError(f"cannot remove the target column {name!r}")
+        if removed.count((kind, name)) > 1:
+            raise DataError(f"feature {name!r} is named more than once")
+        if name in drop:
+            raise DataError(f"feature {name!r} is also in the drop list")
+
+    intact = prepare(table, drop, split_fraction, split_seed)
+    rows = []
+    for label, kind, name in conditions:
+        state, split = intact if name is None else prepare(table, [*drop, name],
+                                                            split_fraction, split_seed)
+        model = fusion.fit_variant(kind, split.X_train, split.y_train, attention_config,
+                                   boost_config, shallow_k=shallow_k, preprocessor=state)
+        proba, _ = fusion.predict_matrix(model, split.X_test)
+        rows.append((label, evaluate_scores(proba, split.y_test)))
+    state, split = intact
     fingerprint = run_fingerprint(split, attention_config, boost_config, split_fraction,
-                                  split_seed, **parts)
-    seeds = {
-        "attention": attention_config.seed,
-        "boost": boost_config.seed,
-        "split": split_seed,
-    }
-    return ExperimentResult(rows=rows, fingerprint=fingerprint, seeds=seeds,
-                            test_indices=split.test_indices)
+                                  split_seed, drop=sorted(state.dropped_columns), **(parts or {}))
+    seeds = {"attention": attention_config.seed, "boost": boost_config.seed, "split": split_seed}
+    return ExperimentResult(rows, fingerprint, seeds, split.test_indices)
 
 
 def run_ablation(
@@ -268,15 +285,9 @@ def run_ablation(
     shallow_k: int = fusion.DEFAULT_SHALLOW_K,
 ) -> ExperimentResult:
     """Train and evaluate every fusion.VARIANT_KINDS entry on one shared stratified split."""
-    attention_config = attention_config or TrainConfig()
-    boost_config = boost_config or desk_scale_boost_config()
-    state, split = prepare(table, drop, split_fraction, split_seed)
-    rows = [(kind, _evaluate_variant(kind, state, split, attention_config, boost_config,
-                                     shallow_k))
-            for kind in fusion.VARIANT_KINDS]
-    return _record(rows, split, attention_config, boost_config, split_fraction,
-                   split_seed, experiment="ablation", shallow_k=shallow_k,
-                   drop=sorted(state.dropped_columns))
+    return run_conditions(table, [(kind, kind, None) for kind in fusion.VARIANT_KINDS],
+                          attention_config, boost_config, split_fraction, split_seed, drop,
+                          shallow_k, {"experiment": "ablation", "shallow_k": shallow_k})
 
 
 def run_feature_removal(
@@ -288,29 +299,9 @@ def run_feature_removal(
     split_seed: int = 42,
     drop: list[str] | None = None,
 ) -> ExperimentResult:
-    """Retrain the full pipeline once per removed feature, plus an intact run; the
-    preprocessor drops each removed feature beside `drop`, which must not name it."""
-    attention_config = attention_config or TrainConfig()
-    boost_config = boost_config or desk_scale_boost_config()
-    unknown = sorted(set(features) - {c.name for c in table.schema})
-    if unknown:
-        raise DataError(f"cannot remove unknown features: {unknown}")
-    for name in features:
-        if table.schema[table.column_index(name)].kind == "binary-target":
-            raise DataError(f"cannot remove the target column {name!r}")
-        if features.count(name) > 1:
-            raise DataError(f"feature {name!r} is named more than once")
-        if drop is not None and name in drop:
-            raise DataError(f"feature {name!r} is also in the drop list")
-
-    drop = _resolve_drop(table, drop)
-    rows = []
-    for name in [*features, None]:  # the intact table last: its split is the one recorded
-        state, split = prepare(table, drop if name is None else [*drop, name],
-                               split_fraction, split_seed)
-        report = _evaluate_variant("full", state, split, attention_config, boost_config,
-                                   fusion.DEFAULT_SHALLOW_K)
-        rows.append(("None (Full Model)" if name is None else f"{name} Removed", report))
-    return _record(rows, split, attention_config, boost_config, split_fraction,
-                   split_seed, experiment="feature_removal",
-                   features=list(features), drop=sorted(state.dropped_columns))
+    """Retrain the full model once per removed feature, then once on the intact table;
+    the preprocessor drops each removed feature beside `drop`, which must not name it."""
+    conditions = [(f"{name} Removed", "full", name) for name in features]
+    return run_conditions(table, [*conditions, ("None (Full Model)", "full", None)],
+                          attention_config, boost_config, split_fraction, split_seed, drop,
+                          parts={"experiment": "feature_removal", "features": list(features)})

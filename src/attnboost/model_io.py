@@ -367,7 +367,8 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
 
     A variant of fusion.NETWORK_VARIANTS has an attention section, whose
     arrays fit W1's shape and whose inputs are the preprocessor's columns, and
-    the others have none; random_attention draws 1 to MAX_UNITS columns.
+    the others have none; random_attention draws 1 to MAX_UNITS columns, and
+    every other variant stores a random_k of 0.
     """
     variant, params = model.variant, model.attention
     if (params is not None) != (variant in NETWORK_VARIANTS):
@@ -375,6 +376,9 @@ def _check_sections_agree(model: AttnBoostModel) -> None:
                                f"that is {'absent' if params is None else 'present'}")
     if variant == "random_attention" and not 1 <= model.random_k <= MAX_UNITS:
         raise ModelFormatError(f"random_attention needs random_k from 1 to {MAX_UNITS}, "
+                               f"got {model.random_k}")
+    if variant != "random_attention" and model.random_k != 0:
+        raise ModelFormatError(f"variant {variant!r} reads no random_k, so it must be 0, "
                                f"got {model.random_k}")
     if params is not None:
         k, d = params.k, len(model.preprocessor.feature_names)  # W1 reads the inputs

@@ -408,8 +408,8 @@ class SplitResult:
     y_train: np.ndarray
     X_test: FeatureMatrix
     y_test: np.ndarray
-    train_indices: np.ndarray = field(repr=False, default=None)
-    test_indices: np.ndarray = field(repr=False, default=None)
+    train_indices: np.ndarray = field(repr=False)
+    test_indices: np.ndarray = field(repr=False)
 
 
 def stratified_split(

@@ -19,10 +19,9 @@ from attnboost.experiments import (
     SyntheticSpec,
     desk_scale_boost_config,
     generate_synthetic,
-    run_ablation,
-    run_feature_removal,
+    run_conditions,
 )
-from attnboost.fusion import fit_variant, predict_matrix
+from attnboost.fusion import VARIANT_KINDS, fit_variant, predict_matrix
 from attnboost.gbdt import (
     BoostConfig,
     bin_features,
@@ -218,16 +217,21 @@ def test_criterion_06_cli_determinism(tmp_path):
 
 
 @pytest.fixture(scope="module")
-def desk_scale_ablation():
-    return run_ablation(
+def desk_scale_run():
+    """Criterion 07's five variants and criterion 08's two removals from `full`, as one
+    run: the intact `full` model is fitted once and serves both criteria."""
+    conditions = [(kind, kind, None) for kind in VARIANT_KINDS]
+    conditions += [(f"{name} Removed", "full", name) for name in ("Discount", "Quantity")]
+    return run_conditions(
         generate_synthetic(SyntheticSpec(n_rows=5000, seed=42)),
+        conditions,
         attention_config=TrainConfig(),
         boost_config=desk_scale_boost_config(),
     )
 
 
-def test_criterion_07_ablation_direction(desk_scale_ablation):
-    f1 = {name: report.f1 for name, report in desk_scale_ablation.rows}
+def test_criterion_07_ablation_direction(desk_scale_run):
+    f1 = {name: report.f1 for name, report in desk_scale_run.rows}
     cond_full = f1["full"] >= f1["no_attention"] - 0.005
     cond_random = abs(f1["no_attention"] - f1["random_attention"]) <= 0.05
     ok = cond_full and cond_random
@@ -238,15 +242,9 @@ def test_criterion_07_ablation_direction(desk_scale_ablation):
     assert cond_random, f1
 
 
-def test_criterion_08_feature_removal_direction():
-    result = run_feature_removal(
-        ["Discount", "Quantity"],
-        generate_synthetic(SyntheticSpec(n_rows=5000, seed=42)),
-        attention_config=TrainConfig(),
-        boost_config=desk_scale_boost_config(),
-    )
-    f1 = {name: report.f1 for name, report in result.rows}
-    full = f1["None (Full Model)"]
+def test_criterion_08_feature_removal_direction(desk_scale_run):
+    f1 = {name: report.f1 for name, report in desk_scale_run.rows}
+    full = f1["full"]
     dominant_drop = full - f1["Discount Removed"]
     irrelevant_change = abs(full - f1["Quantity Removed"])
     ok = dominant_drop >= 0.02 and irrelevant_change <= 0.02

@@ -277,6 +277,24 @@ class TestAblateAndRemoveFeatures:
                  if l and not l.startswith("#")][1:]
         assert names == ["Discount Removed", "Sales Removed", "None (Full Model)"]
 
+    @pytest.mark.parametrize("features, message", [
+        # the default drop list already drops the identifier columns
+        ("Row ID", "feature 'Row ID' is also in the drop list"),
+        (" Nope ,, Sales", "cannot remove unknown features: ['Nope']"),
+    ])
+    def test_remove_features_refused_before_any_fit_exits_1(self, tmp_path, synth_csv, capsys,
+                                                            features, message):
+        rows = list(csv.reader(open(synth_csv)))
+        with_ids = str(tmp_path / "with_ids.csv")
+        with open(with_ids, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(
+                [["Row ID", *rows[0]], *([str(i), *row] for i, row in enumerate(rows[1:], 1))])
+        out = tmp_path / "removal.csv"
+        assert _run("remove-features", "--data", with_ids, "--features", features,
+                    "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 # one out-of-range value for every float key; nan and inf are out of range for each
 OUT_OF_RANGE = {

@@ -1,11 +1,13 @@
 """Tests for the synthetic generator, the ablation and the feature removal."""
 
 import datetime as dt
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from attention_reference import reference_sigmoid
+from attnboost import experiments, fusion
 from attnboost.attention import TrainConfig
 from attnboost.errors import DataError
 from attnboost.experiments import (
@@ -22,6 +24,7 @@ from attnboost.experiments import (
 from attnboost.gbdt import BoostConfig
 from attnboost.metrics import auc
 from attnboost.tabular import (
+    ColumnSchema,
     RawTable,
     apply_preprocessor,
     fit_preprocessor,
@@ -163,11 +166,13 @@ class TestRunAblation:
 
 class TestFingerprintIdentifiesTheRun:
     """Runs on different data, or with different dropped columns, never share a
-    fingerprint. Fitting is stubbed out: the fingerprint does not read the fits."""
+    fingerprint. Fitting and scoring are stubbed out: the fingerprint reads neither."""
 
     @pytest.fixture(autouse=True)
     def _no_fits(self, monkeypatch):
-        monkeypatch.setattr("attnboost.experiments._evaluate_variant", lambda *a, **k: None)
+        monkeypatch.setattr("attnboost.fusion.fit_variant", lambda *a, **k: None)
+        monkeypatch.setattr("attnboost.fusion.predict_matrix", lambda *a, **k: (None, None))
+        monkeypatch.setattr("attnboost.experiments.evaluate_scores", lambda *a, **k: None)
 
     @staticmethod
     def _ablation(rows, **kwargs):
@@ -276,6 +281,20 @@ class TestRunFeatureRemoval:
                                 generate_synthetic(SyntheticSpec(n_rows=100, seed=1)),
                                 attention_config=FAST_ATTN, boost_config=FAST_BOOST, drop=drop)
 
+    def test_removing_an_identifier_the_default_drop_list_drops_rejected(self, monkeypatch):
+        # drop=None drops the table's identifier columns, so removing one would refit
+        # the intact table under another label
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the drop list was checked")
+
+        monkeypatch.setattr("attnboost.fusion.fit_variant", no_fit)
+        table = generate_synthetic(SyntheticSpec(n_rows=100, seed=1))
+        with_ids = RawTable(schema=[ColumnSchema("Row ID", "integer"), *table.schema],
+                            rows=[[i + 1, *row] for i, row in enumerate(table.rows)])
+        with pytest.raises(DataError, match="feature 'Row ID' is also in the drop list"):
+            run_feature_removal(["Row ID"], with_ids, attention_config=FAST_ATTN,
+                                boost_config=FAST_BOOST)
+
     @pytest.mark.parametrize("features, message", [
         (["Returned"], "cannot remove the target column 'Returned'"),
         (["Sales", "Discount", "Sales"], "feature 'Sales' is named more than once"),
@@ -289,3 +308,34 @@ class TestRunFeatureRemoval:
         with pytest.raises(DataError, match=message):
             run_feature_removal(features, generate_synthetic(SyntheticSpec(n_rows=100, seed=1)),
                                 attention_config=FAST_ATTN, boost_config=FAST_BOOST)
+
+
+def _count_calls(monkeypatch, module, name: str, counts: Counter) -> None:
+    """Wrap `module.name` so that each call adds one to counts[name]."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+class TestEachConditionIsFittedOnce:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = Counter()
+        _count_calls(monkeypatch, fusion, "fit_variant", counts)
+        _count_calls(monkeypatch, experiments, "fit_preprocessor", counts)
+        return counts
+
+    def test_ablation_prepares_the_table_once_and_fits_each_variant(self, calls):
+        run_ablation(generate_synthetic(SyntheticSpec(n_rows=200, seed=4)),
+                     attention_config=FAST_ATTN, boost_config=FAST_BOOST)
+        assert calls == {"fit_variant": 5, "fit_preprocessor": 1}
+
+    def test_removal_prepares_and_fits_each_table_once(self, calls):
+        run_feature_removal(["Discount", "Quantity"],
+                            generate_synthetic(SyntheticSpec(n_rows=200, seed=4)),
+                            attention_config=FAST_ATTN, boost_config=FAST_BOOST)
+        assert calls == {"fit_variant": 3, "fit_preprocessor": 3}

@@ -696,6 +696,10 @@ class TestDamagedFiles:
         ("shallow_attention", {"variant": "random_attention"}, "section that is present"),
         # the block's width is derived from random_k, so loading would build a name for each
         ("random_attention", {"random_k": 2**16 + 1}, "random_k from 1 to 65536, got 65537"),
+        # only random_attention reads random_k, so any other variant stores 0
+        ("full", {"random_k": 5}, "variant 'full' reads no random_k, so it must be 0, got 5"),
+        ("no_attention", {"random_k": 5}, "variant 'no_attention' reads no random_k"),
+        ("frozen_attention", {"random_k": -1}, "so it must be 0, got -1"),
     ])
     def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
                                                               kind, edit, message):
