@@ -41,6 +41,8 @@ from .tabular import FeatureMatrix
 PROB_CLAMP = 1e-12
 # the widest block; no network comes near it (W_attn alone holds k * k floats)
 MAX_UNITS = 2**16
+# the largest seed of any generator; random_attention keys blake2b with its digits
+MAX_SEED = 2**64 - 1
 
 
 def _sigmoid_into(x, out, den, mask):
@@ -99,6 +101,7 @@ class TrainConfig:
             ("epochs", self.epochs >= 0, "must be non-negative"),
             ("batch_size", self.batch_size >= 1, "must be >= 1"),
             ("learning_rate", 0.0 < self.learning_rate < math.inf, "must be finite and positive"),
+            ("seed", 0 <= self.seed <= MAX_SEED, f"must be from 0 to {MAX_SEED}"),
         ):
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")

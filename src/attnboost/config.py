@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .attention import MAX_UNITS, TrainConfig
+from .attention import MAX_SEED, MAX_UNITS, TrainConfig
 from .errors import ConfigError
 from .experiments import DEFAULT_COEFFICIENTS, SyntheticSpec
 from .fusion import DEFAULT_SHALLOW_K, VARIANT_KINDS
@@ -47,8 +47,10 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
                                  for name, value in DEFAULT_COEFFICIENTS.items())),
 }
 
-# keys whose value must be one of a closed set, checked before any data is read
+# keys whose value must be one of a closed set, or in an inclusive range, that no config
+# dataclass checks; checked before any data is read
 _CHOICES = {"model.variant": VARIANT_KINDS}
+_RANGES = {"model.shallow_k": (1, MAX_UNITS), "split.seed": (0, MAX_SEED)}
 
 
 def parse_value(key: str, text: str):
@@ -143,9 +145,9 @@ class RunConfig:
         for key, allowed in _CHOICES.items():
             if values[key] not in allowed:
                 raise ConfigError(f"key {key!r}: {values[key]!r} is not one of {allowed}")
-        if not 1 <= values["model.shallow_k"] <= MAX_UNITS:
-            raise ConfigError(f"key 'model.shallow_k' must be from 1 to {MAX_UNITS}, got "
-                              f"{values['model.shallow_k']}")
+        for key, (low, high) in _RANGES.items():
+            if not low <= values[key] <= high:
+                raise ConfigError(f"key {key!r} must be from {low} to {high}, got {values[key]}")
         if not 0.0 < values["split.fraction"] < 1.0:  # NaN fails this too
             raise ConfigError(f"key 'split.fraction' must be in (0, 1), got "
                               f"{values['split.fraction']!r}")

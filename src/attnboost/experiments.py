@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import fusion, gbdt
-from .attention import TrainConfig, sigmoid
+from .attention import MAX_SEED, TrainConfig, sigmoid
 from .errors import DataError
 from .metrics import (
     CSV_HEADER,
@@ -80,6 +80,7 @@ class SyntheticSpec:
         # each range is written so that NaN fails it; a rejection names the field first
         for name, ok, rule in (
             ("n_rows", self.n_rows >= 10, "must be at least 10"),
+            ("seed", 0 <= self.seed <= MAX_SEED, f"must be from 0 to {MAX_SEED}"),
             ("noise_sd", 0.0 <= self.noise_sd < math.inf, "must be finite and non-negative"),
             ("intercept", math.isfinite(self.intercept), "must be finite"),
             ("coefficients", all(map(math.isfinite, self.coefficients.values())),

@@ -8,6 +8,8 @@ network stage: `frozen_attention` is `full` fitted for zero epochs,
 the input matrix alone, and `random_attention` widens it with uniforms drawn
 from each row's own values, so a row's score never depends on the rows scored
 with it. A network's features are always its gated hidden layer h * alpha.
+A model is its preprocessor, its block and its trees; the block's type alone
+decides how a matrix is widened: a network, a RandomBlock or None.
 """
 
 from __future__ import annotations
@@ -34,55 +36,62 @@ NETWORK_VARIANTS = ("full", "frozen_attention", "shallow_attention")
 DEFAULT_SHALLOW_K = 16
 
 
-@dataclass
-class AttnBoostModel:
-    """A fitted variant, its ensemble over column_names(model, input names); `preprocessor`
-    is None only for a model fitted in memory on a matrix, which save_model refuses."""
-
-    preprocessor: PreprocessorState | None
-    attention: attn.AttentionParams | None
-    ensemble: gbdt.Ensemble
-    variant: str
-    attention_seed: int
-    random_k: int = 0
-
-
-def _random_block(values: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """k uniforms in [0, 1) per row, a pure function of (seed, the row's float64 bytes).
+@dataclass(frozen=True)
+class RandomBlock:
+    """random_attention's block: k uniforms in [0, 1) per row, a pure function of (seed,
+    the row's float64 bytes).
 
     A blake2b of each row keyed by the seed gives a 64-bit key, and SplitMix64
     over (key, column) counters spreads it into the row's k draws, so a row's
     block does not depend on the rows scored with it.
     """
-    rows = np.ascontiguousarray(values, dtype=np.float64)
-    key = str(seed).encode()
-    digests = b"".join(hashlib.blake2b(row.tobytes(), digest_size=8, key=key).digest()
-                       for row in rows)
-    z = np.frombuffer(digests, dtype="<u8").astype(np.uint64)[:, None]
-    z = z + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)) * 2.0**-53
+
+    k: int
+    seed: int
+
+    def draw(self, values: np.ndarray) -> np.ndarray:
+        rows = np.ascontiguousarray(values, dtype=np.float64)
+        key = str(self.seed).encode()
+        digests = b"".join(hashlib.blake2b(row.tobytes(), digest_size=8, key=key).digest()
+                           for row in rows)
+        z = np.frombuffer(digests, dtype="<u8").astype(np.uint64)[:, None]
+        z = z + np.arange(1, self.k + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        return (z >> np.uint64(11)) * 2.0**-53
 
 
-def column_names(model: AttnBoostModel, inputs: list[str]) -> list[str]:
-    """The ensemble's columns: the inputs, then attn_<i> for each column of the block (the
-    network's k units, random_attention's random_k uniforms, or none)."""
-    block = model.random_k if model.variant == "random_attention" else (
-        0 if model.attention is None else model.attention.k)
-    return [*inputs, *attn.attention_names(block)]
+# what widens the input matrix: a network, random uniforms, or nothing
+Block = attn.AttentionParams | RandomBlock | None
 
 
-def _model_inputs(model: AttnBoostModel, X: FeatureMatrix) -> FeatureMatrix:
-    """The matrix the ensemble actually sees for this model's variant."""
-    if model.variant == "random_attention":
-        block = _random_block(X.values, model.random_k, model.attention_seed)
-        return FeatureMatrix(values=np.hstack([X.values, block]),
-                             feature_names=column_names(model, X.feature_names))
-    if model.attention is None:
+@dataclass
+class AttnBoostModel:
+    """A fitted variant, its ensemble over column_names(attention, input names). `attention`,
+    named like the file section that holds it, is the block: a NETWORK_VARIANTS model's
+    network, random_attention's RandomBlock, or None. `preprocessor` is None only for a
+    model fitted in memory on a matrix, which save_model refuses."""
+
+    preprocessor: PreprocessorState | None
+    attention: Block
+    ensemble: gbdt.Ensemble
+    variant: str
+
+
+def column_names(block: Block, inputs: list[str]) -> list[str]:
+    """The ensemble's columns: the inputs, then attn_<i> for each of the block's k columns."""
+    return [*inputs, *attn.attention_names(0 if block is None else block.k)]
+
+
+def _widen(block: Block, X: FeatureMatrix) -> FeatureMatrix:
+    """The matrix the ensemble sees: X followed by the block's columns."""
+    if block is None:
         return X
-    return attn.augment(model.attention, X)
+    if isinstance(block, RandomBlock):
+        return FeatureMatrix(values=np.hstack([X.values, block.draw(X.values)]),
+                             feature_names=column_names(block, X.feature_names))
+    return attn.augment(block, X)
 
 
 def fit_variant(
@@ -102,30 +111,23 @@ def fit_variant(
     if kind not in VARIANT_KINDS:
         raise ValueError(f"unknown variant {kind!r}; expected one of {VARIANT_KINDS}")
 
-    model = AttnBoostModel(
-        preprocessor=preprocessor,
-        attention=None,
-        ensemble=None,
-        variant=kind,
-        attention_seed=attention_config.seed,
-    )
     if kind == "frozen_attention":
         attention_config = replace(attention_config, epochs=0)
     elif kind == "shallow_attention":
         attention_config = replace(attention_config, k=shallow_k)
+    block = None  # no_attention trains on the raw matrix as-is
     if kind in NETWORK_VARIANTS:
-        model.attention, _ = attn.train(X, y, attention_config)
+        block, _ = attn.train(X, y, attention_config)
     elif kind == "random_attention":
-        model.random_k = attention_config.k
-    # no_attention trains on the raw matrix as-is
+        block = RandomBlock(attention_config.k, attention_config.seed)
 
-    model.ensemble = gbdt.train_boosting(_model_inputs(model, X), y, boost_config)
-    return model
+    ensemble = gbdt.train_boosting(_widen(block, X), y, boost_config)
+    return AttnBoostModel(preprocessor, block, ensemble, kind)
 
 
 def predict_matrix(model: AttnBoostModel, X: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(probabilities, labels at >= 0.5) for an already-preprocessed matrix."""
-    proba = gbdt.predict_proba(model.ensemble, _model_inputs(model, X))
+    proba = gbdt.predict_proba(model.ensemble, _widen(model.attention, X))
     return proba, (proba >= 0.5).astype(np.int64)
 
 

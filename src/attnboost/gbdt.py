@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tabular
-from .attention import sigmoid
+from .attention import MAX_SEED, sigmoid
 from .errors import DataError
 from .tabular import FeatureMatrix
 
@@ -95,6 +95,7 @@ class BoostConfig:
             ("reg_lambda", 0.0 <= self.reg_lambda < math.inf, finite),
             ("max_bins", self.max_bins >= 2, "must be >= 2"),
             ("base_score", 0.0 < self.base_score < 1.0, "must be a probability in (0, 1)"),
+            ("seed", 0 <= self.seed <= MAX_SEED, f"must be from 0 to {MAX_SEED}"),
         ):
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")

@@ -15,13 +15,13 @@ section stores the learner's own record without child links (the learner
 derives them from the features), each tree's node count and gains for splits
 only; it is checked for structure on load in one pass over all trees. The
 preprocessor section holds no feature or target names, which follow from its
-schema, and is checked against what fitting guarantees. The meta section must
-name a known variant, which has an attention section exactly when it widens
-the matrix with a network over the preprocessor's columns (the block is then
-always h * alpha). A section whose contents do not decode, such as a seed
-that is not an integer or a shape of -1, raises ModelFormatError like a
-damaged one, as does a node value, gain, base score or attention parameter
-that is not finite, or a W1 without rows or columns.
+schema, and is checked against what fitting guarantees. The meta section holds
+a known variant and a fingerprint string, and the attention section the block
+the variant reads: none, random_attention's k and seed, or a network over the
+preprocessor's columns. A section whose contents do not decode, such as a seed
+that is not an integer, a boolean base score or a shape of -1, raises
+ModelFormatError like a damaged one, as does a node value, gain, base score
+or attention parameter that is not finite, or a W1 without rows or columns.
 """
 
 from __future__ import annotations
@@ -32,20 +32,22 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
-from .attention import MAX_UNITS, AttentionParams
+from .attention import AttentionParams, TrainConfig
 from .errors import DataError, ModelFormatError
-from .fusion import NETWORK_VARIANTS, VARIANT_KINDS, AttnBoostModel, column_names
+from .fusion import VARIANT_KINDS, AttnBoostModel, Block, RandomBlock, column_names
 from .gbdt import Ensemble, Tree
 from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorState,
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and split features
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}  # for _scalar
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -62,10 +64,10 @@ def write_text_atomic(path: str, text: str) -> None:
         raise
 
 
-def _encode(arr, dtype: str | None = None) -> dict:
-    """An array as base64 bytes of `dtype`; by default _INTEGERS for integers, else float64."""
+def _encode(arr) -> dict:
+    """An array as base64 bytes, of _INTEGERS for integers and float64 for the rest."""
     arr = np.asarray(arr)
-    dtype = dtype or (_INTEGERS if arr.dtype.kind in "iu" else "<f8")
+    dtype = _INTEGERS if arr.dtype.kind in "iu" else "<f8"
     return {"shape": list(arr.shape),
             "data": base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")}
 
@@ -78,6 +80,13 @@ def _decode(payload: dict, key: str, dtype: str = "<f8") -> np.ndarray:
     raw = base64.b64decode(payload[key]["data"])  # TypeError or ValueError unless ASCII text
     arr = np.frombuffer(raw, dtype=dtype).astype(np.intp if dtype == _INTEGERS else np.float64)
     return arr.reshape(shape)
+
+
+def _scalar(payload: dict, key: str, kind: type = int):
+    """payload[key], a JSON value of `kind`; float takes an integer too, and no kind a boolean."""
+    if type(payload[key]) not in ((int, float) if kind is float else (kind,)):
+        raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {payload[key]!r}")
+    return kind(payload[key])
 
 
 def _canonical(payload) -> bytes:
@@ -148,7 +157,7 @@ def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
     gain[split] = split_gain
     for name, values in (("value", value), ("gain", gain)):
         reject_first(~np.isfinite(values), lambda i: f"{name} {values[i]} is not finite")
-    ensemble = Ensemble(Tree(feature, value, gain), counts, float(payload["base_raw"]),
+    ensemble = Ensemble(Tree(feature, value, gain), counts, _scalar(payload, "base_raw", float),
                         feature_names)
     if not np.isfinite(ensemble.base_raw):
         raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
@@ -230,32 +239,48 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
                              target_positive=positive)
 
 
-def _attention_payload(params: AttentionParams | None):
-    if params is None:
-        return None
-    return {"b2": params.b2, **{name: getattr(params, name) for name in _ATTENTION_ARRAYS}}
+def _attention_payload(block: Block):
+    """The block's fields: the network's arrays and b2, random_attention's k and seed."""
+    return None if block is None else {f.name: getattr(block, f.name) for f in fields(block)}
 
 
-def _attention_from_payload(payload) -> AttentionParams | None:
-    """Decode the network, whose k units and d inputs are the shape of W1."""
+def _attention_from_payload(payload, variant: str, inputs: int) -> Block:
+    """Decode the block the variant reads: none for no_attention, random_attention's k
+    and seed in the ranges TrainConfig allows, or a network over `inputs` columns, whose
+    k units and d inputs are the shape of W1, every other array of the shape k gives and
+    every parameter finite."""
+    if (payload is None) != (variant == "no_attention"):
+        raise ModelFormatError(f"variant {variant!r} does not match an attention section "
+                               f"that is {'absent' if payload is None else 'present'}")
     if payload is None:
         return None
-    arrays = {name: _decode(payload, name) for name in _ATTENTION_ARRAYS}
-    shape = arrays["W1"].shape
-    if len(shape) != 2 or 0 in shape:  # the sizes init_params accepts
-        raise ModelFormatError(f"section 'attention': W1 has shape {shape}, expected a matrix "
-                               "with at least one row and one column")
-    return AttentionParams(**arrays, b2=float(payload["b2"]))
+    if variant == "random_attention":
+        block = RandomBlock(_scalar(payload, "k"), _scalar(payload, "seed"))
+        TrainConfig(k=block.k, seed=block.seed)  # raises a ValueError that names the key
+        return block
+    params = AttentionParams(**{name: _decode(payload, name) for name in _ATTENTION_ARRAYS},
+                             b2=_scalar(payload, "b2", float))
+    if params.W1.ndim != 2 or 0 in params.W1.shape:  # the sizes init_params accepts
+        raise ModelFormatError(f"section 'attention': W1 has shape {params.W1.shape}, expected "
+                               "a matrix with at least one row and one column")
+    k = params.k
+    for name, shape in (("W1", (k, inputs)), ("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,)),
+                        ("w2", (k,)), ("b2", ())):
+        value = np.asarray(getattr(params, name))
+        if value.shape != shape:
+            raise ModelFormatError(f"attention {name} has shape {value.shape}, expected {shape}")
+        if not np.isfinite(value).all():
+            raise ModelFormatError(f"section 'attention': {name} holds a value that is not "
+                                   "finite")
+    return params
 
 
-def _meta_from_payload(meta: dict) -> dict:
+def _variant_from_meta(meta: dict) -> str:
     if meta["variant"] not in VARIANT_KINDS:
         raise ModelFormatError(f"unknown variant {meta['variant']!r}; "
                                f"expected one of {VARIANT_KINDS}")
-    for key in ("attention_seed", "random_k"):
-        if type(meta[key]) is not int:  # a JSON float or boolean is not read as one
-            raise TypeError(f"{key} must be an integer, got {meta[key]!r}")
-    return {key: meta[key] for key in ("variant", "attention_seed", "random_k")}
+    _scalar(meta, "fingerprint", str)
+    return meta["variant"]
 
 
 # the file's sections, in the order they are checked and read
@@ -265,12 +290,7 @@ _SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
 def _payloads(model: AttnBoostModel, fingerprint: str) -> dict:
     """Each section's payload by section name, its arrays not yet encoded."""
     return {
-        "meta": {
-            "variant": model.variant,
-            "attention_seed": model.attention_seed,
-            "random_k": model.random_k,
-            "fingerprint": fingerprint,
-        },
+        "meta": {"variant": model.variant, "fingerprint": fingerprint},
         "preprocessor": _preprocessor_payload(model.preprocessor),
         "attention": _attention_payload(model.attention),
         "ensemble": _ensemble_payload(model.ensemble),
@@ -290,7 +310,8 @@ def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
     preprocessor, whose ensemble reads the columns the loader derives, is saved."""
     if model.preprocessor is None:
         raise ValueError("only a model with its fitted preprocessor can be saved")
-    if model.ensemble.feature_names != column_names(model, model.preprocessor.feature_names):
+    if model.ensemble.feature_names != column_names(model.attention,
+                                                    model.preprocessor.feature_names):
         raise ValueError("the ensemble's columns are not the preprocessor's followed by the "
                          "block's, the names a loaded model derives")
     sections = {name: _encoded(payload) for name, payload in _payloads(model, fingerprint).items()}
@@ -345,7 +366,7 @@ def load_model(path: str) -> AttnBoostModel:
 
 
 def _model_from_payloads(payloads: dict) -> AttnBoostModel:
-    """The model, its ensemble decoded over the column names the other sections derive."""
+    """The model: its block decoded as the variant says, its ensemble over derived columns."""
     def decode(name, decoder, *args):
         try:
             return decoder(payloads[name], *args)
@@ -353,44 +374,12 @@ def _model_from_payloads(payloads: dict) -> AttnBoostModel:
             raise ModelFormatError(f"section {name!r}: malformed section contents "
                                    f"({type(exc).__name__}: {exc})") from exc
 
-    model = AttnBoostModel(**decode("meta", _meta_from_payload),
-                           preprocessor=decode("preprocessor", _preprocessor_from_payload),
-                           attention=decode("attention", _attention_from_payload), ensemble=None)
-    _check_sections_agree(model)
-    model.ensemble = decode("ensemble", _ensemble_from_payload,
-                            column_names(model, model.preprocessor.feature_names))
-    return model
-
-
-def _check_sections_agree(model: AttnBoostModel) -> None:
-    """Meta, preprocessor and attention must describe one model, as fit_variant builds it.
-
-    A variant of fusion.NETWORK_VARIANTS has an attention section, whose
-    arrays fit W1's shape and whose inputs are the preprocessor's columns, and
-    the others have none; random_attention draws 1 to MAX_UNITS columns, and
-    every other variant stores a random_k of 0.
-    """
-    variant, params = model.variant, model.attention
-    if (params is not None) != (variant in NETWORK_VARIANTS):
-        raise ModelFormatError(f"variant {variant!r} does not match an attention section "
-                               f"that is {'absent' if params is None else 'present'}")
-    if variant == "random_attention" and not 1 <= model.random_k <= MAX_UNITS:
-        raise ModelFormatError(f"random_attention needs random_k from 1 to {MAX_UNITS}, "
-                               f"got {model.random_k}")
-    if variant != "random_attention" and model.random_k != 0:
-        raise ModelFormatError(f"variant {variant!r} reads no random_k, so it must be 0, "
-                               f"got {model.random_k}")
-    if params is not None:
-        k, d = params.k, len(model.preprocessor.feature_names)  # W1 reads the inputs
-        for name, shape in (("W1", (k, d)), ("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,)),
-                            ("w2", (k,))):
-            if getattr(params, name).shape != shape:
-                raise ModelFormatError(f"attention {name} has shape "
-                                       f"{getattr(params, name).shape}, expected {shape}")
-        for name in (*_ATTENTION_ARRAYS, "b2"):
-            if not np.isfinite(getattr(params, name)).all():
-                raise ModelFormatError(f"section 'attention': {name} holds a value that is "
-                                       "not finite")
+    variant = decode("meta", _variant_from_meta)
+    preprocessor = decode("preprocessor", _preprocessor_from_payload)
+    inputs = preprocessor.feature_names
+    block = decode("attention", _attention_from_payload, variant, len(inputs))
+    ensemble = decode("ensemble", _ensemble_from_payload, column_names(block, inputs))
+    return AttnBoostModel(preprocessor, block, ensemble, variant)
 
 
 def _check_only_written(stored: dict, payloads: dict, model: AttnBoostModel) -> None:
@@ -400,7 +389,7 @@ def _check_only_written(stored: dict, payloads: dict, model: AttnBoostModel) -> 
     so no key a writer adds can be missed here; no array is encoded to find
     them. An error names the section and the key.
     """
-    written = _payloads(model, payloads["meta"].get("fingerprint"))
+    written = _payloads(model, payloads["meta"]["fingerprint"])
     extra = sorted(set(stored) - set(written))
     if extra:
         raise ModelFormatError(f"section {extra[0]!r} is not one save_model writes")

@@ -312,6 +312,9 @@ OUT_OF_RANGE = {
     "synth.intercept": "-inf",
 }
 
+# every seed runs from 0 to 2**64 - 1
+SEED_KEYS = ("attention.seed", "boost.seed", "split.seed", "synth.seed")
+
 # values at or near each end of a training key's range, which train accepts
 ACCEPTED_EDGES = {
     "split.fraction": ("0.05", "0.95"),
@@ -403,6 +406,35 @@ class TestConfigHandling:
         assert _run("train", "--data", str(tmp_path / "absent.csv"), f"--{key}={value}",
                     "--out", str(tmp_path / "m.bin")) == 2
         assert f"key {key!r}" in capsys.readouterr().err
+
+    # numpy refused a negative seed with a message that named no key, and random_attention's
+    # blake2b a seed of more than 64 digits, after ablate had fitted full and no_attention
+    @pytest.mark.parametrize("value", ["-1", str(2**64), "9" * 70])
+    @pytest.mark.parametrize("key", SEED_KEYS)
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_seed_out_of_range_exits_2_before_data_is_read(self, tmp_path, capsys, command,
+                                                           key, value):
+        # train's data file does not exist, so reading it would exit 1
+        data = ["--data", str(tmp_path / "absent.csv")] if command == "train" else ["--synthetic"]
+        assert _run(command, *data, f"--{key}={value}", "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and f"must be from 0 to {2**64 - 1}, got {value}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seeds_train_and_score(self, tmp_path, capsys):
+        model, top = str(tmp_path / "m.bin"), str(2**64 - 1)
+        seeds = [arg for key in SEED_KEYS for arg in (f"--{key}", top)]
+        assert _run("train", "--synthetic", "--synth.rows", "200", *FAST_TRAIN, *seeds,
+                    "--model.variant", "random_attention", "--out", model) == 0
+        assert load_model(model).attention.seed == 2**64 - 1
+        assert _run("importance", "--model", model) == 0
+
+    @pytest.mark.parametrize("make", [TrainConfig, BoostConfig, SyntheticSpec])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_library_configs_bound_their_seed(self, make, seed):
+        with pytest.raises(ValueError, match=f"^seed must be from 0 to {2**64 - 1}, got {seed}$"):
+            make(seed=seed)
+        assert make(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_every_float_key_has_an_out_of_range_case(self):
         assert set(OUT_OF_RANGE) == {key for key, (kind, _) in KEY_SPECS.items() if kind is float}

@@ -12,7 +12,8 @@ from attnboost.fusion import (
     NETWORK_VARIANTS,
     VARIANT_KINDS,
     AttnBoostModel,
-    _model_inputs,
+    RandomBlock,
+    _widen,
     fit_variant,
     predict,
     predict_matrix,
@@ -120,7 +121,7 @@ class TestFitVariant:
         pa, _ = predict_matrix(a, X)
         pb, _ = predict_matrix(b, X)
         np.testing.assert_array_equal(pa, pb)
-        assert a.random_k == 6
+        assert a.attention == RandomBlock(k=6, seed=11)
         assert len(a.ensemble.feature_names) == X.d + 6
         assert list(a.ensemble.feature_names[X.d:]) == [f"attn_{i}" for i in range(6)]
 
@@ -154,12 +155,13 @@ class TestFitVariant:
     def test_block_is_gated_hidden_layer_exactly_when_there_is_a_network(self, kind):
         X, y = _toy_matrix()
         model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost(), shallow_k=3)
-        inputs = _model_inputs(model, X)
-        assert (model.attention is not None) == (kind in NETWORK_VARIANTS)
-        if model.attention is not None:
+        inputs = _widen(model.attention, X)
+        if kind in NETWORK_VARIANTS:
             assert np.array_equal(inputs.values, reference_augment(model.attention, X).values)
-        else:
-            assert inputs.d == X.d + model.random_k
+        else:  # the block is random_attention's width and seed, or nothing
+            assert model.attention == {"no_attention": None,
+                                       "random_attention": RandomBlock(k=4, seed=0)}[kind]
+            assert inputs.d == X.d + (4 if model.attention else 0)
         assert model.ensemble.feature_names == inputs.feature_names
 
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
@@ -207,7 +209,6 @@ class TestPredict:
             ensemble=Ensemble.from_trees([], base_raw=0.0,
                                          feature_names=list(state.feature_names)),
             variant="no_attention",
-            attention_seed=0,
         )
         proba, labels = predict(model, table)
         assert (proba == 0.5).all()
@@ -253,15 +254,15 @@ class TestBatchInvariance:
         X, y = _toy_matrix()
         model = fit_variant("random_attention", X, y, TrainConfig(k=5, epochs=1),
                             _small_boost())
-        block = _model_inputs(model, X).values[:, X.d:]
+        block = _widen(model.attention, X).values[:, X.d:]
         assert block.shape == (X.n_rows, 5)
         assert ((block >= 0.0) & (block < 1.0)).all()
         assert np.unique(block[:, 0]).size == X.n_rows  # distinct rows, distinct draws
         swapped = FeatureMatrix(X.values[::-1], X.feature_names)
-        np.testing.assert_array_equal(_model_inputs(model, swapped).values[:, X.d:],
+        np.testing.assert_array_equal(_widen(model.attention, swapped).values[:, X.d:],
                                       block[::-1])
-        model.attention_seed += 1
-        assert not np.array_equal(_model_inputs(model, X).values[:, X.d:], block)
+        reseeded = RandomBlock(k=5, seed=model.attention.seed + 1)
+        assert not np.array_equal(_widen(reseeded, X).values[:, X.d:], block)
 
 
 class TestRescalingBins:

@@ -14,7 +14,8 @@ import pytest
 from attnboost.attention import TrainConfig
 from attnboost.errors import ModelFormatError
 from attnboost.experiments import SyntheticSpec, generate_synthetic
-from attnboost.fusion import VARIANT_KINDS, fit_variant, predict_matrix
+from attnboost.fusion import (NETWORK_VARIANTS, VARIANT_KINDS, RandomBlock, fit_variant,
+                              predict_matrix)
 from attnboost.gbdt import BoostConfig
 from attnboost.importance import gain_importance, rank_report
 from attnboost.cli import run_command
@@ -25,7 +26,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "4537af4b79bb948ae676fe6a09e2706cd7df66b3ea4d7122d3f08e861af38959"
+PINNED_SHA256 = "f0c8a04348197f48e560a570f16ca73b36f259aab7b9852291dea0e822bc35b5"
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +60,7 @@ class TestRoundTrip:
         save_model(models["random_attention"], path, fingerprint="f00")
         loaded = load_model(path)
         assert loaded.variant == "random_attention"
-        assert (loaded.random_k, loaded.attention_seed) == (FAST_ATTN.k, FAST_ATTN.seed)
+        assert loaded.attention == RandomBlock(k=FAST_ATTN.k, seed=FAST_ATTN.seed)
         meta = json.load(open(path))["sections"]["meta"]["payload"]
         assert meta["fingerprint"] == "f00"
 
@@ -84,8 +85,9 @@ class TestRoundTrip:
             assert got.tobytes() == want.tobytes(), name
         assert loaded.preprocessor == model.preprocessor
 
-    def test_file_stores_nothing_that_can_be_derived(self, fitted, tmp_path):
-        model = fitted[0]["full"]
+    @pytest.mark.parametrize("kind", VARIANT_KINDS)
+    def test_file_stores_nothing_that_can_be_derived(self, fitted, tmp_path, kind):
+        model = fitted[0][kind]
         path = str(tmp_path / "m.model")
         save_model(model, path)
         sections = json.load(open(path))["sections"]
@@ -98,11 +100,16 @@ class TestRoundTrip:
         assert _decode(ensemble, "gain").tobytes() == model.ensemble.nodes.gain[splits].tobytes()
         assert sorted(sections["preprocessor"]["payload"]) == [
             "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
-        assert sorted(sections["meta"]["payload"]) == [
-            "attention_seed", "fingerprint", "random_k", "variant"]
-        # the network's sizes are the shape of W1
-        assert sorted(sections["attention"]["payload"]) == [
-            "W1", "W_attn", "b1", "b2", "b_attn", "w2"]
+        assert sorted(sections["meta"]["payload"]) == ["fingerprint", "variant"]
+        # the block: a network, whose sizes are the shape of W1, random_attention's width
+        # and seed, or nothing
+        attention = sections["attention"]["payload"]
+        if kind in NETWORK_VARIANTS:
+            assert sorted(attention) == ["W1", "W_attn", "b1", "b2", "b_attn", "w2"]
+        elif kind == "random_attention":
+            assert attention == {"k": FAST_ATTN.k, "seed": FAST_ATTN.seed}
+        else:
+            assert attention is None
 
     @pytest.mark.parametrize("kind", ["full", "random_attention"])
     def test_loaded_model_names_its_columns_as_the_model_in_memory(self, fitted, tmp_path,
@@ -151,10 +158,11 @@ class TestSaveRefuses:
         ("full", lambda m: replace(m, ensemble=replace(
             m.ensemble, feature_names=["Renamed", *m.ensemble.feature_names[1:]]))),
         # one uniform column more than the trees were fitted on
-        ("random_attention", lambda m: replace(m, random_k=m.random_k + 1)),
+        ("random_attention", lambda m: replace(m, attention=replace(m.attention,
+                                                                   k=m.attention.k + 1))),
         ("no_attention", lambda m: replace(m, ensemble=replace(
             m.ensemble, feature_names=m.ensemble.feature_names[:-1]))),
-    ], ids=["renamed", "random_k", "shorter"])
+    ], ids=["renamed", "wider_block", "shorter"])
     def test_ensemble_columns_a_loaded_model_would_not_derive(self, fitted, tmp_path, kind,
                                                              edit):
         path = tmp_path / "m.model"
@@ -175,7 +183,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 7
+    assert FORMAT_VERSION == 8
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -282,10 +290,10 @@ class TestDamagedFiles:
         ensemble = sections["ensemble"]["payload"]
         feature, value = _decode(ensemble, "feature", "<i4"), _decode(ensemble, "value")
         del ensemble["value"]
-        ensemble.update(left=_encode(np.where(feature < 0, -1, _node_local(ensemble) + 1), "<i4"),
+        ensemble.update(left=_encode(np.where(feature < 0, -1, _node_local(ensemble) + 1)),
                         threshold=_encode(np.where(feature < 0, 0.0, value)),
                         weight=_encode(np.where(feature < 0, value, 0.0)))
-        sections["meta"]["payload"]["random_seed"] = sections["meta"]["payload"]["attention_seed"]
+        sections["meta"]["payload"]["random_seed"] = FAST_ATTN.seed
         self._assert_older_rejected(fitted, path, document, 2, tmp_path, capsys)
 
     def test_version_3_file_rejected(self, fitted, tmp_path, capsys):
@@ -304,7 +312,7 @@ class TestDamagedFiles:
                 right[open_splits.pop()] = local
             if feature[i] >= 0:
                 open_splits.append(i)
-        ensemble.update(right=_encode(right, "<i4"), gain=_encode(gain))
+        ensemble.update(right=_encode(right), gain=_encode(gain))
         model = fitted[0]["full"]
         sections["preprocessor"]["payload"].update(
             feature_names=model.preprocessor.feature_names,
@@ -336,16 +344,26 @@ class TestDamagedFiles:
         self._assert_older_rejected(fitted, path, document, 5, tmp_path, capsys)
 
     def test_version_6_file_rejected(self, fitted, tmp_path, capsys):
-        # version 6 differs only in storing the ensemble's column names, the preprocessor's
-        # followed by the block's; no version 6 file is read
+        # version 6 also stored the ensemble's column names, the preprocessor's followed by
+        # the block's; no version 6 file is read
         path = self._saved(fitted, tmp_path)
         self._assert_older_rejected(fitted, path, json.load(open(path)), 6, tmp_path, capsys)
 
+    def test_version_7_file_rejected(self, fitted, tmp_path, capsys):
+        # version 7 differs only in its meta attention_seed and random_k, which a full file
+        # stored although nothing read them; no version 7 file is read
+        path = self._saved(fitted, tmp_path)
+        self._assert_older_rejected(fitted, path, json.load(open(path)), 7, tmp_path, capsys)
+
     def _assert_older_rejected(self, fitted, path, document, version, tmp_path, capsys):
-        """Write `document` as a `full` file of `version`, with the ensemble's column names
-        that versions 1 to 6 all stored and checksums that match, and check it is rejected."""
+        """Write `document` as a `full` file of `version`, with the meta attention_seed and
+        random_k that versions 1 to 7 all stored, the ensemble's column names that versions
+        1 to 6 stored and checksums that match, and check it is rejected."""
         sections = document["sections"]
-        sections["ensemble"]["payload"]["feature_names"] = fitted[0]["full"].ensemble.feature_names
+        sections["meta"]["payload"].update(attention_seed=FAST_ATTN.seed, random_k=0)
+        if version <= 6:
+            sections["ensemble"]["payload"]["feature_names"] = \
+                fitted[0]["full"].ensemble.feature_names
         for section in sections.values():
             section["checksum"] = _checksum(section["payload"])
         document["version"] = version
@@ -353,8 +371,8 @@ class TestDamagedFiles:
         self._assert_version_rejected(path, version, tmp_path, capsys)
 
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 7"
-        assert FORMAT_VERSION == 7
+        message = f"unsupported model format version {version}, expected 8"
+        assert FORMAT_VERSION == 8
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -597,14 +615,15 @@ class TestDamagedFiles:
             assert err.startswith(f"error: {path}: section 'preprocessor' {key}")
             assert "row " not in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("section,key", [("meta", "attention_seed"), ("meta", "random_k")])
+    @pytest.mark.parametrize("key", ["k", "seed"])
     @pytest.mark.parametrize("make", [lambda v: v + 0.9, float, lambda v: True],
                              ids=["fraction", "whole_float", "boolean"])
     def test_integer_field_that_is_a_float_or_boolean_rejected(self, fitted, tmp_path, capsys,
-                                                               section, key, make):
-        path = self._saved(fitted, tmp_path)
-        self._edit_payload(path, section, lambda payload: payload.update({key: make(payload[key])}))
-        message = (f"section '{section}': malformed section contents "
+                                                               key, make):
+        path = self._saved(fitted, tmp_path, kind="random_attention")
+        self._edit_payload(path, "attention",
+                           lambda payload: payload.update({key: make(payload[key])}))
+        message = ("section 'attention': malformed section contents "
                    f"(TypeError: {key} must be an integer, got ")
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
@@ -612,6 +631,26 @@ class TestDamagedFiles:
         capsys.readouterr()
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         assert message in capsys.readouterr().err
+
+    # save_model writes the fingerprint as text and base_raw and b2 as numbers; a fingerprint
+    # of 1.5, or a base_raw or b2 of true, which float() read as 1.0, once loaded
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("meta", "fingerprint", 1.5, "fingerprint must be a string, got 1.5"),
+        ("meta", "fingerprint", None, "fingerprint must be a string, got None"),
+        ("ensemble", "base_raw", True, "base_raw must be a number, got True"),
+        ("attention", "b2", True, "b2 must be a number, got True"),
+        ("attention", "b2", "0.5", "b2 must be a number, got '0.5'"),
+    ])
+    def test_scalar_of_another_json_type_rejected(self, fitted, tmp_path, capsys, section, key,
+                                                  value, message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, section, lambda payload: payload.update({key: value}))
+        message = f"section {section!r}: malformed section contents (TypeError: {message})"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("section,key", [("meta", "variant"),
                                              ("preprocessor", "numeric_stats"),
@@ -663,10 +702,11 @@ class TestDamagedFiles:
             load_model(path)
 
     def test_meta_without_fingerprint_rejected(self, fitted, tmp_path):
-        # every decoder reads what it needs, but nothing reads the fingerprint
+        # nothing scores with the fingerprint, but the meta decoder checks that it is text
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, "meta", lambda meta: meta.pop("fingerprint"))
-        with pytest.raises(ModelFormatError, match="section 'meta': key 'fingerprint' is missing"):
+        with pytest.raises(ModelFormatError, match=re.escape(
+                "section 'meta': malformed section contents (KeyError: 'fingerprint')")):
             load_model(path)
 
     @pytest.mark.parametrize("edit,message", [
@@ -683,23 +723,22 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @pytest.mark.parametrize("kind,edit,message", [
-        # a network-free file told to widen its rows with a network it does not have
-        ("no_attention", {"variant": "full"}, "section that is absent"),
-        ("random_attention", {"variant": "shallow_attention"}, "section that is absent"),
-        ("full", {"variant": "no_attention"}, "section that is present"),
-        ("full", {"variant": "random_attention"}, "section that is present"),
-        ("random_attention", {"random_k": 0}, "random_k from 1 to 65536, got 0"),
-        # every variant is checked by the same rule: a network variant has a section
+        # a block-free file told to widen its rows with a block it does not have
+        ("no_attention", {"variant": "full"}, "variant 'full' does not match an attention "
+                                              "section that is absent"),
+        ("no_attention", {"variant": "random_attention"}, "section that is absent"),
+        ("full", {"variant": "no_attention"}, "variant 'no_attention' does not match an "
+                                              "attention section that is present"),
+        ("random_attention", {"variant": "no_attention"}, "section that is present"),
+        # every variant is checked by the same rule: no_attention alone has no section
         ("no_attention", {"variant": "frozen_attention"}, "section that is absent"),
-        ("random_attention", {"variant": "full"}, "section that is absent"),
         ("frozen_attention", {"variant": "no_attention"}, "section that is present"),
-        ("shallow_attention", {"variant": "random_attention"}, "section that is present"),
-        # the block's width is derived from random_k, so loading would build a name for each
-        ("random_attention", {"random_k": 2**16 + 1}, "random_k from 1 to 65536, got 65537"),
-        # only random_attention reads random_k, so any other variant stores 0
-        ("full", {"random_k": 5}, "variant 'full' reads no random_k, so it must be 0, got 5"),
-        ("no_attention", {"random_k": 5}, "variant 'no_attention' reads no random_k"),
-        ("frozen_attention", {"random_k": -1}, "so it must be 0, got -1"),
+        # the section is decoded as the variant's block, so a block of the other kind lacks
+        # the first key that block's decoder reads
+        ("random_attention", {"variant": "shallow_attention"}, re.escape(
+            "section 'attention': malformed section contents (KeyError: 'W1')")),
+        ("full", {"variant": "random_attention"}, re.escape(
+            "section 'attention': malformed section contents (KeyError: 'k')")),
     ])
     def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
                                                               kind, edit, message):
@@ -731,15 +770,45 @@ class TestDamagedFiles:
         assert str(info.value).startswith(f"{path}: ")
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
-    @pytest.mark.parametrize("random_k", [1, FAST_ATTN.k])
-    def test_random_k_gives_the_columns_a_split_may_read(self, fitted, tmp_path, random_k):
-        # no width is stored: the ensemble's columns are the preprocessor's and random_k
-        # block columns, so a split on attn_1 reads a column only while random_k >= 2
+    @pytest.mark.parametrize("key,value,rule", [
+        # the block's width names its columns, so loading would build a name for each
+        ("k", 0, "must be from 1 to 65536"),
+        ("k", 2**16 + 1, "must be from 1 to 65536"),
+        # the seed keys blake2b by its digits, which may take at most 64 bytes
+        ("seed", -1, f"must be from 0 to {2**64 - 1}"),
+        ("seed", 2**64, f"must be from 0 to {2**64 - 1}"),
+        ("seed", 10**70, f"must be from 0 to {2**64 - 1}"),
+    ])
+    def test_random_block_out_of_range_rejected(self, fitted, tmp_path, capsys, key, value,
+                                                rule):
+        # the ranges of TrainConfig, which fit_variant took the block's k and seed from
+        path = self._saved(fitted, tmp_path, kind="random_attention")
+        self._edit_payload(path, "attention", lambda att: att.update({key: value}))
+        message = (f"section 'attention': malformed section contents (ValueError: {key} {rule}, "
+                   f"got {value})")
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_random_block_takes_the_largest_seed(self, fitted, tmp_path):
+        path = self._saved(fitted, tmp_path, kind="random_attention")
+        self._edit_payload(path, "attention", lambda att: att.update(seed=2**64 - 1))
+        model = load_model(path)
+        assert model.attention == RandomBlock(k=FAST_ATTN.k, seed=2**64 - 1)
+        proba, _ = predict_matrix(model, fitted[1])
+        assert np.isfinite(proba).all()
+
+    @pytest.mark.parametrize("k", [1, FAST_ATTN.k])
+    def test_random_block_k_gives_the_columns_a_split_may_read(self, fitted, tmp_path, k):
+        # no width is stored but the block's: the ensemble's columns are the preprocessor's
+        # and k block columns, so a split on attn_1 reads a column only while k >= 2
         path = self._saved(fitted, tmp_path, kind="random_attention")
         inputs = len(fitted[0]["random_attention"].preprocessor.feature_names)
         self._edit_nodes(path, lambda nodes: nodes["feature"].__setitem__(0, inputs + 1))
-        self._edit_payload(path, "meta", lambda meta: meta.update(random_k=random_k))
-        if random_k > 1:
+        self._edit_payload(path, "attention", lambda att: att.update(k=k))
+        if k > 1:
             assert load_model(path).ensemble.feature_names[inputs + 1] == "attn_1"
             return
         message = f"tree 0 node 0: feature {inputs + 1} is not -1 or one of the {inputs + 1} "
@@ -848,8 +917,7 @@ class TestDamagedFiles:
             nodes = {name: _decode(payload, name, dtype).tolist()
                      for name, dtype in _NODE_FIELDS.items()}
             edit(nodes)
-            payload.update({name: _encode(np.array(nodes[name]), dtype)
-                            for name, dtype in _NODE_FIELDS.items()})
+            payload.update({name: _encode(np.array(nodes[name])) for name in _NODE_FIELDS})
         cls._edit_payload(path, "ensemble", apply)
 
     @staticmethod
