@@ -4,24 +4,23 @@ The file is JSON with four sections (meta, preprocessor, attention, ensemble)
 and stores nothing that can be derived: the ensemble's columns are the
 preprocessor's followed by the block's (fusion.column_names), the network's
 sizes are W1's shape, and each leaf holds its weight times the learning rate.
-save_model takes only a model with a preprocessor whose ensemble reads those
-columns; the loader takes only the sections and payload keys it writes.
-Arrays are base64-encoded little-endian bytes with a shape of non-negative
-integers, float64 for real values and int32 for split features and node
-counts, so a save/load round trip reproduces bit-identical predictions on
-any platform. Each section's checksum is validated before anything is
-constructed; a bad file never yields a partially loaded model. The ensemble
-section stores the learner's own record without child links (the learner
-derives them from the features), each tree's node count and gains for splits
-only; it is checked for structure on load in one pass over all trees. The
-preprocessor section holds no feature or target names, which follow from its
-schema, and is checked against what fitting guarantees. The meta section holds
-a known variant and a fingerprint string, and the attention section the block
-the variant reads: none, random_attention's k and seed, or a network over the
-preprocessor's columns. A section whose contents do not decode, such as a seed
-that is not an integer, a boolean base score or a shape of -1, raises
-ModelFormatError like a damaged one, as does a node value, gain, base score
-or attention parameter that is not finite, or a W1 without rows or columns.
+Arrays are base64-encoded little-endian bytes and a shape, float64 for real
+values and int32 for split features and node counts, so a round trip
+reproduces bit-identical predictions on any platform. save_model takes only
+a model with a preprocessor whose ensemble reads those columns, and a string
+fingerprint.
+
+A file loads only if save_model would write exactly that file for the model
+it decodes to. Each section is decoded with every scalar read as the type
+save_model writes; its stored checksum must then be that of what save_model
+writes for the decoded section, before the next is read. That one comparison
+finds a damaged byte and any key, type or spelling the writer does not
+produce (a map stored as [], a base score of 0 or true, a shape of -1); the
+error names the section and the first key that differs. Decoding checks what
+a round trip cannot see: tree structure, finite values, W1 and the shapes its
+k gives, the network's width, what fitting guarantees of the preprocessor,
+the variant against its attention section and TrainConfig's ranges for
+random_attention's k and seed.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ FORMAT_NAME = "attnboost-model"
 FORMAT_VERSION = 8
 _ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
 _INTEGERS = "<i4"  # file dtype of node counts and split features
-_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}  # for _scalar
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -74,19 +72,12 @@ def _encode(arr) -> dict:
 
 def _decode(payload: dict, key: str, dtype: str = "<f8") -> np.ndarray:
     """payload[key], written by _encode with `dtype`, as float64 or, from _INTEGERS, intp."""
-    shape = payload[key]["shape"]
-    if type(shape) is not list or not all(type(n) is int and n >= 0 for n in shape):
-        raise ValueError(f"{key} shape {shape!r} is not a list of non-negative integers")
-    raw = base64.b64decode(payload[key]["data"])  # TypeError or ValueError unless ASCII text
-    arr = np.frombuffer(raw, dtype=dtype).astype(np.intp if dtype == _INTEGERS else np.float64)
-    return arr.reshape(shape)
-
-
-def _scalar(payload: dict, key: str, kind: type = int):
-    """payload[key], a JSON value of `kind`; float takes an integer too, and no kind a boolean."""
-    if type(payload[key]) not in ((int, float) if kind is float else (kind,)):
-        raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {payload[key]!r}")
-    return kind(payload[key])
+    stored = payload[key]
+    try:  # a shape of -1 or null decodes, and the round trip refuses it
+        arr = np.frombuffer(base64.b64decode(stored["data"]), dtype=dtype)
+        return arr.astype(np.intp if dtype == _INTEGERS else np.float64).reshape(stored["shape"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from exc
 
 
 def _canonical(payload) -> bytes:
@@ -122,15 +113,17 @@ def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
     feature, value = _decode(payload, "feature", _INTEGERS), _decode(payload, "value")
     split_gain = _decode(payload, "gain")
     if counts.ndim != 1:
-        raise ModelFormatError(f"node counts must be one-dimensional, got shape {counts.shape}")
+        raise ModelFormatError(f"section 'ensemble': node counts must be one-dimensional, got "
+                               f"shape {counts.shape}")
     if (counts < 1).any():
         t = int(np.argmax(counts < 1))
-        raise ModelFormatError(f"tree {t}: node count {counts[t]} is not positive")
+        raise ModelFormatError(f"section 'ensemble' tree {t}: node count {counts[t]} is not "
+                               "positive")
     ends = np.cumsum(counts)
     total = int(ends[-1]) if ends.size else 0
     if feature.shape != (total,) or value.shape != (total,):
-        raise ModelFormatError(f"node arrays must each hold the {total} nodes of the node "
-                               f"counts, got shapes {[feature.shape, value.shape]}")
+        raise ModelFormatError(f"section 'ensemble': node arrays must each hold the {total} "
+                               f"nodes counted, got shapes {[feature.shape, value.shape]}")
 
     tree = np.repeat(np.arange(counts.size), counts)  # each node's tree
     local = np.arange(total) - (ends - counts)[tree]  # its index within the tree
@@ -152,12 +145,13 @@ def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
         else "the tree is complete here, before its last node"))
     split = feature >= 0
     if split_gain.shape != (split.sum(),):
-        raise ModelFormatError(f"{split.sum()} splits, but gain has shape {split_gain.shape}")
+        raise ModelFormatError(f"section 'ensemble': {split.sum()} splits, but gain has shape "
+                               f"{split_gain.shape}")
     gain = np.zeros(total)
     gain[split] = split_gain
     for name, values in (("value", value), ("gain", gain)):
         reject_first(~np.isfinite(values), lambda i: f"{name} {values[i]} is not finite")
-    ensemble = Ensemble(Tree(feature, value, gain), counts, _scalar(payload, "base_raw", float),
+    ensemble = Ensemble(Tree(feature, value, gain), counts, float(payload["base_raw"]),
                         feature_names)
     if not np.isfinite(ensemble.base_raw):
         raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
@@ -177,25 +171,17 @@ def _preprocessor_payload(state: PreprocessorState) -> dict:
 def _preprocessor_from_payload(payload) -> PreprocessorState:
     """Decode the preprocessor state and check what fit_preprocessor guarantees.
 
-    Each schema entry is a string name, a known kind and a JSON boolean
-    nullable; the names are unique and one column is the binary target. The
-    target's positive value is a string other than TARGET_NEGATIVE, or null.
-    The dropped columns are a list of schema columns other than the target,
-    each once. Each kept category or string column has a map whose codes are
-    the integers 0..n-1, each once, and each kept numeric column a [mean,
-    standard deviation] pair of finite numbers, the deviation at least
-    EPSILON_STD; no other column has either. An error names the key, and the
-    column.
+    Each schema entry is a name, a known kind and a nullable flag; the names
+    are unique and one column is the binary target. The target's positive
+    value is other than TARGET_NEGATIVE. The dropped columns are a list of
+    schema columns other than the target, each once. Each kept category or
+    string column has a map whose codes are 0..n-1, each once, and each kept
+    numeric column a [mean, standard deviation] pair of finite numbers, the
+    deviation at least EPSILON_STD; no other column has either. An error
+    names the key, and the column.
     """
-    schema = []
-    for name, kind, nullable in payload["schema"]:
-        if type(name) is not str:
-            raise ModelFormatError(f"section 'preprocessor' schema: column name {name!r} "
-                                   "is not a string")
-        if type(nullable) is not bool:
-            raise ModelFormatError(f"section 'preprocessor' schema: column {name!r} has "
-                                   f"nullable {nullable!r}, not a JSON boolean")
-        schema.append(ColumnSchema(name, kind, nullable))
+    schema = [ColumnSchema(str(name), kind, bool(nullable))
+              for name, kind, nullable in payload["schema"]]
     category_maps = {c: dict(m) for c, m in payload["category_maps"].items()}
     numeric_stats = {c: tuple(v) for c, v in payload["numeric_stats"].items()}
     dropped, positive = payload["dropped_columns"], payload["target_positive"]
@@ -204,16 +190,16 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
     except DataError as exc:
         raise ModelFormatError(f"section 'preprocessor' schema: {exc}") from exc
     (target,) = [c.name for c in schema if c.kind == "binary-target"]
-    if positive is not None and (type(positive) is not str or positive == TARGET_NEGATIVE):
+    if positive == TARGET_NEGATIVE:
         raise ModelFormatError(f"section 'preprocessor' target_positive: column {target!r} "
                                f"needs a string other than {TARGET_NEGATIVE!r}, or null, "
                                f"got {positive!r}")
-    if type(dropped) is not list:
+    if type(dropped) is not list:  # a string would be read as columns named by its letters
         raise ModelFormatError(f"section 'preprocessor' dropped_columns: expected a list of "
                                f"column names, got {dropped!r}")
     droppable = [c.name for c in schema if c.name != target]
     for i, column in enumerate(dropped):
-        if type(column) is not str or column not in droppable or column in dropped[:i]:
+        if column not in droppable or column in dropped[:i]:
             raise ModelFormatError(f"section 'preprocessor' dropped_columns: column {column!r} "
                                    "is not a schema column other than the target, named once")
     for key, stored, kinds in (("category_maps", category_maps, ("category", "string")),
@@ -224,19 +210,21 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
                                    f"{sorted(stored)}, expected {wanted}")
     for column, cmap in category_maps.items():
         codes = list(cmap.values())
-        if not all(type(c) is int for c in codes) or sorted(codes) != list(range(len(codes))):
+        if sorted(c for c in codes if c in range(len(codes))) != list(range(len(codes))):
             raise ModelFormatError(f"section 'preprocessor' category_maps {column!r}: codes "
                                    f"must be the integers 0..{len(codes) - 1}, each once, "
                                    f"got {codes}")
+        category_maps[column] = {value: int(code) for value, code in cmap.items()}
     for column, stats in numeric_stats.items():
         if not (len(stats) == 2 and all(type(v) in (int, float) for v in stats)
                 and math.isfinite(stats[0]) and EPSILON_STD <= stats[1] < math.inf):
             raise ModelFormatError(f"section 'preprocessor' numeric_stats {column!r}: expected "
                                    "a finite mean and a finite standard deviation of at least "
                                    f"{EPSILON_STD}, got {list(stats)}")
+        numeric_stats[column] = (float(stats[0]), float(stats[1]))
     return PreprocessorState(schema=schema, category_maps=category_maps,
                              numeric_stats=numeric_stats, dropped_columns=dropped,
-                             target_positive=positive)
+                             target_positive=None if positive is None else str(positive))
 
 
 def _attention_payload(block: Block):
@@ -250,16 +238,17 @@ def _attention_from_payload(payload, variant: str, inputs: int) -> Block:
     k units and d inputs are the shape of W1, every other array of the shape k gives and
     every parameter finite."""
     if (payload is None) != (variant == "no_attention"):
-        raise ModelFormatError(f"variant {variant!r} does not match an attention section "
-                               f"that is {'absent' if payload is None else 'present'}")
+        raise ModelFormatError(f"section 'attention': variant {variant!r} does not match an "
+                               f"attention section that is "
+                               f"{'absent' if payload is None else 'present'}")
     if payload is None:
         return None
     if variant == "random_attention":
-        block = RandomBlock(_scalar(payload, "k"), _scalar(payload, "seed"))
+        block = RandomBlock(int(payload["k"]), int(payload["seed"]))
         TrainConfig(k=block.k, seed=block.seed)  # raises a ValueError that names the key
         return block
     params = AttentionParams(**{name: _decode(payload, name) for name in _ATTENTION_ARRAYS},
-                             b2=_scalar(payload, "b2", float))
+                             b2=float(payload["b2"]))
     if params.W1.ndim != 2 or 0 in params.W1.shape:  # the sizes init_params accepts
         raise ModelFormatError(f"section 'attention': W1 has shape {params.W1.shape}, expected "
                                "a matrix with at least one row and one column")
@@ -268,19 +257,25 @@ def _attention_from_payload(payload, variant: str, inputs: int) -> Block:
                         ("w2", (k,)), ("b2", ())):
         value = np.asarray(getattr(params, name))
         if value.shape != shape:
-            raise ModelFormatError(f"attention {name} has shape {value.shape}, expected {shape}")
+            raise ModelFormatError(f"section 'attention': {name} has shape {value.shape}, "
+                                   f"expected {shape}")
         if not np.isfinite(value).all():
             raise ModelFormatError(f"section 'attention': {name} holds a value that is not "
                                    "finite")
     return params
 
 
-def _variant_from_meta(meta: dict) -> str:
+def _meta_payload(meta: tuple[str, str]) -> dict:
+    variant, fingerprint = meta
+    return {"variant": variant, "fingerprint": fingerprint}
+
+
+def _meta_from_payload(meta: dict) -> tuple[str, str]:
+    """The variant, checked to be known, and the fingerprint."""
     if meta["variant"] not in VARIANT_KINDS:
-        raise ModelFormatError(f"unknown variant {meta['variant']!r}; "
+        raise ModelFormatError(f"section 'meta': unknown variant {meta['variant']!r}; "
                                f"expected one of {VARIANT_KINDS}")
-    _scalar(meta, "fingerprint", str)
-    return meta["variant"]
+    return meta["variant"], str(meta["fingerprint"])
 
 
 # the file's sections, in the order they are checked and read
@@ -290,7 +285,7 @@ _SECTIONS = ("meta", "preprocessor", "attention", "ensemble")
 def _payloads(model: AttnBoostModel, fingerprint: str) -> dict:
     """Each section's payload by section name, its arrays not yet encoded."""
     return {
-        "meta": {"variant": model.variant, "fingerprint": fingerprint},
+        "meta": _meta_payload((model.variant, fingerprint)),
         "preprocessor": _preprocessor_payload(model.preprocessor),
         "attention": _attention_payload(model.attention),
         "ensemble": _ensemble_payload(model.ensemble),
@@ -307,9 +302,12 @@ def _encoded(payload: dict | None) -> dict | None:
 
 def save_model(model: AttnBoostModel, path: str, fingerprint: str = "") -> None:
     """Write the model atomically; output bytes are deterministic. Only a model with a
-    preprocessor, whose ensemble reads the columns the loader derives, is saved."""
+    preprocessor whose ensemble reads the columns the loader derives, and a string
+    fingerprint, are saved."""
     if model.preprocessor is None:
         raise ValueError("only a model with its fitted preprocessor can be saved")
+    if not isinstance(fingerprint, str):
+        raise ValueError(f"the fingerprint must be a string, got {fingerprint!r}")
     if model.ensemble.feature_names != column_names(model.attention,
                                                     model.preprocessor.feature_names):
         raise ValueError("the ensemble's columns are not the preprocessor's followed by the "
@@ -346,55 +344,53 @@ def load_model(path: str) -> AttnBoostModel:
     stored = document.get("sections", {})
     if not isinstance(stored, dict):
         raise ModelFormatError(f"{path}: sections must be a JSON object")
-    payloads = {}
     for name in _SECTIONS:
         if name not in stored:
             raise ModelFormatError(f"{path}: missing section {name!r}")
         if not isinstance(stored[name], dict):
             raise ModelFormatError(f"{path}: section {name!r} must be a JSON object")
-        payload = stored[name].get("payload")
-        if _checksum(payload) != stored[name].get("checksum"):
-            raise ModelFormatError(f"{path}: checksum mismatch in section {name!r}")
-        payloads[name] = payload
+    extra = sorted(set(stored) - set(_SECTIONS))
+    if extra:
+        raise ModelFormatError(f"{path}: section {extra[0]!r} is not one save_model writes")
 
     try:
-        model = _model_from_payloads(payloads)
-        _check_only_written(stored, payloads, model)
+        return _model_from_sections(stored)
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    return model
 
 
-def _model_from_payloads(payloads: dict) -> AttnBoostModel:
-    """The model: its block decoded as the variant says, its ensemble over derived columns."""
-    def decode(name, decoder, *args):
+def _model_from_sections(stored: dict) -> AttnBoostModel:
+    """The model, its block decoded as the variant says and its ensemble over derived
+    columns; each section is read only as save_model writes it for what it decodes to."""
+    def read(name, decoder, writer, *args):
         try:
-            return decoder(payloads[name], *args)
+            value = decoder(stored[name].get("payload"), *args)
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"section {name!r}: malformed section contents "
                                    f"({type(exc).__name__}: {exc})") from exc
+        _check_as_written(name, stored[name], writer(value))
+        return value
 
-    variant = decode("meta", _variant_from_meta)
-    preprocessor = decode("preprocessor", _preprocessor_from_payload)
+    variant, fingerprint = read("meta", _meta_from_payload, _meta_payload)
+    preprocessor = read("preprocessor", _preprocessor_from_payload, _preprocessor_payload)
     inputs = preprocessor.feature_names
-    block = decode("attention", _attention_from_payload, variant, len(inputs))
-    ensemble = decode("ensemble", _ensemble_from_payload, column_names(block, inputs))
+    block = read("attention", _attention_from_payload, _attention_payload, variant, len(inputs))
+    ensemble = read("ensemble", _ensemble_from_payload, _ensemble_payload,
+                    column_names(block, inputs))
     return AttnBoostModel(preprocessor, block, ensemble, variant)
 
 
-def _check_only_written(stored: dict, payloads: dict, model: AttnBoostModel) -> None:
-    """The file holds the sections and payload keys that save_model writes for the model.
-
-    The expected names are those of `_payloads`, the writers save_model runs,
-    so no key a writer adds can be missed here; no array is encoded to find
-    them. An error names the section and the key.
-    """
-    written = _payloads(model, payloads["meta"]["fingerprint"])
-    extra = sorted(set(stored) - set(written))
-    if extra:
-        raise ModelFormatError(f"section {extra[0]!r} is not one save_model writes")
-    for name, payload in written.items():  # a null attention payload is written as null
-        keys = sorted(set(payloads[name] or ()) ^ set(payload or ()))
-        if keys:
-            raise ModelFormatError(f"section {name!r}: key {keys[0]!r} is " + (
-                "not one save_model writes" if keys[0] in payloads[name] else "missing"))
+def _check_as_written(name: str, stored: dict, payload) -> None:
+    """The section's stored checksum is that of `payload`, what save_model writes for it,
+    encoded; an error names the first key whose canonical JSON differs, if one does."""
+    payload = _encoded(payload)
+    if _checksum(payload) == stored.get("checksum"):
+        return
+    read, payload = stored.get("payload") or {}, payload or {}
+    keys = [key for key in sorted({*read, *payload})
+            if key not in payload or _canonical(read.get(key)) != _canonical(payload[key])]
+    if not keys:
+        raise ModelFormatError(f"checksum mismatch in section {name!r}")
+    raise ModelFormatError(f"section {name!r}: key {keys[0]!r} is " + (
+        "not stored as save_model writes it" if keys[0] in payload
+        else "not one save_model writes"))

@@ -19,14 +19,16 @@ from attnboost.fusion import (NETWORK_VARIANTS, VARIANT_KINDS, RandomBlock, fit_
 from attnboost.gbdt import BoostConfig
 from attnboost.importance import gain_importance, rank_report
 from attnboost.cli import run_command
-from attnboost.model_io import (FORMAT_VERSION, _checksum, _decode, _encode, load_model,
-                                save_model)
+from attnboost.model_io import (FORMAT_VERSION, _canonical, _checksum, _decode, _encode,
+                                load_model, save_model)
 from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_split
 
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
 PINNED_SHA256 = "f0c8a04348197f48e560a570f16ca73b36f259aab7b9852291dea0e822bc35b5"
+# how the loader names a key whose stored value save_model would not write for the model
+AS_WRITTEN = "is not stored as save_model writes it"
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +154,15 @@ class TestSaveRefuses:
         with pytest.raises(ValueError, match="only a model with its fitted preprocessor"):
             save_model(replace(fitted[0]["full"], preprocessor=None), str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize("fingerprint", [None, 1.5, b"abc"])
+    def test_fingerprint_that_is_not_a_string(self, fitted, tmp_path, fingerprint):
+        # the loader refuses a file whose meta fingerprint is not a JSON string
+        path = tmp_path / "m.model"
+        with pytest.raises(ValueError, match=re.escape(
+                f"the fingerprint must be a string, got {fingerprint!r}")):
+            save_model(fitted[0]["no_attention"], str(path), fingerprint=fingerprint)
+        assert not path.exists() and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind,edit", [
         # a loaded model would name the column as its preprocessor does, not "Renamed"
@@ -573,12 +584,9 @@ class TestDamagedFiles:
          "schema", "schema must have exactly one binary-target column, found []"),
         (lambda pre: _retype_columns(pre, "category", "binary-target"),
          "schema", "schema must have exactly one binary-target column, found ["),
-        (lambda pre: _set_schema_field(pre, "date", 0, 5), "schema",
-         "column name 5 is not a string"),
-        (lambda pre: _set_schema_field(pre, "category", 2, "no"), "schema",
-         "has nullable 'no', not a JSON boolean"),
-        (lambda pre: pre.update(target_positive=7), "target_positive",
-         "column 'Returned' needs a string other than 'Not', or null, got 7"),
+        (lambda pre: _set_schema_field(pre, "date", 0, 5), "schema", AS_WRITTEN),
+        (lambda pre: _set_schema_field(pre, "category", 2, "no"), "schema", AS_WRITTEN),
+        (lambda pre: pre.update(target_positive=7), "target_positive", AS_WRITTEN),
         (lambda pre: pre.update(target_positive="Not"), "target_positive",
          "got 'Not'"),
         (lambda pre: pre.update(dropped_columns="Order Date"), "dropped_columns",
@@ -591,17 +599,27 @@ class TestDamagedFiles:
         (lambda pre: pre.update(dropped_columns=["Order Date", "Order Date"]),
          "dropped_columns", "column 'Order Date' is not a schema column other than the "
          "target, named once"),
+        # save_model writes a mean and a deviation as JSON floats and a map as an object;
+        # dict() read [] and "" as an empty map
+        (lambda pre: _set_stats(pre, lambda s: [0, s[1]]), "numeric_stats", AS_WRITTEN),
+        (lambda pre: _set_stats(pre, lambda s: [s[0], 1]), "numeric_stats", AS_WRITTEN),
+        (lambda pre: pre["category_maps"].update({_first_column(pre, "category_maps"): []}),
+         "category_maps", AS_WRITTEN),
+        (lambda pre: pre["category_maps"].update({_first_column(pre, "category_maps"): ""}),
+         "category_maps", AS_WRITTEN),
     ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "code_text",
             "code_fraction", "code_true", "codes_not_0_to_n", "map_missing", "no_target",
             "two_targets", "name_not_text", "nullable_text", "positive_number",
             "positive_is_negative", "dropped_not_list", "dropped_not_text", "dropped_unknown",
-            "dropped_target", "dropped_twice"])
+            "dropped_target", "dropped_twice", "mean_integer", "std_integer", "map_list",
+            "map_text"])
     def test_malformed_preprocessor_contents_rejected(self, fitted, tmp_path, capsys, edit,
                                                       key, message):
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, "preprocessor", edit)
-        with pytest.raises(ModelFormatError, match=re.escape(f"section 'preprocessor' {key}")) \
-                as info:
+        named = (f"section 'preprocessor': key {key!r}" if message == AS_WRITTEN
+                 else f"section 'preprocessor' {key}")
+        with pytest.raises(ModelFormatError, match=re.escape(named)) as info:
             load_model(path)
         assert message in str(info.value)
         csv_path = self._csv(tmp_path)
@@ -612,7 +630,7 @@ class TestDamagedFiles:
         for command in ("predict", "evaluate"):
             assert run_command([command, "--model", path, "--data", csv_path]) == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"error: {path}: section 'preprocessor' {key}")
+            assert err.startswith(f"error: {path}: {named}")
             assert "row " not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("key", ["k", "seed"])
@@ -623,8 +641,7 @@ class TestDamagedFiles:
         path = self._saved(fitted, tmp_path, kind="random_attention")
         self._edit_payload(path, "attention",
                            lambda payload: payload.update({key: make(payload[key])}))
-        message = ("section 'attention': malformed section contents "
-                   f"(TypeError: {key} must be an integer, got ")
+        message = f"section 'attention': key {key!r} {AS_WRITTEN}"
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -632,20 +649,25 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         assert message in capsys.readouterr().err
 
-    # save_model writes the fingerprint as text and base_raw and b2 as numbers; a fingerprint
-    # of 1.5, or a base_raw or b2 of true, which float() read as 1.0, once loaded
-    @pytest.mark.parametrize("section,key,value,message", [
-        ("meta", "fingerprint", 1.5, "fingerprint must be a string, got 1.5"),
-        ("meta", "fingerprint", None, "fingerprint must be a string, got None"),
-        ("ensemble", "base_raw", True, "base_raw must be a number, got True"),
-        ("attention", "b2", True, "b2 must be a number, got True"),
-        ("attention", "b2", "0.5", "b2 must be a number, got '0.5'"),
+    # save_model writes the fingerprint as text and base_raw and b2 as JSON floats; a
+    # fingerprint of 1.5, a base_raw or b2 of true, which float() read as 1.0, or one of 0
+    # or -1 once loaded
+    @pytest.mark.parametrize("section,key,value", [
+        ("meta", "fingerprint", 1.5),
+        ("meta", "fingerprint", None),
+        ("ensemble", "base_raw", True),
+        ("attention", "b2", True),
+        ("attention", "b2", "0.5"),
+        ("ensemble", "base_raw", 0),
+        ("ensemble", "base_raw", -1),
+        ("attention", "b2", 0),
+        ("attention", "b2", -1),
     ])
     def test_scalar_of_another_json_type_rejected(self, fitted, tmp_path, capsys, section, key,
-                                                  value, message):
+                                                  value):
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, section, lambda payload: payload.update({key: value}))
-        message = f"section {section!r}: malformed section contents (TypeError: {message})"
+        message = f"section {section!r}: key {key!r} {AS_WRITTEN}"
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
         capsys.readouterr()
@@ -764,7 +786,7 @@ class TestDamagedFiles:
                                                                  section, edit):
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, section, edit)
-        message = r"attention W1 has shape \(6, \d+\), expected \(6, \d+\)"
+        message = r"section 'attention': W1 has shape \(6, \d+\), expected \(6, \d+\)"
         with pytest.raises(ModelFormatError, match=message) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: ")
@@ -840,20 +862,20 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         assert re.search(message, capsys.readouterr().err)
 
-    @pytest.mark.parametrize("section,key,shape", [
-        ("attention", "W1", lambda shape: [-1, *shape[1:]]),
-        ("ensemble", "value", lambda shape: [-1]),
-        ("ensemble", "node_counts", lambda shape: [*shape, True]),
+    @pytest.mark.parametrize("section,key,shape,message", [
+        ("attention", "W1", lambda shape: [-1, *shape[1:]],
+         f"section 'attention': key 'W1' {AS_WRITTEN}"),
+        ("ensemble", "value", lambda shape: [-1], f"section 'ensemble': key 'value' {AS_WRITTEN}"),
+        ("ensemble", "node_counts", lambda shape: [*shape, True],
+         "section 'ensemble': malformed section contents (ValueError: node_counts: an integer "
+         "is required)"),
     ], ids=["W1_minus_one", "value_minus_one", "counts_boolean"])
     def test_shape_that_is_not_non_negative_integers_rejected(self, fitted, tmp_path, capsys,
-                                                             section, key, shape):
+                                                             section, key, shape, message):
         # numpy infers a -1 in a shape, so such a file loaded before shapes were checked
         path = self._saved(fitted, tmp_path)
-        stored = json.load(open(path))["sections"][section]["payload"][key]["shape"]
         self._edit_payload(path, section, lambda payload: payload[key].update(
             shape=shape(payload[key]["shape"])))
-        message = (f"section {section!r}: malformed section contents (ValueError: {key} shape "
-                   f"{shape(stored)!r} is not a list of non-negative integers)")
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
         capsys.readouterr()
@@ -933,7 +955,8 @@ class TestDamagedFiles:
 
 
 # ROADMAP item 16's standing fuzz: a single structural edit of a valid file, its checksum
-# recomputed, must fail to load with ModelFormatError, or load and then let `predict`
+# recomputed, must fail to load with a ModelFormatError that names the edited section, or
+# load a model that save_model writes back as exactly that file and then let `predict`
 # exit 0 with finite probabilities and `importance` exit 0, or either exit 1 with an
 # `error:` line; never a traceback.
 FUZZ_MODELS = ("full", "no_attention", "random_attention")
@@ -999,17 +1022,20 @@ def _mutated(document: dict, section: str, path: tuple, value) -> dict:
     return document
 
 
-def _fuzz_outcome(document: dict, path: str, csv_path: str, capsys,
-                  must_fail: bool) -> str | None:
-    """None when the file fails to load or, unless it `must_fail`, `predict` and
-    `importance` each run cleanly on it; else what went wrong."""
+def _fuzz_outcome(document: dict, section: str, path: str, csv_path: str,
+                  capsys) -> str | None:
+    """None when the file fails to load, naming `section`, or loads a model that saves
+    again to the same file, and `predict` and `importance` each run cleanly on it; else
+    what went wrong."""
     json.dump(document, open(path, "w"))
     try:
-        load_model(path)
-    except ModelFormatError:
-        return None
-    if must_fail:
-        return "loads"
+        model = load_model(path)
+    except ModelFormatError as exc:
+        return None if f"section {section!r}" in str(exc) else f"refused as {exc}"
+    again = path + ".again"
+    save_model(model, again, fingerprint=document["sections"]["meta"]["payload"]["fingerprint"])
+    if _canonical(json.load(open(again))) != _canonical(document):
+        return "loads, but save_model writes another file for the model"
     scores = path + ".csv"
     capsys.readouterr()
     for command in (["predict", "--model", path, "--data", csv_path, "--out", scores],
@@ -1072,10 +1098,8 @@ class TestStructuralFuzz:
             if where != section:
                 continue
             document = _mutated(documents[model], where, path, value)
-            # save_model writes no such key, and each stored shape is its array's own (none
-            # holds a 0 or a 1), so a file with the key or an edited shape is not its file
-            outcome = _fuzz_outcome(document, str(tmp_path / "mutant.model"), csv_path, capsys,
-                                    must_fail=path == (FUZZ_KEY,) or "shape" in path[-2:])
+            outcome = _fuzz_outcome(document, where, str(tmp_path / "mutant.model"), csv_path,
+                                    capsys)
             if outcome is not None:
                 failures.append(f"{model} {where} {list(path)} = {value!r}: {outcome}")
         assert failures == []
