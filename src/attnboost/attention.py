@@ -3,7 +3,9 @@
 Forward pass: h = ReLU(W1 x + b1), alpha = sigmoid(W_attn h + b_attn),
 h_tilde = alpha * h, y_hat = sigmoid(w2 . h_tilde + b2), trained by Adam on
 binary cross-entropy. Gradients are exact; the ReLU subgradient at 0 is 0.
-`augment` widens a feature matrix with h_tilde, the block the trees see.
+`augment` widens a feature matrix with h_tilde, the block the trees see. The
+output head w2, b2 exists only to train the network: `AttentionParams` holds
+what `augment` reads, and the trainer keeps the head beside it.
 
 Training keeps the six parameters as views into one float64 vector and writes
 each mini-batch's mean gradient into a second vector with the same layout, so
@@ -76,12 +78,12 @@ def attention_names(k: int) -> tuple[str, ...]:
 
 @dataclass
 class AttentionParams:
+    """The served block: what `augment` reads."""
+
     W1: np.ndarray  # (k, d)
     b1: np.ndarray  # (k,)
     W_attn: np.ndarray  # (k, k)
     b_attn: np.ndarray  # (k,)
-    w2: np.ndarray  # (k,)
-    b2: float
     k = property(lambda self: self.W1.shape[0], doc="hidden units, the rows of W1")
     d = property(lambda self: self.W1.shape[1], doc="input columns, the columns of W1")
 
@@ -107,8 +109,9 @@ class TrainConfig:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
 
-def init_params(d: int, k: int, seed: int) -> AttentionParams:
-    """Fan-balanced uniform weights, zero biases, from a seeded generator."""
+def init_params(d: int, k: int, seed: int) -> tuple[AttentionParams, np.ndarray]:
+    """Fan-balanced uniform weights and zero biases from a seeded generator: the block,
+    then the output head's weights w2, drawn last (its bias b2 starts at 0)."""
     if d < 1 or k < 1:
         raise ValueError(f"dimensions must be positive, got d={d}, k={k}")
     rng = np.random.default_rng(seed)
@@ -117,14 +120,9 @@ def init_params(d: int, k: int, seed: int) -> AttentionParams:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
 
-    return AttentionParams(
-        W1=uniform(d, k, (k, d)),
-        b1=np.zeros(k),
-        W_attn=uniform(k, k, (k, k)),
-        b_attn=np.zeros(k),
-        w2=uniform(k, 1, (k,)),
-        b2=0.0,
-    )
+    block = AttentionParams(W1=uniform(d, k, (k, d)), b1=np.zeros(k),
+                            W_attn=uniform(k, k, (k, k)), b_attn=np.zeros(k))
+    return block, uniform(k, 1, (k,))
 
 
 def _views(flat: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
@@ -147,11 +145,13 @@ class _Trainer:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params: AttentionParams, rows: int, config: TrainConfig):
+    def __init__(self, params: AttentionParams, head: tuple[np.ndarray, float], rows: int,
+                 config: TrainConfig):
         d, k = params.d, params.k
+        w2, b2 = head
         self.learning_rate = config.learning_rate
         self.flat = np.concatenate([params.W1.ravel(), params.b1, params.W_attn.ravel(),
-                                    params.b_attn, params.w2, [params.b2]])
+                                    params.b_attn, w2, [b2]])
         self.grad = np.empty_like(self.flat)
         self.param_views = _views(self.flat, d, k)
         self.grad_views = _views(self.grad, d, k)
@@ -165,11 +165,6 @@ class _Trainer:
         self.mask = np.empty((rows, k), dtype=bool)
         self.y, self.y_hat, self.dz_out, self.p, self.q = (np.empty(rows) for _ in range(5))
         self.mask_out = np.empty(rows, dtype=bool)
-
-    def params(self) -> AttentionParams:
-        W1, b1, W_attn, b_attn, w2, b2 = self.param_views
-        return AttentionParams(W1=W1, b1=b1, W_attn=W_attn, b_attn=b_attn, w2=w2,
-                               b2=float(b2[0]))
 
     def gradient(self, values: np.ndarray, y: np.ndarray, batch: np.ndarray) -> float:
         """Write the mean-loss gradient of rows `batch` into `grad`; return their summed loss.
@@ -255,9 +250,10 @@ def train(
     """Mini-batch Adam training of `init_params`' network, with seeded per-epoch shuffling.
 
     Only the live units are trained (see the module docstring); the returned
-    parameters keep all `config.k` units, the dead ones at initialisation.
-    With zero epochs the result is `init_params`' network bit for bit.
-    Returns the trained parameters and the mean per-sample loss of each epoch.
+    block keeps all `config.k` units, the dead ones at initialisation. With
+    zero epochs the result is `init_params`' block bit for bit. Returns the
+    trained block, without the output head, and the mean per-sample loss of
+    each epoch.
     """
     values = X.values
     y = np.asarray(y)
@@ -270,9 +266,10 @@ def train(
         raise DataError("labels must be 0 or 1")
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(values.shape[1], config.k, config.seed)
+    params, w2 = init_params(values.shape[1], config.k, config.seed)
     live = _live_units(params, values, config.batch_size)
-    trainer = _Trainer(_sub_network(params, live), min(config.batch_size, n), config)
+    trainer = _Trainer(_sub_network(params, live), (w2[live], 0.0), min(config.batch_size, n),
+                       config)
     labels = y.astype(np.float64)
     history: list[float] = []
 
@@ -284,13 +281,9 @@ def train(
             trainer.update()
         history.append(loss_sum / n)
 
-    trained = trainer.params()
-    params.W1[live] = trained.W1
-    params.b1[live] = trained.b1
-    params.W_attn[np.ix_(live, live)] = trained.W_attn
-    params.b_attn[live] = trained.b_attn
-    params.w2[live] = trained.w2
-    params.b2 = trained.b2
+    W1, b1, W_attn, b_attn = trainer.param_views[:4]
+    params.W1[live], params.b1[live], params.b_attn[live] = W1, b1, b_attn
+    params.W_attn[np.ix_(live, live)] = W_attn
     return params, history
 
 
@@ -311,8 +304,7 @@ def _live_units(params: AttentionParams, values: np.ndarray, rows: int) -> np.nd
 def _sub_network(params: AttentionParams, units: np.ndarray) -> AttentionParams:
     """The network restricted to the given hidden units (copies, in their order)."""
     return AttentionParams(W1=params.W1[units], b1=params.b1[units],
-                           W_attn=params.W_attn[np.ix_(units, units)],
-                           b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2)
+                           W_attn=params.W_attn[np.ix_(units, units)], b_attn=params.b_attn[units])
 
 
 def augment(params: AttentionParams, X: FeatureMatrix) -> FeatureMatrix:

@@ -108,7 +108,6 @@ def cmd_train(args) -> int:
         split.y_train,
         settings["attention_config"],
         settings["boost_config"],
-        shallow_k=cfg["model.shallow_k"],
         preprocessor=state,
     )
     train_proba, _ = fusion.predict_matrix(model, split.X_train)
@@ -118,7 +117,6 @@ def cmd_train(args) -> int:
         ("test", evaluate_scores(test_proba, split.y_test)),
     ]
     fingerprint = run_fingerprint(split, experiment="train", variant=variant,
-                                  shallow_k=cfg["model.shallow_k"],
                                   drop=sorted(state.dropped_columns), **settings)
     save_model(model, args.out, fingerprint=fingerprint)
     print(f"variant: {variant}")
@@ -183,8 +181,7 @@ def _write_result(result, out: str) -> int:
 def cmd_ablate(args) -> int:
     cfg = _merged_config(args)
     settings = _run_settings(cfg)
-    result = run_ablation(_resolve_table(args, cfg), drop=cfg.drop_columns(),
-                          shallow_k=cfg["model.shallow_k"], **settings)
+    result = run_ablation(_resolve_table(args, cfg), drop=cfg.drop_columns(), **settings)
     return _write_result(result, args.out)
 
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .attention import MAX_SEED, MAX_UNITS, TrainConfig
+from .attention import MAX_SEED, TrainConfig
 from .errors import ConfigError
 from .experiments import DEFAULT_COEFFICIENTS, SyntheticSpec
-from .fusion import DEFAULT_SHALLOW_K, VARIANT_KINDS
+from .fusion import VARIANT_KINDS
 from .gbdt import BoostConfig
 
 
@@ -38,7 +38,6 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
     **_section_specs("attention", TrainConfig),
     **_section_specs("boost", BoostConfig),
     "model.variant": (str, "full"),
-    "model.shallow_k": (int, DEFAULT_SHALLOW_K),
     "synth.rows": (int, 2000),
     "synth.seed": (int, 42),
     "synth.noise_sd": (float, 0.25),
@@ -50,7 +49,7 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
 # keys whose value must be one of a closed set, or in an inclusive range, that no config
 # dataclass checks; checked before any data is read
 _CHOICES = {"model.variant": VARIANT_KINDS}
-_RANGES = {"model.shallow_k": (1, MAX_UNITS), "split.seed": (0, MAX_SEED)}
+_RANGES = {"split.seed": (0, MAX_SEED)}
 
 
 def parse_value(key: str, text: str):

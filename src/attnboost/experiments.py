@@ -235,7 +235,6 @@ def run_conditions(
     split_fraction: float = 0.8,
     split_seed: int = 42,
     drop: list[str] | None = None,
-    shallow_k: int = fusion.DEFAULT_SHALLOW_K,
     parts: dict | None = None,
 ) -> ExperimentResult:
     """Fit and score each (label, variant, removed feature or None) condition, in order.
@@ -266,7 +265,7 @@ def run_conditions(
         state, split = intact if name is None else prepare(table, [*drop, name],
                                                             split_fraction, split_seed)
         model = fusion.fit_variant(kind, split.X_train, split.y_train, attention_config,
-                                   boost_config, shallow_k=shallow_k, preprocessor=state)
+                                   boost_config, preprocessor=state)
         proba, _ = fusion.predict_matrix(model, split.X_test)
         rows.append((label, evaluate_scores(proba, split.y_test)))
     state, split = intact
@@ -283,12 +282,11 @@ def run_ablation(
     split_fraction: float = 0.8,
     split_seed: int = 42,
     drop: list[str] | None = None,
-    shallow_k: int = fusion.DEFAULT_SHALLOW_K,
 ) -> ExperimentResult:
     """Train and evaluate every fusion.VARIANT_KINDS entry on one shared stratified split."""
     return run_conditions(table, [(kind, kind, None) for kind in fusion.VARIANT_KINDS],
                           attention_config, boost_config, split_fraction, split_seed, drop,
-                          shallow_k, {"experiment": "ablation", "shallow_k": shallow_k})
+                          {"experiment": "ablation"})
 
 
 def run_feature_removal(

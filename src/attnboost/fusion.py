@@ -4,7 +4,7 @@ The full pipeline trains the gated network on the training split, freezes it,
 appends its features to the input matrix, then trains the tree ensemble on
 the widened matrix. The other four ablation variants change or bypass the
 network stage: `frozen_attention` is `full` fitted for zero epochs,
-`shallow_attention` is `full` at width `shallow_k`, `no_attention` boosts on
+`shallow_attention` is `full` at width SHALLOW_K, `no_attention` boosts on
 the input matrix alone, and `random_attention` widens it with uniforms drawn
 from each row's own values, so a row's score never depends on the rows scored
 with it. A network's features are always its gated hidden layer h * alpha.
@@ -33,7 +33,7 @@ VARIANT_KINDS = (
 # the variants that widen the matrix with a network; the others have none
 NETWORK_VARIANTS = ("full", "frozen_attention", "shallow_attention")
 
-DEFAULT_SHALLOW_K = 16
+SHALLOW_K = 16
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,6 @@ def fit_variant(
     y: np.ndarray,
     attention_config: attn.TrainConfig,
     boost_config: gbdt.BoostConfig,
-    shallow_k: int = DEFAULT_SHALLOW_K,
     preprocessor: PreprocessorState | None = None,
 ) -> AttnBoostModel:
     """Fit one ablation condition; see VARIANT_KINDS for the closed set.
@@ -114,7 +113,7 @@ def fit_variant(
     if kind == "frozen_attention":
         attention_config = replace(attention_config, epochs=0)
     elif kind == "shallow_attention":
-        attention_config = replace(attention_config, k=shallow_k)
+        attention_config = replace(attention_config, k=SHALLOW_K)
     block = None  # no_attention trains on the raw matrix as-is
     if kind in NETWORK_VARIANTS:
         block, _ = attn.train(X, y, attention_config)

@@ -40,9 +40,9 @@ Its walk layout, built once, has leaves linking to themselves and each node's
 two children side by side, and one walk moves every (tree, row) pair down a
 level per step: it compares raw values with `value` and takes the child with
 one gather indexed by the node and the comparison, in training's per-round
-update and in scoring. Tree outputs are added to the raw score strictly in
-tree order, so scores do not depend on how many rows or trees are walked
-together.
+update and in scoring. Tree outputs are added to the raw score, which starts
+at 0 (the log-odds of 0.5), strictly in tree order, so scores do not depend
+on how many rows or trees are walked together.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ class BoostConfig:
     reg_lambda: float = 1.0
     max_bins: int = 256
     seed: int = 42
-    base_score: float = 0.5
 
     def __post_init__(self):
         # each range is written so that NaN fails it (a comparison with NaN is
@@ -94,7 +93,6 @@ class BoostConfig:
             ("reg_alpha", 0.0 <= self.reg_alpha < math.inf, finite),
             ("reg_lambda", 0.0 <= self.reg_lambda < math.inf, finite),
             ("max_bins", self.max_bins >= 2, "must be >= 2"),
-            ("base_score", 0.0 < self.base_score < 1.0, "must be a probability in (0, 1)"),
             ("seed", 0 <= self.seed <= MAX_SEED, f"must be from 0 to {MAX_SEED}"),
         ):
             if not ok:
@@ -210,7 +208,6 @@ class Ensemble:
 
     nodes: Tree
     node_counts: np.ndarray  # (trees,) intp
-    base_raw: float
     feature_names: list[str]
     forest: Forest = field(init=False, repr=False)
 
@@ -218,13 +215,13 @@ class Ensemble:
         self.forest = Forest.stack(self.nodes, self.node_counts)
 
     @classmethod
-    def from_trees(cls, trees, base_raw: float, feature_names: list[str]) -> "Ensemble":
+    def from_trees(cls, trees, feature_names: list[str]) -> "Ensemble":
         """The ensemble of `trees` in order, their node arrays copied into one record."""
         nodes = Tree(**{name: np.concatenate([getattr(t, name) for t in trees]
                                              or [np.empty(0, dtype)])
                         for name, dtype in NODE_DTYPES.items()})
         node_counts = np.array([t.feature.size for t in trees], dtype=np.intp)
-        return cls(nodes, node_counts, base_raw, feature_names)
+        return cls(nodes, node_counts, feature_names)
 
     @property
     def trees(self) -> tuple[Tree, ...]:
@@ -546,8 +543,7 @@ def train_boosting(
         raise DataError("boosting requires both classes in the target")
 
     binned = bin_features(X, config.max_bins)
-    base_raw = float(np.log(config.base_score / (1.0 - config.base_score)))
-    raw = np.full(n, base_raw)
+    raw = np.zeros(n)
 
     trees: list[Tree] = []
     for t in range(config.n_estimators):
@@ -559,16 +555,16 @@ def train_boosting(
         count = np.array([tree.feature.size], dtype=np.intp)
         raw = _add_trees(Forest.stack(tree, count), X.values, raw)
 
-    return Ensemble.from_trees(trees, base_raw, list(X.feature_names))
+    return Ensemble.from_trees(trees, list(X.feature_names))
 
 
 def predict_raw(model: Ensemble, X: FeatureMatrix) -> np.ndarray:
-    """Raw scores base + the sum of tree outputs, each a leaf's scaled weight."""
+    """Raw scores: the sum from 0 of tree outputs, each a leaf's scaled weight."""
     if X.d != len(model.feature_names):
         raise ValueError(
             f"matrix width {X.d} does not match model width {len(model.feature_names)}"
         )
-    return _add_trees(model.forest, X.values, model.base_raw)
+    return _add_trees(model.forest, X.values, 0.0)
 
 
 def predict_proba(model: Ensemble, X: FeatureMatrix) -> np.ndarray:

@@ -15,12 +15,14 @@ it decodes to. Each section is decoded with every scalar read as the type
 save_model writes; its stored checksum must then be that of what save_model
 writes for the decoded section, before the next is read. That one comparison
 finds a damaged byte and any key, type or spelling the writer does not
-produce (a map stored as [], a base score of 0 or true, a shape of -1); the
-error names the section and the first key that differs. Decoding checks what
-a round trip cannot see: tree structure, finite values, W1 and the shapes its
+produce (a map stored as [], a k of 6.0 or true, a shape of -1); the error
+names the section and the first key that differs. Decoding checks what a
+round trip cannot see: tree structure, finite values, W1 and the shapes its
 k gives, the network's width, what fitting guarantees of the preprocessor,
 the variant against its attention section and TrainConfig's ranges for
-random_attention's k and seed.
+random_attention's k and seed, and a preprocessor value of another JSON
+shape fails naming its key and column. A network is stored as the four
+arrays augment reads, without the output head that trained it.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorSt
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 8
-_ATTENTION_ARRAYS = ("W1", "b1", "W_attn", "b_attn", "w2")  # stored as float64 arrays
+FORMAT_VERSION = 9
 _INTEGERS = "<i4"  # file dtype of node counts and split features
 
 
@@ -91,7 +92,6 @@ def _checksum(payload) -> str:
 def _ensemble_payload(ensemble: Ensemble) -> dict:
     nodes = ensemble.nodes
     return {
-        "base_raw": ensemble.base_raw,
         "node_counts": ensemble.node_counts,
         "feature": nodes.feature,
         "value": nodes.value,
@@ -151,11 +151,7 @@ def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
     gain[split] = split_gain
     for name, values in (("value", value), ("gain", gain)):
         reject_first(~np.isfinite(values), lambda i: f"{name} {values[i]} is not finite")
-    ensemble = Ensemble(Tree(feature, value, gain), counts, float(payload["base_raw"]),
-                        feature_names)
-    if not np.isfinite(ensemble.base_raw):
-        raise ModelFormatError(f"section 'ensemble': base_raw {ensemble.base_raw} is not finite")
-    return ensemble
+    return Ensemble(Tree(feature, value, gain), counts, feature_names)
 
 
 def _preprocessor_payload(state: PreprocessorState) -> dict:
@@ -166,6 +162,15 @@ def _preprocessor_payload(state: PreprocessorState) -> dict:
         "dropped_columns": state.dropped_columns,
         "target_positive": state.target_positive,
     }
+
+
+def _read(key: str, value, read, column=None):
+    """read(value); a value of a shape `read` cannot take fails naming the key and column."""
+    try:
+        return read(value)
+    except (AttributeError, TypeError, ValueError) as exc:
+        named = key if column is None else f"{key} {column!r}"
+        raise ModelFormatError(f"section 'preprocessor' {named}: cannot read {value!r} ({exc})")
 
 
 def _preprocessor_from_payload(payload) -> PreprocessorState:
@@ -180,10 +185,12 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
     deviation at least EPSILON_STD; no other column has either. An error
     names the key, and the column.
     """
-    schema = [ColumnSchema(str(name), kind, bool(nullable))
-              for name, kind, nullable in payload["schema"]]
-    category_maps = {c: dict(m) for c, m in payload["category_maps"].items()}
-    numeric_stats = {c: tuple(v) for c, v in payload["numeric_stats"].items()}
+    schema = _read("schema", payload["schema"], lambda entries: [
+        ColumnSchema(str(name), kind, bool(nullable)) for name, kind, nullable in entries])
+    category_maps = {c: _read("category_maps", m, dict, c)
+                     for c, m in _read("category_maps", payload["category_maps"], dict.items)}
+    numeric_stats = {c: _read("numeric_stats", v, tuple, c)
+                     for c, v in _read("numeric_stats", payload["numeric_stats"], dict.items)}
     dropped, positive = payload["dropped_columns"], payload["target_positive"]
     try:
         _validate_schema(schema)
@@ -228,7 +235,7 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
 
 
 def _attention_payload(block: Block):
-    """The block's fields: the network's arrays and b2, random_attention's k and seed."""
+    """The block's fields: the network's arrays, random_attention's k and seed."""
     return None if block is None else {f.name: getattr(block, f.name) for f in fields(block)}
 
 
@@ -247,15 +254,13 @@ def _attention_from_payload(payload, variant: str, inputs: int) -> Block:
         block = RandomBlock(int(payload["k"]), int(payload["seed"]))
         TrainConfig(k=block.k, seed=block.seed)  # raises a ValueError that names the key
         return block
-    params = AttentionParams(**{name: _decode(payload, name) for name in _ATTENTION_ARRAYS},
-                             b2=float(payload["b2"]))
+    params = AttentionParams(**{f.name: _decode(payload, f.name) for f in fields(AttentionParams)})
     if params.W1.ndim != 2 or 0 in params.W1.shape:  # the sizes init_params accepts
         raise ModelFormatError(f"section 'attention': W1 has shape {params.W1.shape}, expected "
                                "a matrix with at least one row and one column")
     k = params.k
-    for name, shape in (("W1", (k, inputs)), ("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,)),
-                        ("w2", (k,)), ("b2", ())):
-        value = np.asarray(getattr(params, name))
+    for name, shape in (("W1", (k, inputs)), ("b1", (k,)), ("W_attn", (k, k)), ("b_attn", (k,))):
+        value = getattr(params, name)
         if value.shape != shape:
             raise ModelFormatError(f"section 'attention': {name} has shape {value.shape}, "
                                    f"expected {shape}")

@@ -7,20 +7,51 @@
   allocating formulation: boolean-mask sigmoid, fresh arrays for every batch
   temporary, per-parameter Adam updates and the loss clamp of 1e-12. The
   in-place training step must match them bit for bit.
+- `Network` is the block with its output head (w2, b2), which training needs
+  and the served `AttentionParams` does not hold.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from attnboost.attention import AttentionParams, TrainConfig, init_params
 from attnboost.tabular import FeatureMatrix
 
-PARAM_FIELDS = ("W1", "b1", "W_attn", "b_attn", "w2", "b2")
+BLOCK_FIELDS = tuple(f.name for f in fields(AttentionParams))
+PARAM_FIELDS = (*BLOCK_FIELDS, "w2", "b2")
 PROB_CLAMP = 1e-12
+
+
+@dataclass
+class Network:
+    """The gated block and the output head that trains it."""
+
+    W1: np.ndarray  # (k, d)
+    b1: np.ndarray  # (k,)
+    W_attn: np.ndarray  # (k, k)
+    b_attn: np.ndarray  # (k,)
+    w2: np.ndarray  # (k,)
+    b2: float
+    k = property(lambda self: self.W1.shape[0])
+    d = property(lambda self: self.W1.shape[1])
+
+    @property
+    def block(self) -> AttentionParams:
+        return AttentionParams(*(getattr(self, name) for name in BLOCK_FIELDS))
+
+    @property
+    def head(self) -> tuple[np.ndarray, float]:
+        return self.w2, self.b2
+
+
+def reference_init(d: int, k: int, seed: int) -> Network:
+    """`init_params`' block and head weights, with the head's bias at 0."""
+    block, w2 = init_params(d, k, seed)
+    return Network(block.W1, block.b1, block.W_attn, block.b_attn, w2, 0.0)
 
 
 def reference_sigmoid(x):
@@ -52,7 +83,7 @@ class Gradients:
     b2: float
 
 
-def forward(params: AttentionParams, x: np.ndarray) -> ForwardTrace:
+def forward(params: Network, x: np.ndarray) -> ForwardTrace:
     """Run one input vector through the gated network, keeping intermediates."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.d,):
@@ -72,7 +103,7 @@ def bce_loss(y_hat: float, y: int, prob_clamp: float = PROB_CLAMP) -> float:
     return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
-def backward(params: AttentionParams, trace: ForwardTrace, y: int) -> Gradients:
+def backward(params: Network, trace: ForwardTrace, y: int) -> Gradients:
     """Exact loss gradients for one sample, given its forward trace."""
     dz_out = trace.y_hat - y
     d_ht = dz_out * params.w2
@@ -89,15 +120,14 @@ def backward(params: AttentionParams, trace: ForwardTrace, y: int) -> Gradients:
     )
 
 
-def _forward_batch(params: AttentionParams, X: np.ndarray):
+def _hidden_batch(params, X: np.ndarray):
+    """H, the gate A and the block H * A of a block or a Network."""
     H = np.maximum(X @ params.W1.T + params.b1, 0.0)
     A = reference_sigmoid(H @ params.W_attn.T + params.b_attn)
-    Ht = A * H
-    y_hat = reference_sigmoid(Ht @ params.w2 + params.b2)
-    return H, A, Ht, y_hat
+    return H, A, A * H
 
 
-def _backward_batch(params: AttentionParams, X, y, H, A, Ht, y_hat) -> Gradients:
+def _backward_batch(params: Network, X, y, H, A, Ht, y_hat) -> Gradients:
     n = X.shape[0]
     dz_out = (y_hat - y) / n
     g_b2 = float(dz_out.sum())
@@ -117,14 +147,14 @@ class _AdamState:
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params: AttentionParams):
+    def __init__(self, params: Network):
         self.t = 0
         self.m = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS[:-1]}
         self.v = {name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS[:-1]}
         self.m["b2"] = 0.0
         self.v["b2"] = 0.0
 
-    def step(self, params: AttentionParams, grads: Gradients, lr: float) -> None:
+    def step(self, params: Network, grads: Gradients, lr: float) -> None:
         self.t += 1
         bc1 = 1.0 - self.BETA1 ** self.t
         bc2 = 1.0 - self.BETA2 ** self.t
@@ -137,16 +167,17 @@ class _AdamState:
 
 
 def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
-                    params: AttentionParams | None = None):
+                    params: Network | None = None) -> tuple[Network, list[float]]:
     """The allocating mini-batch loop: same shuffles, same batches, same updates.
 
-    Trains every unit of `params` (a copy), or of `init_params` when not given.
+    Trains every unit of `params` (a copy), or of `reference_init`'s network
+    when not given, and returns the network with its head.
     """
     values = X.values
     y = np.asarray(y)
     n = values.shape[0]
     if params is None:
-        params = init_params(values.shape[1], config.k, config.seed)
+        params = reference_init(values.shape[1], config.k, config.seed)
     else:
         params = copy.deepcopy(params)
     rng = np.random.default_rng(config.seed)
@@ -158,7 +189,8 @@ def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch = perm[start : start + config.batch_size]
             Xb, yb = values[batch], y[batch]
-            H, A, Ht, y_hat = _forward_batch(params, Xb)
+            H, A, Ht = _hidden_batch(params, Xb)
+            y_hat = reference_sigmoid(Ht @ params.w2 + params.b2)
             p = np.clip(y_hat, PROB_CLAMP, 1.0 - PROB_CLAMP)
             loss_sum += float(-(yb * np.log(p) + (1 - yb) * np.log(1.0 - p)).sum())
             grads = _backward_batch(params, Xb, yb, H, A, Ht, y_hat)
@@ -168,6 +200,6 @@ def reference_train(X: FeatureMatrix, y: np.ndarray, config: TrainConfig,
 
 
 def reference_augment(params: AttentionParams, X: FeatureMatrix) -> FeatureMatrix:
-    _, _, Ht, _ = _forward_batch(params, X.values)
+    _, _, Ht = _hidden_batch(params, X.values)
     names = list(X.feature_names) + [f"attn_{i}" for i in range(params.k)]
     return FeatureMatrix(values=np.hstack([X.values, Ht]), feature_names=names)

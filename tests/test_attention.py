@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from attention_reference import (
+    BLOCK_FIELDS,
     PARAM_FIELDS,
+    Network,
     backward,
     bce_loss,
     forward,
     reference_augment,
+    reference_init,
     reference_sigmoid,
     reference_train,
 )
@@ -31,8 +34,8 @@ from attnboost.errors import DataError
 from attnboost.tabular import FeatureMatrix
 
 
-def _random_params(d, k, rng, scale=0.8) -> AttentionParams:
-    return AttentionParams(
+def _random_params(d, k, rng, scale=0.8) -> Network:
+    return Network(
         W1=rng.normal(0, scale, (k, d)),
         b1=rng.normal(0, scale, k),
         W_attn=rng.normal(0, scale, (k, k)),
@@ -42,9 +45,9 @@ def _random_params(d, k, rng, scale=0.8) -> AttentionParams:
     )
 
 
-def _zero_params(d, k) -> AttentionParams:
-    return AttentionParams(W1=np.zeros((k, d)), b1=np.zeros(k), W_attn=np.zeros((k, k)),
-                           b_attn=np.zeros(k), w2=np.zeros(k), b2=0.0)
+def _zero_params(d, k) -> Network:
+    return Network(W1=np.zeros((k, d)), b1=np.zeros(k), W_attn=np.zeros((k, k)),
+                   b_attn=np.zeros(k), w2=np.zeros(k), b2=0.0)
 
 
 def _fm(values) -> FeatureMatrix:
@@ -52,7 +55,7 @@ def _fm(values) -> FeatureMatrix:
     return FeatureMatrix(values=values, feature_names=[f"f{i}" for i in range(values.shape[1])])
 
 
-def _mean_loss_at(params: AttentionParams, X, y, clamp=1e-12) -> float:
+def _mean_loss_at(params: Network, X, y, clamp=1e-12) -> float:
     return float(np.mean([bce_loss(forward(params, x).y_hat, yi, clamp) for x, yi in zip(X, y)]))
 
 
@@ -73,7 +76,7 @@ def draw_checkable_case(rng, d, k, n):
             return params, X, y
 
 
-def finite_difference_grads(params: AttentionParams, X, y, step=1e-5):
+def finite_difference_grads(params: Network, X, y, step=1e-5):
     """Central differences of the batch's mean loss with respect to every parameter entry."""
     grads = {}
     for name in PARAM_FIELDS:
@@ -94,14 +97,15 @@ def finite_difference_grads(params: AttentionParams, X, y, step=1e-5):
     return grads
 
 
-def epoch_gradients(params: AttentionParams, X, y, batch_size, seed=0):
+def epoch_gradients(params: Network, X, y, batch_size, seed=0):
     """(rows, gradient by name, summed loss) of each mini-batch of one shuffled epoch.
 
     Computed as `train` computes them: one `_Trainer` whose buffers hold
     `batch_size` rows, reused for every batch including a shorter last one.
     """
     n = X.shape[0]
-    trainer = _Trainer(params, min(batch_size, n), TrainConfig(k=params.k, batch_size=batch_size))
+    trainer = _Trainer(params.block, params.head, min(batch_size, n),
+                       TrainConfig(k=params.k, batch_size=batch_size))
     perm = np.random.default_rng(seed).permutation(n)
     for start in range(0, n, batch_size):
         batch = perm[start : start + batch_size]
@@ -124,15 +128,15 @@ def assert_epoch_matches_finite_differences(params, X, y, batch_size, rel=1e-4, 
                            rel=rel, abs_floor=abs_floor)
 
 
-def batch_forward(params: AttentionParams, X):
+def batch_forward(params: Network, X):
     """(alpha, h_tilde, y_hat) per row from the code `augment` and `train` run.
 
     alpha and y_hat are what `_Trainer.gradient` leaves in its gate and output
     buffers; h_tilde is `augment`'s block.
     """
     X = np.asarray(X, dtype=float)
-    h_tilde = augment(params, _fm(X)).values[:, params.d:]
-    trainer = _Trainer(params, X.shape[0], TrainConfig(k=params.k))
+    h_tilde = augment(params.block, _fm(X)).values[:, params.d:]
+    trainer = _Trainer(params.block, params.head, X.shape[0], TrainConfig(k=params.k))
     trainer.gradient(X, np.zeros(X.shape[0]), np.arange(X.shape[0]))
     return trainer.A.copy(), h_tilde, trainer.y_hat.copy()
 
@@ -141,8 +145,9 @@ def bits(a):
     return np.ascontiguousarray(np.asarray(a, dtype=np.float64)).view(np.uint64)
 
 
-def assert_params_bitwise_equal(a: AttentionParams, b: AttentionParams):
-    for name in PARAM_FIELDS:
+def assert_params_bitwise_equal(a: AttentionParams, b: AttentionParams | Network):
+    """The block's arrays are equal bit for bit; `b` may be a network with its head."""
+    for name in BLOCK_FIELDS:
         assert np.array_equal(bits(getattr(a, name)), bits(getattr(b, name))), name
 
 
@@ -176,36 +181,35 @@ class TestSigmoid:
 
 class TestInitParams:
     def test_deterministic(self):
-        a = init_params(19, 128, seed=42)
-        b = init_params(19, 128, seed=42)
-        for name in PARAM_FIELDS:
-            assert np.array_equal(np.asarray(getattr(a, name)), np.asarray(getattr(b, name)))
+        (a, a_w2), (b, b_w2) = init_params(19, 128, seed=42), init_params(19, 128, seed=42)
+        assert_params_bitwise_equal(a, b)
+        assert np.array_equal(a_w2, b_w2)
 
     def test_biases_zero(self):
-        p = init_params(6, 4, seed=0)
+        p, _ = init_params(6, 4, seed=0)
         assert not p.b1.any()
         assert not p.b_attn.any()
-        assert p.b2 == 0.0
 
     def test_shapes(self):
-        p = init_params(2, 3, seed=1)
+        p, w2 = init_params(2, 3, seed=1)
         assert p.W1.shape == (3, 2)
         assert p.W_attn.shape == (3, 3)
-        assert p.w2.shape == (3,)
+        assert w2.shape == (3,)
 
     def test_sizes_are_the_shape_of_w1(self):
         # k and d are read from W1, so no stored copy of them can disagree with it
-        p = _zero_params(5, 3)
+        p = _zero_params(5, 3).block
         assert p.W1.shape == (3, 5) and (p.k, p.d) == (3, 5)
         p.W1 = np.zeros((4, 7))
         assert (p.k, p.d) == (4, 7)
-        assert [f.name for f in dataclasses.fields(p)] == list(PARAM_FIELDS)
+        # the block holds what augment reads; the output head that trains it is not served
+        assert [f.name for f in dataclasses.fields(p)] == ["W1", "b1", "W_attn", "b_attn"]
 
     def test_fan_based_bounds(self):
-        p = init_params(10, 20, seed=3)
+        p, w2 = init_params(10, 20, seed=3)
         assert np.abs(p.W1).max() <= np.sqrt(6 / 30)
         assert np.abs(p.W_attn).max() <= np.sqrt(6 / 40)
-        assert np.abs(p.w2).max() <= np.sqrt(6 / 21)
+        assert np.abs(w2).max() <= np.sqrt(6 / 21)
 
     def test_bad_dimensions(self):
         with pytest.raises(ValueError):
@@ -241,8 +245,8 @@ class TestForward:
         assert y_hat[0] == sigmoid(1.3)
 
     def test_hand_computed_trace(self):
-        p = AttentionParams(W1=np.eye(2), b1=np.zeros(2), W_attn=np.zeros((2, 2)),
-                            b_attn=np.zeros(2), w2=np.array([1.0, 1.0]), b2=0.0)
+        p = Network(W1=np.eye(2), b1=np.zeros(2), W_attn=np.zeros((2, 2)),
+                    b_attn=np.zeros(2), w2=np.array([1.0, 1.0]), b2=0.0)
         t = forward(p, np.array([1.0, 2.0]))
         np.testing.assert_allclose(t.h, [1.0, 2.0])
         np.testing.assert_allclose(t.alpha, [0.5, 0.5])
@@ -254,7 +258,7 @@ class TestForward:
         assert y_hat[0] == pytest.approx(0.817574, abs=1e-6)
 
     def test_dimension_mismatch(self):
-        p = init_params(3, 2, seed=0)
+        p = reference_init(3, 2, seed=0)
         with pytest.raises(ValueError):
             forward(p, np.zeros(4))
 
@@ -377,11 +381,9 @@ class TestTrain:
         X, y = self._toy()
         cfg = TrainConfig(k=4, epochs=0, seed=3)
         params, history = train(X, y, cfg)
-        ref = init_params(2, 4, seed=3)
+        ref, _ = init_params(2, 4, seed=3)
         assert history == []
-        for name in PARAM_FIELDS:
-            assert np.array_equal(np.asarray(getattr(params, name)),
-                                  np.asarray(getattr(ref, name)))
+        assert_params_bitwise_equal(params, ref)
 
     def test_deterministic(self):
         X, y = self._toy()
@@ -389,9 +391,7 @@ class TestTrain:
         p1, h1 = train(X, y, cfg)
         p2, h2 = train(X, y, cfg)
         assert h1 == h2
-        for name in PARAM_FIELDS:
-            assert np.array_equal(np.asarray(getattr(p1, name)),
-                                  np.asarray(getattr(p2, name)))
+        assert_params_bitwise_equal(p1, p2)
 
     @pytest.mark.parametrize("k", [1, 16])
     @pytest.mark.parametrize("epochs", [0, 3])
@@ -406,13 +406,13 @@ class TestTrain:
             ref_params, ref_history = reference_train(X, y, cfg)
             assert np.array_equal(bits(history), bits(ref_history))
             assert_params_bitwise_equal(params, ref_params)
-            assert type(params.b2) is float
+            assert type(params) is AttentionParams
 
     @pytest.mark.parametrize("k", [1, 16])
     def test_reference_data_has_no_dead_unit(self, k):
         # the data of test_bitwise_equal_to_reference, so that test covers a fit of every unit
         X = np.random.default_rng(k).normal(0, 2, (103, 5))
-        assert live_units(init_params(5, k, seed=4), X).size == k
+        assert live_units(init_params(5, k, seed=4)[0], X).size == k
 
     def test_separable_data_loss_decreases(self):
         X, y = self._toy(n=200, seed=1)
@@ -438,18 +438,18 @@ class TestTrain:
             TrainConfig(**kwargs)
 
 
-def live_units(params: AttentionParams, X) -> np.ndarray:
+def live_units(params: AttentionParams | Network, X) -> np.ndarray:
     """Units whose pre-activation is positive on at least one row of X."""
     return np.flatnonzero(((np.asarray(X) @ params.W1.T + params.b1) > 0.0).any(axis=0))
 
 
-def restrict(params: AttentionParams, units) -> AttentionParams:
-    return AttentionParams(W1=params.W1[units], b1=params.b1[units],
-                           W_attn=params.W_attn[np.ix_(units, units)],
-                           b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2)
+def restrict(params: Network, units) -> Network:
+    return Network(W1=params.W1[units], b1=params.b1[units],
+                   W_attn=params.W_attn[np.ix_(units, units)],
+                   b_attn=params.b_attn[units], w2=params.w2[units], b2=params.b2)
 
 
-def scatter(params: AttentionParams, sub: AttentionParams, units) -> AttentionParams:
+def scatter(params: Network, sub: Network, units) -> Network:
     """A copy of `params` with the entries of `units` taken from `sub`."""
     out = copy.deepcopy(params)
     out.W1[units], out.b1[units], out.b_attn[units], out.w2[units] = (
@@ -459,9 +459,10 @@ def scatter(params: AttentionParams, sub: AttentionParams, units) -> AttentionPa
     return out
 
 
-def assert_units_at_init(params: AttentionParams, init: AttentionParams, units):
-    """Every parameter entry that belongs to `units` is bitwise at its initial value."""
-    for name in ("W1", "b1", "b_attn", "w2"):
+def assert_units_at_init(params: AttentionParams | Network, init: Network, units):
+    """Every parameter entry that belongs to `units` is bitwise at its initial value; w2's
+    when `params` is a network with its head."""
+    for name in ("W1", "b1", "b_attn", *(["w2"] if isinstance(params, Network) else [])):
         assert np.array_equal(bits(getattr(params, name)[units]), bits(getattr(init, name)[units]))
     assert np.array_equal(bits(params.W_attn[units]), bits(init.W_attn[units]))
     assert np.array_equal(bits(params.W_attn[:, units]), bits(init.W_attn[:, units]))
@@ -488,19 +489,19 @@ class TestLiveUnits:
     def test_bitwise_equal_to_reference_on_live_sub_network(self):
         X, y = self._year_like()
         cfg = self._config()
-        init = init_params(X.d, cfg.k, cfg.seed)
+        init = reference_init(X.d, cfg.k, cfg.seed)
         live = live_units(init, X.values)
         assert 0 < live.size < cfg.k
         params, history = train(X, y, cfg)
         ref_sub, ref_history = reference_train(X, y, cfg, params=restrict(init, live))
         assert np.array_equal(bits(history), bits(ref_history))
         assert_params_bitwise_equal(params, scatter(init, ref_sub, live))
-        assert params.k == cfg.k and type(params.b2) is float
+        assert params.k == cfg.k
 
     def test_full_reference_leaves_dead_units_at_init(self):
         X, y = self._year_like()
         cfg = self._config()
-        init = init_params(X.d, cfg.k, cfg.seed)
+        init = reference_init(X.d, cfg.k, cfg.seed)
         live = live_units(init, X.values)
         dead = np.setdiff1d(np.arange(cfg.k), live)
         ref, ref_history = reference_train(X, y, cfg)
@@ -509,7 +510,7 @@ class TestLiveUnits:
         params, history = train(X, y, cfg)
         assert_units_at_init(params, init, dead)
         # live units differ from the pruned fit only by the order of the products' sums
-        for name in PARAM_FIELDS:
+        for name in BLOCK_FIELDS:
             np.testing.assert_allclose(getattr(params, name), getattr(ref, name),
                                        rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(history, ref_history, rtol=1e-12)
@@ -518,19 +519,20 @@ class TestLiveUnits:
         X = _fm(np.zeros((40, 3)))
         y = (np.arange(40) % 3 == 0).astype(int)
         cfg = self._config(k=8)
-        init = init_params(3, 8, cfg.seed)
+        init = reference_init(3, 8, cfg.seed)
         assert live_units(init, X.values).size == 0
         params, history = train(X, y, cfg)
         ref, ref_history = reference_train(X, y, cfg)
+        # the losses, which b2 alone moves, equal the reference's bit for bit
         assert np.array_equal(bits(history), bits(ref_history))
         assert_params_bitwise_equal(params, ref)
         assert_units_at_init(params, init, np.arange(8))
-        assert params.b2 < 0.0  # a third of the labels are 1
+        assert ref.b2 < 0.0  # a third of the labels are 1
 
 
 class TestAugment:
     def test_output_width(self):
-        p = init_params(19, 128, seed=0)
+        p, _ = init_params(19, 128, seed=0)
         X = FeatureMatrix(values=np.random.default_rng(0).normal(0, 1, (4, 19)),
                           feature_names=[f"f{i}" for i in range(19)])
         out = augment(p, X)
@@ -539,11 +541,11 @@ class TestAugment:
 
     def test_zero_params_weighted_hidden_is_zero(self):
         X = FeatureMatrix(values=np.ones((5, 2)), feature_names=["a", "b"])
-        out = augment(_zero_params(2, 3), X)
+        out = augment(_zero_params(2, 3).block, X)
         assert not out.values[:, 2:].any()
 
     def test_width_mismatch(self):
-        p = init_params(3, 2, seed=0)
+        p, _ = init_params(3, 2, seed=0)
         X = FeatureMatrix(values=np.ones((2, 4)), feature_names=list("abcd"))
         with pytest.raises(ValueError):
             augment(p, X)
@@ -552,7 +554,7 @@ class TestAugment:
         rng = np.random.default_rng(17)
         for k in (1, 16):
             X = _fm(rng.normal(0, 2, (57, 7)))
-            for params in (_random_params(7, k, rng),
+            for params in (_random_params(7, k, rng).block,
                            train(X, rng.integers(0, 2, 57), TrainConfig(k=k, epochs=2, batch_size=8))[0]):
                 out, ref = augment(params, X), reference_augment(params, X)
                 assert np.array_equal(bits(out.values), bits(ref.values))
@@ -567,7 +569,7 @@ class TestAugment:
         rng = np.random.default_rng(19)
         X = _fm(rng.normal(0, 2, (1025, 7)))
         monkeypatch.setattr(tabular, "_BLOCK_CELLS", 16 * 32)
-        for params in (_random_params(7, 16, rng),
+        for params in (_random_params(7, 16, rng).block,
                        train(X, rng.integers(0, 2, 1025), TrainConfig(k=16, epochs=1, batch_size=64))[0]):
             for n in (1, 31, 32, 33, 63, 64, 65, 97, 1025):
                 part = _fm(X.values[:n])
@@ -577,7 +579,7 @@ class TestAugment:
     def test_peak_memory_is_the_output_and_a_few_blocks(self):
         # bench size: 4000 rows, 10 inputs, k = 128; a whole-matrix pass, which
         # held three (rows x k) arrays besides the output, peaked at 12.8 MB
-        params = init_params(10, 128, seed=0)
+        params, _ = init_params(10, 128, seed=0)
         X = _fm(np.random.default_rng(23).normal(0, 1, (4000, 10)))
         tracemalloc.start()
         try:

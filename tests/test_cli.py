@@ -11,7 +11,6 @@ from attnboost.attention import TrainConfig
 from attnboost.cli import run_command
 from attnboost.config import KEY_SPECS, RunConfig
 from attnboost.experiments import SyntheticSpec, generate_synthetic
-from attnboost.fusion import DEFAULT_SHALLOW_K
 from attnboost.gbdt import BoostConfig
 from attnboost.model_io import FORMAT_VERSION, load_model
 from attnboost.tabular import load_csv, retail_schema
@@ -307,7 +306,6 @@ OUT_OF_RANGE = {
     "boost.colsample_bytree": "1.01",
     "boost.reg_alpha": "-1",
     "boost.reg_lambda": "-1",
-    "boost.base_score": "1",
     "synth.noise_sd": "-0.25",
     "synth.intercept": "-inf",
 }
@@ -326,7 +324,6 @@ ACCEPTED_EDGES = {
     "boost.colsample_bytree": ("1e-6", "1"),
     "boost.reg_alpha": ("0", "1e6"),
     "boost.reg_lambda": ("0", "1e6"),
-    "boost.base_score": ("1e-300", "0.999999"),
 }
 
 
@@ -349,13 +346,16 @@ class TestConfigHandling:
         assert data == open(by_flags["9"], "rb").read()
         assert data != open(by_flags["5"], "rb").read()
 
-    # model.augment_mode chose alpha alone as the block, attention.optimizer plain SGD
-    # and attention.prob_clamp the loss clamp; a file that still sets one is refused,
-    # not trained with h * alpha, Adam and a clamp of 1e-12
+    # model.augment_mode chose alpha alone as the block, attention.optimizer plain SGD,
+    # attention.prob_clamp the loss clamp, boost.base_score the raw score every row starts
+    # from and model.shallow_k shallow_attention's width; a file that still sets one is
+    # refused, not trained with h * alpha, Adam, a clamp of 1e-12, 0 and 16
     @pytest.mark.parametrize("line", ["boost.n_estimatorz=12",
                                       "model.augment_mode=attention-vector",
                                       "attention.optimizer=plain-sgd",
-                                      "attention.prob_clamp=1e-6"])
+                                      "attention.prob_clamp=1e-6",
+                                      "boost.base_score=0.3",
+                                      "model.shallow_k=8"])
     def test_unknown_config_key_exits_2(self, tmp_path, synth_csv, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"attention.k=6\n{line}\n")
@@ -386,8 +386,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("extra", [
         ["--model.variant", "bogus"],
-        ["--model.shallow_k", "0"],
-        ["--model.shallow_k", "65537"],
+        ["--attention.k", "0"],
         ["--attention.k", "65537"],
     ])
     def test_bad_choice_exits_2_before_data_is_read(self, tmp_path, extra, capsys):
@@ -464,7 +463,7 @@ class TestConfigHandling:
         assert cfg.attention == TrainConfig()
         assert cfg.boost == BoostConfig()
         assert cfg.synth == SyntheticSpec()
-        assert cfg["model.shallow_k"] == DEFAULT_SHALLOW_K
+        assert len(KEY_SPECS) == 25
 
 
 # the options of each command that are not settings: what it reads, writes or shows
@@ -536,7 +535,9 @@ class TestExitCodes:
                                       ("train", "--synthetic", "--attention.optimizer",
                                        "plain-sgd"),
                                       ("train", "--synthetic", "--attention.prob_clamp",
-                                       "1e-6")])
+                                       "1e-6"),
+                                      ("train", "--synthetic", "--boost.base_score", "0.3"),
+                                      ("ablate", "--synthetic", "--model.shallow_k", "8")])
     def test_unknown_flag(self, tmp_path, capsys, argv):
         assert _run(*argv, "--out", str(tmp_path / "out")) == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

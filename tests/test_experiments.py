@@ -161,7 +161,7 @@ class TestRunAblation:
     def test_fingerprint_is_pinned(self, ablation_result):
         # a changed, added or dropped fingerprint key changes every CSV's header
         assert ablation_result.fingerprint == \
-            "f0589752bb06a600684438ffdb27c6608be843177674f584424127ba78d84a6c"
+            "07725ded47a85e5d30e610ff6e3d31a050734b224ab519f319c1572764554b5d"
 
 
 class TestFingerprintIdentifiesTheRun:
@@ -239,7 +239,7 @@ class TestRunFeatureRemoval:
 
     def test_fingerprint_and_seeds_are_pinned(self, removal_result):
         assert removal_result.fingerprint == \
-            "109f1298b934cd2b30868c3ee68eb9728a10823d62609ce4f1f3f62491ab9951"
+            "46514a5059fb21f61b70b1a2a9abd015f91b517c1d6db294fd83b7301afadb5b"
         assert removal_result.seeds == {"attention": 0, "boost": 42, "split": 42}
 
     def test_full_model_row_uses_the_intact_split(self, removal_result):

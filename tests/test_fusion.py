@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from attention_reference import reference_augment, reference_train
+from attention_reference import BLOCK_FIELDS, reference_augment, reference_train
 from attnboost import attention, gbdt
 from attnboost.attention import TrainConfig, init_params, train
 from attnboost.errors import DataError
 from attnboost.experiments import SyntheticSpec, desk_scale_boost_config, generate_synthetic
 from attnboost.fusion import (
     NETWORK_VARIANTS,
+    SHALLOW_K,
     VARIANT_KINDS,
     AttnBoostModel,
     RandomBlock,
@@ -25,9 +26,6 @@ from attnboost.tabular import (
     fit_preprocessor,
     stratified_split,
 )
-
-ATTN_FIELDS = ("W1", "b1", "W_attn", "b_attn", "w2", "b2")
-
 
 def _small_boost(seed=42):
     return BoostConfig(n_estimators=12, max_depth=3, min_child_weight=0.5,
@@ -78,11 +76,15 @@ class TestFitAttnBoost:
         _, split, _ = planted_split
         acfg = TrainConfig(k=128, epochs=3, seed=0)
         boost = BoostConfig(n_estimators=12, max_depth=6, min_child_weight=1.0, gamma=0.0)
-        init = init_params(split.X_train.d, 128, seed=0)
+        init, _ = init_params(split.X_train.d, 128, seed=0)
         pre = split.X_train.values @ init.W1.T + init.b1
         assert 0 < (pre > 0.0).any(axis=0).sum() < 128  # the raw year leaves units dead
         model = fit_variant("full", split.X_train, split.y_train, acfg, boost)
-        monkeypatch.setattr(attention, "train", reference_train)  # trains every unit
+        def train_every_unit(X, y, config):
+            network, history = reference_train(X, y, config)
+            return network.block, history
+
+        monkeypatch.setattr(attention, "train", train_every_unit)
         every_unit = fit_variant("full", split.X_train, split.y_train, acfg, boost)
         proba, _ = predict_matrix(model, split.X_test)
         expected, _ = predict_matrix(every_unit, split.X_test)
@@ -129,32 +131,32 @@ class TestFitVariant:
         X, y = _toy_matrix()
         acfg = TrainConfig(k=5, epochs=9, seed=3)
         model = fit_variant("frozen_attention", X, y, acfg, _small_boost())
-        ref = init_params(X.d, 5, seed=3)
-        for name in ATTN_FIELDS:
+        ref, _ = init_params(X.d, 5, seed=3)
+        for name in BLOCK_FIELDS:
             assert np.array_equal(np.asarray(getattr(model.attention, name)),
                                   np.asarray(getattr(ref, name)))
 
     def test_shallow_attention_uses_shallow_width(self):
         X, y = _toy_matrix()
         model = fit_variant("shallow_attention", X, y, TrainConfig(k=64, epochs=1),
-                            _small_boost(), shallow_k=8)
-        assert model.attention.k == 8
+                            _small_boost())
+        assert model.attention.k == SHALLOW_K == 16
 
     def test_shallow_attention_keeps_other_settings(self):
         X, y = _toy_matrix()
         acfg = TrainConfig(k=64, epochs=2, batch_size=7, learning_rate=0.01, seed=5)
-        model = fit_variant("shallow_attention", X, y, acfg, _small_boost(), shallow_k=8)
-        ref, _ = train(X, y, TrainConfig(k=8, epochs=2, batch_size=7, learning_rate=0.01,
-                                         seed=5))
-        for name in ATTN_FIELDS:
+        model = fit_variant("shallow_attention", X, y, acfg, _small_boost())
+        ref, _ = train(X, y, TrainConfig(k=SHALLOW_K, epochs=2, batch_size=7,
+                                         learning_rate=0.01, seed=5))
+        for name in BLOCK_FIELDS:
             assert np.array_equal(np.asarray(getattr(model.attention, name)),
                                   np.asarray(getattr(ref, name)))
-        assert len(model.ensemble.feature_names) == X.d + 8
+        assert len(model.ensemble.feature_names) == X.d + SHALLOW_K
 
     @pytest.mark.parametrize("kind", VARIANT_KINDS)
     def test_block_is_gated_hidden_layer_exactly_when_there_is_a_network(self, kind):
         X, y = _toy_matrix()
-        model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost(), shallow_k=3)
+        model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost())
         inputs = _widen(model.attention, X)
         if kind in NETWORK_VARIANTS:
             assert np.array_equal(inputs.values, reference_augment(model.attention, X).values)
@@ -169,8 +171,7 @@ class TestFitVariant:
         # boosting checks its labels itself, so a variant without a network checks them too
         X, y = _toy_matrix()
         with pytest.raises(DataError, match="labels must be 0 or 1"):
-            fit_variant(kind, X, 2 * y, TrainConfig(k=4, epochs=1), _small_boost(),
-                        shallow_k=3)
+            fit_variant(kind, X, 2 * y, TrainConfig(k=4, epochs=1), _small_boost())
 
     def test_unknown_kind_rejected(self):
         X, y = _toy_matrix()
@@ -182,19 +183,13 @@ class TestFitVariant:
                                  "frozen_attention", "shallow_attention")
         assert NETWORK_VARIANTS == ("full", "frozen_attention", "shallow_attention")
 
-    @pytest.mark.parametrize("kind", ["full", "frozen_attention"])
-    def test_shallow_k_is_read_by_shallow_attention_only(self, kind):
-        X, y = _toy_matrix()
-        model = fit_variant(kind, X, y, TrainConfig(k=4, epochs=1), _small_boost(), shallow_k=0)
-        assert model.attention.k == 4
-
     def test_no_two_variants_alias(self, planted_split):
         # a variant whose test probabilities equal another's bit for bit refits it
         state, split, _ = planted_split
         seen = {}
         for kind in VARIANT_KINDS:
             model = fit_variant(kind, split.X_train, split.y_train, TrainConfig(k=8, epochs=2),
-                                _small_boost(), shallow_k=4, preprocessor=state)
+                                _small_boost(), preprocessor=state)
             proba, _ = predict_matrix(model, split.X_test)
             assert proba.tobytes() not in seen, (kind, seen.get(proba.tobytes()))
             seen[proba.tobytes()] = kind
@@ -206,8 +201,7 @@ class TestPredict:
         model = AttnBoostModel(
             preprocessor=state,
             attention=None,
-            ensemble=Ensemble.from_trees([], base_raw=0.0,
-                                         feature_names=list(state.feature_names)),
+            ensemble=Ensemble.from_trees([], feature_names=list(state.feature_names)),
             variant="no_attention",
         )
         proba, labels = predict(model, table)
@@ -239,7 +233,7 @@ class TestBatchInvariance:
     def test_row_alone_equals_row_in_batch(self, planted_split, kind):
         state, split, _ = planted_split
         model = fit_variant(kind, split.X_train, split.y_train, TrainConfig(k=8, epochs=2),
-                            _small_boost(), shallow_k=4, preprocessor=state)
+                            _small_boost(), preprocessor=state)
         X = split.X_test
         rng = np.random.default_rng(sum(map(ord, kind)))
         for _ in range(5):

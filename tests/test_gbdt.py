@@ -80,8 +80,8 @@ def reference_tree_output(tree: Tree, values):
 
 
 def reference_raw(model: Ensemble, values):
-    """base + (output of tree 1) + (output of tree 2) + ..., one tree at a time."""
-    raw = np.full(values.shape[0], model.base_raw)
+    """0 + (output of tree 1) + (output of tree 2) + ..., one tree at a time."""
+    raw = np.zeros(values.shape[0])
     for tree in model.trees:
         raw += reference_tree_output(tree, values)
     return raw
@@ -690,13 +690,13 @@ class TestTrainBoosting:
 
 class TestPredict:
     def test_empty_ensemble_is_base_score(self):
-        model = Ensemble.from_trees([], base_raw=0.0, feature_names=["f0"])
+        model = Ensemble.from_trees([], feature_names=["f0"])
         X = _fm([[1.0], [5.0], [-3.0]])
         np.testing.assert_array_equal(predict_proba(model, X), np.full(3, 0.5))
 
     def test_single_stump_hand_traced(self):
         stump = make_tree(feature=[0, -1, -1], value=[0.0, -0.1, 0.1])
-        model = Ensemble.from_trees([stump], base_raw=0.0, feature_names=["f0"])
+        model = Ensemble.from_trees([stump], feature_names=["f0"])
         proba = predict_proba(model, _fm([[-1.0], [1.0]]))
         assert proba[0] == pytest.approx(0.475021, abs=1e-6)
         assert proba[1] == pytest.approx(0.524979, abs=1e-6)
@@ -706,7 +706,7 @@ class TestPredict:
         assert (np.diff(sigmoid(raw)) > 0).all()
 
     def test_width_mismatch_rejected(self):
-        model = Ensemble.from_trees([], base_raw=0.0, feature_names=["f0"])
+        model = Ensemble.from_trees([], feature_names=["f0"])
         with pytest.raises(ValueError):
             predict_raw(model, _fm([[1.0, 2.0]]))
 
@@ -743,8 +743,7 @@ class TestWalk:
         rng = np.random.default_rng(seed)
         cuts = np.sort(rng.normal(0, 1, (self.D, self.CUTS)), axis=1)
         trees = [random_tree(rng, cuts, int(rng.integers(*depths))) for _ in range(n_trees)]
-        model = Ensemble.from_trees(trees, base_raw=float(rng.normal()),
-                                    feature_names=[f"f{j}" for j in range(self.D)])
+        model = Ensemble.from_trees(trees, feature_names=[f"f{j}" for j in range(self.D)])
         # half the values sit exactly on a threshold of their column
         on_cut = cuts[np.arange(self.D), rng.integers(0, self.CUTS, (n_rows, self.D))]
         values = np.where(rng.uniform(size=(n_rows, self.D)) < 0.5, on_cut,
@@ -759,7 +758,7 @@ class TestWalk:
     def test_empty_ensemble(self):
         model, values = self._case(0, n_trees=0, n_rows=7)
         scored = self._assert_walk_matches(model, values)
-        assert (scored == model.base_raw).all()
+        assert (scored == 0.0).all()
 
     def test_root_only_leaves(self):
         model, values = self._case(1, n_trees=9, n_rows=20, depths=(0, 1))
@@ -768,7 +767,7 @@ class TestWalk:
 
     def test_values_equal_to_a_threshold_go_left(self):
         stump = make_tree(feature=[0, -1, -1], value=[0.5, -1.0, 1.0])
-        model = Ensemble.from_trees([stump], base_raw=0.0, feature_names=["f0"])
+        model = Ensemble.from_trees([stump], feature_names=["f0"])
         values = np.array([[np.nextafter(0.5, 0.0)], [0.5], [np.nextafter(0.5, 1.0)]])
         assert self._assert_walk_matches(model, values).tolist() == [-1.0, -1.0, 1.0]
 
@@ -781,17 +780,16 @@ class TestWalk:
                          value=[0.5, -1.0, -1.5, -0.5, 2.0, 0.5, 1.5])
         stump = make_tree(feature=[1, -1, -1], value=[np.inf, 0.125, -0.125])
         leaf = make_tree(feature=[-1], value=[0.25])
-        model = Ensemble.from_trees([deep, leaf, stump, deep], base_raw=0.125,
-                                    feature_names=["f0", "f1"])
+        model = Ensemble.from_trees([deep, leaf, stump, deep], feature_names=["f0", "f1"])
         nan, inf = np.nan, np.inf
         values = np.array([[nan, nan], [nan, 0.0], [0.0, nan], [0.5, -1.0], [0.5, 2.0],
                            [-inf, -inf], [inf, inf], [-inf, inf], [inf, -inf], [inf, nan],
                            [np.nextafter(0.5, 1.0), 2.0]])
         scored = self._assert_walk_matches(model, values)
         # deep: NaN goes right twice (leaf 1.5); stump: NaN goes right (-0.125)
-        assert scored[0] == 0.125 + 1.5 + 0.25 + -0.125 + 1.5
+        assert scored[0] == 1.5 + 0.25 + -0.125 + 1.5
         # inf <= inf: the stump sends an infinite value left
-        assert scored[6] == 0.125 + 1.5 + 0.25 + 0.125 + 1.5
+        assert scored[6] == 1.5 + 0.25 + 0.125 + 1.5
 
     @pytest.mark.parametrize("seed", [2, 3, 4])
     def test_random_trees_of_unequal_depth(self, seed):
@@ -851,14 +849,13 @@ class TestDerivedChildren:
         self._assert_links_match(model)
 
     def test_zero_tree_ensemble(self):
-        model = Ensemble.from_trees([], base_raw=0.0, feature_names=["f0"])
+        model = Ensemble.from_trees([], feature_names=["f0"])
         assert model.forest.children.size == model.forest.roots.size == 0
         self._assert_links_match(model)
 
 
 def _total_bce(model, X, y, upto):
-    prefix = Ensemble.from_trees(model.trees[:upto], base_raw=model.base_raw,
-                                 feature_names=model.feature_names)
+    prefix = Ensemble.from_trees(model.trees[:upto], feature_names=model.feature_names)
     raw = predict_raw(prefix, X)
     p = np.clip(sigmoid(raw), 1e-12, 1 - 1e-12)
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).sum())
@@ -950,7 +947,7 @@ class TestGrownTreesMatchBruteForce:
             check(tree, i + 1, left, depth + 1, g, h, feats)
             check(tree, right_child(tree, i), right, depth + 1, g, h, feats)
 
-        raw = np.full(n, model.base_raw)
+        raw = np.zeros(n)
         for t, tree in enumerate(model.trees):
             g, h = logistic_grad_hess(raw, y)
             rows, feats = _round_sample(config, t, n, d)
@@ -1023,7 +1020,7 @@ class TestOneBinColumns:
                                  config.max_depth)
             for t, tree in enumerate(model.trees))
 
-        raw = np.full(n, model.base_raw)
+        raw = np.zeros(n)
         only_constant = splits = 0
         for t, tree in enumerate(model.trees):
             g, h = logistic_grad_hess(raw, y)
@@ -1048,7 +1045,7 @@ class TestOneBinColumns:
         model = train_boosting(X, y, config)
 
         # every row has the same raw score, so a round's leaf sums are counts times p
-        raw = model.base_raw
+        raw = 0.0
         for t, tree in enumerate(model.trees):
             assert tree.feature.tolist() == [-1] and tree.gain.tolist() == [0.0]
             rows, _ = _round_sample(config, t, n, X.d)
@@ -1085,7 +1082,7 @@ class TestSplitsRespectConstraints:
             check(tree, i + 1, left, g, h)
             check(tree, right_child(tree, i), right, g, h)
 
-        raw = np.full(200, model.base_raw)
+        raw = np.zeros(200)
         for tree in model.trees:
             g, h = logistic_grad_hess(raw, y)
             check(tree, 0, np.arange(200), g, h)

@@ -20,7 +20,7 @@ def _stump(feature, gain, weight=0.5):
 
 
 def _ensemble(trees, names):
-    return Ensemble.from_trees(trees, base_raw=0.0, feature_names=names)
+    return Ensemble.from_trees(trees, feature_names=names)
 
 
 class TestGainImportance:

@@ -26,7 +26,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "f0c8a04348197f48e560a570f16ca73b36f259aab7b9852291dea0e822bc35b5"
+PINNED_SHA256 = "25b280957ae3e6530749321495c2cd35d34ea948a56e17c161a64453548fc149"
 # how the loader names a key whose stored value save_model would not write for the model
 AS_WRITTEN = "is not stored as save_model writes it"
 
@@ -94,20 +94,21 @@ class TestRoundTrip:
         save_model(model, path)
         sections = json.load(open(path))["sections"]
         ensemble = sections["ensemble"]["payload"]
-        # leaves hold the learning rate times their weight, so the rate is not stored
-        # and its column names are the preprocessor's followed by the block's
-        assert sorted(ensemble) == ["base_raw", "feature", "gain", "node_counts", "value"]
+        # leaves hold the learning rate times their weight, so the rate is not stored, its
+        # column names are the preprocessor's followed by the block's, and every raw score
+        # starts at 0, so there is no base score
+        assert sorted(ensemble) == ["feature", "gain", "node_counts", "value"]
         splits = model.ensemble.nodes.feature >= 0
         assert ensemble["gain"]["shape"] == [int(splits.sum())] < ensemble["value"]["shape"]
         assert _decode(ensemble, "gain").tobytes() == model.ensemble.nodes.gain[splits].tobytes()
         assert sorted(sections["preprocessor"]["payload"]) == [
             "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
         assert sorted(sections["meta"]["payload"]) == ["fingerprint", "variant"]
-        # the block: a network, whose sizes are the shape of W1, random_attention's width
-        # and seed, or nothing
+        # the block: a network, whose sizes are the shape of W1 and whose output head only
+        # trained it, random_attention's width and seed, or nothing
         attention = sections["attention"]["payload"]
         if kind in NETWORK_VARIANTS:
-            assert sorted(attention) == ["W1", "W_attn", "b1", "b2", "b_attn", "w2"]
+            assert sorted(attention) == ["W1", "W_attn", "b1", "b_attn"]
         elif kind == "random_attention":
             assert attention == {"k": FAST_ATTN.k, "seed": FAST_ATTN.seed}
         else:
@@ -194,7 +195,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 8
+    assert FORMAT_VERSION == 9
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -366,12 +367,24 @@ class TestDamagedFiles:
         path = self._saved(fitted, tmp_path)
         self._assert_older_rejected(fitted, path, json.load(open(path)), 7, tmp_path, capsys)
 
+    def test_version_8_file_rejected(self, fitted, tmp_path, capsys):
+        # version 8 differs only in the ensemble's base_raw, which every fit set to 0.0, and
+        # the network's output head w2 and b2, which augment never read; no version 8 file
+        # is read
+        path = self._saved(fitted, tmp_path)
+        self._assert_older_rejected(fitted, path, json.load(open(path)), 8, tmp_path, capsys)
+
     def _assert_older_rejected(self, fitted, path, document, version, tmp_path, capsys):
-        """Write `document` as a `full` file of `version`, with the meta attention_seed and
-        random_k that versions 1 to 7 all stored, the ensemble's column names that versions
-        1 to 6 stored and checksums that match, and check it is rejected."""
+        """Write `document` as a `full` file of `version`, with the ensemble's base_raw and
+        the network's w2 and b2 that versions 1 to 8 all stored, the meta attention_seed and
+        random_k that versions 1 to 7 stored, the ensemble's column names that versions 1
+        to 6 stored and checksums that match, and check it is rejected."""
         sections = document["sections"]
-        sections["meta"]["payload"].update(attention_seed=FAST_ATTN.seed, random_k=0)
+        attention = sections["attention"]["payload"]
+        attention.update(w2=_encode(np.zeros(attention["W1"]["shape"][0])), b2=0.0)
+        sections["ensemble"]["payload"]["base_raw"] = 0.0
+        if version <= 7:
+            sections["meta"]["payload"].update(attention_seed=FAST_ATTN.seed, random_k=0)
         if version <= 6:
             sections["ensemble"]["payload"]["feature_names"] = \
                 fitted[0]["full"].ensemble.feature_names
@@ -382,8 +395,8 @@ class TestDamagedFiles:
         self._assert_version_rejected(path, version, tmp_path, capsys)
 
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 8"
-        assert FORMAT_VERSION == 8
+        message = f"unsupported model format version {version}, expected 9"
+        assert FORMAT_VERSION == 9
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -552,8 +565,8 @@ class TestDamagedFiles:
     def test_preprocessor_map_that_is_a_list_rejected(self, fitted, tmp_path, capsys, key):
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, "preprocessor", lambda pre: pre.update({key: []}))
-        message = "section 'preprocessor': malformed section contents"
-        with pytest.raises(ModelFormatError, match=message):
+        message = f"section 'preprocessor' {key}: cannot read []"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
         csv_path = self._csv(tmp_path)
         capsys.readouterr()
@@ -633,9 +646,30 @@ class TestDamagedFiles:
             assert err.startswith(f"error: {path}: {named}")
             assert "row " not in err and "Traceback" not in err
 
+    # Python's own message for these named neither the key nor the column
+    @pytest.mark.parametrize("edit,message", [
+        (lambda pre: pre["category_maps"].update(Region=5), "category_maps 'Region': cannot "
+                                                             "read 5 ('int' object is not iterable)"),
+        (lambda pre: pre["numeric_stats"].update(Sales=None), "numeric_stats 'Sales': cannot "
+                                                              "read None ('NoneType' object"),
+        (lambda pre: pre.update(schema=True), "schema: cannot read True ('bool' object"),
+        (lambda pre: pre.update(category_maps=3), "category_maps: cannot read 3 ("),
+    ], ids=["map_number", "stats_null", "schema_boolean", "maps_number"])
+    def test_value_of_another_json_shape_names_its_key_and_column(self, fitted, tmp_path,
+                                                                  capsys, edit, message):
+        path = self._saved(fitted, tmp_path)
+        self._edit_payload(path, "preprocessor", edit)
+        message = f"section 'preprocessor' {message}"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["k", "seed"])
-    @pytest.mark.parametrize("make", [lambda v: v + 0.9, float, lambda v: True],
-                             ids=["fraction", "whole_float", "boolean"])
+    @pytest.mark.parametrize("make", [lambda v: v + 0.9, float, lambda v: True, str],
+                             ids=["fraction", "whole_float", "boolean", "string"])
     def test_integer_field_that_is_a_float_or_boolean_rejected(self, fitted, tmp_path, capsys,
                                                                key, make):
         path = self._saved(fitted, tmp_path, kind="random_attention")
@@ -649,19 +683,10 @@ class TestDamagedFiles:
         assert run_command(["predict", "--model", path, "--data", csv_path]) == 1
         assert message in capsys.readouterr().err
 
-    # save_model writes the fingerprint as text and base_raw and b2 as JSON floats; a
-    # fingerprint of 1.5, a base_raw or b2 of true, which float() read as 1.0, or one of 0
-    # or -1 once loaded
+    # save_model writes the fingerprint as text; one of 1.5 or null loaded once
     @pytest.mark.parametrize("section,key,value", [
         ("meta", "fingerprint", 1.5),
         ("meta", "fingerprint", None),
-        ("ensemble", "base_raw", True),
-        ("attention", "b2", True),
-        ("attention", "b2", "0.5"),
-        ("ensemble", "base_raw", 0),
-        ("ensemble", "base_raw", -1),
-        ("attention", "b2", 0),
-        ("attention", "b2", -1),
     ])
     def test_scalar_of_another_json_type_rejected(self, fitted, tmp_path, capsys, section, key,
                                                   value):
@@ -676,7 +701,9 @@ class TestDamagedFiles:
 
     @pytest.mark.parametrize("section,key", [("meta", "variant"),
                                              ("preprocessor", "numeric_stats"),
-                                             ("ensemble", "base_raw")])
+                                             ("ensemble", "node_counts"),
+                                             ("attention", "W_attn"),
+                                             ("attention", "b_attn")])
     def test_missing_key_with_valid_checksum_rejected(self, fitted, tmp_path, section, key):
         path = self._saved(fitted, tmp_path)
         document = json.load(open(path))
@@ -701,6 +728,10 @@ class TestDamagedFiles:
         ("attention", "k", 6),
         # format 6 stored the ensemble's column names
         ("ensemble", "feature_names", ["Renamed"]),
+        # format 8 stored a base score, always 0.0, and the network's output head
+        ("ensemble", "base_raw", 0.0),
+        ("attention", "b2", 0.0),
+        ("attention", "w2", {"shape": [6], "data": "A" * 64}),
     ])
     def test_key_save_model_does_not_write_rejected(self, fitted, tmp_path, capsys, section,
                                                     key, value):
@@ -844,13 +875,15 @@ class TestDamagedFiles:
          "section 'ensemble' tree 0 node 0: value inf is not finite"),
         ("ensemble", lambda ens: _set_entry(ens, "gain", _split_index(ens, 1, 0), -np.inf),
          "section 'ensemble' tree 1 node 0: gain -inf is not finite"),
-        ("ensemble", lambda ens: ens.update(base_raw=np.nan),
-         "section 'ensemble': base_raw nan is not finite"),
         ("attention", lambda att: _set_entry(att, "W1", 3, np.nan),
          "section 'attention': W1 holds a value that is not finite"),
-        ("attention", lambda att: att.update(b2=np.inf),
-         "section 'attention': b2 holds a value that is not finite"),
-    ], ids=["weight", "threshold", "gain", "base_raw", "W1", "b2"])
+        ("attention", lambda att: _set_entry(att, "b1", 0, np.inf),
+         "section 'attention': b1 holds a value that is not finite"),
+        ("attention", lambda att: _set_entry(att, "W_attn", 1, -np.inf),
+         "section 'attention': W_attn holds a value that is not finite"),
+        ("attention", lambda att: _set_entry(att, "b_attn", 2, np.nan),
+         "section 'attention': b_attn holds a value that is not finite"),
+    ], ids=["weight", "threshold", "gain", "W1", "b1", "W_attn", "b_attn"])
     def test_non_finite_numbers_with_valid_checksums_rejected(self, fitted, tmp_path, capsys,
                                                               section, edit, message):
         path = self._saved(fitted, tmp_path)
@@ -909,7 +942,7 @@ class TestDamagedFiles:
         def edit(att):
             att.update(W1=_encode(W1), b1=_encode(np.zeros(units)),
                        W_attn=_encode(np.zeros((units, units))),
-                       b_attn=_encode(np.zeros(units)), w2=_encode(np.zeros(units)))
+                       b_attn=_encode(np.zeros(units)))
         self._edit_payload(path, "attention", edit)
         if shape == "no_units":
             self._edit_payload(path, "ensemble", lambda ens: ens.update(inputs))
