@@ -3,26 +3,24 @@
 The file is JSON with four sections (meta, preprocessor, attention, ensemble)
 and stores nothing that can be derived: the ensemble's columns are the
 preprocessor's followed by the block's (fusion.column_names), the network's
-sizes are W1's shape, and each leaf holds its weight times the learning rate.
-Arrays are base64-encoded little-endian bytes and a shape, float64 for real
-values and int32 for split features and node counts, so a round trip
-reproduces bit-identical predictions on any platform. save_model takes only
-a model with a preprocessor whose ensemble reads those columns, and a string
-fingerprint.
+sizes are W1's shape, each leaf holds its weight times the learning rate, and
+a category value's code is its index in the column's sorted values. Arrays
+are base64-encoded little-endian bytes and a shape, float64 for real values
+and int32 for split features and node counts, so a round trip reproduces
+bit-identical predictions on any platform. save_model takes only a model with
+a preprocessor whose ensemble reads those columns, and a string fingerprint.
 
 A file loads only if save_model would write exactly that file for the model
-it decodes to. Each section is decoded with every scalar read as the type
-save_model writes; its stored checksum must then be that of what save_model
-writes for the decoded section, before the next is read. That one comparison
-finds a damaged byte and any key, type or spelling the writer does not
-produce (a map stored as [], a k of 6.0 or true, a shape of -1); the error
-names the section and the first key that differs. Decoding checks what a
-round trip cannot see: tree structure, finite values, W1 and the shapes its
-k gives, the network's width, what fitting guarantees of the preprocessor,
-the variant against its attention section and TrainConfig's ranges for
-random_attention's k and seed, and a preprocessor value of another JSON
-shape fails naming its key and column. A network is stored as the four
-arrays augment reads, without the output head that trained it.
+it decodes to. The document and each section hold exactly the keys it writes,
+and each payload is a JSON object (the attention's may be null). Each payload
+is decoded with every scalar read as the type save_model writes; its stored
+checksum must then be that of what save_model writes for what it decoded to,
+before the next is read, which finds a damaged byte and any key, type or
+spelling the writer does not produce (a k of 6.0 or true, a shape of -1).
+Decoding checks what a round trip cannot see: tree structure, finite values,
+the network's shapes and width, what fitting guarantees of the preprocessor,
+the variant against its block and TrainConfig's ranges for random_attention.
+Every refusal names the section and the key, tree or column.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ import math
 import os
 import tempfile
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorSt
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 _INTEGERS = "<i4"  # file dtype of node counts and split features
 
 
@@ -77,7 +76,7 @@ def _decode(payload: dict, key: str, dtype: str = "<f8") -> np.ndarray:
     try:  # a shape of -1 or null decodes, and the round trip refuses it
         arr = np.frombuffer(base64.b64decode(stored["data"]), dtype=dtype)
         return arr.astype(np.intp if dtype == _INTEGERS else np.float64).reshape(stored["shape"])
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from exc
 
 
@@ -109,12 +108,9 @@ def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
     at or above 0 until its last node and reaches -1 exactly there. An error
     names the tree, and its node by tree-local index.
     """
-    counts = _decode(payload, "node_counts", _INTEGERS)
+    counts = _decode(payload, "node_counts", _INTEGERS).ravel()  # the round trip checks shape
     feature, value = _decode(payload, "feature", _INTEGERS), _decode(payload, "value")
     split_gain = _decode(payload, "gain")
-    if counts.ndim != 1:
-        raise ModelFormatError(f"section 'ensemble': node counts must be one-dimensional, got "
-                               f"shape {counts.shape}")
     if (counts < 1).any():
         t = int(np.argmax(counts < 1))
         raise ModelFormatError(f"section 'ensemble' tree {t}: node count {counts[t]} is not "
@@ -157,20 +153,19 @@ def _ensemble_from_payload(payload: dict, feature_names: list[str]) -> Ensemble:
 def _preprocessor_payload(state: PreprocessorState) -> dict:
     return {
         "schema": [[c.name, c.kind, c.nullable] for c in state.schema],
-        "category_maps": state.category_maps,
+        "category_maps": {c: sorted(m, key=m.get) for c, m in state.category_maps.items()},
         "numeric_stats": {k: list(v) for k, v in state.numeric_stats.items()},
         "dropped_columns": state.dropped_columns,
         "target_positive": state.target_positive,
     }
 
 
-def _read(key: str, value, read, column=None):
-    """read(value); a value of a shape `read` cannot take fails naming the key and column."""
+def _read(section: str, key: str, value, read):
+    """read(value); a value `read` cannot take fails naming the section and the key."""
     try:
         return read(value)
-    except (AttributeError, TypeError, ValueError) as exc:
-        named = key if column is None else f"{key} {column!r}"
-        raise ModelFormatError(f"section 'preprocessor' {named}: cannot read {value!r} ({exc})")
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"section {section!r} {key}: cannot read {value!r} ({exc})")
 
 
 def _preprocessor_from_payload(payload) -> PreprocessorState:
@@ -180,18 +175,20 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
     are unique and one column is the binary target. The target's positive
     value is other than TARGET_NEGATIVE. The dropped columns are a list of
     schema columns other than the target, each once. Each kept category or
-    string column has a map whose codes are 0..n-1, each once, and each kept
-    numeric column a [mean, standard deviation] pair of finite numbers, the
-    deviation at least EPSILON_STD; no other column has either. An error
-    names the key, and the column.
+    string column has its values, distinct and sorted, each coded by its
+    index, and each kept numeric column a [mean, standard deviation] pair of
+    finite numbers, the deviation at least EPSILON_STD; no other column has
+    either. An error names the key, and the column.
     """
-    schema = _read("schema", payload["schema"], lambda entries: [
+    read = partial(_read, "preprocessor")
+    schema = read("schema", payload["schema"], lambda entries: [
         ColumnSchema(str(name), kind, bool(nullable)) for name, kind, nullable in entries])
-    category_maps = {c: _read("category_maps", m, dict, c)
-                     for c, m in _read("category_maps", payload["category_maps"], dict.items)}
-    numeric_stats = {c: _read("numeric_stats", v, tuple, c)
-                     for c, v in _read("numeric_stats", payload["numeric_stats"], dict.items)}
-    dropped, positive = payload["dropped_columns"], payload["target_positive"]
+    category_maps = {c: read(f"category_maps {c!r}", values, lambda vs: [str(v) for v in vs])
+                     for c, values in read("category_maps", payload["category_maps"], dict.items)}
+    numeric_stats = {c: read(f"numeric_stats {c!r}", pair, lambda vs: tuple(map(float, vs)))
+                     for c, pair in read("numeric_stats", payload["numeric_stats"], dict.items)}
+    dropped = read("dropped_columns", payload["dropped_columns"], lambda vs: [str(v) for v in vs])
+    positive = str(payload["target_positive"])
     try:
         _validate_schema(schema)
     except DataError as exc:
@@ -199,11 +196,7 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
     (target,) = [c.name for c in schema if c.kind == "binary-target"]
     if positive == TARGET_NEGATIVE:
         raise ModelFormatError(f"section 'preprocessor' target_positive: column {target!r} "
-                               f"needs a string other than {TARGET_NEGATIVE!r}, or null, "
-                               f"got {positive!r}")
-    if type(dropped) is not list:  # a string would be read as columns named by its letters
-        raise ModelFormatError(f"section 'preprocessor' dropped_columns: expected a list of "
-                               f"column names, got {dropped!r}")
+                               f"needs a string other than {TARGET_NEGATIVE!r}, got {positive!r}")
     droppable = [c.name for c in schema if c.name != target]
     for i, column in enumerate(dropped):
         if column not in droppable or column in dropped[:i]:
@@ -215,23 +208,19 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
         if sorted(stored) != wanted:
             raise ModelFormatError(f"section 'preprocessor' {key}: holds columns "
                                    f"{sorted(stored)}, expected {wanted}")
-    for column, cmap in category_maps.items():
-        codes = list(cmap.values())
-        if sorted(c for c in codes if c in range(len(codes))) != list(range(len(codes))):
-            raise ModelFormatError(f"section 'preprocessor' category_maps {column!r}: codes "
-                                   f"must be the integers 0..{len(codes) - 1}, each once, "
-                                   f"got {codes}")
-        category_maps[column] = {value: int(code) for value, code in cmap.items()}
+    for column, values in category_maps.items():
+        if values != sorted(set(values)):
+            raise ModelFormatError(f"section 'preprocessor' category_maps {column!r}: values "
+                                   "must be distinct and in sorted order")
+        category_maps[column] = {value: code for code, value in enumerate(values)}
     for column, stats in numeric_stats.items():
-        if not (len(stats) == 2 and all(type(v) in (int, float) for v in stats)
-                and math.isfinite(stats[0]) and EPSILON_STD <= stats[1] < math.inf):
+        if not (len(stats) == 2 and math.isfinite(stats[0]) and EPSILON_STD <= stats[1] < math.inf):
             raise ModelFormatError(f"section 'preprocessor' numeric_stats {column!r}: expected "
                                    "a finite mean and a finite standard deviation of at least "
                                    f"{EPSILON_STD}, got {list(stats)}")
-        numeric_stats[column] = (float(stats[0]), float(stats[1]))
     return PreprocessorState(schema=schema, category_maps=category_maps,
                              numeric_stats=numeric_stats, dropped_columns=dropped,
-                             target_positive=None if positive is None else str(positive))
+                             target_positive=positive)
 
 
 def _attention_payload(block: Block):
@@ -251,7 +240,7 @@ def _attention_from_payload(payload, variant: str, inputs: int) -> Block:
     if payload is None:
         return None
     if variant == "random_attention":
-        block = RandomBlock(int(payload["k"]), int(payload["seed"]))
+        block = RandomBlock(*(_read("attention", key, payload[key], int) for key in ("k", "seed")))
         TrainConfig(k=block.k, seed=block.seed)  # raises a ValueError that names the key
         return block
     params = AttentionParams(**{f.name: _decode(payload, f.name) for f in fields(AttentionParams)})
@@ -342,37 +331,43 @@ def load_model(path: str) -> AttnBoostModel:
     if not isinstance(document, dict) or document.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path} is not an attnboost model file")
     version = document.get("version")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"{path}: unsupported model format version {version!r}, expected {FORMAT_VERSION}"
-        )
-    stored = document.get("sections", {})
-    if not isinstance(stored, dict):
-        raise ModelFormatError(f"{path}: sections must be a JSON object")
-    for name in _SECTIONS:
-        if name not in stored:
-            raise ModelFormatError(f"{path}: missing section {name!r}")
-        if not isinstance(stored[name], dict):
-            raise ModelFormatError(f"{path}: section {name!r} must be a JSON object")
-    extra = sorted(set(stored) - set(_SECTIONS))
-    if extra:
-        raise ModelFormatError(f"{path}: section {extra[0]!r} is not one save_model writes")
-
+    if type(version) is not int or version != FORMAT_VERSION:  # a float may equal it
+        raise ModelFormatError(f"{path}: unsupported model format version {version!r}, "
+                               f"expected {FORMAT_VERSION}")
+    _check_keys(path, document, ("format", "version", "sections"))
     try:
-        return _model_from_sections(stored)
+        return _model_from_sections(document["sections"])
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
+
+
+def _check_keys(where: str, value, keys: tuple) -> None:
+    """`value` is a JSON object of exactly `keys`; an error names `where` and the key."""
+    if not isinstance(value, dict):
+        raise ModelFormatError(f"{where} must be a JSON object")
+    missing, extra = sorted(set(keys) - set(value)), sorted(set(value) - set(keys))
+    if missing or extra:
+        raise ModelFormatError(f"{where}: key {missing[0]!r} is missing" if missing
+                               else f"{where}: key {extra[0]!r} is not one save_model writes")
 
 
 def _model_from_sections(stored: dict) -> AttnBoostModel:
     """The model, its block decoded as the variant says and its ensemble over derived
     columns; each section is read only as save_model writes it for what it decodes to."""
+    _check_keys("sections", stored, _SECTIONS)
+
     def read(name, decoder, writer, *args):
+        _check_keys(f"section {name!r}", stored[name], ("payload", "checksum"))
+        payload = stored[name]["payload"]
+        if not isinstance(payload, dict) and (payload is not None or name != "attention"):
+            raise ModelFormatError(f"section {name!r}: payload must be a JSON object"
+                                   + (" or null" if name == "attention" else ""))
         try:
-            value = decoder(stored[name].get("payload"), *args)
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelFormatError(f"section {name!r}: malformed section contents "
-                                   f"({type(exc).__name__}: {exc})") from exc
+            value = decoder(payload, *args)
+        except KeyError as exc:
+            raise ModelFormatError(f"section {name!r}: key {exc.args[0]!r} is missing") from exc
+        except ValueError as exc:  # from _decode or TrainConfig, naming the key first
+            raise ModelFormatError(f"section {name!r}: {exc}") from exc
         _check_as_written(name, stored[name], writer(value))
         return value
 
@@ -389,9 +384,9 @@ def _check_as_written(name: str, stored: dict, payload) -> None:
     """The section's stored checksum is that of `payload`, what save_model writes for it,
     encoded; an error names the first key whose canonical JSON differs, if one does."""
     payload = _encoded(payload)
-    if _checksum(payload) == stored.get("checksum"):
+    if _checksum(payload) == stored["checksum"]:
         return
-    read, payload = stored.get("payload") or {}, payload or {}
+    read, payload = stored["payload"] or {}, payload or {}
     keys = [key for key in sorted({*read, *payload})
             if key not in payload or _canonical(read.get(key)) != _canonical(payload[key])]
     if not keys:

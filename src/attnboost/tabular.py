@@ -9,7 +9,8 @@ seen at fit time gets the next code, the size of the column's map. Numeric
 columns are z-scored with the population standard deviation; fitting rejects
 a column whose mean or deviation overflows. Date columns are expanded into
 raw integer (year, month, weekday) triples, Monday=0. Targets are binary:
-the literal value "Not" maps to 0 and the single other observed value to 1.
+the literal value "Not" maps to 0 and the first other value seen to 1, and
+fitting refuses a target column with no other value or with a third one.
 The fitted state holds only what applying it reads. Both read the rows once
 into columns, and apply encodes a column at a time into one (rows x features)
 matrix; a bad cell raises the error a cell-by-cell pass would, first by
@@ -36,6 +37,7 @@ TARGET_NEGATIVE = "Not"
 COLUMN_KINDS = ("integer", "float", "string", "category", "date", "binary-target")
 
 _ISO_DATE_RE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_ECHO_CHARS = 40  # most characters of a cell an error quotes
 
 # Most cells one block of a rows x columns pass holds: the tree walk's (tree,
 # row) pairs, augment's gate and a histogram build's (row, feature) keys.
@@ -113,7 +115,7 @@ class PreprocessorState:
     category_maps: dict[str, dict[str, int]]  # a value outside a map gets code len(map)
     numeric_stats: dict[str, tuple[float, float]]
     dropped_columns: list[str]
-    target_positive: str | None
+    target_positive: str  # the target value other than TARGET_NEGATIVE
     feature_names: list[str] = field(init=False)
     target_name: str = field(init=False)
 
@@ -166,6 +168,11 @@ RETAIL_IDENTIFIER_COLUMNS = [
 ]
 
 
+def _echo(text: str) -> str:
+    """A cell's text quoted for an error, cut to its first _ECHO_CHARS characters."""
+    return repr(text) if len(text) <= _ECHO_CHARS else f"{text[:_ECHO_CHARS]!r}..."
+
+
 def _parse_date(value, where: str) -> dt.date:
     """A date cell as a date: a date as it is, text as YYYY-MM-DD; a null raises."""
     if isinstance(value, dt.date):
@@ -174,11 +181,11 @@ def _parse_date(value, where: str) -> dt.date:
         raise DataError(f"{where}: null in date column")
     text = str(value)
     if not _ISO_DATE_RE.match(text):
-        raise DataError(f"{where}: {text!r} is not a YYYY-MM-DD date")
+        raise DataError(f"{where}: {_echo(text)} is not a YYYY-MM-DD date")
     try:
         return dt.date.fromisoformat(text)
     except ValueError as exc:
-        raise DataError(f"{where}: {text!r} is not a valid calendar date") from exc
+        raise DataError(f"{where}: {_echo(text)} is not a valid calendar date") from exc
 
 
 def _standardized(cells, column: str, mean: float = 0.0, std: float = 1.0,
@@ -215,17 +222,17 @@ def _parse_cell(text: str, col: ColumnSchema, row_idx: int):
             value = int(text)
             float(value)  # preprocessing standardizes it as a float
         except ValueError as exc:
-            raise DataError(f"{where}: {text!r} is not an integer") from exc
+            raise DataError(f"{where}: {_echo(text)} is not an integer") from exc
         except OverflowError as exc:
-            raise DataError(f"{where}: {text!r} is too large for a float") from exc
+            raise DataError(f"{where}: {_echo(text)} is too large for a float") from exc
         return value
     if col.kind == "float":
         try:
             value = float(text)
         except ValueError as exc:
-            raise DataError(f"{where}: {text!r} is not a number") from exc
+            raise DataError(f"{where}: {_echo(text)} is not a number") from exc
         if not math.isfinite(value):
-            raise DataError(f"{where}: {text!r} is not finite")
+            raise DataError(f"{where}: {_echo(text)} is not finite")
         return value
     if col.kind == "date":
         return _parse_date(text, where)
@@ -283,7 +290,7 @@ def _validate_schema(schema: list[ColumnSchema], require_target: bool = True) ->
 
 
 def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
-    """Learn category maps, numeric stats, and date derivations from a table."""
+    """Learn category maps, numeric stats and the target's positive value from a table."""
     _validate_schema(table.schema)
     names = {c.name for c in table.schema}
     unknown = sorted(set(drop) - names)
@@ -296,13 +303,17 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
     dropped = set(drop)
     category_maps: dict[str, dict[str, int]] = {}
     numeric_stats: dict[str, tuple[float, float]] = {}
-    target_values: set[str] = set()
 
     for col, cells in zip(table.schema, table.columns(), strict=True):
         if col.name in dropped:
             continue
         if col.kind == "binary-target":
-            target_values.update(str(v) for v in cells if v is not None)
+            positive = next((str(v) for v in cells
+                             if v is not None and str(v) != TARGET_NEGATIVE), None)
+            if positive is None:
+                raise DataError(f"target column {col.name!r} has no value other than "
+                                f"{TARGET_NEGATIVE!r}")
+            _encode_targets(positive, cells, col.name)  # the first null or third value raises
             continue
         if col.kind in ("category", "string"):
             seen = sorted({NULL_CATEGORY if v is None else str(v) for v in cells})
@@ -318,18 +329,12 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
                                 f"deviation {std} is not finite; its values are too large")
             numeric_stats[col.name] = (mean, max(std, EPSILON_STD))
 
-    positives = target_values - {TARGET_NEGATIVE}
-    if len(positives) > 1:
-        raise DataError(
-            f"target column {target_col.name!r} has more than two values: "
-            f"{sorted(target_values)}"
-        )
     return PreprocessorState(
         schema=list(table.schema),
         category_maps=category_maps,
         numeric_stats=numeric_stats,
         dropped_columns=list(dict.fromkeys(drop)),
-        target_positive=next(iter(positives)) if positives else None,
+        target_positive=positive,
     )
 
 
@@ -357,7 +362,7 @@ def apply_preprocessor(
     target: np.ndarray | None = None
     for col, cells in zip(expected, table.columns(), strict=True):
         if col.kind == "binary-target":
-            target = _encode_targets(state, cells, col.name)
+            target = _encode_targets(state.target_positive, cells, col.name)
             continue
         if col.name in state.dropped_columns:
             continue
@@ -388,17 +393,16 @@ def apply_preprocessor(
     return FeatureMatrix(values=values, feature_names=list(state.feature_names)), target
 
 
-def _encode_targets(state: PreprocessorState, cells, column: str) -> np.ndarray:
+def _encode_targets(positive: str, cells, column: str) -> np.ndarray:
     """0/1 codes of a target column; the first null or unknown value raises."""
-    codes = {TARGET_NEGATIVE: 0, state.target_positive: 1}  # a None key matches no str
+    codes = {TARGET_NEGATIVE: 0, positive: 1}
     encoded = [None if v is None else codes.get(str(v)) for v in cells]
     if None in encoded:
         row = encoded.index(None) + 1
         if cells[row - 1] is None:
             raise DataError(f"row {row}, column {column!r}: null target value")
-        vocab = [TARGET_NEGATIVE] + ([state.target_positive] if state.target_positive else [])
-        raise DataError(f"row {row}, column {column!r}: target value {str(cells[row - 1])!r} "
-                        f"outside vocabulary {vocab}")
+        raise DataError(f"row {row}, column {column!r}: target value {_echo(str(cells[row - 1]))} "
+                        f"outside vocabulary [{TARGET_NEGATIVE!r}, {_echo(positive)}]")
     return np.array(encoded, dtype=np.int64)
 
 

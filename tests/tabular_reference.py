@@ -19,6 +19,7 @@ from attnboost.tabular import (
     FeatureMatrix,
     PreprocessorState,
     RawTable,
+    _echo,
     _parse_date,
 )
 
@@ -35,11 +36,10 @@ def _encode_target(state: PreprocessorState, value, row: int, column: str) -> in
     text = str(value)
     if text == TARGET_NEGATIVE:
         return 0
-    if state.target_positive is not None and text == state.target_positive:
+    if text == state.target_positive:
         return 1
-    vocab = [TARGET_NEGATIVE] + ([state.target_positive] if state.target_positive else [])
-    raise DataError(f"row {row}, column {column!r}: target value {text!r} outside "
-                    f"vocabulary {vocab}")
+    raise DataError(f"row {row}, column {column!r}: target value {_echo(text)} outside "
+                    f"vocabulary [{TARGET_NEGATIVE!r}, {_echo(state.target_positive)}]")
 
 
 def reference_apply(state: PreprocessorState, table: RawTable):

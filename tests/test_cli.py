@@ -213,6 +213,25 @@ class TestBadCells:
         assert _run("predict", "--model", model, "--data", data) == 1
         assert "row 1, column 'Returned': target value 'Maybe'" in capsys.readouterr().err
 
+    def test_train_names_a_target_column_without_a_positive_value(self, tmp_path, synth_csv,
+                                                                   capsys):
+        data = _set_cells(synth_csv, str(tmp_path / "kept.csv"), "Returned", "Not", range(300))
+        assert _run("train", "--data", data, *FAST_TRAIN,
+                    "--out", str(tmp_path / "m.bin")) == 1
+        assert capsys.readouterr().err == ("error: target column 'Returned' has no value other "
+                                           "than 'Not'\n")
+
+    def test_train_names_the_row_of_a_third_target_value(self, tmp_path, synth_csv, capsys):
+        # the positive value is the first other than "Not"; a long cell is quoted cut short
+        returned = [row["Returned"] for row in csv.DictReader(open(synth_csv, newline=""))]
+        row = returned.index("Yes") + 1
+        data = _set_cells(synth_csv, str(tmp_path / "third.csv"), "Returned", "M" * 65, [row])
+        assert _run("train", "--data", data, *FAST_TRAIN,
+                    "--out", str(tmp_path / "m.bin")) == 1
+        assert capsys.readouterr().err == (
+            f"error: row {row + 1}, column 'Returned': target value {'M' * 40!r}... outside "
+            "vocabulary ['Not', 'Yes']\n")
+
     def test_train_names_a_numeric_column_whose_mean_overflows(self, tmp_path, synth_csv,
                                                                capsys):
         data = _set_cells(synth_csv, str(tmp_path / "huge.csv"), "Sales", "1.7e308", [0, 1])
@@ -252,7 +271,8 @@ class TestImportanceCommand:
     def test_malformed_sections_exit_1(self, tmp_path, capsys):
         model = tmp_path / "bad.model"
         model.write_text(f'{{"format":"attnboost-model","version":{FORMAT_VERSION},'
-                         '"sections":{"meta":[1,2]}}')
+                         '"sections":{"meta":[1,2],"preprocessor":{},"attention":{},'
+                         '"ensemble":{}}}')
         assert _run("importance", "--model", str(model)) == 1
         assert "section 'meta' must be a JSON object" in capsys.readouterr().err
 

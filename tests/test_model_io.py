@@ -26,7 +26,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "25b280957ae3e6530749321495c2cd35d34ea948a56e17c161a64453548fc149"
+PINNED_SHA256 = "8124e101d6e657de57821c5b09fc85dfa6b76578504b057c15390bbc620d9c48"
 # how the loader names a key whose stored value save_model would not write for the model
 AS_WRITTEN = "is not stored as save_model writes it"
 
@@ -195,7 +195,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 9
+    assert FORMAT_VERSION == 10
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -243,10 +243,10 @@ def _set_stats(preprocessor: dict, edit) -> None:
     preprocessor["numeric_stats"][column] = edit(preprocessor["numeric_stats"][column])
 
 
-def _set_code(preprocessor: dict, code) -> None:
-    """Set the code of the first value of the first category map."""
-    cmap = preprocessor["category_maps"][_first_column(preprocessor, "category_maps")]
-    cmap[sorted(cmap)[0]] = code
+def _set_values(preprocessor: dict, edit) -> None:
+    """Replace the first category map's list of values with edit(values)."""
+    column = _first_column(preprocessor, "category_maps")
+    preprocessor["category_maps"][column] = edit(preprocessor["category_maps"][column])
 
 
 def _retype_columns(preprocessor: dict, kind: str, to: str) -> None:
@@ -368,21 +368,32 @@ class TestDamagedFiles:
         self._assert_older_rejected(fitted, path, json.load(open(path)), 7, tmp_path, capsys)
 
     def test_version_8_file_rejected(self, fitted, tmp_path, capsys):
-        # version 8 differs only in the ensemble's base_raw, which every fit set to 0.0, and
-        # the network's output head w2 and b2, which augment never read; no version 8 file
-        # is read
+        # version 8 also stored the ensemble's base_raw, which every fit set to 0.0, and the
+        # network's output head w2 and b2, which augment never read; no version 8 file is
+        # read
         path = self._saved(fitted, tmp_path)
         self._assert_older_rejected(fitted, path, json.load(open(path)), 8, tmp_path, capsys)
 
+    def test_version_9_file_rejected(self, fitted, tmp_path, capsys):
+        # version 9 differs only in its category maps, objects of value to code, which could
+        # hold codes in another order than fitting gives; no version 9 file is read
+        path = self._saved(fitted, tmp_path)
+        self._assert_older_rejected(fitted, path, json.load(open(path)), 9, tmp_path, capsys)
+
     def _assert_older_rejected(self, fitted, path, document, version, tmp_path, capsys):
-        """Write `document` as a `full` file of `version`, with the ensemble's base_raw and
-        the network's w2 and b2 that versions 1 to 8 all stored, the meta attention_seed and
-        random_k that versions 1 to 7 stored, the ensemble's column names that versions 1
-        to 6 stored and checksums that match, and check it is rejected."""
+        """Write `document` as a `full` file of `version`, with the category maps as objects
+        of codes that versions 1 to 9 all stored, the ensemble's base_raw and the network's
+        w2 and b2 that versions 1 to 8 stored, the meta attention_seed and random_k that
+        versions 1 to 7 stored, the ensemble's column names that versions 1 to 6 stored and
+        checksums that match, and check it is rejected."""
         sections = document["sections"]
-        attention = sections["attention"]["payload"]
-        attention.update(w2=_encode(np.zeros(attention["W1"]["shape"][0])), b2=0.0)
-        sections["ensemble"]["payload"]["base_raw"] = 0.0
+        maps = sections["preprocessor"]["payload"]["category_maps"]
+        maps.update({column: {value: code for code, value in enumerate(values)}
+                     for column, values in maps.items()})
+        if version <= 8:
+            attention = sections["attention"]["payload"]
+            attention.update(w2=_encode(np.zeros(attention["W1"]["shape"][0])), b2=0.0)
+            sections["ensemble"]["payload"]["base_raw"] = 0.0
         if version <= 7:
             sections["meta"]["payload"].update(attention_seed=FAST_ATTN.seed, random_k=0)
         if version <= 6:
@@ -395,8 +406,8 @@ class TestDamagedFiles:
         self._assert_version_rejected(path, version, tmp_path, capsys)
 
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 9"
-        assert FORMAT_VERSION == 9
+        message = f"unsupported model format version {version}, expected 10"
+        assert FORMAT_VERSION == 10
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -444,6 +455,59 @@ class TestDamagedFiles:
             f'{{"format":"attnboost-model","version":{FORMAT_VERSION},"sections":{sections}}}')
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
+
+    # the layer around the payloads holds only what save_model writes, as they do; each of
+    # these loaded once, and predict exited 0
+    @pytest.mark.parametrize("kind,edit,message", [
+        ("full", lambda doc: doc.update(comment="hello"),
+         "key 'comment' is not one save_model writes"),
+        ("full", lambda doc: doc["sections"]["ensemble"].update(comment="hello"),
+         "section 'ensemble': key 'comment' is not one save_model writes"),
+        ("full", lambda doc: doc.update(version=float(FORMAT_VERSION)),
+         f"unsupported model format version {float(FORMAT_VERSION)}, expected {FORMAT_VERSION}"),
+        # a checksum of null matches a section that lacks its null payload
+        ("no_attention", lambda doc: doc["sections"]["attention"].pop("payload"),
+         "section 'attention': key 'payload' is missing"),
+        ("full", lambda doc: doc["sections"]["meta"].pop("checksum"),
+         "section 'meta': key 'checksum' is missing"),
+        ("full", lambda doc: doc.pop("sections"), "key 'sections' is missing"),
+    ], ids=["document_key", "section_key", "version_float", "payload_missing",
+            "checksum_missing", "sections_missing"])
+    def test_outer_layer_save_model_does_not_write_rejected(self, fitted, tmp_path, capsys,
+                                                            kind, edit, message):
+        path = self._saved(fitted, tmp_path, kind=kind)
+        document = json.load(open(path))
+        edit(document)
+        json.dump(document, open(path, "w"))
+        message = f"{path}: {message}"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    # 15 of these 16 failed as "malformed section contents (TypeError: ...)", naming no key
+    @pytest.mark.parametrize("section", ["meta", "preprocessor", "attention", "ensemble"])
+    @pytest.mark.parametrize("payload", [None, 3, [], "x"], ids=["null", "number", "list",
+                                                                  "text"])
+    def test_payload_that_is_not_an_object_names_its_section(self, fitted, tmp_path, capsys,
+                                                             section, payload):
+        # save_model writes no model without its preprocessor, so its payload is never null
+        path = self._saved(fitted, tmp_path)
+        document = json.load(open(path))
+        document["sections"][section] = {"payload": payload, "checksum": _checksum(payload)}
+        json.dump(document, open(path, "w"))
+        message = f"section {section!r}: payload must be a JSON object" + (
+            " or null" if section == "attention" else "")
+        if section == "attention" and payload is None:
+            message = ("section 'attention': variant 'full' does not match an attention section "
+                       "that is absent")
+        message = f"{path}: {message}"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unequal_array_lengths_rejected(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path)
@@ -557,7 +621,7 @@ class TestDamagedFiles:
     def test_node_fields_that_are_not_int32_arrays_rejected(self, fitted, tmp_path, edit):
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, "ensemble", edit)
-        with pytest.raises(ModelFormatError, match="malformed section contents"):
+        with pytest.raises(ModelFormatError, match="section 'ensemble': (feature|node_counts): "):
             load_model(path)
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
@@ -583,14 +647,15 @@ class TestDamagedFiles:
          "of at least 1e-12, got ["),
         (lambda pre: _set_stats(pre, lambda s: [s[0], 1e-13]), "numeric_stats",
          "of at least 1e-12, got ["),
-        (lambda pre: _set_code(pre, "x"), "category_maps",
-         "must be the integers 0.."),
-        (lambda pre: _set_code(pre, 1.5), "category_maps",
-         "must be the integers 0.."),
-        (lambda pre: _set_code(pre, True), "category_maps",
-         "must be the integers 0.."),
-        (lambda pre: _set_code(pre, 1), "category_maps",  # code 1 twice
-         "must be the integers 0.."),
+        # fitting codes each value by its place in sorted order
+        (lambda pre: _set_values(pre, lambda vs: vs[::-1]), "category_maps",
+         "values must be distinct and in sorted order"),
+        (lambda pre: _set_values(pre, lambda vs: vs[:1] + vs), "category_maps",
+         "values must be distinct and in sorted order"),
+        (lambda pre: _set_values(pre, lambda vs: vs + ["A"]), "category_maps",
+         "values must be distinct and in sorted order"),
+        (lambda pre: _set_values(pre, lambda vs: [7] + vs[1:]), "category_maps", AS_WRITTEN),
+        (lambda pre: _set_values(pre, lambda vs: [1.5] + vs[1:]), "category_maps", AS_WRITTEN),
         (lambda pre: pre["category_maps"].pop(_first_column(pre, "category_maps")),
          "category_maps", "holds columns"),
         (lambda pre: _retype_columns(pre, "binary-target", "category"),
@@ -600,11 +665,13 @@ class TestDamagedFiles:
         (lambda pre: _set_schema_field(pre, "date", 0, 5), "schema", AS_WRITTEN),
         (lambda pre: _set_schema_field(pre, "category", 2, "no"), "schema", AS_WRITTEN),
         (lambda pre: pre.update(target_positive=7), "target_positive", AS_WRITTEN),
+        (lambda pre: pre.update(target_positive=None), "target_positive", AS_WRITTEN),
         (lambda pre: pre.update(target_positive="Not"), "target_positive",
          "got 'Not'"),
+        # the list reader reads a string as its letters
         (lambda pre: pre.update(dropped_columns="Order Date"), "dropped_columns",
-         "expected a list of column names, got 'Order Date'"),
-        (lambda pre: pre.update(dropped_columns=[7]), "dropped_columns", "column 7 is not"),
+         "column 'O' is not a schema column"),
+        (lambda pre: pre.update(dropped_columns=[7]), "dropped_columns", "column '7' is not"),
         (lambda pre: pre.update(dropped_columns=["Nope"]), "dropped_columns",
          "column 'Nope' is not a schema column"),
         (lambda pre: pre.update(dropped_columns=["Returned"]), "dropped_columns",
@@ -612,20 +679,20 @@ class TestDamagedFiles:
         (lambda pre: pre.update(dropped_columns=["Order Date", "Order Date"]),
          "dropped_columns", "column 'Order Date' is not a schema column other than the "
          "target, named once"),
-        # save_model writes a mean and a deviation as JSON floats and a map as an object;
-        # dict() read [] and "" as an empty map
+        # save_model writes a mean and a deviation as JSON floats and a map as a list;
+        # the list reader reads an object as its keys and "" as no values
         (lambda pre: _set_stats(pre, lambda s: [0, s[1]]), "numeric_stats", AS_WRITTEN),
         (lambda pre: _set_stats(pre, lambda s: [s[0], 1]), "numeric_stats", AS_WRITTEN),
-        (lambda pre: pre["category_maps"].update({_first_column(pre, "category_maps"): []}),
+        (lambda pre: _set_values(pre, lambda vs: {v: i for i, v in enumerate(vs)}),
          "category_maps", AS_WRITTEN),
         (lambda pre: pre["category_maps"].update({_first_column(pre, "category_maps"): ""}),
          "category_maps", AS_WRITTEN),
-    ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "code_text",
-            "code_fraction", "code_true", "codes_not_0_to_n", "map_missing", "no_target",
-            "two_targets", "name_not_text", "nullable_text", "positive_number",
-            "positive_is_negative", "dropped_not_list", "dropped_not_text", "dropped_unknown",
-            "dropped_target", "dropped_twice", "mean_integer", "std_integer", "map_list",
-            "map_text"])
+    ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "values_permuted",
+            "value_duplicated", "values_unsorted", "value_number", "value_fraction", "map_missing",
+            "no_target", "two_targets", "name_not_text", "nullable_text", "positive_number",
+            "positive_null", "positive_is_negative", "dropped_not_list", "dropped_not_text",
+            "dropped_unknown", "dropped_target", "dropped_twice", "mean_integer",
+            "std_integer", "map_object", "map_text"])
     def test_malformed_preprocessor_contents_rejected(self, fitted, tmp_path, capsys, edit,
                                                       key, message):
         path = self._saved(fitted, tmp_path)
@@ -711,7 +778,8 @@ class TestDamagedFiles:
         del stored["payload"][key]
         stored["checksum"] = _checksum(stored["payload"])
         json.dump(document, open(path, "w"))
-        with pytest.raises(ModelFormatError, match=f"malformed section contents.*{key}"):
+        with pytest.raises(ModelFormatError, match=re.escape(
+                f"{path}: section {section!r}: key {key!r} is missing")):
             load_model(path)
 
     @pytest.mark.parametrize("section,key,value", [
@@ -751,7 +819,7 @@ class TestDamagedFiles:
         document["sections"]["trace"] = {"payload": {}, "checksum": _checksum({})}
         json.dump(document, open(path, "w"))
         with pytest.raises(ModelFormatError,
-                           match="section 'trace' is not one save_model writes"):
+                           match="sections: key 'trace' is not one save_model writes"):
             load_model(path)
 
     def test_meta_without_fingerprint_rejected(self, fitted, tmp_path):
@@ -759,7 +827,7 @@ class TestDamagedFiles:
         path = self._saved(fitted, tmp_path)
         self._edit_payload(path, "meta", lambda meta: meta.pop("fingerprint"))
         with pytest.raises(ModelFormatError, match=re.escape(
-                "section 'meta': malformed section contents (KeyError: 'fingerprint')")):
+                "section 'meta': key 'fingerprint' is missing")):
             load_model(path)
 
     @pytest.mark.parametrize("edit,message", [
@@ -788,10 +856,9 @@ class TestDamagedFiles:
         ("frozen_attention", {"variant": "no_attention"}, "section that is present"),
         # the section is decoded as the variant's block, so a block of the other kind lacks
         # the first key that block's decoder reads
-        ("random_attention", {"variant": "shallow_attention"}, re.escape(
-            "section 'attention': malformed section contents (KeyError: 'W1')")),
-        ("full", {"variant": "random_attention"}, re.escape(
-            "section 'attention': malformed section contents (KeyError: 'k')")),
+        ("random_attention", {"variant": "shallow_attention"},
+         "section 'attention': key 'W1' is missing"),
+        ("full", {"variant": "random_attention"}, "section 'attention': key 'k' is missing"),
     ])
     def test_meta_disagreeing_with_attention_section_rejected(self, fitted, tmp_path, capsys,
                                                               kind, edit, message):
@@ -837,13 +904,27 @@ class TestDamagedFiles:
         # the ranges of TrainConfig, which fit_variant took the block's k and seed from
         path = self._saved(fitted, tmp_path, kind="random_attention")
         self._edit_payload(path, "attention", lambda att: att.update({key: value}))
-        message = (f"section 'attention': malformed section contents (ValueError: {key} {rule}, "
-                   f"got {value})")
+        message = f"section 'attention': {key} {rule}, got {value}"
         with pytest.raises(ModelFormatError, match=re.escape(message)):
             load_model(path)
         capsys.readouterr()
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("key", ["k", "seed"])
+    @pytest.mark.parametrize("value,reason", [
+        (None, "int() argument must be a string"), ("x", "invalid literal for int()")])
+    def test_random_block_field_int_cannot_read_names_its_key(self, fitted, tmp_path, capsys,
+                                                              key, value, reason):
+        # a null k or seed failed as "malformed section contents (TypeError: ...)"
+        path = self._saved(fitted, tmp_path, kind="random_attention")
+        self._edit_payload(path, "attention", lambda att: att.update({key: value}))
+        message = f"{path}: section 'attention' {key}: cannot read {value!r} ({reason}"
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
+            load_model(path)
+        capsys.readouterr()
+        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_random_block_takes_the_largest_seed(self, fitted, tmp_path):
         path = self._saved(fitted, tmp_path, kind="random_attention")
@@ -900,8 +981,7 @@ class TestDamagedFiles:
          f"section 'attention': key 'W1' {AS_WRITTEN}"),
         ("ensemble", "value", lambda shape: [-1], f"section 'ensemble': key 'value' {AS_WRITTEN}"),
         ("ensemble", "node_counts", lambda shape: [*shape, True],
-         "section 'ensemble': malformed section contents (ValueError: node_counts: an integer "
-         "is required)"),
+         "section 'ensemble': node_counts: an integer is required"),
     ], ids=["W1_minus_one", "value_minus_one", "counts_boolean"])
     def test_shape_that_is_not_non_negative_integers_rejected(self, fitted, tmp_path, capsys,
                                                              section, key, shape, message):
@@ -914,17 +994,6 @@ class TestDamagedFiles:
         capsys.readouterr()
         assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
-
-    def test_null_preprocessor_section_rejected(self, fitted, tmp_path):
-        # save_model writes no model without its preprocessor, so no file lacks one
-        path = self._saved(fitted, tmp_path)
-        document = json.load(open(path))
-        document["sections"]["preprocessor"] = {"payload": None, "checksum": _checksum(None)}
-        json.dump(document, open(path, "w"))
-        with pytest.raises(ModelFormatError,
-                           match="section 'preprocessor': malformed section contents"):
-            load_model(path)
-        assert run_command(["predict", "--model", path, "--data", self._csv(tmp_path)]) == 1
 
     @pytest.mark.parametrize("shape", ["no_units", "no_inputs", "vector"])
     def test_w1_that_is_not_a_matrix_of_units_and_inputs_rejected(self, fitted, tmp_path,

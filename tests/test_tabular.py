@@ -1,5 +1,6 @@
 """Tests for CSV loading, preprocessing, date decomposition, and splitting."""
 
+import csv
 import datetime as dt
 
 import numpy as np
@@ -28,6 +29,8 @@ SAMPLE_ROW = (
     'OFF-LA-10000240,Office Supplies,Labels,'
     '"Self-Adhesive Address Labels for Typewriters by Universal",Not,58.48,8,0.0,27.4856'
 )
+# the same order, returned: fitting needs a target value other than "Not"
+RETURNED_ROW = SAMPLE_ROW.replace(",Not,", ",Yes,")
 
 
 def _write(tmp_path, text, name="data.csv"):
@@ -83,6 +86,18 @@ class TestLoadCsv:
         bad = SAMPLE_ROW.replace("58.48", "not-a-number")
         with pytest.raises(DataError, match=r"row 1.*Sales"):
             load_csv(_write(tmp_path, RETAIL_HEADER + "\n" + bad + "\n"), retail_schema())
+
+    @pytest.mark.parametrize("column,cell,reason", [
+        ("Sales", "9" * 5000 + "x", "is not a number"),
+        ("Quantity", "9" * 400, "is too large for a float"),
+        ("Order Date", "2017-05-13" * 500, "is not a YYYY-MM-DD date"),
+    ], ids=["number", "integer", "date"])
+    def test_long_cell_is_quoted_cut_short(self, tmp_path, column, cell, reason):
+        values = dict(zip(retail_schema(), next(csv.reader([SAMPLE_ROW]))))
+        row = ",".join(f'"{cell if c.name == column else v}"' for c, v in values.items())
+        with pytest.raises(DataError) as info:
+            load_csv(_write(tmp_path, RETAIL_HEADER + "\n" + row + "\n"), retail_schema())
+        assert str(info.value).endswith(f"row 1, column {column!r}: {cell[:40]!r}... {reason}")
 
     def test_integer_too_large_for_a_float_names_row_and_column(self, tmp_path):
         bad = SAMPLE_ROW.replace(",58.48,8,", ",58.48," + "9" * 400 + ",")
@@ -141,7 +156,7 @@ class TestFitPreprocessor:
         assert std == pytest.approx(0.816497, abs=1e-6)
 
     def test_identifier_drop_excluded_from_features(self, tmp_path):
-        table = load_csv(_write(tmp_path, RETAIL_HEADER + "\n" + SAMPLE_ROW + "\n"),
+        table = load_csv(_write(tmp_path, "\n".join([RETAIL_HEADER, SAMPLE_ROW, RETURNED_ROW])),
                          retail_schema())
         state = fit_preprocessor(table, RETAIL_IDENTIFIER_COLUMNS)
         for name in RETAIL_IDENTIFIER_COLUMNS:
@@ -164,6 +179,26 @@ class TestFitPreprocessor:
     def test_unknown_drop_rejected(self):
         with pytest.raises(DataError, match="unknown"):
             fit_preprocessor(_toy_table(), ["Nope"])
+
+    def test_target_without_a_positive_value_is_named(self):
+        # the split would later find one class only, and name no column
+        table = _toy_table()
+        table.rows[1][3] = "Not"
+        with pytest.raises(DataError, match="^target column 'Label' has no value other than "
+                                            "'Not'$"):
+            fit_preprocessor(table, [])
+
+    def test_third_target_value_names_its_row_as_applying_does(self):
+        # the positive value is the first other than "Not"; a long cell is quoted cut short
+        table = _toy_table()
+        table.rows.append(["East", 4.0, dt.date(2018, 1, 1), "Z" * 65])
+        message = (f"row 4, column 'Label': target value {'Z' * 40!r}... outside vocabulary "
+                   "['Not', 'Yes']")
+        with pytest.raises(DataError) as fitting:
+            fit_preprocessor(table, [])
+        with pytest.raises(DataError) as applying:
+            apply_preprocessor(fit_preprocessor(_toy_table(), []), table)
+        assert str(fitting.value) == str(applying.value) == message
 
     def test_integer_too_large_for_a_float_names_row_and_column(self):
         table = _toy_table()
@@ -192,7 +227,7 @@ class TestApplyPreprocessor:
 
     def test_retail_width_is_19(self, tmp_path):
         # 23 columns - 7 identifiers - 1 target - 2 raw dates + 6 derived = 19
-        rows = "\n".join(SAMPLE_ROW for _ in range(5))
+        rows = "\n".join([SAMPLE_ROW] * 4 + [RETURNED_ROW])
         table = load_csv(_write(tmp_path, RETAIL_HEADER + "\n" + rows + "\n"),
                          retail_schema())
         state = fit_preprocessor(table, RETAIL_IDENTIFIER_COLUMNS)
@@ -399,6 +434,7 @@ class TestColumnwiseEncoderMatchesReference:
         [(4, 1, None), (0, 2, None)],  # first bad column wins over an earlier row
         [(4, 3, None), (0, 4, "Maybe")],
         [(3, 4, None), (1, 4, "Maybe")],
+        [(2, 4, "Maybe" * 20)],  # quoted cut short
         [(2, 5, "x"), (4, 3, "2017-02-30")],
     ])
     def test_bad_cells_raise_the_same_first_error(self, cells):
@@ -430,7 +466,8 @@ class TestColumnwiseEncoderMatchesReference:
 def date_parts(cells) -> list[tuple[int, int, int]]:
     """apply_preprocessor's (year, month, weekday) columns for a table of date cells."""
     schema = [ColumnSchema("Order Date", "date"), ColumnSchema("Returned", "binary-target")]
-    fitted = fit_preprocessor(RawTable(schema, [[dt.date(2017, 1, 1), "Not"]]), [])
+    fitted = fit_preprocessor(RawTable(schema, [[dt.date(2017, 1, 1), "Not"],
+                                                [dt.date(2017, 1, 1), "Yes"]]), [])
     X, _ = apply_preprocessor(fitted, RawTable(schema, [[cell, "Not"] for cell in cells]))
     assert X.feature_names == ["Order Date_year", "Order Date_month", "Order Date_weekday"]
     return [tuple(int(v) for v in row) for row in X.values]
