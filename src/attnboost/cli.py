@@ -116,8 +116,9 @@ def cmd_train(args) -> int:
         ("train", evaluate_scores(train_proba, split.y_train)),
         ("test", evaluate_scores(test_proba, split.y_test)),
     ]
+    dropped = {c.name for c in table.schema} - {c.name for c in state.schema}
     fingerprint = run_fingerprint(split, experiment="train", variant=variant,
-                                  drop=sorted(state.dropped_columns), **settings)
+                                  drop=sorted(dropped), **settings)
     save_model(model, args.out, fingerprint=fingerprint)
     print(f"variant: {variant}")
     print(format_reports(reports))
@@ -133,7 +134,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    table = load_csv(args.data, model.preprocessor.schema)
+    table = load_csv(args.data, retail_schema())
     proba, labels = fusion.predict(model, table)
     lines = ["row_index,probability,label"]
     lines.extend(f"{i},{repr(float(p))},{int(l)}" for i, (p, l) in enumerate(zip(proba, labels)))
@@ -147,7 +148,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = load_model(args.model)
-    table = load_csv(args.data, model.preprocessor.schema)
+    table = load_csv(args.data, retail_schema())
     X, y = apply_preprocessor(model.preprocessor, table)
     if y is None:
         raise DataError("evaluation data must include the target column")

@@ -41,7 +41,6 @@ KEY_SPECS: dict[str, tuple[type, object]] = {
     "synth.rows": (int, 2000),
     "synth.seed": (int, 42),
     "synth.noise_sd": (float, 0.25),
-    "synth.intercept": (float, 0.0),
     "synth.coef": (str, ",".join(f"{name}={value!r}"
                                  for name, value in DEFAULT_COEFFICIENTS.items())),
 }
@@ -87,7 +86,7 @@ def parse_config_file(path: str) -> dict:
 
 # the generator's fields and the keys that set them
 _SYNTH_KEYS = {"n_rows": "synth.rows", "seed": "synth.seed", "noise_sd": "synth.noise_sd",
-               "coefficients": "synth.coef", "intercept": "synth.intercept"}
+               "coefficients": "synth.coef"}
 
 
 def _build(cls, keys: dict[str, str], values: dict):

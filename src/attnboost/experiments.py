@@ -74,7 +74,6 @@ class SyntheticSpec:
     seed: int = 42
     noise_sd: float = 0.25
     coefficients: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_COEFFICIENTS))
-    intercept: float = 0.0
 
     def __post_init__(self):
         # each range is written so that NaN fails it; a rejection names the field first
@@ -82,7 +81,6 @@ class SyntheticSpec:
             ("n_rows", self.n_rows >= 10, "must be at least 10"),
             ("seed", 0 <= self.seed <= MAX_SEED, f"must be from 0 to {MAX_SEED}"),
             ("noise_sd", 0.0 <= self.noise_sd < math.inf, "must be finite and non-negative"),
-            ("intercept", math.isfinite(self.intercept), "must be finite"),
             ("coefficients", all(map(math.isfinite, self.coefficients.values())),
              "must be finite"),
         ):
@@ -93,7 +91,7 @@ class SyntheticSpec:
         if unknown:
             raise ValueError(f"coefficients name unknown features: {unknown}")
         # all-zero coefficients are allowed: labels are then pure noise around
-        # sigmoid(intercept), which the symmetry tests rely on
+        # sigmoid(0) = 1/2, which the symmetry tests rely on
 
 
 def _level_value(index: np.ndarray, n_levels: int) -> np.ndarray:
@@ -124,7 +122,7 @@ def generate_synthetic(spec: SyntheticSpec) -> RawTable:
     numeric = {"Sales": sales, "Quantity": quantity.astype(float),
                "Discount": discount, "Profit": profit}
     cat_idx = {"Ship Mode": ship_idx, "Segment": seg_idx, "Region": region_idx}
-    logit = np.full(n, spec.intercept)
+    logit = np.zeros(n)
     for name, coef in spec.coefficients.items():
         if coef == 0.0:
             continue
@@ -270,7 +268,7 @@ def run_conditions(
         rows.append((label, evaluate_scores(proba, split.y_test)))
     state, split = intact
     fingerprint = run_fingerprint(split, attention_config, boost_config, split_fraction,
-                                  split_seed, drop=sorted(state.dropped_columns), **(parts or {}))
+                                  split_seed, drop=sorted(set(drop)), **(parts or {}))
     seeds = {"attention": attention_config.seed, "boost": boost_config.seed, "split": split_seed}
     return ExperimentResult(rows, fingerprint, seeds, split.test_indices)
 

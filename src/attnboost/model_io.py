@@ -1,14 +1,16 @@
 """Single-file model container with per-section integrity checksums.
 
 The file is JSON with four sections (meta, preprocessor, attention, ensemble)
-and stores nothing that can be derived: the ensemble's columns are the
-preprocessor's followed by the block's (fusion.column_names), the network's
-sizes are W1's shape, each leaf holds its weight times the learning rate, and
-a category value's code is its index in the column's sorted values. Arrays
-are base64-encoded little-endian bytes and a shape, float64 for real values
-and int32 for split features and node counts, so a round trip reproduces
-bit-identical predictions on any platform. save_model takes only a model with
-a preprocessor whose ensemble reads those columns, and a string fingerprint.
+and stores only what scoring reads, none of it derivable: the preprocessor
+holds the kept feature columns and the target only, the ensemble's columns
+are the preprocessor's followed by the block's (fusion.column_names), the
+network's sizes are W1's shape, each leaf holds its weight times the
+learning rate, and a category value's code is its index in the column's
+sorted values. Arrays are base64-encoded little-endian bytes and a shape,
+float64 for real values and int32 for split features and node counts, so a
+round trip reproduces bit-identical predictions on any platform. save_model
+takes only a model with a preprocessor whose ensemble reads those columns,
+and a string fingerprint.
 
 A file loads only if save_model would write exactly that file for the model
 it decodes to. The document and each section hold exactly the keys it writes,
@@ -44,7 +46,7 @@ from .tabular import (EPSILON_STD, TARGET_NEGATIVE, ColumnSchema, PreprocessorSt
                       _validate_schema)
 
 FORMAT_NAME = "attnboost-model"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 _INTEGERS = "<i4"  # file dtype of node counts and split features
 
 
@@ -155,7 +157,6 @@ def _preprocessor_payload(state: PreprocessorState) -> dict:
         "schema": [[c.name, c.kind, c.nullable] for c in state.schema],
         "category_maps": {c: sorted(m, key=m.get) for c, m in state.category_maps.items()},
         "numeric_stats": {k: list(v) for k, v in state.numeric_stats.items()},
-        "dropped_columns": state.dropped_columns,
         "target_positive": state.target_positive,
     }
 
@@ -173,12 +174,11 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
 
     Each schema entry is a name, a known kind and a nullable flag; the names
     are unique and one column is the binary target. The target's positive
-    value is other than TARGET_NEGATIVE. The dropped columns are a list of
-    schema columns other than the target, each once. Each kept category or
-    string column has its values, distinct and sorted, each coded by its
-    index, and each kept numeric column a [mean, standard deviation] pair of
-    finite numbers, the deviation at least EPSILON_STD; no other column has
-    either. An error names the key, and the column.
+    value is other than TARGET_NEGATIVE. Each category or string column has
+    its values, at least one, distinct and sorted, each coded by its index,
+    and each numeric column a [mean, standard deviation] pair of finite
+    numbers, the deviation at least EPSILON_STD; no other column has either.
+    An error names the key, and the column.
     """
     read = partial(_read, "preprocessor")
     schema = read("schema", payload["schema"], lambda entries: [
@@ -187,7 +187,6 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
                      for c, values in read("category_maps", payload["category_maps"], dict.items)}
     numeric_stats = {c: read(f"numeric_stats {c!r}", pair, lambda vs: tuple(map(float, vs)))
                      for c, pair in read("numeric_stats", payload["numeric_stats"], dict.items)}
-    dropped = read("dropped_columns", payload["dropped_columns"], lambda vs: [str(v) for v in vs])
     positive = str(payload["target_positive"])
     try:
         _validate_schema(schema)
@@ -197,21 +196,16 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
     if positive == TARGET_NEGATIVE:
         raise ModelFormatError(f"section 'preprocessor' target_positive: column {target!r} "
                                f"needs a string other than {TARGET_NEGATIVE!r}, got {positive!r}")
-    droppable = [c.name for c in schema if c.name != target]
-    for i, column in enumerate(dropped):
-        if column not in droppable or column in dropped[:i]:
-            raise ModelFormatError(f"section 'preprocessor' dropped_columns: column {column!r} "
-                                   "is not a schema column other than the target, named once")
     for key, stored, kinds in (("category_maps", category_maps, ("category", "string")),
                                ("numeric_stats", numeric_stats, ("integer", "float"))):
-        wanted = sorted(c.name for c in schema if c.kind in kinds and c.name not in dropped)
+        wanted = sorted(c.name for c in schema if c.kind in kinds)
         if sorted(stored) != wanted:
             raise ModelFormatError(f"section 'preprocessor' {key}: holds columns "
                                    f"{sorted(stored)}, expected {wanted}")
     for column, values in category_maps.items():
-        if values != sorted(set(values)):
+        if not values or values != sorted(set(values)):  # a fitted column has a row
             raise ModelFormatError(f"section 'preprocessor' category_maps {column!r}: values "
-                                   "must be distinct and in sorted order")
+                                   "must be distinct and in sorted order, and at least one")
         category_maps[column] = {value: code for code, value in enumerate(values)}
     for column, stats in numeric_stats.items():
         if not (len(stats) == 2 and math.isfinite(stats[0]) and EPSILON_STD <= stats[1] < math.inf):
@@ -219,8 +213,7 @@ def _preprocessor_from_payload(payload) -> PreprocessorState:
                                    "a finite mean and a finite standard deviation of at least "
                                    f"{EPSILON_STD}, got {list(stats)}")
     return PreprocessorState(schema=schema, category_maps=category_maps,
-                             numeric_stats=numeric_stats, dropped_columns=dropped,
-                             target_positive=positive)
+                             numeric_stats=numeric_stats, target_positive=positive)
 
 
 def _attention_payload(block: Block):

@@ -11,10 +11,12 @@ a column whose mean or deviation overflows. Date columns are expanded into
 raw integer (year, month, weekday) triples, Monday=0. Targets are binary:
 the literal value "Not" maps to 0 and the first other value seen to 1, and
 fitting refuses a target column with no other value or with a third one.
-The fitted state holds only what applying it reads. Both read the rows once
-into columns, and apply encodes a column at a time into one (rows x features)
-matrix; a bad cell raises the error a cell-by-cell pass would, first by
-column, then by row.
+The fitted state holds only what applying it reads: the kept columns and the
+target, each with its map or statistics. Applying reads those columns from a
+table by name and ignores its others. Both read the rows once into columns,
+and apply encodes a column at a time into one (rows x features) matrix; a bad
+cell raises the error a cell-by-cell pass would, first by column in fit-time
+order, then by row.
 """
 
 from __future__ import annotations
@@ -108,21 +110,20 @@ class FeatureMatrix:
 
 @dataclass
 class PreprocessorState:
-    """Everything learned at fit time, sufficient to transform new tables. The
-    feature and target names follow from the schema and the dropped columns."""
+    """Everything learned at fit time that applying it reads. The schema holds the
+    kept columns and the target, in the fitted table's order, and the feature and
+    target names follow from it."""
 
     schema: list[ColumnSchema]
     category_maps: dict[str, dict[str, int]]  # a value outside a map gets code len(map)
     numeric_stats: dict[str, tuple[float, float]]
-    dropped_columns: list[str]
     target_positive: str  # the target value other than TARGET_NEGATIVE
     feature_names: list[str] = field(init=False)
     target_name: str = field(init=False)
 
     def __post_init__(self):  # a date column gives three features; the schema has one target
         self.feature_names = [
-            name for c in self.schema
-            if c.name not in self.dropped_columns and c.kind != "binary-target"
+            name for c in self.schema if c.kind != "binary-target"
             for name in ([f"{c.name}_{part}" for part in ("year", "month", "weekday")]
                          if c.kind == "date" else [c.name])]
         (self.target_name,) = [c.name for c in self.schema if c.kind == "binary-target"]
@@ -247,7 +248,7 @@ def load_csv(path: str, schema: list[ColumnSchema]) -> RawTable:
     once; the table keeps the named columns in schema order. A header name
     outside the schema or repeated is an error that names it. A target column
     is optional here; fitting requires one, and applying a fitted
-    preprocessor requires every fit-time feature column.
+    preprocessor requires each feature column it kept and ignores the rest.
     """
     _validate_schema(schema, require_target=False)
     try:
@@ -330,10 +331,9 @@ def fit_preprocessor(table: RawTable, drop: list[str]) -> PreprocessorState:
             numeric_stats[col.name] = (mean, max(std, EPSILON_STD))
 
     return PreprocessorState(
-        schema=list(table.schema),
+        schema=[c for c in table.schema if c.name not in dropped],
         category_maps=category_maps,
         numeric_stats=numeric_stats,
-        dropped_columns=list(dict.fromkeys(drop)),
         target_positive=positive,
     )
 
@@ -343,28 +343,30 @@ def apply_preprocessor(
 ) -> tuple[FeatureMatrix, np.ndarray | None]:
     """Transform a table into a dense feature matrix and 0/1 target vector.
 
-    The table's schema must match the fit-time schema; the target column may
-    be absent (prediction on unlabeled rows), in which case the target is None.
-    Errors name the row, counting data rows from 1 as load_csv does, and the
-    column.
+    Each fit-time column is read from the table by name, whatever the table's
+    order, and the table's other columns are ignored. A missing feature column,
+    or one of another kind than at fit time, is an error that names it, met
+    in fit-time order as a bad cell is; the target column may be absent
+    (prediction on unlabeled rows), in which case the target is None. Errors
+    name the row, counting data rows from 1 as load_csv does, and the column.
     """
-    expected = state.schema  # the fit-time entry of each table column, in order
-    got = [(c.name, c.kind) for c in table.schema]
-    if got != [(c.name, c.kind) for c in expected]:  # unlabeled rows, or a mismatch
-        expected = [c for c in state.schema if c.name != state.target_name or c.name in dict(got)]
-        want = [(c.name, c.kind) for c in expected]
-        if got != want:
-            missing = [name for name, _ in want if name not in {name for name, _ in got}]
-            raise DataError(f"table schema does not match fit-time schema (missing "
-                            f"{missing}): got {got}, expected {want}")
-
+    cells_of = {c.name: (c.kind, cells)
+                for c, cells in zip(table.schema, table.columns(), strict=True)}
     encoded: list = []  # one sequence of numbers per feature, in feature order
     target: np.ndarray | None = None
-    for col, cells in zip(expected, table.columns(), strict=True):
+    for col in state.schema:
+        kind, cells = cells_of.get(col.name, (None, None))
+        if kind != col.kind:
+            if kind is not None:
+                raise DataError(f"column {col.name!r} is of kind {kind!r}, but was fitted as "
+                                f"{col.kind!r}")
+            if col.kind != "binary-target":
+                missing = [c.name for c in state.schema
+                           if c.name not in cells_of and c.kind != "binary-target"]
+                raise DataError(f"table lacks columns the model reads (missing {missing})")
+            continue  # unlabeled rows
         if col.kind == "binary-target":
             target = _encode_targets(state.target_positive, cells, col.name)
-            continue
-        if col.name in state.dropped_columns:
             continue
         if col.kind in ("category", "string"):
             if None in cells and not col.nullable:

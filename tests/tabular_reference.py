@@ -1,7 +1,8 @@
 """The per-cell preprocessing encoder, kept as an oracle for the tests.
 
-`reference_apply` walks a table one cell at a time, stores each encoded cell
-into its column's array and stacks the columns at the end. The column-wise
+`reference_apply` looks up each fit-time column in the table by name, walks
+it one cell at a time, stores each encoded cell into its column's array and
+stacks the columns at the end. The column-wise
 `tabular.apply_preprocessor` must return bitwise the same matrix and target
 and raise the same error, with the same message, at the same first bad cell.
 """
@@ -43,29 +44,28 @@ def _encode_target(state: PreprocessorState, value, row: int, column: str) -> in
 
 
 def reference_apply(state: PreprocessorState, table: RawTable):
-    fit_cols = {c.name: c for c in state.schema}
-    table_names = [c.name for c in table.schema]
-    has_target = state.target_name in table_names
-    expected = [c for c in state.schema if has_target or c.name != state.target_name]
-    got = [(c.name, c.kind) for c in table.schema]
-    want = [(c.name, c.kind) for c in expected]
-    if got != want:
-        missing = [c.name for c in expected if c.name not in table_names]
-        raise DataError(f"table schema does not match fit-time schema (missing {missing}):"
-                        f" got {got}, expected {want}")
+    position = {c.name: j for j, c in enumerate(table.schema)}
+    has_target = state.target_name in position
+    missing = [c.name for c in state.schema
+               if c.name != state.target_name and c.name not in position]
 
     n = table.row_count
     columns: list[np.ndarray] = []
     target = np.zeros(n, dtype=np.int64) if has_target else None
-    dropped = set(state.dropped_columns)
 
-    for j, col in enumerate(table.schema):
-        cells = [row[j] for row in table.rows]
+    for col in state.schema:  # a column-level error is met in fit-time order, as a cell's
+        if col.name not in position:
+            if col.name == state.target_name:
+                continue
+            raise DataError(f"table lacks columns the model reads (missing {missing})")
+        kind = table.schema[position[col.name]].kind
+        if kind != col.kind:
+            raise DataError(f"column {col.name!r} is of kind {kind!r}, but was fitted as "
+                            f"{col.kind!r}")
+        cells = [row[position[col.name]] for row in table.rows]
         if col.kind == "binary-target":
             for i, v in enumerate(cells):
                 target[i] = _encode_target(state, v, i + 1, col.name)
-            continue
-        if col.name in dropped:
             continue
         if col.kind in ("category", "string"):
             cmap = state.category_maps[col.name]
@@ -73,7 +73,7 @@ def reference_apply(state: PreprocessorState, table: RawTable):
             out = np.empty(n, dtype=np.float64)
             for i, v in enumerate(cells):
                 key = NULL_CATEGORY if v is None else str(v)
-                if v is None and not fit_cols[col.name].nullable:
+                if v is None and not col.nullable:
                     raise DataError(f"row {i + 1}, column {col.name!r}: null in "
                                     "non-nullable column")
                 out[i] = cmap.get(key, unseen)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from attnboost.config import KEY_SPECS, RunConfig
 from attnboost.experiments import SyntheticSpec, generate_synthetic
 from attnboost.gbdt import BoostConfig
 from attnboost.model_io import FORMAT_VERSION, load_model
-from attnboost.tabular import load_csv, retail_schema
+from attnboost.tabular import RETAIL_IDENTIFIER_COLUMNS, load_csv, retail_schema
 
 FAST_TRAIN = [
     "--boost.n_estimators", "12", "--boost.max_depth", "3",
@@ -136,6 +137,13 @@ class TestTrainEvaluatePredict:
         assert load_model(model).variant == "no_attention"
 
 
+def _write_rows(path, rows):
+    """Write `rows`, the header first, as CSV to `path`."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+    return path
+
+
 def _copy_columns(src, dest, columns):
     """Write the named columns of CSV `src` to `dest`; a name src lacks gets "x" cells."""
     with open(src, newline="") as handle:
@@ -169,6 +177,26 @@ class TestCsvColumns:
                              [n for n in names if n != "Sales"])
         assert _run("predict", "--model", model, "--data", data) == 1
         assert "missing ['Sales']" in capsys.readouterr().err
+
+    def test_scoring_ignores_columns_the_model_does_not_read(self, tmp_path, synth_csv):
+        # Row ID and Customer Name are dropped by default; a model trained with them
+        # scores the same rows with and without them, in any column order
+        with open(synth_csv, newline="") as handle:
+            rows = list(csv.reader(handle))
+        with_ids = _write_rows(str(tmp_path / "ids.csv"), [
+            ["Customer Name", *rows[0], "Row ID"],
+            *([f"name {i}", *row, str(i)] for i, row in enumerate(rows[1:], start=1))])
+        model = str(tmp_path / "m.bin")
+        assert _run("train", "--data", with_ids, *FAST_TRAIN, "--out", model) == 0
+        outputs = {}
+        for name, data in (("with", with_ids), ("without", synth_csv)):
+            for command in ("predict", "evaluate"):
+                out = str(tmp_path / f"{command}-{name}.csv")
+                assert _run(command, "--model", model, "--data", data, "--out", out) == 0
+                outputs[command, name] = open(out, "rb").read()
+        assert outputs["predict", "with"] == outputs["predict", "without"]
+        assert outputs["evaluate", "with"] == outputs["evaluate", "without"]
+        assert [c.name for c in load_model(model).preprocessor.schema] == rows[0]
 
     def test_subset_header_loads_as_the_library_loads_it(self, tmp_path, synth_csv):
         data = _copy_columns(synth_csv, str(tmp_path / "subset.csv"),
@@ -246,6 +274,117 @@ class TestBadCells:
         data = _set_cells(test_csv, str(tmp_path / "huge.csv"), "Discount", "1.7e308", [2])
         assert _run("predict", "--model", model, "--data", data) == 1
         assert "row 3, feature 'Discount'" in capsys.readouterr().err
+
+
+# ROADMAP item 24's standing fuzz: one odd value in one cell of a clean CSV, through
+# `train` and through `predict` with a model trained on the clean file, and `predict` on
+# the clean file without one of its columns or with an identifier column more. Each run
+# exits 0, or exits 1 with one `error:` line that names the edited row, counted from 1 as
+# load_csv counts, and column (or, for `train`, the numeric column whose statistics
+# overflow), or the missing column; never a traceback. An extra identifier column leaves
+# every score as it was.
+CSV_FUZZ_VALUES = ("", " ", "x", "None", "null", "NaN", "nan", "inf", "-inf", "1e309",
+                   "1.7e308", "-1.7e308", "9" * 400, "1_000", "\u0661\u0662\u0663", "\uff12",
+                   "0x10", "1e-320", "-0", "0", "2017-02-30", "2017-1-1", "20170101",
+                   "0001-01-01", "9999-12-31", "Not", "Yes", "Maybe", 'a,b"c', "line\nbreak",
+                   "\x00", "Z" * 65, "\U0001f642")
+CSV_FUZZ_ROWS = 40
+
+
+def _csv_fuzz_cases(columns: list[str], seed: int = 24) -> list[tuple]:
+    """Every case: (command, column, value, edited row) for each cell edit, with a row
+    drawn from 2 on (row 1 holds the first positive target, so an edited target is the
+    bad one), then ("predict", column, "missing", None) for each column and ("predict",
+    column, "extra", None) for each retail identifier column."""
+    rng = random.Random(seed)
+    edits = [(command, column, value, rng.randrange(2, CSV_FUZZ_ROWS + 1))
+             for command in ("train", "predict") for column in columns
+             for value in CSV_FUZZ_VALUES]
+    return [*edits, *(("predict", column, "missing", None) for column in columns),
+            *(("predict", column, "extra", None) for column in RETAIL_IDENTIFIER_COLUMNS)]
+
+
+def _csv_fuzz_subset(cases: list[tuple], per_command: int = 75, seed: int = 24) -> list:
+    """Up to `per_command` cell edits per command, drawn by a seeded generator, and
+    every missing- and extra-column case."""
+    rng = random.Random(seed)
+    return [*(case for command in ("train", "predict")
+              for case in rng.sample([c for c in cases if c[0] == command and c[3]],
+                                     per_command)),
+            *(case for case in cases if case[3] is None)]
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz(tmp_path_factory):
+    """A clean CSV whose first row has the positive target, a model trained on it, its
+    predict output, and a directory for the cases' files."""
+    directory = tmp_path_factory.mktemp("csv_fuzz")
+    table = generate_synthetic(SyntheticSpec(n_rows=CSV_FUZZ_ROWS, seed=3))
+    header = [c.name for c in table.schema]
+    rows = [[cli._format_cell(cell) for cell in row] for row in table.rows]
+    target = header.index("Returned")
+    rows.sort(key=lambda row: row[target] != "Yes")  # stable: only the first positive moves
+    clean = str(directory / "clean.csv")
+    _write_rows(clean, [header, *rows])
+    model = str(directory / "model.bin")
+    assert _run("train", "--data", clean, *FAST_TRAIN, "--out", model) == 0
+    scores = str(directory / "scores.csv")
+    assert _run("predict", "--model", model, "--data", clean, "--out", scores) == 0
+    return header, rows, model, open(scores).read(), directory
+
+
+def _csv_fuzz_outcome(case, csv_fuzz, capsys) -> str | None:
+    """None when the case behaves as the fuzz's rule says; else what went wrong."""
+    command, column, value, row = case
+    header, rows, model, clean_scores, directory = csv_fuzz
+    data, out = str(directory / "case.csv"), str(directory / "case.out")
+    if value == "missing":
+        j = header.index(column)
+        _write_rows(data, [header[:j] + header[j + 1:], *(r[:j] + r[j + 1:] for r in rows)])
+        named = [f"missing [{column!r}]"]
+    elif value == "extra":
+        cells = [str(i) if column == "Row ID" else f"id {i}" for i in range(1, len(rows) + 1)]
+        _write_rows(data, [[column, *header], *([c, *r] for c, r in zip(cells, rows))])
+        named = []
+    else:
+        edited = [list(r) for r in rows]
+        edited[row - 1][header.index(column)] = value
+        _write_rows(data, [header, *edited])
+        named = [f"row {row}, column {column!r}", f"row {row}, feature {column!r}",
+                 *([f"numeric column {column!r}"] if command == "train" else [])]
+    argv = (["train", "--data", data, *FAST_TRAIN, "--out", out] if command == "train"
+            else ["predict", "--model", model, "--data", data, "--out", out])
+    capsys.readouterr()
+    try:
+        code = run_command(argv)
+    except Exception as exc:  # run_command lets it out, so `attnboost` shows a traceback
+        return f"traceback: {type(exc).__name__}: {exc}"
+    err = capsys.readouterr().err
+    if code == 0:
+        if value == "extra" and open(out).read() != clean_scores:
+            return "an extra identifier column changed the scores"
+        return None
+    if code == 1 and err.startswith("error: ") and err.count("\n") == 1 and len(err) < 400:
+        if any(name in err for name in named):
+            return None
+    return f"exit {code}: {err!r}"
+
+
+class TestCsvFuzz:
+    def test_subset_covers_every_kind_of_case(self, csv_fuzz):
+        header = csv_fuzz[0]
+        subset = _csv_fuzz_subset(_csv_fuzz_cases(header))
+        for command in ("train", "predict"):
+            assert {case[1] for case in subset if case[0] == command and case[3]} == set(header)
+        assert {case[1] for case in subset if case[2] == "missing"} == set(header)
+        assert {case[1] for case in subset if case[2] == "extra"} == set(
+            RETAIL_IDENTIFIER_COLUMNS)
+
+    def test_case_exits_0_or_names_its_cell(self, csv_fuzz, capsys):
+        failures = [f"{case}: {outcome}"
+                    for case in _csv_fuzz_subset(_csv_fuzz_cases(csv_fuzz[0]))
+                    if (outcome := _csv_fuzz_outcome(case, csv_fuzz, capsys)) is not None]
+        assert failures == []
 
 
 class TestImportanceCommand:
@@ -327,7 +466,6 @@ OUT_OF_RANGE = {
     "boost.reg_alpha": "-1",
     "boost.reg_lambda": "-1",
     "synth.noise_sd": "-0.25",
-    "synth.intercept": "-inf",
 }
 
 # every seed runs from 0 to 2**64 - 1
@@ -375,7 +513,8 @@ class TestConfigHandling:
                                       "attention.optimizer=plain-sgd",
                                       "attention.prob_clamp=1e-6",
                                       "boost.base_score=0.3",
-                                      "model.shallow_k=8"])
+                                      "model.shallow_k=8",
+                                      "synth.intercept=0.5"])
     def test_unknown_config_key_exits_2(self, tmp_path, synth_csv, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"attention.k=6\n{line}\n")
@@ -468,13 +607,11 @@ class TestConfigHandling:
 
     def test_drop_list_naming_a_column_twice_trains_the_model_naming_it_once(self, tmp_path,
                                                                              synth_csv):
-        # the loader refuses a file whose dropped_columns repeats a name, so train must
-        # never write one
         once, twice = str(tmp_path / "once.bin"), str(tmp_path / "twice.bin")
         for model, drop in ((once, "Sales"), (twice, "Sales,Sales")):
             assert _run("train", "--data", synth_csv, *FAST_TRAIN,
                         f"--preprocess.drop={drop}", "--out", model) == 0
-        assert load_model(twice).preprocessor.dropped_columns == ["Sales"]
+        assert "Sales" not in [c.name for c in load_model(twice).preprocessor.schema]
         assert open(twice, "rb").read() == open(once, "rb").read()
         assert _run("evaluate", "--model", twice, "--data", synth_csv) == 0
 
@@ -483,7 +620,7 @@ class TestConfigHandling:
         assert cfg.attention == TrainConfig()
         assert cfg.boost == BoostConfig()
         assert cfg.synth == SyntheticSpec()
-        assert len(KEY_SPECS) == 25
+        assert len(KEY_SPECS) == 24
 
 
 # the options of each command that are not settings: what it reads, writes or shows
@@ -557,7 +694,8 @@ class TestExitCodes:
                                       ("train", "--synthetic", "--attention.prob_clamp",
                                        "1e-6"),
                                       ("train", "--synthetic", "--boost.base_score", "0.3"),
-                                      ("ablate", "--synthetic", "--model.shallow_k", "8")])
+                                      ("ablate", "--synthetic", "--model.shallow_k", "8"),
+                                      ("synth", "--synth.intercept", "0.5")])
     def test_unknown_flag(self, tmp_path, capsys, argv):
         assert _run(*argv, "--out", str(tmp_path / "out")) == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

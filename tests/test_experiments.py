@@ -53,7 +53,7 @@ def _per_cell_synthetic_rows(spec):
                "Discount": discount, "Profit": profit}
     cat_idx = {"Ship Mode": ship_idx, "Segment": seg_idx, "Region": region_idx}
     levels = {"Ship Mode": SHIP_MODES, "Segment": SEGMENTS, "Region": REGIONS}
-    logit = np.full(n, spec.intercept)
+    logit = np.zeros(n)
     for name, coef in spec.coefficients.items():
         if coef == 0.0:
             continue
@@ -88,8 +88,7 @@ class TestGenerateSynthetic:
         assert a.rows == b.rows
 
     def test_no_signal_base_rate_is_half(self):
-        spec = SyntheticSpec(n_rows=2000, seed=3, noise_sd=0.0,
-                             coefficients={}, intercept=0.0)
+        spec = SyntheticSpec(n_rows=2000, seed=3, noise_sd=0.0, coefficients={})
         table = generate_synthetic(spec)
         target = table.column_index("Returned")
         rate = np.mean([1 if row[target] != "Not" else 0 for row in table.rows])

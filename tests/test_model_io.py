@@ -26,7 +26,7 @@ from attnboost.tabular import apply_preprocessor, fit_preprocessor, stratified_s
 FAST_ATTN = TrainConfig(k=6, epochs=2, seed=0)
 FAST_BOOST = BoostConfig(n_estimators=10, max_depth=3, min_child_weight=0.5,
                          gamma=0.0, seed=42)
-PINNED_SHA256 = "8124e101d6e657de57821c5b09fc85dfa6b76578504b057c15390bbc620d9c48"
+PINNED_SHA256 = "9f24fb50c2438fd3239bea8d38780a9897b610dcb523c1e2de360c212abdd590"
 # how the loader names a key whose stored value save_model would not write for the model
 AS_WRITTEN = "is not stored as save_model writes it"
 
@@ -102,7 +102,7 @@ class TestRoundTrip:
         assert ensemble["gain"]["shape"] == [int(splits.sum())] < ensemble["value"]["shape"]
         assert _decode(ensemble, "gain").tobytes() == model.ensemble.nodes.gain[splits].tobytes()
         assert sorted(sections["preprocessor"]["payload"]) == [
-            "category_maps", "dropped_columns", "numeric_stats", "schema", "target_positive"]
+            "category_maps", "numeric_stats", "schema", "target_positive"]
         assert sorted(sections["meta"]["payload"]) == ["fingerprint", "variant"]
         # the block: a network, whose sizes are the shape of W1 and whose output head only
         # trained it, random_attention's width and seed, or nothing
@@ -195,7 +195,7 @@ def test_file_bytes_are_pinned(tmp_path):
         preprocessor=state)
     path = str(tmp_path / "pinned.model")
     save_model(model, path, fingerprint="pinned")
-    assert FORMAT_VERSION == 10
+    assert FORMAT_VERSION == 11
     assert hashlib.sha256(open(path, "rb").read()).hexdigest() == PINNED_SHA256
 
 
@@ -380,16 +380,25 @@ class TestDamagedFiles:
         path = self._saved(fitted, tmp_path)
         self._assert_older_rejected(fitted, path, json.load(open(path)), 9, tmp_path, capsys)
 
+    def test_version_10_file_rejected(self, fitted, tmp_path, capsys):
+        # version 10 also stored the preprocessor's dropped columns, each with its schema
+        # entry, which scoring read only to skip them; no version 10 file is read
+        path = self._saved(fitted, tmp_path)
+        self._assert_older_rejected(fitted, path, json.load(open(path)), 10, tmp_path, capsys)
+
     def _assert_older_rejected(self, fitted, path, document, version, tmp_path, capsys):
-        """Write `document` as a `full` file of `version`, with the category maps as objects
-        of codes that versions 1 to 9 all stored, the ensemble's base_raw and the network's
+        """Write `document` as a `full` file of `version`, with the dropped columns (none)
+        that versions 1 to 10 all stored, the category maps as objects
+        of codes that versions 1 to 9 stored, the ensemble's base_raw and the network's
         w2 and b2 that versions 1 to 8 stored, the meta attention_seed and random_k that
         versions 1 to 7 stored, the ensemble's column names that versions 1 to 6 stored and
         checksums that match, and check it is rejected."""
         sections = document["sections"]
-        maps = sections["preprocessor"]["payload"]["category_maps"]
-        maps.update({column: {value: code for code, value in enumerate(values)}
-                     for column, values in maps.items()})
+        sections["preprocessor"]["payload"]["dropped_columns"] = []
+        if version <= 9:
+            maps = sections["preprocessor"]["payload"]["category_maps"]
+            maps.update({column: {value: code for code, value in enumerate(values)}
+                         for column, values in maps.items()})
         if version <= 8:
             attention = sections["attention"]["payload"]
             attention.update(w2=_encode(np.zeros(attention["W1"]["shape"][0])), b2=0.0)
@@ -406,8 +415,8 @@ class TestDamagedFiles:
         self._assert_version_rejected(path, version, tmp_path, capsys)
 
     def _assert_version_rejected(self, path, version, tmp_path, capsys):
-        message = f"unsupported model format version {version}, expected 10"
-        assert FORMAT_VERSION == 10
+        message = f"unsupported model format version {version}, expected 11"
+        assert FORMAT_VERSION == 11
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
         csv_path = self._csv(tmp_path)
@@ -668,17 +677,6 @@ class TestDamagedFiles:
         (lambda pre: pre.update(target_positive=None), "target_positive", AS_WRITTEN),
         (lambda pre: pre.update(target_positive="Not"), "target_positive",
          "got 'Not'"),
-        # the list reader reads a string as its letters
-        (lambda pre: pre.update(dropped_columns="Order Date"), "dropped_columns",
-         "column 'O' is not a schema column"),
-        (lambda pre: pre.update(dropped_columns=[7]), "dropped_columns", "column '7' is not"),
-        (lambda pre: pre.update(dropped_columns=["Nope"]), "dropped_columns",
-         "column 'Nope' is not a schema column"),
-        (lambda pre: pre.update(dropped_columns=["Returned"]), "dropped_columns",
-         "column 'Returned' is not a schema column other than the target"),
-        (lambda pre: pre.update(dropped_columns=["Order Date", "Order Date"]),
-         "dropped_columns", "column 'Order Date' is not a schema column other than the "
-         "target, named once"),
         # save_model writes a mean and a deviation as JSON floats and a map as a list;
         # the list reader reads an object as its keys and "" as no values
         (lambda pre: _set_stats(pre, lambda s: [0, s[1]]), "numeric_stats", AS_WRITTEN),
@@ -686,13 +684,16 @@ class TestDamagedFiles:
         (lambda pre: _set_values(pre, lambda vs: {v: i for i, v in enumerate(vs)}),
          "category_maps", AS_WRITTEN),
         (lambda pre: pre["category_maps"].update({_first_column(pre, "category_maps"): ""}),
-         "category_maps", AS_WRITTEN),
+         "category_maps", "and at least one"),
+        # every fitted column has a row, whose value enters the map; an empty map loaded,
+        # and evaluate scored every row's Region as the unseen code
+        (lambda pre: pre["category_maps"].update(Region=[]), "category_maps 'Region'",
+         "values must be distinct and in sorted order, and at least one"),
     ], ids=["stats_shorter_than_two", "std_zero", "std_below_epsilon", "values_permuted",
             "value_duplicated", "values_unsorted", "value_number", "value_fraction", "map_missing",
             "no_target", "two_targets", "name_not_text", "nullable_text", "positive_number",
-            "positive_null", "positive_is_negative", "dropped_not_list", "dropped_not_text",
-            "dropped_unknown", "dropped_target", "dropped_twice", "mean_integer",
-            "std_integer", "map_object", "map_text"])
+            "positive_null", "positive_is_negative", "mean_integer",
+            "std_integer", "map_object", "map_text", "region_empty"])
     def test_malformed_preprocessor_contents_rejected(self, fitted, tmp_path, capsys, edit,
                                                       key, message):
         path = self._saved(fitted, tmp_path)

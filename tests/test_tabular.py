@@ -161,7 +161,9 @@ class TestFitPreprocessor:
         state = fit_preprocessor(table, RETAIL_IDENTIFIER_COLUMNS)
         for name in RETAIL_IDENTIFIER_COLUMNS:
             assert name not in state.feature_names
-        assert state.dropped_columns == RETAIL_IDENTIFIER_COLUMNS
+        # the state keeps only the columns applying it reads
+        assert [c.name for c in state.schema] == [
+            c.name for c in retail_schema() if c.name not in RETAIL_IDENTIFIER_COLUMNS]
 
     def test_drop_target_rejected(self):
         with pytest.raises(DataError, match="target"):
@@ -281,11 +283,23 @@ class TestApplyPreprocessor:
             apply_preprocessor(state, other)
 
     def test_schema_mismatch_rejected(self):
+        # a reordered table encodes the same matrix; a missing feature column, or one of
+        # another kind, fails naming it
         state = fit_preprocessor(_toy_table(), [])
+        X, y = apply_preprocessor(state, _toy_table())
         other = _toy_table()
         other.schema = list(reversed(other.schema))
         other.rows = [list(reversed(r)) for r in other.rows]
-        with pytest.raises(DataError, match="schema"):
+        X_reordered, y_reordered = apply_preprocessor(state, other)
+        assert X_reordered.values.tobytes() == X.values.tobytes()
+        assert X_reordered.feature_names == X.feature_names
+        assert y_reordered.tobytes() == y.tobytes()
+        with pytest.raises(DataError, match=r"missing \['Value'\]"):
+            apply_preprocessor(state, _without(_toy_table(), "Value"))
+        other = _toy_table()
+        other.schema[1] = ColumnSchema("Value", "integer")
+        with pytest.raises(DataError, match="^column 'Value' is of kind 'integer', but was "
+                                            "fitted as 'float'$"):
             apply_preprocessor(state, other)
 
     def test_null_in_non_nullable_rejected(self):
@@ -447,10 +461,22 @@ class TestColumnwiseEncoderMatchesReference:
 
     def test_schema_mismatches_raise_the_same_error(self):
         state = fit_preprocessor(_mixed_table(), [])
-        for table in (_without(_mixed_table(), "Qty"),
-                      RawTable(schema=list(reversed(_mixed_table().schema)), rows=[])):
+        retyped = _mixed_table()
+        retyped.schema[2] = ColumnSchema("Qty", "float")
+        bad_cell = _mixed_table()
+        bad_cell.rows[1][2] = "abc"
+        # a missing column is met in fit-time order, after an earlier column's bad cell
+        for table in (_without(_mixed_table(), "Qty"), retyped, _without(bad_cell, "Price")):
             outcome = assert_matches_reference(state, table)
-            assert outcome[0] == "raised" and "schema" in outcome[2]
+            assert outcome[0] == "raised" and "'Qty'" in outcome[2]
+
+    def test_reordered_and_extra_columns_encode_the_same_matrix(self):
+        state = fit_preprocessor(_mixed_table(), ["Code"])
+        table = _mixed_table()
+        reordered = RawTable(schema=[ColumnSchema("Extra", "string"), *reversed(table.schema)],
+                             rows=[["e", *reversed(row)] for row in table.rows])
+        assert (assert_matches_reference(state, reordered)
+                == assert_matches_reference(state, table))
 
     def test_a_short_row_is_an_error_not_a_dropped_column(self):
         # columns are read with zip(*rows), which stops at the shortest row
